@@ -1,7 +1,6 @@
 //! Millipede processor configuration (Table III defaults).
 
 use millipede_dram::{DramGeometry, DramTiming};
-use millipede_engine::SchedulerKind;
 use millipede_telemetry::TelemetryConfig;
 
 /// Configuration of one Millipede processor and its DRAM channel.
@@ -56,11 +55,6 @@ pub struct MillipedeConfig {
     /// enables it). Purely observational: results and determinism digests
     /// are bit-identical with telemetry on or off.
     pub telemetry: TelemetryConfig,
-    /// Main-loop scheduler: poll every clock edge, or run the event wheel
-    /// (components post wake times; idle edges are masked or slept
-    /// through). Results are bit-identical either way (see DESIGN.md,
-    /// "Event-wheel scheduler").
-    pub scheduler: SchedulerKind,
 }
 
 impl Default for MillipedeConfig {
@@ -82,7 +76,6 @@ impl Default for MillipedeConfig {
             wide_columns: false,
             fast_forward: true,
             telemetry: TelemetryConfig::from_env(),
-            scheduler: SchedulerKind::default(),
         }
     }
 }

@@ -29,9 +29,9 @@ pub use run_impl::run;
 mod run_impl {
     use super::*;
     use millipede_engine::{
-        instrument, mhz_for_period_ps, period_ps_for_mhz, AccessClass, Arena2, CoreStats,
-        DecodedProgram, DualClock, Edge, EventWheel, FlagGrid, Instrumented, Quiescence,
-        ReplayDeltas, StepEffect, ThreadCtx,
+        drive, instrument, mhz_for_period_ps, period_ps_for_mhz, AccessClass, Arena2, CoreStats,
+        DecodedProgram, DualClock, FlagGrid, Instrumented, NodeModel, Quiescence, StepEffect,
+        ThreadCtx,
     };
     use millipede_mapreduce::ThreadGrid;
     use millipede_telemetry::Telemetry;
@@ -61,21 +61,36 @@ mod run_impl {
         burst: Arena2<u32>,
     }
 
-    /// Borrowing instrumentation view over the run loop's state,
-    /// implementing the shared [`Instrumented`] contract (see
-    /// `millipede_engine::instrument`).
-    struct Model<'a> {
-        pbuf: &'a RowPrefetchBuffer,
-        mc: &'a MemoryController,
-        stats: &'a CoreStats,
-        rate: &'a RateMatcher,
-        clock_audit: &'a InvariantChecker,
+    /// One Millipede processor's run-loop state, driven by
+    /// [`millipede_engine::drive`].
+    struct Node<'a> {
+        cfg: &'a MillipedeConfig,
+        decoded: &'a DecodedProgram,
+        image: &'a millipede_mem::InputImage,
+        row_bytes: u64,
+        slab_bytes: u64,
+        threads: Threads,
+        rr: Vec<usize>,
+        /// Per-corelet bypass store: row → slab-fill-arrived (the
+        /// no-flow-control premature-eviction recovery path). Ordered so
+        /// the eviction of the lowest (oldest) row is deterministic.
+        bypass: Vec<BTreeMap<u64, bool>>,
+        pbuf: RowPrefetchBuffer,
+        mc: MemoryController,
+        rate: RateMatcher,
+        clock_audit: InvariantChecker,
+        stats: CoreStats,
+        halted: usize,
+        total_threads: usize,
+        /// Rate-matcher trace entries already converted to freq_step
+        /// events.
+        rate_drained: usize,
         /// Current compute period (the rate matcher's DFS output).
         period: TimePs,
         slots_per_cycle: u64,
     }
 
-    impl Instrumented for Model<'_> {
+    impl Instrumented for Node<'_> {
         fn prefix(&self) -> &'static str {
             "core"
         }
@@ -90,7 +105,7 @@ mod run_impl {
         // it will see next cycle, and no rate-matcher signal fired (Full
         // needs an issue, Empty needs a stall transition). Such edges
         // repeat verbatim until the memory controller acts, so they can
-        // be skipped in bulk (see DESIGN.md, "Idle-cycle fast-forward").
+        // be skipped in bulk (see DESIGN.md, "One driver").
         fn fingerprint(&self) -> u64 {
             let p = self.pbuf.stats();
             self.stats.prefetches
@@ -154,6 +169,118 @@ mod run_impl {
         }
     }
 
+    impl NodeModel for Node<'_> {
+        fn done(&self) -> bool {
+            self.halted == self.total_threads
+        }
+
+        fn compute_edge(
+            &mut self,
+            now: TimePs,
+            cycle: u64,
+            clock: &mut DualClock,
+            tel: &mut Telemetry,
+        ) -> bool {
+            self.clock_audit.on_clock_edge(ClockDomain::Compute, now);
+            let tel_flow_blocks_before = self.pbuf.stats().flow_blocks;
+            // Hand pending row prefetches to the controller.
+            while self.mc.free_slots() > 0 {
+                let Some((slot, row)) = self.pbuf.pop_fetch() else {
+                    break;
+                };
+                let req = Request {
+                    addr: row * self.row_bytes,
+                    bytes: self.row_bytes,
+                    tag: TAG_PREFETCH_BASE + slot as u64,
+                };
+                if self.mc.try_push(req, now).is_err() {
+                    self.pbuf.untake_fetch(slot);
+                    break;
+                }
+                self.stats.prefetches += 1;
+            }
+
+            // The scan takes each piece of state as its own argument, so
+            // the optimizer may keep it in registers across the scan.
+            let (cfg, decoded, image) = (self.cfg, self.decoded, self.image);
+            let (row_bytes, slab_bytes) = (self.row_bytes, self.slab_bytes);
+            let Node {
+                threads,
+                rr,
+                bypass,
+                pbuf,
+                mc,
+                rate,
+                stats,
+                halted,
+                ..
+            } = self;
+            let mut any_issued = false;
+            for c in 0..cfg.corelets {
+                stats.issue_slots += 1;
+                if corelet_tick(
+                    c, now, cycle, cfg, decoded, image, row_bytes, slab_bytes, threads, rr, bypass,
+                    pbuf, mc, clock, rate, stats, halted,
+                ) {
+                    any_issued = true;
+                } else {
+                    stats.stall_slots += 1;
+                }
+            }
+            self.period = clock.compute_period();
+            // Telemetry: purely observational, never feeds back into
+            // simulated state, bit-identical results on or off.
+            if tel.enabled() {
+                let trace = self.rate.trace();
+                for &(at_cycle, mhz) in &trace[self.rate_drained..] {
+                    tel.event("core::rate", "freq_step", at_cycle, now, mhz);
+                }
+                self.rate_drained = trace.len();
+                for _ in tel_flow_blocks_before..self.pbuf.stats().flow_blocks {
+                    tel.event("core::pbuf", "flow_block", cycle, now, 1.0);
+                }
+            }
+            any_issued
+        }
+
+        fn channel_edge(&mut self, now: TimePs, cycle: u64, tel: &mut Telemetry) -> usize {
+            self.clock_audit.on_clock_edge(ClockDomain::Channel, now);
+            self.mc.tick(now);
+            let completions = self.mc.pop_completed(now);
+            let fills = completions.len();
+            for comp in completions {
+                if !comp.row_hit {
+                    // Stamped with the last completed compute cycle:
+                    // channel edges have no compute-cycle identity.
+                    tel.event(
+                        "dram::controller",
+                        "row_conflict",
+                        cycle,
+                        now,
+                        (comp.addr / self.row_bytes) as f64,
+                    );
+                }
+                if comp.tag >= TAG_BYPASS {
+                    let corelet = ((comp.addr % self.row_bytes) / self.slab_bytes) as usize;
+                    let row = comp.addr / self.row_bytes;
+                    self.bypass[corelet].insert(row, true);
+                } else {
+                    let slot = (comp.tag - TAG_PREFETCH_BASE) as usize;
+                    self.pbuf.fill_complete(slot);
+                }
+            }
+            fills
+        }
+
+        fn next_event_at(&self) -> Option<TimePs> {
+            self.mc.next_event_at()
+        }
+
+        fn stats_mut(&mut self) -> &mut CoreStats {
+            &mut self.stats
+        }
+    }
+
     /// Runs `workload` to completion on one Millipede processor.
     ///
     /// ```
@@ -189,9 +316,6 @@ mod run_impl {
         let slab_bytes = grid.slab_bytes(&layout);
         let slab_words = (slab_bytes / 4) as u32;
         let total_rows = layout.total_rows();
-        let program = workload.program.clone();
-        let decoded = DecodedProgram::of(&program);
-        let image = workload.dataset.image.clone();
 
         let mut pbuf = RowPrefetchBuffer::new(
             cfg.pbuf_entries,
@@ -202,247 +326,60 @@ mod run_impl {
         );
         let mut mc = MemoryController::with_capacity(cfg.geometry, cfg.timing, cfg.dram_queue);
         let nominal = period_ps_for_mhz(cfg.compute_mhz);
-        let mut wheel = EventWheel::new(
-            DualClock::new(nominal, cfg.timing.channel_period_ps),
-            cfg.scheduler,
-        );
-        let mc_wake = wheel.register();
+        let mut clock = DualClock::new(nominal, cfg.timing.channel_period_ps);
         let mut rate = RateMatcher::new(cfg.rate_match, nominal, cfg.rate_cooldown);
         pbuf.set_invariant_checks(cfg.invariant_checks);
         rate.set_invariant_checks(cfg.invariant_checks);
         mc.set_invariant_checks(cfg.invariant_checks);
-        let mut clock_audit = InvariantChecker::new(cfg.invariant_checks);
 
-        let mut threads = Threads {
-            t: Arena2::from_fn(cfg.corelets, cfg.contexts, |c, x| {
-                workload.make_ctx(&grid, c, x)
-            }),
-            done: FlagGrid::new(cfg.corelets, cfg.contexts),
-            stalled: FlagGrid::new(cfg.corelets, cfg.contexts),
-            at_barrier: FlagGrid::new(cfg.corelets, cfg.contexts),
-            burst: Arena2::from_fn(cfg.corelets, cfg.contexts, |_, _| 0u32),
-        };
-        let mut rr = vec![0usize; cfg.corelets];
-        // Per-corelet bypass store: row → slab-fill-arrived (no-flow-control
-        // premature-eviction recovery path). Ordered so the eviction of the
-        // lowest (oldest) row is deterministic.
-        let mut bypass: Vec<BTreeMap<u64, bool>> = vec![BTreeMap::new(); cfg.corelets];
-
-        let mut stats = CoreStats::default();
-        let total_threads = cfg.corelets * cfg.contexts;
-        let mut halted = 0usize;
-        let mut cycle: u64 = 0;
-        let mut last_time: TimePs = 0;
-        let mut tel = Telemetry::new(&cfg.telemetry);
-        // Rate-matcher trace entries already converted to freq_step events.
-        let mut rate_drained = 0usize;
         let slots_per_cycle = cfg.corelets as u64;
-        let mut quiesce = Quiescence::new("Millipede", slots_per_cycle, cfg.max_idle_cycles);
+        let decoded = DecodedProgram::of(&workload.program);
+        let mut node = Node {
+            cfg,
+            decoded: &decoded,
+            image: &workload.dataset.image,
+            row_bytes,
+            slab_bytes,
+            threads: Threads {
+                t: Arena2::from_fn(cfg.corelets, cfg.contexts, |c, x| {
+                    workload.make_ctx(&grid, c, x)
+                }),
+                done: FlagGrid::new(cfg.corelets, cfg.contexts),
+                stalled: FlagGrid::new(cfg.corelets, cfg.contexts),
+                at_barrier: FlagGrid::new(cfg.corelets, cfg.contexts),
+                burst: Arena2::from_fn(cfg.corelets, cfg.contexts, |_, _| 0u32),
+            },
+            rr: vec![0; cfg.corelets],
+            bypass: vec![BTreeMap::new(); cfg.corelets],
+            pbuf,
+            mc,
+            rate,
+            clock_audit: InvariantChecker::new(cfg.invariant_checks),
+            stats: CoreStats::default(),
+            halted: 0,
+            total_threads: cfg.corelets * cfg.contexts,
+            rate_drained: 0,
+            period: nominal,
+            slots_per_cycle,
+        };
+        let mut tel = Telemetry::new(&cfg.telemetry);
+        let quiesce = Quiescence::new("Millipede", slots_per_cycle, cfg.max_idle_cycles);
+        let driven = drive(&mut node, &mut clock, quiesce, cfg.fast_forward, &mut tel);
 
-        while halted < total_threads {
-            if wheel.kind().is_wheel() {
-                // Post the controller's exact next-event bound: channel
-                // edges strictly before it are provable no-ops the wheel
-                // may mask (DESIGN.md, "Event-wheel scheduler").
-                wheel.post(mc_wake, mc.next_event_at());
-            }
-            match wheel.pop() {
-                Edge::Compute(now) => {
-                    clock_audit.on_clock_edge(ClockDomain::Compute, now);
-                    last_time = now;
-                    cycle += 1;
-                    let fp_before = Model {
-                        pbuf: &pbuf,
-                        mc: &mc,
-                        stats: &stats,
-                        rate: &rate,
-                        clock_audit: &clock_audit,
-                        period: wheel.compute_period(),
-                        slots_per_cycle,
-                    }
-                    .fingerprint();
-                    let tel_flow_blocks_before = pbuf.stats().flow_blocks;
-                    // Hand pending row prefetches to the controller.
-                    while mc.free_slots() > 0 {
-                        let Some((slot, row)) = pbuf.pop_fetch() else {
-                            break;
-                        };
-                        let req = Request {
-                            addr: row * row_bytes,
-                            bytes: row_bytes,
-                            tag: TAG_PREFETCH_BASE + slot as u64,
-                        };
-                        if mc.try_push(req, now).is_err() {
-                            pbuf.untake_fetch(slot);
-                            break;
-                        }
-                        stats.prefetches += 1;
-                    }
-
-                    let mut any_issued = false;
-                    for c in 0..cfg.corelets {
-                        stats.issue_slots += 1;
-                        if corelet_tick(
-                            c,
-                            now,
-                            cycle,
-                            cfg,
-                            &decoded,
-                            &image,
-                            row_bytes,
-                            slab_bytes,
-                            &mut threads,
-                            &mut rr,
-                            &mut bypass,
-                            &mut pbuf,
-                            &mut mc,
-                            &mut wheel,
-                            &mut rate,
-                            &mut stats,
-                            &mut halted,
-                        ) {
-                            any_issued = true;
-                        } else {
-                            stats.stall_slots += 1;
-                        }
-                    }
-                    quiesce.note_edge(any_issued);
-                    let pre_ff_cycle = cycle;
-                    let fp_after = Model {
-                        pbuf: &pbuf,
-                        mc: &mc,
-                        stats: &stats,
-                        rate: &rate,
-                        clock_audit: &clock_audit,
-                        period: wheel.compute_period(),
-                        slots_per_cycle,
-                    }
-                    .fingerprint();
-                    if cfg.fast_forward && !any_issued && fp_after == fp_before {
-                        quiesce.quiesce(
-                            &mut wheel,
-                            mc.next_event_at(),
-                            mc.free_slots(),
-                            ReplayDeltas::default(),
-                            now,
-                            &mut cycle,
-                            &mut stats,
-                        );
-                    }
-                    // Telemetry: purely observational, never feeds back into
-                    // simulated state, bit-identical results on or off.
-                    if tel.enabled() {
-                        let trace = rate.trace();
-                        for &(at_cycle, mhz) in &trace[rate_drained..] {
-                            tel.event("core::rate", "freq_step", at_cycle, now, mhz);
-                        }
-                        rate_drained = trace.len();
-                        for _ in tel_flow_blocks_before..pbuf.stats().flow_blocks {
-                            tel.event("core::pbuf", "flow_block", pre_ff_cycle, now, 1.0);
-                        }
-                        // Epoch sampling. Cycles `pre_ff_cycle+1..=cycle`
-                        // (if any) were fast-forwarded: every skipped edge
-                        // was a proven no-op at constant compute period, so
-                        // a boundary inside the skip is reconstructed
-                        // exactly — its time is `now + offset·period` and
-                        // only the replayed per-cycle slot counters differ
-                        // from the current state (rewound linearly).
-                        Model {
-                            pbuf: &pbuf,
-                            mc: &mc,
-                            stats: &stats,
-                            rate: &rate,
-                            clock_audit: &clock_audit,
-                            period: wheel.compute_period(),
-                            slots_per_cycle,
-                        }
-                        .emit_epoch_samples(
-                            &mut tel,
-                            cycle,
-                            pre_ff_cycle,
-                            now,
-                            wheel.compute_period(),
-                        );
-                    }
-                }
-                Edge::Channel(now) => {
-                    // Wheel mode: replay the accounting of compute edges
-                    // slept through *before* this edge acts, so counters
-                    // and telemetry samples see exactly the state the
-                    // polled schedule's replay would have seen.
-                    if let Some((_, s)) = quiesce.drain(&mut wheel, &mut cycle, &mut stats) {
-                        if tel.enabled() {
-                            Model {
-                                pbuf: &pbuf,
-                                mc: &mc,
-                                stats: &stats,
-                                rate: &rate,
-                                clock_audit: &clock_audit,
-                                period: wheel.compute_period(),
-                                slots_per_cycle,
-                            }
-                            .emit_epoch_samples(
-                                &mut tel,
-                                cycle,
-                                s.anchor_cycle,
-                                s.anchor_now,
-                                wheel.compute_period(),
-                            );
-                        }
-                    }
-                    clock_audit.on_clock_edge(ClockDomain::Channel, now);
-                    last_time = now;
-                    mc.tick(now);
-                    let completions = mc.pop_completed(now);
-                    let fills = completions.len();
-                    for comp in completions {
-                        if !comp.row_hit {
-                            // Stamped with the last completed compute cycle:
-                            // channel edges have no compute-cycle identity.
-                            tel.event(
-                                "dram::controller",
-                                "row_conflict",
-                                cycle,
-                                now,
-                                (comp.addr / row_bytes) as f64,
-                            );
-                        }
-                        if comp.tag >= TAG_BYPASS {
-                            let corelet = ((comp.addr % row_bytes) / slab_bytes) as usize;
-                            let row = comp.addr / row_bytes;
-                            bypass[corelet].insert(row, true);
-                        } else {
-                            let slot = (comp.tag - TAG_PREFETCH_BASE) as usize;
-                            pbuf.fill_complete(slot);
-                        }
-                    }
-                    quiesce.maybe_wake(&mut wheel, fills, mc.free_slots());
-                }
-            }
-        }
-
-        stats.compute_cycles = cycle;
-        stats.flow_blocks = pbuf.stats().flow_blocks;
-        stats.premature_evictions = pbuf.stats().premature_evictions;
+        let stats = &mut node.stats;
+        stats.compute_cycles = driven.cycles;
+        stats.flow_blocks = node.pbuf.stats().flow_blocks;
+        stats.premature_evictions = node.pbuf.stats().premature_evictions;
         stats.rate_match_final_mhz = if cfg.rate_match {
-            RateMatcher::final_mhz(wheel.clock())
+            RateMatcher::final_mhz(&clock)
         } else {
             0.0
         };
-        stats.rate_trace = rate.trace().to_vec();
+        stats.rate_trace = node.rate.trace().to_vec();
+        node.assert_clean();
 
-        Model {
-            pbuf: &pbuf,
-            mc: &mc,
-            stats: &stats,
-            rate: &rate,
-            clock_audit: &clock_audit,
-            period: wheel.compute_period(),
-            slots_per_cycle,
-        }
-        .assert_clean();
-
-        let states: Vec<&[u32]> = threads
+        let states: Vec<&[u32]> = node
+            .threads
             .t
             .as_slice()
             .iter()
@@ -451,19 +388,23 @@ mod run_impl {
         let output = workload.reduce(&states);
         let output_ok = output == workload.reference(&grid);
         NodeResult {
-            stats,
-            dram: mc.stats().clone(),
-            elapsed_ps: last_time,
+            stats: node.stats,
+            dram: node.mc.stats().clone(),
+            elapsed_ps: driven.last_time,
             output,
             output_ok,
             telemetry: tel,
-            profile: wheel.profile(),
+            profile: driven.profile,
         }
     }
 
     /// One compute-cycle issue attempt for corelet `c`. Returns whether an
     /// instruction issued.
+    ///
+    /// Always inlined into the compute edge's scan: left to the optimizer's
+    /// inlining choice, compute-bound Millipede points ran ~15% slower.
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     fn corelet_tick(
         c: usize,
         now: TimePs,
@@ -478,7 +419,7 @@ mod run_impl {
         bypass: &mut [BTreeMap<u64, bool>],
         pbuf: &mut RowPrefetchBuffer,
         mc: &mut MemoryController,
-        wheel: &mut EventWheel,
+        clock: &mut DualClock,
         rate: &mut RateMatcher,
         stats: &mut CoreStats,
         halted: &mut usize,
@@ -520,7 +461,7 @@ mod run_impl {
                         stats.pbuf_hits += 1;
                         let out = pbuf.consume(slot, c);
                         if out.trigger_blocked {
-                            rate.on_signal(OccupancySignal::Full, cycle, wheel.clock_mut());
+                            rate.on_signal(OccupancySignal::Full, cycle, clock);
                         }
                         rr[c] = if x + 1 == cfg.contexts { 0 } else { x + 1 };
                         return true;
@@ -535,7 +476,7 @@ mod run_impl {
                         if !threads.stalled.get(c, x) {
                             threads.stalled.set(c, x, true);
                             stats.demand_stalls += 1;
-                            rate.on_signal(OccupancySignal::Empty, cycle, wheel.clock_mut());
+                            rate.on_signal(OccupancySignal::Empty, cycle, clock);
                         }
                         continue;
                     }
@@ -543,7 +484,7 @@ mod run_impl {
                         if !threads.stalled.get(c, x) {
                             threads.stalled.set(c, x, true);
                             stats.demand_stalls += 1;
-                            rate.on_signal(OccupancySignal::Empty, cycle, wheel.clock_mut());
+                            rate.on_signal(OccupancySignal::Empty, cycle, clock);
                         }
                         continue;
                     }
@@ -771,78 +712,33 @@ mod tests {
 
     #[test]
     fn fast_forward_is_bit_exact() {
-        for (bench, cfgs) in [
-            (
-                Benchmark::Count,
-                [
-                    MillipedeConfig::default(),
-                    MillipedeConfig::no_flow_control(),
-                ],
-            ),
-            (
-                Benchmark::NBayes,
-                [
-                    MillipedeConfig::no_rate_match(),
-                    MillipedeConfig::no_flow_control(),
-                ],
-            ),
-        ] {
-            let w = small(bench);
-            for mut c in cfgs {
-                c.fast_forward = false;
-                let slow = run(&w, &c);
-                c.fast_forward = true;
-                let fast = run(&w, &c);
-                assert_eq!(slow.stats.ff_skipped_cycles, 0);
-                assert!(
-                    fast.stats.ff_skipped_cycles > 0,
-                    "{bench:?}: fast-forward never engaged"
-                );
-                let mut fs = fast.stats.clone();
-                fs.ff_skipped_cycles = 0;
-                assert_eq!(fs, slow.stats, "{bench:?}: stats diverged");
-                assert_eq!(fast.dram, slow.dram, "{bench:?}: DRAM stats diverged");
-                assert_eq!(fast.elapsed_ps, slow.elapsed_ps);
-                assert_eq!(fast.output, slow.output);
-            }
-        }
-    }
-
-    #[test]
-    fn event_wheel_is_bit_exact() {
-        use millipede_engine::SchedulerKind;
         for bench in [Benchmark::Count, Benchmark::NBayes] {
             let w = small(bench);
-            for base in [
+            for mut c in [
                 MillipedeConfig::default(),
                 MillipedeConfig::no_flow_control(),
                 MillipedeConfig::no_rate_match(),
             ] {
-                for ff in [false, true] {
-                    let mut c = base.clone();
-                    c.fast_forward = ff;
-                    c.scheduler = SchedulerKind::Poll;
-                    let poll = run(&w, &c);
-                    c.scheduler = SchedulerKind::Wheel;
-                    let wheel = run(&w, &c);
-                    let label = format!("{bench:?} ff={ff}");
-                    // The wheel sleeps through more edges than poll-mode
-                    // fast-forward skips; only the wall-clock-only skip
-                    // counter may differ.
-                    let mut ws = wheel.stats.clone();
-                    let mut ps = poll.stats.clone();
-                    ws.ff_skipped_cycles = 0;
-                    ps.ff_skipped_cycles = 0;
-                    assert_eq!(ws, ps, "{label}: stats diverged");
-                    assert_eq!(wheel.dram, poll.dram, "{label}: DRAM stats diverged");
-                    assert_eq!(wheel.elapsed_ps, poll.elapsed_ps, "{label}");
-                    assert_eq!(wheel.output, poll.output, "{label}");
-                    if !ff {
-                        // Without fast-forward the wheel only masks channel
-                        // edges — it must never skip a compute edge.
-                        assert_eq!(wheel.stats.ff_skipped_cycles, 0, "{label}");
-                    }
-                }
+                c.fast_forward = false;
+                let slow = run(&w, &c);
+                c.fast_forward = true;
+                let fast = run(&w, &c);
+                let label = format!(
+                    "{bench:?} flow_control={} rate_match={}",
+                    c.flow_control, c.rate_match
+                );
+                assert_eq!(slow.stats.ff_skipped_cycles, 0);
+                assert_eq!(slow.profile.sleeps, 0, "{label}: walked run jumped");
+                assert!(
+                    fast.stats.ff_skipped_cycles > 0 && fast.profile.sleeps > 0,
+                    "{label}: fast-forward never engaged"
+                );
+                let mut fs = fast.stats.clone();
+                fs.ff_skipped_cycles = 0;
+                assert_eq!(fs, slow.stats, "{label}: stats diverged");
+                assert_eq!(fast.dram, slow.dram, "{label}: DRAM stats diverged");
+                assert_eq!(fast.elapsed_ps, slow.elapsed_ps, "{label}");
+                assert_eq!(fast.output, slow.output, "{label}");
             }
         }
     }

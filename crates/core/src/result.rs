@@ -1,7 +1,7 @@
 //! Cross-architecture run results.
 
 use millipede_dram::DramStats;
-use millipede_engine::{CoreStats, TimePs, WheelProfile};
+use millipede_engine::{CoreStats, JumpProfile, TimePs};
 use millipede_telemetry::Telemetry;
 use millipede_workloads::Reduced;
 
@@ -27,10 +27,10 @@ pub struct NodeResult {
     /// [`millipede_telemetry::TelemetryConfig`] enabled it). Excluded from
     /// determinism digests exactly like `ff_skipped_cycles`.
     pub telemetry: Telemetry,
-    /// Scheduler sleep/wake occupancy of the run's event wheel (all zero
-    /// in poll mode). Host observability for run manifests; excluded from
-    /// determinism digests exactly like `ff_skipped_cycles`.
-    pub profile: WheelProfile,
+    /// Fast-forward jump counters (all zero with fast-forward off). Host
+    /// observability for run manifests; excluded from determinism digests
+    /// exactly like `ff_skipped_cycles`.
+    pub profile: JumpProfile,
 }
 
 impl NodeResult {
@@ -62,7 +62,7 @@ mod tests {
             output: Reduced::Ints(vec![]),
             output_ok: true,
             telemetry: Telemetry::off(),
-            profile: WheelProfile::default(),
+            profile: JumpProfile::default(),
         }
     }
 

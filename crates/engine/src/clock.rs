@@ -88,20 +88,9 @@ impl DualClock {
         }
     }
 
-    /// Time of the next edge without consuming it.
-    pub fn peek_time(&self) -> TimePs {
-        self.next_compute.min(self.next_channel)
-    }
-
-    /// Time of the next compute edge without consuming it.
-    pub fn next_compute_at(&self) -> TimePs {
-        self.next_compute
-    }
-
-    /// The first channel-grid edge at or after `event` — the edge
-    /// [`DualClock::fast_forward`] (or the event wheel) would fire next for
-    /// a component whose earliest action is at `event`.
-    pub fn channel_edge_for(&self, event: TimePs) -> TimePs {
+    /// The first channel-grid edge at or after `event`: the edge a
+    /// component whose earliest action is at `event` fires on next.
+    fn channel_edge_for(&self, event: TimePs) -> TimePs {
         if self.next_channel >= event {
             self.next_channel
         } else {
@@ -110,38 +99,12 @@ impl DualClock {
         }
     }
 
-    /// Consumes the next compute edge regardless of the channel schedule,
-    /// returning its time. The channel grid is untouched.
-    pub fn pop_compute(&mut self) -> TimePs {
-        let t = self.next_compute;
-        self.last_compute = t;
-        self.next_compute += self.compute_period;
-        t
-    }
-
-    /// Consumes the channel edge at `t` — a grid-aligned time at or after
-    /// the next scheduled channel edge — dropping any masked grid edges
-    /// before it. The caller asserts those masked edges were exact no-ops
-    /// (same contract as [`DualClock::fast_forward`]).
-    pub fn take_channel_edge(&mut self, t: TimePs) {
-        debug_assert!(t >= self.next_channel);
-        debug_assert_eq!((t - self.next_channel) % self.channel_period, 0);
-        self.next_channel = t + self.channel_period;
-    }
-
-    /// Drops channel-grid edges strictly before `t` (a tied edge at `t`
-    /// survives, preserving the compute-first tie-break). The caller
-    /// asserts the dropped edges were exact no-ops.
-    pub fn drop_channel_edges_before(&mut self, t: TimePs) {
-        self.next_channel = self.channel_edge_for(t);
-    }
-
     /// Fast-forwards both domains to the first channel edge at or after
     /// `event`, returning how many compute edges were skipped.
     ///
     /// The caller asserts that, until the component driving the channel
     /// domain acts at or after `event`, every intervening edge is an exact
-    /// no-op (see DESIGN.md, "Idle-cycle fast-forward"). Under that
+    /// no-op (see DESIGN.md, "One driver"). Under that
     /// contract the skip is *exact*, not approximate:
     ///
     /// * channel edges strictly before the target are dropped (nothing
@@ -155,8 +118,7 @@ impl DualClock {
     ///   subsequent [`DualClock::set_compute_period`] reschedules exactly
     ///   as if the skipped edges had been popped one by one.
     ///
-    /// The next [`DualClock::pop`] returns the channel edge at the target
-    /// (or an earlier compute edge if none was skippable).
+    /// The next [`DualClock::pop`] returns the channel edge at the target.
     pub fn fast_forward(&mut self, event: TimePs) -> u64 {
         let target = self.channel_edge_for(event);
         self.next_channel = target;

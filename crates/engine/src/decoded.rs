@@ -21,7 +21,7 @@
 //! that finds a context at the head of an unblocked ALU run executes the
 //! whole run in one tight loop and then *charges* the remaining issue
 //! cycles by count (exactly the replay-by-count discipline the
-//! fast-forward and deep-sleep machinery already uses), so the scheduler
+//! fast-forward jump already uses), so the scheduler
 //! round-trip is paid per run, not per instruction. Pure-ALU micro-ops
 //! never trap, never touch memory, never halt, and only write the
 //! context's own registers, so running ahead functionally is invisible to

@@ -13,19 +13,18 @@
 //!   metrics registration ([`Instrumented::register_metrics`]) are
 //!   provided by the trait layer, so a new architecture variant gets
 //!   them for free.
-//! - [`Quiescence`] owns the shared run-loop bookkeeping: the idle-streak
-//!   deadlock guard, the deep-sleep record ([`Sleep`]), and the per-cycle
-//!   accounting every proven-no-op edge replays by count
-//!   (`ff_skipped_cycles`, issue/stall slots, plus the model's own
+//! - [`Quiescence`] owns the shared run-loop bookkeeping the driver
+//!   ([`crate::drive`]) applies: the idle-streak deadlock guard and the
+//!   per-cycle accounting every proven-no-op edge replays by count
+//!   (`ff_skipped_cycles`, issue/stall slots; the model replays its own
 //!   [`ReplayDeltas`]).
 //!
 //! Everything here is observational: replayed accounting is bit-exact by
 //! construction (skipped edges are proven no-ops), and the golden-digest
-//! and scheduler/FF differential suites pin that.
+//! and fast-forward differential suites pin that.
 
 use crate::clock::TimePs;
 use crate::stats::CoreStats;
-use crate::wheel::EventWheel;
 use millipede_metrics::Registry;
 use millipede_telemetry::Telemetry;
 
@@ -44,36 +43,15 @@ pub struct ReplayDeltas {
     pub misses: u64,
 }
 
-/// Wheel-mode deep-sleep record: everything needed to replay the skipped
-/// edges' accounting by count and to decide when to wake (see DESIGN.md,
-/// "Event-wheel scheduler").
-#[derive(Debug, Clone, Copy)]
-pub struct Sleep {
-    /// DRAM queue slots free at sleep entry; if zero, a freed slot can
-    /// unblock a blocked prefetch or demand push, so it must wake compute.
-    pub free_slots: usize,
-    /// Recount rates at sleep entry; constant while asleep because model
-    /// state is frozen until a fill arrives — and a fill wakes us.
-    pub deltas: ReplayDeltas,
-    /// Compute-cycle count at sleep entry (telemetry anchor).
-    pub anchor_cycle: u64,
-    /// Wall time of the sleep-entry compute edge (telemetry anchor). The
-    /// compute period cannot change while asleep — DFS signals need
-    /// compute activity — so skipped cycle `k` after the anchor happened
-    /// at exactly `anchor_now + k·period`.
-    pub anchor_now: TimePs,
-}
-
-/// Shared quiescence bookkeeping for an event-driven model's run loop:
-/// the idle-streak deadlock guard, the deep-sleep record, and the
-/// replay-by-count accounting of proven-no-op compute edges.
+/// Shared quiescence bookkeeping for the run loop ([`crate::drive`]): the
+/// idle-streak deadlock guard and the replay-by-count accounting of
+/// proven-no-op compute edges.
 #[derive(Debug)]
 pub struct Quiescence {
     label: &'static str,
     slots_per_cycle: u64,
     max_idle_cycles: u64,
     idle_streak: u64,
-    sleep: Option<Sleep>,
 }
 
 impl Quiescence {
@@ -85,7 +63,6 @@ impl Quiescence {
             slots_per_cycle,
             max_idle_cycles,
             idle_streak: 0,
-            sleep: None,
         }
     }
 
@@ -100,7 +77,7 @@ impl Quiescence {
 
     /// Records one ticked compute edge's issue outcome and enforces the
     /// deadlock bound.
-    pub fn note_edge(&mut self, any_issued: bool) {
+    pub(crate) fn note_edge(&mut self, any_issued: bool) {
         self.idle_streak = if any_issued { 0 } else { self.idle_streak + 1 };
         self.guard();
     }
@@ -109,7 +86,7 @@ impl Quiescence {
     /// edges: each visits every issue slot and stalls it. The caller
     /// replays its own [`ReplayDeltas`]-scaled counters with the same
     /// count.
-    pub fn replay(&mut self, cycle: &mut u64, stats: &mut CoreStats, skipped: u64) {
+    pub(crate) fn replay(&mut self, cycle: &mut u64, stats: &mut CoreStats, skipped: u64) {
         *cycle += skipped;
         stats.ff_skipped_cycles += skipped;
         stats.issue_slots += skipped * self.slots_per_cycle;
@@ -117,97 +94,14 @@ impl Quiescence {
         self.idle_streak += skipped;
         self.guard();
     }
-
-    /// The shared quiescent-edge decision, called only once this edge is
-    /// proven a no-op (nothing issued, fingerprint unchanged): wheel mode
-    /// records the sleep anchor and enters deep sleep; poll mode bulk
-    /// fast-forwards to `next_event` and replays the shared accounting.
-    /// Returns the edges skipped *now* (always 0 in wheel mode) so the
-    /// caller can scale its own replayed counters by the same `deltas`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn quiesce(
-        &mut self,
-        wheel: &mut EventWheel,
-        next_event: Option<TimePs>,
-        free_slots: usize,
-        deltas: ReplayDeltas,
-        now: TimePs,
-        cycle: &mut u64,
-        stats: &mut CoreStats,
-    ) -> u64 {
-        if wheel.kind().is_wheel() {
-            // Stop ticking entirely until a channel edge produces a wake
-            // condition; the channel arm replays the skipped edges'
-            // accounting by count via `drain`.
-            if next_event.is_some() {
-                self.sleep = Some(Sleep {
-                    free_slots,
-                    deltas,
-                    anchor_cycle: *cycle,
-                    anchor_now: now,
-                });
-                wheel.sleep_compute();
-            }
-            0
-        } else if let Some(event) = next_event {
-            let skipped = wheel.fast_forward(event);
-            self.replay(cycle, stats, skipped);
-            skipped
-        } else {
-            0
-        }
-    }
-
-    /// Channel-arm drain: replays the shared accounting for compute edges
-    /// the wheel slept through (poll mode never sleeps, so this drains
-    /// zero and returns `None`). Returns the skip count and the sleep
-    /// record so the caller can replay its delta-scaled counters and
-    /// reconstruct telemetry samples from the anchor.
-    pub fn drain(
-        &mut self,
-        wheel: &mut EventWheel,
-        cycle: &mut u64,
-        stats: &mut CoreStats,
-    ) -> Option<(u64, Sleep)> {
-        let skipped = wheel.drain_skipped();
-        if skipped == 0 {
-            return None;
-        }
-        let sleep = self
-            .sleep
-            // audit:allow(unwrap-in-hot-path): sleep_compute() set it; a miss is a scheduler bug, fail loudly
-            .expect("skipped edges without a sleep record");
-        self.replay(cycle, stats, skipped);
-        Some((skipped, sleep))
-    }
-
-    /// The shared wake rule, applied at the end of a channel edge: wake on
-    /// any fill (it unstalls a context, frees an MSHR, or readies a
-    /// buffer) or when a full DRAM queue gained room (it can unblock a
-    /// prefetch or demand push). Waking early is always bit-exact — the
-    /// next compute edge just proves quiescence again.
-    pub fn maybe_wake(&mut self, wheel: &mut EventWheel, fills: usize, free_slots_now: usize) {
-        if !wheel.is_sleeping() {
-            return;
-        }
-        let sleep = self
-            .sleep
-            .as_ref()
-            // audit:allow(unwrap-in-hot-path): sleep_compute() set it; a miss is a scheduler bug, fail loudly
-            .expect("asleep without a sleep record");
-        if fills > 0 || (sleep.free_slots == 0 && free_slots_now > 0) {
-            wheel.wake_compute();
-            self.sleep = None;
-        }
-    }
 }
 
 /// The shared instrumentation contract every timing model implements.
 ///
-/// A model constructs its implementor as a cheap borrowing view over its
-/// run-loop state wherever a hook is needed; the trait layer provides the
-/// fast-forward-aware epoch walker and the standard metrics registration
-/// on top of the model-specific hooks.
+/// A model implements it on the struct that holds its run-loop state (the
+/// same struct implements [`crate::NodeModel`]); the trait layer provides
+/// the fast-forward-aware epoch walker and the standard metrics
+/// registration on top of the model-specific hooks.
 pub trait Instrumented {
     /// Stable dotted prefix naming this model's metrics and telemetry
     /// tracks (`"core"`, `"ssmc"`, `"gpgpu"`, `"multicore"`).
@@ -215,7 +109,7 @@ pub trait Instrumented {
 
     /// Quiescence fingerprint: a sum of monotone counters that is
     /// unchanged across a compute edge iff that edge observably changed
-    /// nothing (see DESIGN.md, "Idle-cycle fast-forward"). Per-retry-edge
+    /// nothing (see DESIGN.md, "One driver"). Per-retry-edge
     /// recounts are deliberately excluded and replayed via
     /// [`ReplayDeltas`] instead.
     fn fingerprint(&self) -> u64;
@@ -315,8 +209,6 @@ pub fn sample_dram(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::DualClock;
-    use crate::wheel::SchedulerKind;
 
     struct Dummy;
     impl Instrumented for Dummy {
@@ -390,57 +282,5 @@ mod tests {
         for _ in 0..5 {
             q.note_edge(false);
         }
-    }
-
-    #[test]
-    fn poll_quiesce_skips_and_replays() {
-        let mut wheel = EventWheel::new(DualClock::new(10, 35), SchedulerKind::Poll);
-        let mut q = Quiescence::new("Test", 2, 1_000_000);
-        let mut stats = CoreStats::default();
-        let mut cycle = 0u64;
-        // Next channel event at t=35: edges at 10,20,30 are skippable.
-        let skipped = q.quiesce(
-            &mut wheel,
-            Some(35),
-            4,
-            ReplayDeltas::default(),
-            0,
-            &mut cycle,
-            &mut stats,
-        );
-        assert_eq!(skipped, cycle);
-        assert_eq!(stats.ff_skipped_cycles, skipped);
-        assert_eq!(stats.issue_slots, 2 * skipped);
-    }
-
-    #[test]
-    fn wheel_quiesce_sleeps_then_drains_and_wakes() {
-        let mut wheel = EventWheel::new(DualClock::new(10, 35), SchedulerKind::Wheel);
-        let id = wheel.register();
-        wheel.post(id, Some(35));
-        let mut q = Quiescence::new("Test", 2, 1_000_000);
-        let mut stats = CoreStats::default();
-        let mut cycle = 0u64;
-        let deltas = ReplayDeltas {
-            misses: 3,
-            ..ReplayDeltas::default()
-        };
-        let skipped = q.quiesce(&mut wheel, Some(35), 0, deltas, 0, &mut cycle, &mut stats);
-        assert_eq!(skipped, 0);
-        assert!(wheel.is_sleeping());
-        // Pop until the channel edge fires; the slept-through compute
-        // edges accumulate and drain with the recorded deltas.
-        let edge = wheel.pop();
-        assert!(matches!(edge, crate::clock::Edge::Channel(_)));
-        let (skipped, sleep) = q
-            .drain(&mut wheel, &mut cycle, &mut stats)
-            .expect("slept edges must drain");
-        assert!(skipped > 0);
-        assert_eq!(sleep.deltas.misses, 3);
-        assert_eq!(cycle, skipped);
-        // No fill and the queue was not full at sleep entry with free
-        // slots appearing: free_slots was 0, so room now wakes us.
-        q.maybe_wake(&mut wheel, 0, 1);
-        assert!(!wheel.is_sleeping());
     }
 }

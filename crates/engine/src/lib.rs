@@ -22,18 +22,18 @@ pub mod arena;
 pub mod clock;
 pub mod context;
 pub mod decoded;
+pub mod driver;
 pub mod func;
 pub mod instrument;
 pub mod stats;
 pub mod step;
-pub mod wheel;
 
 pub use arena::{Arena2, FlagGrid};
 pub use clock::{mhz_for_period_ps, period_ps_for_mhz, DualClock, Edge, TimePs};
 pub use context::{LaunchParams, ThreadCtx};
 pub use decoded::{AccessClass, DecodedProgram, MicroOp, OpCode};
+pub use driver::{drive, Driven, JumpProfile, NodeModel};
 pub use func::{run_functional, FuncStats, DEFAULT_STEP_LIMIT};
-pub use instrument::{Instrumented, Quiescence, ReplayDeltas, Sleep};
+pub use instrument::{Instrumented, Quiescence, ReplayDeltas};
 pub use stats::CoreStats;
 pub use step::{step, EffectiveAccess, StepEffect, Trap};
-pub use wheel::{EventWheel, SchedulerKind, WakeId, WheelProfile};

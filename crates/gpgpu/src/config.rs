@@ -1,7 +1,6 @@
 //! SM configuration.
 
 use millipede_dram::{DramGeometry, DramTiming};
-use millipede_engine::SchedulerKind;
 use millipede_telemetry::TelemetryConfig;
 
 /// Configuration of one SM (Table III defaults).
@@ -50,10 +49,6 @@ pub struct GpgpuConfig {
     pub fast_forward: bool,
     /// Cycle-domain telemetry (off by default; purely observational).
     pub telemetry: TelemetryConfig,
-    /// Main-loop scheduler (poll every edge, or the event wheel); results
-    /// are bit-identical either way (see DESIGN.md, "Event-wheel
-    /// scheduler").
-    pub scheduler: SchedulerKind,
 }
 
 impl GpgpuConfig {
@@ -79,7 +74,6 @@ impl GpgpuConfig {
             max_idle_cycles: 2_000_000,
             fast_forward: true,
             telemetry: TelemetryConfig::from_env(),
-            scheduler: SchedulerKind::default(),
         }
     }
 

@@ -32,8 +32,8 @@ use millipede_core::pbuf::{Lookup, RowPrefetchBuffer};
 use millipede_core::NodeResult;
 use millipede_dram::{MemoryController, Request, TimePs};
 use millipede_engine::{
-    instrument, period_ps_for_mhz, AccessClass, CoreStats, DecodedProgram, DualClock, Edge,
-    EventWheel, Instrumented, Quiescence, ReplayDeltas, StepEffect, ThreadCtx,
+    drive, instrument, period_ps_for_mhz, AccessClass, CoreStats, DecodedProgram, DualClock,
+    Instrumented, NodeModel, Quiescence, ReplayDeltas, StepEffect, ThreadCtx,
 };
 use millipede_isa::ReconvergenceMap;
 use millipede_mapreduce::ThreadGrid;
@@ -84,28 +84,35 @@ struct Sm {
     demand_block: u64,
 }
 
-/// Borrowing instrumentation view over the run loop's state, implementing
-/// the shared [`Instrumented`] contract (see `millipede_engine::instrument`).
-struct Model<'a> {
-    sm: &'a Sm,
-    pbuf: Option<&'a RowPrefetchBuffer>,
-    mc: &'a MemoryController,
-    stats: &'a CoreStats,
+/// One SM's run-loop state, driven by [`millipede_engine::drive`].
+struct Node<'a> {
+    cfg: &'a GpgpuConfig,
+    decoded: &'a DecodedProgram,
+    image: &'a millipede_mem::InputImage,
+    rm: ReconvergenceMap,
+    row_bytes: u64,
+    sm: Sm,
+    pbuf: Option<RowPrefetchBuffer>,
+    mc: MemoryController,
+    stats: CoreStats,
+    live_warps: usize,
     /// L1 probes replayed for fast-forwarded edges so far (stalled warps
-    /// re-probe their coalesced blocks every cycle).
+    /// re-probe their coalesced blocks every cycle); folded into the L1
+    /// stats at the end so fast-forward stays bit-exact.
     ff_l1_hits: u64,
     ff_l1_misses: u64,
-    /// Per-retry-edge recount rates of the current quiescent edge.
+    /// Per-retry-edge recount rates of the last compute edge, replayed
+    /// over a jump and rewound by telemetry sampling.
     deltas: ReplayDeltas,
     slots_per_cycle: u64,
 }
 
-impl Instrumented for Model<'_> {
+impl Instrumented for Node<'_> {
     fn prefix(&self) -> &'static str {
         "gpgpu"
     }
 
-    // Quiescence fingerprint (see DESIGN.md, "Idle-cycle fast-forward"):
+    // Quiescence fingerprint (see DESIGN.md, "One driver"):
     // every observable compute-edge mutation either bumps one of these
     // monotone counters/cursors or is a per-retry-edge recount
     // (demand_stalls, L1 hit/miss probes) that is replayed via the `ff_*`
@@ -114,7 +121,7 @@ impl Instrumented for Model<'_> {
     // (`busy_until`, `lsu_busy_until`) are cycle-keyed and independent of
     // memory, so fast-forward is gated off entirely while any is pending.
     fn fingerprint(&self) -> u64 {
-        let pbuf_sum = self.pbuf.map_or(0, |p| {
+        let pbuf_sum = self.pbuf.as_ref().map_or(0, |p| {
             let s = p.stats();
             s.prefetches + s.flow_blocks + s.premature_evictions
         });
@@ -163,7 +170,7 @@ impl Instrumented for Model<'_> {
             at,
             (self.stats.stall_slots - slots) as f64,
         );
-        if let Some(pbuf) = self.pbuf {
+        if let Some(pbuf) = &self.pbuf {
             tel.counter("gpgpu::pbuf", "occupancy", due, at, pbuf.occupancy() as f64);
         }
         let d = self.mc.stats();
@@ -171,12 +178,129 @@ impl Instrumented for Model<'_> {
     }
 
     fn assert_clean(&self) {
-        if let Some(pbuf) = self.pbuf {
+        if let Some(pbuf) = &self.pbuf {
             pbuf.audit().assert_clean("VWS-row prefetch buffer");
         }
         self.mc
             .timing_audit()
             .assert_clean("GPGPU memory controller");
+    }
+}
+
+impl NodeModel for Node<'_> {
+    fn done(&self) -> bool {
+        self.live_warps == 0
+    }
+
+    fn compute_edge(
+        &mut self,
+        now: TimePs,
+        cycle: u64,
+        _clock: &mut DualClock,
+        _tel: &mut Telemetry,
+    ) -> bool {
+        let stalls_before = self.stats.demand_stalls;
+        let hits_before = self.sm.l1.stats().hits;
+        let misses_before = self.sm.l1.stats().misses;
+        if let Some(pbuf) = self.pbuf.as_mut() {
+            pump_rows(pbuf, &mut self.mc, now, self.row_bytes, &mut self.stats);
+        } else {
+            pump_blocks(&mut self.sm, &mut self.mc, now, self.cfg, &mut self.stats);
+        }
+        // The scan takes each piece of state as its own argument, so the
+        // optimizer may keep it in registers across the scan.
+        let (cfg, decoded, image, row_bytes) = (self.cfg, self.decoded, self.image, self.row_bytes);
+        let Node {
+            rm,
+            sm,
+            pbuf,
+            mc,
+            stats,
+            live_warps,
+            ..
+        } = self;
+        let mut any_issued = false;
+        for cluster in 0..cfg.clusters() {
+            stats.issue_slots += 1;
+            if cluster_tick(
+                cluster,
+                cycle,
+                now,
+                cfg,
+                decoded,
+                image,
+                rm,
+                row_bytes,
+                sm,
+                pbuf.as_mut(),
+                mc,
+                stats,
+                live_warps,
+            ) {
+                any_issued = true;
+            } else {
+                stats.stall_slots += 1;
+            }
+        }
+        self.deltas = ReplayDeltas {
+            stalls: self.stats.demand_stalls - stalls_before,
+            hits: self.sm.l1.stats().hits - hits_before,
+            misses: self.sm.l1.stats().misses - misses_before,
+        };
+        any_issued
+    }
+
+    fn channel_edge(&mut self, now: TimePs, cycle: u64, tel: &mut Telemetry) -> usize {
+        self.mc.tick(now);
+        let completions = self.mc.pop_completed(now);
+        let fills = completions.len();
+        for comp in completions {
+            if !comp.row_hit {
+                tel.event(
+                    "dram::controller",
+                    "row_conflict",
+                    cycle,
+                    now,
+                    (comp.addr / self.row_bytes) as f64,
+                );
+            }
+            if comp.tag >= TAG_BLOCK_FILL {
+                let sm = &mut self.sm;
+                sm.l1.fill(comp.addr);
+                for waiter in sm.mshr.complete(comp.addr) {
+                    sm.outstanding[waiter as usize] -= 1;
+                    sm.outstanding_total -= 1;
+                }
+            } else {
+                let slot = (comp.tag - TAG_PREFETCH_BASE) as usize;
+                self.pbuf
+                    .as_mut()
+                    // audit:allow(unwrap-in-hot-path): prefetch tags are only issued when a pbuf exists
+                    .expect("row fill without pbuf")
+                    .fill_complete(slot);
+            }
+        }
+        fills
+    }
+
+    fn next_event_at(&self) -> Option<TimePs> {
+        self.mc.next_event_at()
+    }
+
+    // Warp wakeup timers are cycle-keyed, not memory events: no jump while
+    // any is pending.
+    fn may_jump(&self, cycle: u64) -> bool {
+        self.sm.lsu_busy_until <= cycle && self.sm.busy_until.iter().all(|&b| b <= cycle)
+    }
+
+    fn replay(&mut self, skipped: u64) {
+        self.stats.demand_stalls += self.deltas.stalls * skipped;
+        self.ff_l1_hits += self.deltas.hits * skipped;
+        self.ff_l1_misses += self.deltas.misses * skipped;
+    }
+
+    fn stats_mut(&mut self) -> &mut CoreStats {
+        &mut self.stats
     }
 }
 
@@ -199,14 +323,10 @@ pub fn run(workload: &Workload, cfg: &GpgpuConfig) -> NodeResult {
     };
     let row_bytes = layout.row_bytes;
     let total_rows = layout.total_rows();
-    let program = workload.program.clone();
-    let decoded = DecodedProgram::of(&program);
-    let image = workload.dataset.image.clone();
-    let rm = ReconvergenceMap::compute(&program);
 
     let num_warps = cfg.num_warps();
     let words_per_warp_per_row = (layout.row_words() / num_warps) as u32;
-    let mut pbuf = cfg.row_oriented.then(|| {
+    let pbuf = cfg.row_oriented.then(|| {
         RowPrefetchBuffer::new(
             cfg.pbuf_entries,
             num_warps,
@@ -235,7 +355,7 @@ pub fn run(workload: &Workload, cfg: &GpgpuConfig) -> NodeResult {
     let pf_degree = cfg
         .prefetch_degree
         .unwrap_or((cfg.l1_bytes / cfg.l1_block / 4).max(2));
-    let mut sm = Sm {
+    let sm = Sm {
         warps: (0..num_warps)
             .map(|w| Warp::new(w * cfg.warp_width, cfg.warp_width))
             .collect(),
@@ -257,241 +377,58 @@ pub fn run(workload: &Workload, cfg: &GpgpuConfig) -> NodeResult {
         demand_block: 0,
     };
 
-    let mut mc = MemoryController::with_capacity(cfg.geometry, cfg.timing, cfg.dram_queue);
-    let mut wheel = EventWheel::new(
-        DualClock::new(
-            period_ps_for_mhz(cfg.compute_mhz),
-            cfg.timing.channel_period_ps,
-        ),
-        cfg.scheduler,
-    );
-    let mc_wake = wheel.register();
     let slots_per_cycle = cfg.clusters() as u64;
-    let mut quiesce = Quiescence::new("GPGPU", slots_per_cycle, cfg.max_idle_cycles);
-
-    let mut stats = CoreStats::default();
-    let mut cycle: u64 = 0;
-    let mut last_time: TimePs = 0;
-    let mut live_warps: usize = num_warps;
-    // L1 probes the skipped edges would have re-counted (stalled warps
-    // re-probe their coalesced blocks every cycle); folded into the L1
-    // stats at the end so fast-forward stays bit-exact.
-    let mut ff_l1_hits: u64 = 0;
-    let mut ff_l1_misses: u64 = 0;
+    let decoded = DecodedProgram::of(&workload.program);
+    let mut node = Node {
+        cfg,
+        decoded: &decoded,
+        image: &workload.dataset.image,
+        rm: ReconvergenceMap::compute(&workload.program),
+        row_bytes,
+        sm,
+        pbuf,
+        mc: MemoryController::with_capacity(cfg.geometry, cfg.timing, cfg.dram_queue),
+        stats: CoreStats::default(),
+        live_warps: num_warps,
+        ff_l1_hits: 0,
+        ff_l1_misses: 0,
+        deltas: ReplayDeltas::default(),
+        slots_per_cycle,
+    };
+    let mut clock = DualClock::new(
+        period_ps_for_mhz(cfg.compute_mhz),
+        cfg.timing.channel_period_ps,
+    );
     let mut tel = Telemetry::new(&cfg.telemetry);
+    let quiesce = Quiescence::new("GPGPU", slots_per_cycle, cfg.max_idle_cycles);
+    let driven = drive(&mut node, &mut clock, quiesce, cfg.fast_forward, &mut tel);
 
-    while live_warps > 0 {
-        if wheel.kind().is_wheel() {
-            wheel.post(mc_wake, mc.next_event_at());
-        }
-        match wheel.pop() {
-            Edge::Compute(now) => {
-                last_time = now;
-                cycle += 1;
-                let fp_before = Model {
-                    sm: &sm,
-                    pbuf: pbuf.as_ref(),
-                    mc: &mc,
-                    stats: &stats,
-                    ff_l1_hits,
-                    ff_l1_misses,
-                    deltas: ReplayDeltas::default(),
-                    slots_per_cycle,
-                }
-                .fingerprint();
-                let stalls_before = stats.demand_stalls;
-                let hits_before = sm.l1.stats().hits;
-                let misses_before = sm.l1.stats().misses;
-                if let Some(pbuf) = pbuf.as_mut() {
-                    pump_rows(pbuf, &mut mc, now, row_bytes, &mut stats);
-                } else {
-                    pump_blocks(&mut sm, &mut mc, now, cfg, &mut stats);
-                }
-                let mut any_issued = false;
-                for cluster in 0..cfg.clusters() {
-                    stats.issue_slots += 1;
-                    if cluster_tick(
-                        cluster,
-                        cycle,
-                        now,
-                        cfg,
-                        &decoded,
-                        &image,
-                        &rm,
-                        row_bytes,
-                        &mut sm,
-                        pbuf.as_mut(),
-                        &mut mc,
-                        &mut stats,
-                        &mut live_warps,
-                    ) {
-                        any_issued = true;
-                    } else {
-                        stats.stall_slots += 1;
-                    }
-                }
-                quiesce.note_edge(any_issued);
-                let pre_ff_cycle = cycle;
-                // Per-retry-edge recount rates of this edge, replayed over a
-                // fast-forwarded skip and rewound by telemetry sampling.
-                let deltas = ReplayDeltas {
-                    stalls: stats.demand_stalls - stalls_before,
-                    hits: sm.l1.stats().hits - hits_before,
-                    misses: sm.l1.stats().misses - misses_before,
-                };
-                if cfg.fast_forward
-                    && !any_issued
-                    && sm.lsu_busy_until <= cycle
-                    && sm.busy_until.iter().all(|&b| b <= cycle)
-                    && (Model {
-                        sm: &sm,
-                        pbuf: pbuf.as_ref(),
-                        mc: &mc,
-                        stats: &stats,
-                        ff_l1_hits,
-                        ff_l1_misses,
-                        deltas,
-                        slots_per_cycle,
-                    })
-                    .fingerprint()
-                        == fp_before
-                {
-                    let skipped = quiesce.quiesce(
-                        &mut wheel,
-                        mc.next_event_at(),
-                        mc.free_slots(),
-                        deltas,
-                        now,
-                        &mut cycle,
-                        &mut stats,
-                    );
-                    stats.demand_stalls += deltas.stalls * skipped;
-                    ff_l1_hits += deltas.hits * skipped;
-                    ff_l1_misses += deltas.misses * skipped;
-                }
-                // Telemetry epoch sampling (observational only). Boundaries
-                // inside a fast-forwarded region are reconstructed exactly
-                // by rewinding the replayed per-cycle counters linearly.
-                if tel.enabled() {
-                    Model {
-                        sm: &sm,
-                        pbuf: pbuf.as_ref(),
-                        mc: &mc,
-                        stats: &stats,
-                        ff_l1_hits,
-                        ff_l1_misses,
-                        deltas,
-                        slots_per_cycle,
-                    }
-                    .emit_epoch_samples(
-                        &mut tel,
-                        cycle,
-                        pre_ff_cycle,
-                        now,
-                        wheel.compute_period(),
-                    );
-                }
-            }
-            Edge::Channel(now) => {
-                // Replay the accounting for compute edges the wheel slept
-                // through (poll mode never sleeps, so this drains zero).
-                if let Some((skipped, s)) = quiesce.drain(&mut wheel, &mut cycle, &mut stats) {
-                    stats.demand_stalls += s.deltas.stalls * skipped;
-                    ff_l1_hits += s.deltas.hits * skipped;
-                    ff_l1_misses += s.deltas.misses * skipped;
-                    if tel.enabled() {
-                        Model {
-                            sm: &sm,
-                            pbuf: pbuf.as_ref(),
-                            mc: &mc,
-                            stats: &stats,
-                            ff_l1_hits,
-                            ff_l1_misses,
-                            deltas: s.deltas,
-                            slots_per_cycle,
-                        }
-                        .emit_epoch_samples(
-                            &mut tel,
-                            cycle,
-                            s.anchor_cycle,
-                            s.anchor_now,
-                            wheel.compute_period(),
-                        );
-                    }
-                }
-                last_time = now;
-                mc.tick(now);
-                let completions = mc.pop_completed(now);
-                let fills = completions.len();
-                for comp in completions {
-                    if !comp.row_hit {
-                        tel.event(
-                            "dram::controller",
-                            "row_conflict",
-                            cycle,
-                            now,
-                            (comp.addr / row_bytes) as f64,
-                        );
-                    }
-                    if comp.tag >= TAG_BLOCK_FILL {
-                        sm.l1.fill(comp.addr);
-                        for waiter in sm.mshr.complete(comp.addr) {
-                            sm.outstanding[waiter as usize] -= 1;
-                            sm.outstanding_total -= 1;
-                        }
-                    } else {
-                        let slot = (comp.tag - TAG_PREFETCH_BASE) as usize;
-                        pbuf.as_mut()
-                            // audit:allow(unwrap-in-hot-path): prefetch tags are only issued when a pbuf exists
-                            .expect("row fill without pbuf")
-                            .fill_complete(slot);
-                    }
-                }
-                // Wake on any fill (it unstalls a warp, frees an MSHR,
-                // or readies a pbuf row) or when a full DRAM queue
-                // gained room (it can unblock a prefetch or demand
-                // push). Waking early is always bit-exact: the next
-                // compute edge just proves quiescence again.
-                quiesce.maybe_wake(&mut wheel, fills, mc.free_slots());
-            }
-        }
-    }
-
-    stats.compute_cycles = cycle;
-    stats.shared_passes = sm.shared.passes();
-    stats.l1_hits = sm.l1.stats().hits + ff_l1_hits;
-    stats.l1_misses = sm.l1.stats().misses + ff_l1_misses;
-    if let Some(pbuf) = &pbuf {
+    let stats = &mut node.stats;
+    stats.compute_cycles = driven.cycles;
+    stats.shared_passes = node.sm.shared.passes();
+    stats.l1_hits = node.sm.l1.stats().hits + node.ff_l1_hits;
+    stats.l1_misses = node.sm.l1.stats().misses + node.ff_l1_misses;
+    if let Some(pbuf) = &node.pbuf {
         stats.flow_blocks = pbuf.stats().flow_blocks;
         stats.premature_evictions = pbuf.stats().premature_evictions;
     }
-    Model {
-        sm: &sm,
-        pbuf: pbuf.as_ref(),
-        mc: &mc,
-        stats: &stats,
-        ff_l1_hits,
-        ff_l1_misses,
-        deltas: ReplayDeltas::default(),
-        slots_per_cycle,
-    }
-    .assert_clean();
+    node.assert_clean();
 
     // Reduce in the grid's (corelet=lane, context=warp-slot) order.
     let states: Vec<&[u32]> = (0..cfg.lanes)
         .flat_map(|lane| (0..cfg.contexts).map(move |x| grid.thread_index(lane, x)))
-        .map(|t| sm.threads[t].local.words())
+        .map(|t| node.sm.threads[t].local.words())
         .collect();
     let output = workload.reduce(&states);
     let output_ok = output == workload.reference(&grid);
     NodeResult {
-        stats,
-        dram: mc.stats().clone(),
-        elapsed_ps: last_time,
+        stats: node.stats,
+        dram: node.mc.stats().clone(),
+        elapsed_ps: driven.last_time,
         output,
         output_ok,
         telemetry: tel,
-        profile: wheel.profile(),
+        profile: driven.profile,
     }
 }
 
@@ -1065,8 +1002,9 @@ mod tests {
             );
             let fast = run(&w, &base);
             assert_eq!(slow.stats.ff_skipped_cycles, 0);
+            assert_eq!(slow.profile.sleeps, 0, "{name}: walked run jumped");
             assert!(
-                fast.stats.ff_skipped_cycles > 0,
+                fast.stats.ff_skipped_cycles > 0 && fast.profile.sleeps > 0,
                 "{name}: fast-forward never engaged"
             );
             let mut fs = fast.stats.clone();
@@ -1075,43 +1013,6 @@ mod tests {
             assert_eq!(fast.dram, slow.dram, "{name}: DRAM stats diverged");
             assert_eq!(fast.elapsed_ps, slow.elapsed_ps);
             assert_eq!(fast.output, slow.output);
-        }
-    }
-
-    #[test]
-    fn event_wheel_is_bit_exact() {
-        use millipede_engine::SchedulerKind;
-        for (name, base) in [
-            ("gpgpu", GpgpuConfig::gpgpu()),
-            ("vws", GpgpuConfig::vws()),
-            ("vws_row", GpgpuConfig::vws_row()),
-        ] {
-            for ff in [false, true] {
-                let w = small(Benchmark::Variance);
-                let mk = |scheduler| GpgpuConfig {
-                    fast_forward: ff,
-                    scheduler,
-                    ..base.clone()
-                };
-                let poll = run(&w, &mk(SchedulerKind::Poll));
-                let wheel = run(&w, &mk(SchedulerKind::Wheel));
-                // The wheel sleeps through edges poll merely polls between
-                // hops, so the skip counter is the one legitimate
-                // difference; everything else must be bit-identical.
-                let mut ps = poll.stats.clone();
-                let mut ws = wheel.stats.clone();
-                ps.ff_skipped_cycles = 0;
-                ws.ff_skipped_cycles = 0;
-                assert_eq!(ws, ps, "{name} ff={ff}: stats diverged");
-                assert_eq!(wheel.dram, poll.dram, "{name} ff={ff}: DRAM diverged");
-                assert_eq!(wheel.elapsed_ps, poll.elapsed_ps, "{name} ff={ff}");
-                assert_eq!(wheel.output, poll.output, "{name} ff={ff}");
-                if !ff {
-                    // Without fast-forward the wheel only masks channel
-                    // edges; it must not skip any compute edges.
-                    assert_eq!(wheel.stats.ff_skipped_cycles, 0, "{name}");
-                }
-            }
         }
     }
 

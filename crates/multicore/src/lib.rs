@@ -22,7 +22,7 @@
 use millipede_core::NodeResult;
 use millipede_dram::DramStats;
 use millipede_engine::{
-    run_functional, CoreStats, FuncStats, Instrumented, TimePs, WheelProfile, DEFAULT_STEP_LIMIT,
+    run_functional, CoreStats, FuncStats, Instrumented, JumpProfile, TimePs, DEFAULT_STEP_LIMIT,
 };
 use millipede_mapreduce::ThreadGrid;
 use millipede_telemetry::{Telemetry, TelemetryConfig};
@@ -209,7 +209,7 @@ pub fn run(workload: &Workload, cfg: &MulticoreConfig) -> NodeResult {
         output,
         output_ok,
         telemetry: tel,
-        profile: WheelProfile::default(),
+        profile: JumpProfile::default(),
     }
 }
 

@@ -105,7 +105,6 @@ impl Arch {
                 c.timing = cfg.timing();
                 c.fast_forward = cfg.fast_forward;
                 c.telemetry = cfg.telemetry.clone();
-                c.scheduler = cfg.scheduler;
                 millipede_gpgpu::run(workload, &c)
             }
             Arch::Ssmc => {
@@ -117,7 +116,6 @@ impl Arch {
                     timing: cfg.timing(),
                     fast_forward: cfg.fast_forward,
                     telemetry: cfg.telemetry.clone(),
-                    scheduler: cfg.scheduler,
                     ..SsmcConfig::default()
                 };
                 millipede_ssmc::run(workload, &c)
@@ -135,7 +133,6 @@ impl Arch {
                 c.timing = cfg.timing();
                 c.fast_forward = cfg.fast_forward;
                 c.telemetry = cfg.telemetry.clone();
-                c.scheduler = cfg.scheduler;
                 millipede_core::run(workload, &c)
             }
             Arch::Multicore => {

@@ -7,7 +7,6 @@
 
 use millipede_dram::{DramGeometry, DramTiming};
 use millipede_energy::EnergyParams;
-use millipede_engine::SchedulerKind;
 use millipede_telemetry::TelemetryConfig;
 
 /// Parameters of one simulated comparison point.
@@ -47,11 +46,6 @@ pub struct SimConfig {
     /// Observational only: determinism digests are bit-identical on or
     /// off.
     pub telemetry: TelemetryConfig,
-    /// Main-loop scheduler for every event-driven timing model (defaults
-    /// from `MILLIPEDE_SCHEDULER`: `poll` or `wheel`, unset → poll).
-    /// Results are bit-identical either way (see DESIGN.md, "Event-wheel
-    /// scheduler").
-    pub scheduler: SchedulerKind,
 }
 
 impl Default for SimConfig {
@@ -67,7 +61,6 @@ impl Default for SimConfig {
             energy: EnergyParams::default(),
             fast_forward: fast_forward_from_env(),
             telemetry: TelemetryConfig::from_env(),
-            scheduler: scheduler_from_env(),
         }
     }
 }
@@ -85,27 +78,6 @@ pub fn env_flag(name: &str) -> Option<bool> {
 /// on; empty or `0` disables fast-forward; anything else enables it.
 pub fn fast_forward_from_env() -> bool {
     env_flag("MILLIPEDE_FASTFORWARD").unwrap_or(true)
-}
-
-/// Reads the `MILLIPEDE_SCHEDULER` environment switch: `poll` (the
-/// default) or `wheel`. Unset or empty selects poll; an unrecognized value
-/// warns on stderr and falls back to poll rather than silently changing
-/// the schedule.
-pub fn scheduler_from_env() -> SchedulerKind {
-    match std::env::var("MILLIPEDE_SCHEDULER") {
-        Err(_) => SchedulerKind::Poll,
-        Ok(v) => match v.as_str() {
-            "" | "poll" => SchedulerKind::Poll,
-            "wheel" => SchedulerKind::Wheel,
-            other => {
-                eprintln!(
-                    "warning: MILLIPEDE_SCHEDULER={other:?} is not a scheduler \
-                     (expected \"poll\" or \"wheel\"); using poll"
-                );
-                SchedulerKind::Poll
-            }
-        },
-    }
 }
 
 impl SimConfig {

@@ -30,10 +30,9 @@ pub mod runner;
 pub mod system;
 
 pub use arch::Arch;
-pub use config::{env_flag, fast_forward_from_env, scheduler_from_env, SimConfig};
+pub use config::{env_flag, fast_forward_from_env, SimConfig};
 pub use determinism::{check_determinism, digest_run, Divergence, Fnv1a};
 pub use manifest::{ManifestRun, SCHEMA as MANIFEST_SCHEMA};
-pub use millipede_engine::SchedulerKind;
 pub use millipede_telemetry::{Telemetry, TelemetryConfig};
 pub use runner::{
     run_grid, run_many, run_many_with, run_one, sweep_progress_from_env, sweep_threads, RunResult,

@@ -1,13 +1,13 @@
-//! Per-run JSON manifests (schema `millipede-manifest/1`).
+//! Per-run JSON manifests (schema `millipede-manifest/2`).
 //!
 //! A manifest is the machine-readable record of what one driver invocation
 //! simulated and what it cost the *host*: the configuration (plus a
 //! fingerprint), every run's determinism digest and full metrics registry
 //! (populated through the shared `Instrumented` registration in
 //! `millipede_engine::instrument`), and host self-profiling — wall-clock
-//! per phase, retired-instructions/sec, walked-edges/sec, event-wheel
-//! sleep/wake occupancy, fast-forward skipped-cycle ratio, sweep-pool
-//! utilization, per-point latency, and telemetry ring drop counts.
+//! per phase, retired-instructions/sec, walked-edges/sec, fast-forward
+//! jumps and skipped-cycle ratio, sweep-pool utilization, per-point
+//! latency, and telemetry ring drop counts.
 //!
 //! Everything here is observational: manifests are built *from* finished
 //! [`RunResult`]s, never read back by a timing model, so metrics are
@@ -20,20 +20,15 @@
 use crate::config::SimConfig;
 use crate::determinism::{digest_run, Fnv1a};
 use crate::runner::RunResult;
-use millipede_engine::{instrument, SchedulerKind};
+use millipede_engine::instrument;
 use millipede_metrics::json::{escape, fmt_f64, Json};
 use millipede_metrics::{Histogram, Registry, SelfProfile};
 
 /// The manifest schema identifier this module writes and checks.
-pub const SCHEMA: &str = "millipede-manifest/1";
-
-/// Default `report --check` regression threshold in percent: a point is a
-/// regression when its wall time exceeds the baseline median by more than
-/// this.
-pub const DEFAULT_CHECK_THRESHOLD_PCT: f64 = 20.0;
+pub const SCHEMA: &str = "millipede-manifest/2";
 
 /// One run as it appears in a manifest: the result plus the sweep-point
-/// context (`chunks`, scheduler) and the wall time to record — callers
+/// context (`chunks`) and the wall time to record — callers
 /// timing medians over repeated runs (the bench harness) substitute the
 /// median for the single-run wall.
 #[derive(Debug, Clone)]
@@ -42,11 +37,8 @@ pub struct ManifestRun<'a> {
     pub result: &'a RunResult,
     /// Host wall milliseconds to record for this point.
     pub wall_ms: f64,
-    /// Input size in chunks this point ran with (used by `report --check`
-    /// to match baseline sweep points).
+    /// Input size in chunks this point ran with.
     pub chunks: usize,
-    /// Main-loop scheduler this point ran under.
-    pub scheduler: SchedulerKind,
 }
 
 impl<'a> ManifestRun<'a> {
@@ -57,18 +49,7 @@ impl<'a> ManifestRun<'a> {
             result,
             wall_ms: result.wall.as_secs_f64() * 1e3,
             chunks: cfg.num_chunks,
-            scheduler: cfg.scheduler,
         }
-    }
-}
-
-/// The scheduler's manifest name (`"poll"` / `"wheel"`, matching
-/// `MILLIPEDE_SCHEDULER` values).
-pub fn scheduler_name(s: SchedulerKind) -> &'static str {
-    if s.is_wheel() {
-        "wheel"
-    } else {
-        "poll"
     }
 }
 
@@ -88,7 +69,6 @@ pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
         u64::from(cfg.bandwidth_factor),
         cfg.pbuf_entries as u64,
         u64::from(cfg.fast_forward),
-        u64::from(cfg.scheduler.is_wheel()),
     ] {
         h.write_u64(v);
     }
@@ -103,8 +83,9 @@ fn metric_prefix(r: &RunResult) -> String {
 }
 
 /// Builds one run's full metrics registry: the shared `Instrumented`
-/// core-stats registration plus DRAM counters, energy gauges, event-wheel
-/// occupancy, and telemetry sink totals, all under the run's arch prefix.
+/// core-stats registration plus DRAM counters, energy gauges, fast-forward
+/// jump counts, and telemetry sink totals, all under the run's arch
+/// prefix.
 pub fn run_registry(r: &RunResult) -> Registry {
     let mut reg = Registry::new();
     let prefix = metric_prefix(r);
@@ -128,8 +109,8 @@ pub fn run_registry(r: &RunResult) -> Registry {
         reg.gauge_set(&format!("{prefix}.energy.{name}"), v);
     }
     let p = r.node.profile;
-    reg.counter_add(&format!("{prefix}.wheel.sleeps"), p.sleeps);
-    reg.counter_add(&format!("{prefix}.wheel.wakes"), p.wakes);
+    reg.counter_add(&format!("{prefix}.ff.jumps"), p.sleeps);
+    reg.counter_add(&format!("{prefix}.ff.fill_wakes"), p.wakes);
     let tel = &r.node.telemetry;
     for (name, v) in [
         ("series", tel.series_len() as u64),
@@ -142,7 +123,7 @@ pub fn run_registry(r: &RunResult) -> Registry {
     reg
 }
 
-/// Renders a complete `millipede-manifest/1` document for one driver
+/// Renders a complete `millipede-manifest/2` document for one driver
 /// invocation. `threads` is the sweep pool size the runs were fanned over
 /// (1 for serial drivers); `prof` supplies the host phase walls.
 pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[ManifestRun]) -> String {
@@ -160,8 +141,8 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
     let mut instructions: u64 = 0;
     let mut compute_cycles: u64 = 0;
     let mut ff_skipped: u64 = 0;
-    let mut sleeps: u64 = 0;
-    let mut wakes: u64 = 0;
+    let mut jumps: u64 = 0;
+    let mut fill_wakes: u64 = 0;
     let mut dropped: u64 = 0;
     let mut point_ms = Histogram::default();
     for r in runs {
@@ -169,8 +150,8 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
         instructions += s.instructions;
         compute_cycles += s.compute_cycles;
         ff_skipped += s.ff_skipped_cycles;
-        sleeps += r.result.node.profile.sleeps;
-        wakes += r.result.node.profile.wakes;
+        jumps += r.result.node.profile.sleeps;
+        fill_wakes += r.result.node.profile.wakes;
         dropped += r.result.node.telemetry.dropped_events();
         point_ms.observe(r.wall_ms);
     }
@@ -192,14 +173,13 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
         let reg = run_registry(r.result);
         run_entries.push(format!(
             "    {{\"label\":\"{}/{}\",\"arch\":\"{}\",\"bench\":\"{}\",\"chunks\":{},\
-             \"scheduler\":\"{}\",\"digest\":\"{:#018x}\",\"elapsed_ps\":{},\
+             \"digest\":\"{:#018x}\",\"elapsed_ps\":{},\
              \"wall_ms\":{},\"output_ok\":{},\"metrics\":{}}}",
             escape(r.result.arch.label()),
             escape(r.result.bench.name()),
             escape(r.result.arch.label()),
             escape(r.result.bench.name()),
             r.chunks,
-            scheduler_name(r.scheduler),
             digest_run(r.result),
             r.result.node.elapsed_ps,
             fmt_f64(r.wall_ms),
@@ -211,12 +191,12 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
     format!(
         "{{\n  \"schema\": \"{SCHEMA}\",\n  \"config\": {{\"num_chunks\":{},\"seed\":{},\
          \"row_bytes\":{},\"corelets\":{},\"contexts\":{},\"bandwidth_factor\":{},\
-         \"pbuf_entries\":{},\"fast_forward\":{},\"scheduler\":\"{}\",\"telemetry\":{},\
+         \"pbuf_entries\":{},\"fast_forward\":{},\"telemetry\":{},\
          \"fingerprint\":\"{:#018x}\"}},\n  \"host\": {{\"phases_ms\":{{{phases}}},\
          \"total_ms\":{},\"sweep\":{{\"threads\":{threads},\"points\":{},\
          \"utilization\":{},\"point_ms\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
          \"mean\":{}}}}},\"retired_instructions_per_sec\":{},\"walked_edges_per_sec\":{},\
-         \"ff_skipped_ratio\":{},\"wheel\":{{\"sleeps\":{sleeps},\"wakes\":{wakes}}},\
+         \"ff_skipped_ratio\":{},\"ff\":{{\"jumps\":{jumps},\"fill_wakes\":{fill_wakes}}},\
          \"telemetry_dropped_events\":{dropped}}},\n  \"runs\": [\n{}\n  ]\n}}\n",
         cfg.num_chunks,
         cfg.seed,
@@ -226,7 +206,6 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
         cfg.bandwidth_factor,
         cfg.pbuf_entries,
         cfg.fast_forward,
-        scheduler_name(cfg.scheduler),
         cfg.telemetry.enabled,
         config_fingerprint(cfg),
         fmt_f64(prof.total_ms()),
@@ -245,7 +224,7 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
 }
 
 /// Parses and validates a manifest document: strict JSON, the
-/// `millipede-manifest/1` schema tag, and the `host` + `runs` sections
+/// `millipede-manifest/2` schema tag, and the `host` + `runs` sections
 /// present.
 pub fn parse(doc: &str) -> Result<Json, String> {
     let json = Json::parse(doc)?;
@@ -275,13 +254,7 @@ pub fn render_text(doc: &Json) -> String {
         .and_then(|c| c.get("fingerprint"))
         .and_then(Json::as_str)
         .unwrap_or("?");
-    let sched = cfg
-        .and_then(|c| c.get("scheduler"))
-        .and_then(Json::as_str)
-        .unwrap_or("?");
-    out.push_str(&format!(
-        "manifest {SCHEMA}: config {fp} (scheduler {sched})\n"
-    ));
+    out.push_str(&format!("manifest {SCHEMA}: config {fp}\n"));
     if let Some(host) = doc.get("host") {
         if let Some(phases) = host.get("phases_ms").and_then(Json::as_object) {
             let cells: Vec<String> = phases
@@ -422,88 +395,6 @@ pub fn diff(a: &Json, b: &Json) -> String {
     out
 }
 
-/// Outcome of a `report --check` regression gate.
-#[derive(Debug, Clone, Default)]
-pub struct CheckOutcome {
-    /// One rendered verdict line per matched point.
-    pub lines: Vec<String>,
-    /// Manifest runs matched to a baseline point.
-    pub matched: usize,
-    /// Matched points whose wall exceeded the baseline median by more than
-    /// the threshold.
-    pub regressions: usize,
-}
-
-/// Checks a parsed manifest against a `millipede-bench/1` or `/2` baseline
-/// sweep: every manifest run whose `(arch, bench, chunks)` names a baseline
-/// point is compared against that point's median wall for the run's
-/// scheduler, and counts as a regression when it is more than
-/// `threshold_pct` percent slower.
-pub fn check(manifest: &Json, baseline: &Json, threshold_pct: f64) -> Result<CheckOutcome, String> {
-    match baseline.get("schema").and_then(Json::as_str) {
-        Some(s) if s.starts_with("millipede-bench/") => {}
-        other => {
-            return Err(format!(
-                "baseline is not a millipede-bench sweep (schema {other:?})"
-            ))
-        }
-    }
-    let mut points: Vec<&Json> = baseline
-        .get("points")
-        .and_then(Json::as_array)
-        .map(<[_]>::iter)
-        .into_iter()
-        .flatten()
-        .collect();
-    if let Some(idle) = baseline.get("idle_heavy") {
-        points.push(idle);
-    }
-    let runs = manifest
-        .get("runs")
-        .and_then(Json::as_array)
-        .ok_or("manifest has no runs")?;
-    let mut outcome = CheckOutcome::default();
-    for run in runs {
-        let arch = run
-            .get("arch")
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_ascii_lowercase();
-        let bench = run.get("bench").and_then(Json::as_str).unwrap_or("?");
-        let chunks = run.get("chunks").and_then(Json::as_f64).unwrap_or(-1.0);
-        let scheduler = run
-            .get("scheduler")
-            .and_then(Json::as_str)
-            .unwrap_or("poll");
-        let Some(point) = points.iter().find(|p| {
-            p.get("arch").and_then(Json::as_str) == Some(arch.as_str())
-                && p.get("bench").and_then(Json::as_str) == Some(bench)
-                && p.get("chunks").and_then(Json::as_f64) == Some(chunks)
-        }) else {
-            continue;
-        };
-        let median_key = if scheduler == "wheel" {
-            "wheel_median_ms"
-        } else {
-            "poll_median_ms"
-        };
-        let Some(baseline_ms) = point.get(median_key).and_then(Json::as_f64) else {
-            continue;
-        };
-        let wall_ms = run.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0);
-        let ratio = wall_ms / baseline_ms.max(1e-9);
-        let regressed = ratio > 1.0 + threshold_pct / 100.0;
-        outcome.matched += 1;
-        outcome.regressions += usize::from(regressed);
-        outcome.lines.push(format!(
-            "{:<40} baseline {baseline_ms:>9.1} ms, current {wall_ms:>9.1} ms ({ratio:>6.2}x) [{}]",
-            format!("{arch}/{bench}/{scheduler}"),
-            if regressed { "REGRESSION" } else { "ok" },
-        ));
-    }
-    Ok(outcome)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -559,7 +450,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_covers_stats_dram_energy_and_wheel() {
+    fn registry_covers_stats_dram_energy_and_ff() {
         let cfg = tiny();
         let r = run_one(Arch::Ssmc, Benchmark::Count, &cfg);
         let reg = run_registry(&r);
@@ -575,7 +466,7 @@ mod tests {
             reg.get("ssmc.energy.core_pj"),
             Some(Metric::Gauge(_))
         ));
-        assert!(reg.get("ssmc.wheel.sleeps").is_some());
+        assert!(reg.get("ssmc.ff.jumps").is_some());
         assert!(reg.get("ssmc.telemetry.dropped_events").is_some());
     }
 
@@ -604,35 +495,5 @@ mod tests {
         let d = diff(&a, &b);
         assert!(d.contains("wall_ms"), "diff missing wall_ms change: {d}");
         assert!(diff(&a, &a).is_empty(), "self-diff must be empty");
-    }
-
-    #[test]
-    fn check_flags_injected_regression() {
-        let baseline = Json::parse(
-            r#"{"schema":"millipede-bench/2","points":[
-                {"label":"millipede-count","arch":"millipede","bench":"count",
-                 "chunks":2,"poll_median_ms":100.0,"wheel_median_ms":90.0}]}"#,
-        )
-        .expect("baseline");
-        let manifest = |wall: f64| {
-            Json::parse(&format!(
-                r#"{{"schema":"millipede-manifest/1","host":{{}},"runs":[
-                    {{"label":"Millipede/count","arch":"Millipede","bench":"count",
-                     "chunks":2,"scheduler":"poll","wall_ms":{wall}}}]}}"#
-            ))
-            .expect("manifest")
-        };
-        let ok = check(&manifest(105.0), &baseline, DEFAULT_CHECK_THRESHOLD_PCT).expect("check");
-        assert_eq!((ok.matched, ok.regressions), (1, 0));
-        let bad = check(&manifest(125.0), &baseline, DEFAULT_CHECK_THRESHOLD_PCT).expect("check");
-        assert_eq!((bad.matched, bad.regressions), (1, 1));
-        assert!(bad.lines[0].contains("REGRESSION"), "{:?}", bad.lines);
-    }
-
-    #[test]
-    fn check_rejects_non_bench_baselines() {
-        let manifest = parse(&sample_manifest().0).expect("parse");
-        let not_bench = Json::parse(r#"{"schema":"something-else/9"}"#).expect("json");
-        assert!(check(&manifest, &not_bench, 20.0).is_err());
     }
 }

@@ -26,9 +26,8 @@ use millipede_core::NodeResult;
 use millipede_dram::{DramGeometry, DramTiming};
 use millipede_dram::{MemoryController, Request, TimePs};
 use millipede_engine::{
-    instrument, period_ps_for_mhz, AccessClass, Arena2, CoreStats, DecodedProgram, DualClock, Edge,
-    EventWheel, FlagGrid, Instrumented, Quiescence, ReplayDeltas, SchedulerKind, StepEffect,
-    ThreadCtx,
+    drive, instrument, period_ps_for_mhz, AccessClass, Arena2, CoreStats, DecodedProgram,
+    DualClock, FlagGrid, Instrumented, NodeModel, Quiescence, StepEffect, ThreadCtx,
 };
 use millipede_mapreduce::ThreadGrid;
 use millipede_mem::{Cache, Mshr};
@@ -70,10 +69,6 @@ pub struct SsmcConfig {
     pub fast_forward: bool,
     /// Cycle-domain telemetry (off by default; purely observational).
     pub telemetry: TelemetryConfig,
-    /// Main-loop scheduler (poll every edge, or the event wheel); results
-    /// are bit-identical either way (see DESIGN.md, "Event-wheel
-    /// scheduler").
-    pub scheduler: SchedulerKind,
 }
 
 impl Default for SsmcConfig {
@@ -93,7 +88,6 @@ impl Default for SsmcConfig {
             max_idle_cycles: 2_000_000,
             fast_forward: true,
             telemetry: TelemetryConfig::from_env(),
-            scheduler: SchedulerKind::default(),
         }
     }
 }
@@ -170,26 +164,44 @@ struct Threads {
     stall_block: Arena2<u64>,
 }
 
-/// Borrowing instrumentation view over the run loop's state, implementing
-/// the shared [`Instrumented`] contract (see `millipede_engine::instrument`).
-struct Model<'a> {
-    cores: &'a [Core],
-    mc: &'a MemoryController,
-    stats: &'a CoreStats,
+/// One SSMC processor's run-loop state, driven by [`millipede_engine::drive`].
+struct Node<'a> {
+    cfg: &'a SsmcConfig,
+    decoded: &'a DecodedProgram,
+    image: &'a millipede_mem::InputImage,
+    /// Row division is on the demand-probe path; layouts use power-of-two
+    /// rows in practice, so the shift is hoisted (divide fallback
+    /// otherwise).
+    row_shift: Option<u32>,
+    row_bytes: u64,
+    slab_bytes: u64,
+    threads: Threads,
+    cores: Vec<Core>,
+    mc: MemoryController,
+    stats: CoreStats,
+    halted: usize,
+    total_threads: usize,
     /// L1 misses replayed for fast-forwarded edges so far (stalled
-    /// contexts re-probe their missing block every cycle).
+    /// contexts re-probe their missing block every cycle); folded into
+    /// `stats.l1_misses` at the end so fast-forward stays bit-exact.
     ff_l1_misses: u64,
-    /// L1 misses one quiescent edge re-counts right now.
+    /// L1 misses the last compute edge re-counted (its replayed delta).
     miss_delta: u64,
     slots_per_cycle: u64,
 }
 
-impl Instrumented for Model<'_> {
+impl Node<'_> {
+    fn l1_misses(&self) -> u64 {
+        self.cores.iter().map(|c| c.l1.stats().misses).sum()
+    }
+}
+
+impl Instrumented for Node<'_> {
     fn prefix(&self) -> &'static str {
         "ssmc"
     }
 
-    // Quiescence fingerprint (see DESIGN.md, "Idle-cycle fast-forward"):
+    // Quiescence fingerprint (see DESIGN.md, "One driver"):
     // every observable compute-edge mutation either bumps one of these
     // monotone counters (prefetch, stall transition, demand fetch) or
     // advances the monotone prefetcher/demand cursors included in the sum.
@@ -244,6 +256,102 @@ impl Instrumented for Model<'_> {
     }
 }
 
+impl NodeModel for Node<'_> {
+    fn done(&self) -> bool {
+        self.halted == self.total_threads
+    }
+
+    fn compute_edge(
+        &mut self,
+        now: TimePs,
+        _cycle: u64,
+        _clock: &mut DualClock,
+        _tel: &mut Telemetry,
+    ) -> bool {
+        let misses_before = self.l1_misses();
+        // The scan takes each piece of state as its own argument, so the
+        // optimizer may keep it in registers across the scan.
+        let (cfg, decoded, image) = (self.cfg, self.decoded, self.image);
+        let (row_shift, row_bytes, slab_bytes) = (self.row_shift, self.row_bytes, self.slab_bytes);
+        let Node {
+            threads,
+            cores,
+            mc,
+            stats,
+            halted,
+            ..
+        } = self;
+        let mut any_issued = false;
+        for c in 0..cfg.cores {
+            stats.issue_slots += 1;
+            if core_tick(
+                c, now, cfg, decoded, image, row_shift, row_bytes, slab_bytes, threads, cores, mc,
+                stats, halted,
+            ) {
+                any_issued = true;
+            } else {
+                stats.stall_slots += 1;
+            }
+        }
+        self.miss_delta = self.l1_misses() - misses_before;
+        any_issued
+    }
+
+    // Completion tags: core index (slab fills are per-core).
+    fn channel_edge(&mut self, now: TimePs, cycle: u64, tel: &mut Telemetry) -> usize {
+        let free_before = self.mc.free_slots();
+        self.mc.tick(now);
+        let completions = self.mc.pop_completed(now);
+        let fills = completions.len();
+        for comp in completions {
+            if !comp.row_hit {
+                tel.event(
+                    "dram::controller",
+                    "row_conflict",
+                    cycle,
+                    now,
+                    (comp.addr / self.row_bytes) as f64,
+                );
+            }
+            let ci = comp.tag as usize;
+            let core = &mut self.cores[ci];
+            let block = comp.addr;
+            core.l1.fill(block);
+            core.mshr.complete(block);
+            // The fill ends the guaranteed-re-miss regime for any context
+            // stalled on this block (see `Threads::stall_fast`).
+            let threads = &mut self.threads;
+            for x in 0..self.cfg.contexts {
+                if threads.stall_fast.get(ci, x) && *threads.stall_block.get(ci, x) == block {
+                    threads.stall_fast.set(ci, x, false);
+                }
+            }
+        }
+        // A fill frees an MSHR and a CAS issue frees a queue slot; either
+        // can unblock a resource-parked prefetch pump.
+        if fills > 0 || self.mc.free_slots() > free_before {
+            for core in &mut self.cores {
+                if core.pf_parked == PfPark::Resource {
+                    core.pf_parked = PfPark::Ready;
+                }
+            }
+        }
+        fills
+    }
+
+    fn next_event_at(&self) -> Option<TimePs> {
+        self.mc.next_event_at()
+    }
+
+    fn replay(&mut self, skipped: u64) {
+        self.ff_l1_misses += self.miss_delta * skipped;
+    }
+
+    fn stats_mut(&mut self) -> &mut CoreStats {
+        &mut self.stats
+    }
+}
+
 /// Runs `workload` to completion on one SSMC processor.
 ///
 /// # Panics
@@ -267,9 +375,6 @@ pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
         cfg.l1_block
     );
     let total_rows = layout.total_rows();
-    let program = workload.program.clone();
-    let decoded = DecodedProgram::of(&program);
-    let image = workload.dataset.image.clone();
 
     // Input share of the L1: whatever the live state leaves, rounded down
     // to whole sets.
@@ -285,221 +390,67 @@ pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
         .prefetch_degree
         .unwrap_or((input_capacity / cfg.l1_block).saturating_sub(4).max(2));
 
-    let mut cores: Vec<Core> = (0..cfg.cores)
-        .map(|_| Core {
-            rr: 0,
-            l1: Cache::new(input_capacity, cfg.l1_assoc, cfg.l1_block),
-            mshr: Mshr::new(cfg.mshrs),
-            pf: SlabPrefetcher {
-                next_row: 0,
-                end_row: total_rows,
-                degree,
-            },
-            pf_parked: PfPark::Ready,
-            demand_row: 0,
-        })
-        .collect();
-    let mut threads = Threads {
-        t: Arena2::from_fn(cfg.cores, cfg.contexts, |c, x| {
-            workload.make_ctx(&grid, c, x)
-        }),
-        done: FlagGrid::new(cfg.cores, cfg.contexts),
-        stalled: FlagGrid::new(cfg.cores, cfg.contexts),
-        burst: Arena2::from_fn(cfg.cores, cfg.contexts, |_, _| 0u32),
-        stall_fast: FlagGrid::new(cfg.cores, cfg.contexts),
-        stall_block: Arena2::from_fn(cfg.cores, cfg.contexts, |_, _| 0u64),
-    };
-    // Row division is on the demand-probe path; layouts use power-of-two
-    // rows in practice, so hoist the shift (divide fallback otherwise).
-    let row_shift: Option<u32> = row_bytes
-        .is_power_of_two()
-        .then(|| row_bytes.trailing_zeros());
-
-    let mut mc = MemoryController::with_capacity(cfg.geometry, cfg.timing, cfg.dram_queue);
-    let mut wheel = EventWheel::new(
-        DualClock::new(
-            period_ps_for_mhz(cfg.compute_mhz),
-            cfg.timing.channel_period_ps,
-        ),
-        cfg.scheduler,
-    );
-    let mc_wake = wheel.register();
     let slots_per_cycle = cfg.cores as u64;
-    let mut quiesce = Quiescence::new("SSMC", slots_per_cycle, cfg.max_idle_cycles);
-
-    let mut stats = CoreStats::default();
-    let total_threads = cfg.cores * cfg.contexts;
-    let mut halted = 0usize;
-    let mut cycle: u64 = 0;
-    let mut last_time: TimePs = 0;
-    // L1 misses the skipped edges would have re-counted (stalled contexts
-    // re-probe their missing block every cycle); folded into
-    // `stats.l1_misses` at the end so fast-forward stays bit-exact.
-    let mut ff_l1_misses: u64 = 0;
+    let decoded = DecodedProgram::of(&workload.program);
+    let mut node = Node {
+        cfg,
+        decoded: &decoded,
+        image: &workload.dataset.image,
+        row_shift: row_bytes
+            .is_power_of_two()
+            .then(|| row_bytes.trailing_zeros()),
+        row_bytes,
+        slab_bytes,
+        threads: Threads {
+            t: Arena2::from_fn(cfg.cores, cfg.contexts, |c, x| {
+                workload.make_ctx(&grid, c, x)
+            }),
+            done: FlagGrid::new(cfg.cores, cfg.contexts),
+            stalled: FlagGrid::new(cfg.cores, cfg.contexts),
+            burst: Arena2::from_fn(cfg.cores, cfg.contexts, |_, _| 0u32),
+            stall_fast: FlagGrid::new(cfg.cores, cfg.contexts),
+            stall_block: Arena2::from_fn(cfg.cores, cfg.contexts, |_, _| 0u64),
+        },
+        cores: (0..cfg.cores)
+            .map(|_| Core {
+                rr: 0,
+                l1: Cache::new(input_capacity, cfg.l1_assoc, cfg.l1_block),
+                mshr: Mshr::new(cfg.mshrs),
+                pf: SlabPrefetcher {
+                    next_row: 0,
+                    end_row: total_rows,
+                    degree,
+                },
+                pf_parked: PfPark::Ready,
+                demand_row: 0,
+            })
+            .collect(),
+        mc: MemoryController::with_capacity(cfg.geometry, cfg.timing, cfg.dram_queue),
+        stats: CoreStats::default(),
+        halted: 0,
+        total_threads: cfg.cores * cfg.contexts,
+        ff_l1_misses: 0,
+        miss_delta: 0,
+        slots_per_cycle,
+    };
+    let mut clock = DualClock::new(
+        period_ps_for_mhz(cfg.compute_mhz),
+        cfg.timing.channel_period_ps,
+    );
     let mut tel = Telemetry::new(&cfg.telemetry);
+    let quiesce = Quiescence::new("SSMC", slots_per_cycle, cfg.max_idle_cycles);
+    let driven = drive(&mut node, &mut clock, quiesce, cfg.fast_forward, &mut tel);
 
-    let l1_misses = |cores: &[Core]| -> u64 { cores.iter().map(|c| c.l1.stats().misses).sum() };
-
-    // Completion tags: core index (slab fills are per-core).
-    while halted < total_threads {
-        if wheel.kind().is_wheel() {
-            wheel.post(mc_wake, mc.next_event_at());
-        }
-        match wheel.pop() {
-            Edge::Compute(now) => {
-                last_time = now;
-                cycle += 1;
-                let fp_before = Model {
-                    cores: &cores,
-                    mc: &mc,
-                    stats: &stats,
-                    ff_l1_misses,
-                    miss_delta: 0,
-                    slots_per_cycle,
-                }
-                .fingerprint();
-                let misses_before = l1_misses(&cores);
-                let mut any_issued = false;
-                for c in 0..cfg.cores {
-                    stats.issue_slots += 1;
-                    if core_tick(
-                        c,
-                        now,
-                        cfg,
-                        &decoded,
-                        &image,
-                        row_shift,
-                        row_bytes,
-                        slab_bytes,
-                        &mut threads,
-                        &mut cores,
-                        &mut mc,
-                        &mut stats,
-                        &mut halted,
-                    ) {
-                        any_issued = true;
-                    } else {
-                        stats.stall_slots += 1;
-                    }
-                }
-                quiesce.note_edge(any_issued);
-                let pre_ff_cycle = cycle;
-                let miss_delta = l1_misses(&cores) - misses_before;
-                let fp_after = Model {
-                    cores: &cores,
-                    mc: &mc,
-                    stats: &stats,
-                    ff_l1_misses,
-                    miss_delta,
-                    slots_per_cycle,
-                }
-                .fingerprint();
-                if cfg.fast_forward && !any_issued && fp_after == fp_before {
-                    let skipped = quiesce.quiesce(
-                        &mut wheel,
-                        mc.next_event_at(),
-                        mc.free_slots(),
-                        ReplayDeltas {
-                            misses: miss_delta,
-                            ..ReplayDeltas::default()
-                        },
-                        now,
-                        &mut cycle,
-                        &mut stats,
-                    );
-                    ff_l1_misses += miss_delta * skipped;
-                }
-                // Telemetry epoch sampling (observational only). Boundaries
-                // inside a fast-forwarded region are reconstructed exactly:
-                // skipped edges are proven no-ops, so only the replayed
-                // per-cycle counters (slots, L1 miss recounting) are rewound
-                // linearly to the boundary.
-                if tel.enabled() {
-                    Model {
-                        cores: &cores,
-                        mc: &mc,
-                        stats: &stats,
-                        ff_l1_misses,
-                        miss_delta,
-                        slots_per_cycle,
-                    }
-                    .emit_epoch_samples(
-                        &mut tel,
-                        cycle,
-                        pre_ff_cycle,
-                        now,
-                        wheel.compute_period(),
-                    );
-                }
-            }
-            Edge::Channel(now) => {
-                // Replay the accounting for compute edges the wheel slept
-                // through (poll mode never sleeps, so this drains zero).
-                if let Some((skipped, s)) = quiesce.drain(&mut wheel, &mut cycle, &mut stats) {
-                    ff_l1_misses += s.deltas.misses * skipped;
-                    if tel.enabled() {
-                        Model {
-                            cores: &cores,
-                            mc: &mc,
-                            stats: &stats,
-                            ff_l1_misses,
-                            miss_delta: s.deltas.misses,
-                            slots_per_cycle,
-                        }
-                        .emit_epoch_samples(
-                            &mut tel,
-                            cycle,
-                            s.anchor_cycle,
-                            s.anchor_now,
-                            wheel.compute_period(),
-                        );
-                    }
-                }
-                last_time = now;
-                let free_before = mc.free_slots();
-                mc.tick(now);
-                let completions = mc.pop_completed(now);
-                let fills = completions.len();
-                for comp in completions {
-                    if !comp.row_hit {
-                        tel.event(
-                            "dram::controller",
-                            "row_conflict",
-                            cycle,
-                            now,
-                            (comp.addr / row_bytes) as f64,
-                        );
-                    }
-                    let ci = comp.tag as usize;
-                    let core = &mut cores[ci];
-                    let block = comp.addr;
-                    core.l1.fill(block);
-                    core.mshr.complete(block);
-                    // The fill ends the guaranteed-re-miss regime for any
-                    // context stalled on this block (see `Threads::stall_fast`).
-                    for x in 0..cfg.contexts {
-                        if threads.stall_fast.get(ci, x) && *threads.stall_block.get(ci, x) == block
-                        {
-                            threads.stall_fast.set(ci, x, false);
-                        }
-                    }
-                }
-                // A fill frees an MSHR and a CAS issue frees a queue slot;
-                // either can unblock a resource-parked prefetch pump.
-                if fills > 0 || mc.free_slots() > free_before {
-                    for core in &mut cores {
-                        if core.pf_parked == PfPark::Resource {
-                            core.pf_parked = PfPark::Ready;
-                        }
-                    }
-                }
-                quiesce.maybe_wake(&mut wheel, fills, mc.free_slots());
-            }
-        }
+    let stats = &mut node.stats;
+    stats.compute_cycles = driven.cycles;
+    for core in &node.cores {
+        stats.l1_hits += core.l1.stats().hits;
+        stats.l1_misses += core.l1.stats().misses;
     }
-
-    stats.compute_cycles = cycle;
-    let states: Vec<&[u32]> = threads
+    stats.l1_misses += node.ff_l1_misses;
+    node.assert_clean();
+    let states: Vec<&[u32]> = node
+        .threads
         .t
         .as_slice()
         .iter()
@@ -507,33 +458,23 @@ pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
         .collect();
     let output = workload.reduce(&states);
     let output_ok = output == workload.reference(&grid);
-    for core in &cores {
-        stats.l1_hits += core.l1.stats().hits;
-        stats.l1_misses += core.l1.stats().misses;
-    }
-    stats.l1_misses += ff_l1_misses;
-    Model {
-        cores: &cores,
-        mc: &mc,
-        stats: &stats,
-        ff_l1_misses,
-        miss_delta: 0,
-        slots_per_cycle,
-    }
-    .assert_clean();
     NodeResult {
-        stats,
-        dram: mc.stats().clone(),
-        elapsed_ps: last_time,
+        stats: node.stats,
+        dram: node.mc.stats().clone(),
+        elapsed_ps: driven.last_time,
         output,
         output_ok,
         telemetry: tel,
-        profile: wheel.profile(),
+        profile: driven.profile,
     }
 }
 
 /// One issue attempt for core `c`; returns whether an instruction issued.
+///
+/// Always inlined into the compute edge's scan: left to the optimizer's
+/// inlining choice, compute-bound SSMC points ran ~10% slower.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn core_tick(
     c: usize,
     now: TimePs,
@@ -808,8 +749,9 @@ mod tests {
             );
             let fast = run(&w, &SsmcConfig::default());
             assert_eq!(slow.stats.ff_skipped_cycles, 0);
+            assert_eq!(slow.profile.sleeps, 0, "{bench:?}: walked run jumped");
             assert!(
-                fast.stats.ff_skipped_cycles > 0,
+                fast.stats.ff_skipped_cycles > 0 && fast.profile.sleeps > 0,
                 "{bench:?}: fast-forward never engaged"
             );
             let mut fs = fast.stats.clone();
@@ -818,38 +760,6 @@ mod tests {
             assert_eq!(fast.dram, slow.dram, "{bench:?}: DRAM stats diverged");
             assert_eq!(fast.elapsed_ps, slow.elapsed_ps);
             assert_eq!(fast.output, slow.output);
-        }
-    }
-
-    #[test]
-    fn event_wheel_is_bit_exact() {
-        for bench in [Benchmark::Count, Benchmark::Variance] {
-            for ff in [false, true] {
-                let w = small(bench);
-                let mk = |scheduler| SsmcConfig {
-                    fast_forward: ff,
-                    scheduler,
-                    ..SsmcConfig::default()
-                };
-                let poll = run(&w, &mk(SchedulerKind::Poll));
-                let wheel = run(&w, &mk(SchedulerKind::Wheel));
-                // The wheel sleeps through edges poll merely polls between
-                // hops, so the skip counter is the one legitimate
-                // difference; everything else must be bit-identical.
-                let mut ps = poll.stats.clone();
-                let mut ws = wheel.stats.clone();
-                ps.ff_skipped_cycles = 0;
-                ws.ff_skipped_cycles = 0;
-                assert_eq!(ws, ps, "{bench:?} ff={ff}: stats diverged");
-                assert_eq!(wheel.dram, poll.dram, "{bench:?} ff={ff}: DRAM diverged");
-                assert_eq!(wheel.elapsed_ps, poll.elapsed_ps, "{bench:?} ff={ff}");
-                assert_eq!(wheel.output, poll.output, "{bench:?} ff={ff}");
-                if !ff {
-                    // Without fast-forward the wheel only masks channel
-                    // edges; it must not skip any compute edges.
-                    assert_eq!(wheel.stats.ff_skipped_cycles, 0, "{bench:?}");
-                }
-            }
         }
     }
 

@@ -80,46 +80,20 @@ fn usage() -> ! {
          millipede-cli run --kernels [--chunks N] [--seed S]\n       \
          millipede-cli report <manifest.json>...\n       \
          millipede-cli report --diff <a.json> <b.json>\n       \
-         millipede-cli report --check <manifest.json> --baseline <bench.json> \
-         [--threshold-pct P]\n       \
          millipede-cli list"
     );
     std::process::exit(2);
 }
 
-/// The `report` subcommand: render run manifests, diff two of them, or
-/// regression-check one against a committed `millipede-bench` sweep.
-/// Returns the process exit code: for `--check`, non-zero when any matched
-/// point regressed past the threshold.
+/// The `report` subcommand: render run manifests or diff two of them.
+/// Returns the process exit code.
 fn report_cmd(args: &[String]) -> i32 {
     let mut files: Vec<String> = Vec::new();
     let mut do_diff = false;
-    let mut do_check = false;
-    let mut baseline: Option<String> = None;
-    let mut threshold_pct = manifest::DEFAULT_CHECK_THRESHOLD_PCT;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--diff" => do_diff = true,
-            "--check" => do_check = true,
-            "--baseline" => {
-                i += 1;
-                baseline = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--baseline needs a file path");
-                    std::process::exit(2);
-                }));
-            }
-            "--threshold-pct" => {
-                i += 1;
-                threshold_pct = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|p: &f64| p.is_finite() && *p >= 0.0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--threshold-pct needs a non-negative number");
-                        std::process::exit(2);
-                    });
-            }
             flag if flag.starts_with("--") => {
                 eprintln!("unknown flag `{flag}`");
                 usage();
@@ -141,7 +115,7 @@ fn report_cmd(args: &[String]) -> i32 {
         })
     };
     if do_diff {
-        if do_check || files.len() != 2 {
+        if files.len() != 2 {
             usage();
         }
         let d = manifest::diff(&load_manifest(&files[0]), &load_manifest(&files[1]));
@@ -151,33 +125,6 @@ fn report_cmd(args: &[String]) -> i32 {
             print!("{d}");
         }
         return 0;
-    }
-    if do_check {
-        let (Some(baseline), [file]) = (baseline, files.as_slice()) else {
-            usage();
-        };
-        let base = Json::parse(&read(&baseline)).unwrap_or_else(|e| {
-            eprintln!("{baseline}: invalid JSON: {e}");
-            std::process::exit(2);
-        });
-        let outcome = match manifest::check(&load_manifest(file), &base, threshold_pct) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("{file}: {e}");
-                std::process::exit(2);
-            }
-        };
-        for line in &outcome.lines {
-            println!("{line}");
-        }
-        println!(
-            "{} point(s) matched, {} regression(s) past {threshold_pct}%",
-            outcome.matched, outcome.regressions
-        );
-        if outcome.matched == 0 {
-            eprintln!("warning: no manifest run matched a baseline point");
-        }
-        return i32::from(outcome.regressions > 0);
     }
     if files.is_empty() {
         usage();

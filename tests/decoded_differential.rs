@@ -7,8 +7,7 @@
 //! exactly the instructions single-stepping would. This suite enforces that
 //! over the assembly fixture corpus and over randomized programs, then
 //! drives every timing model end-to-end (the models execute exclusively
-//! through the decoded form, and `ci.sh` runs this file under both
-//! `MILLIPEDE_SCHEDULER` settings).
+//! through the decoded form).
 
 use millipede::engine::step::{effective_access, step};
 use millipede::engine::{DecodedProgram, LaunchParams, ThreadCtx};
@@ -283,9 +282,7 @@ fn randomized_programs_execute_identically() {
 
 // ---------------------------------------------------------------------
 // End-to-end: every timing model executes through the decoded interpreter;
-// each must still produce the reference answer. ci.sh runs this file under
-// MILLIPEDE_SCHEDULER=poll and =wheel (SimConfig::default() reads the env),
-// so both scheduler engines cover the decoded execution paths.
+// each must still produce the reference answer.
 // ---------------------------------------------------------------------
 
 #[test]

@@ -12,8 +12,7 @@
 //! test harness's worker threads.
 
 use millipede::sim::{
-    env_flag, fast_forward_from_env, scheduler_from_env, sweep_progress_from_env, sweep_threads,
-    SchedulerKind, TelemetryConfig,
+    env_flag, fast_forward_from_env, sweep_progress_from_env, sweep_threads, TelemetryConfig,
 };
 use std::sync::Mutex;
 
@@ -76,33 +75,6 @@ fn boolean_knob_matrix() {
             "MILLIPEDE_TELEMETRY={value:?}"
         );
     }
-}
-
-#[test]
-fn scheduler_knob_defaults_to_poll_and_rejects_unknown_values() {
-    const NAME: &str = "MILLIPEDE_SCHEDULER";
-    assert_eq!(
-        with_env(NAME, None, scheduler_from_env),
-        SchedulerKind::Poll
-    );
-    assert_eq!(
-        with_env(NAME, Some(""), scheduler_from_env),
-        SchedulerKind::Poll
-    );
-    assert_eq!(
-        with_env(NAME, Some("poll"), scheduler_from_env),
-        SchedulerKind::Poll
-    );
-    assert_eq!(
-        with_env(NAME, Some("wheel"), scheduler_from_env),
-        SchedulerKind::Wheel
-    );
-    // Unknown values warn on stderr and fall back to the default schedule
-    // rather than silently picking one.
-    assert_eq!(
-        with_env(NAME, Some("calendar"), scheduler_from_env),
-        SchedulerKind::Poll
-    );
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Differential tests for idle-cycle fast-forwarding and parallel sweeps.
 //!
-//! Fast-forwarding (DESIGN.md, "Idle-cycle fast-forward") claims to be a
+//! Fast-forwarding (DESIGN.md, "One driver") claims to be a
 //! pure wall-clock optimization: a fast-forwarded run must be *bit
 //! identical* to its cycle-by-cycle baseline in every observable quantity —
 //! digests, per-domain cycle accounting, DRAM counters, energy, and reduced
@@ -8,9 +8,50 @@
 //! serial loop returns. This suite checks both claims across every
 //! architecture variant, so CI can run it under `MILLIPEDE_FASTFORWARD=0`
 //! and `=1` and catch a regression in either mode.
+//!
+//! Beyond the fixed points, the claim is driven across *randomized* sweep
+//! points (architecture × benchmark × input size × prefetch-buffer
+//! entries), the graph and dense families, and randomized DFS periods —
+//! the jump's hardest case (rate matching reschedules the compute clock
+//! from its last edge, which after a jump is the last *skipped* edge). The
+//! generators run on the in-repo seeded xorshift PRNG (see
+//! tests/proptest_invariants.rs): every case derives deterministically from
+//! a fixed seed, so a failure's printed case number reproduces it exactly.
 
+use millipede::core_arch::MillipedeConfig;
 use millipede_sim::{digest_run, run_many_with, run_one, Arch, SimConfig};
-use millipede_workloads::Benchmark;
+use millipede_workloads::{Benchmark, Workload};
+
+/// xorshift64* (see tests/proptest_invariants.rs).
+struct Rng(u64);
+
+impl Rng {
+    fn new(seed: u64) -> Rng {
+        Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        self.0 = x;
+        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    }
+
+    fn range(&mut self, lo: u64, hi: u64) -> u64 {
+        assert!(lo < hi);
+        lo + self.next_u64() % (hi - lo)
+    }
+
+    fn usize_in(&mut self, lo: usize, hi: usize) -> usize {
+        self.range(lo as u64, hi as u64) as usize
+    }
+
+    fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
+        &xs[self.usize_in(0, xs.len())]
+    }
+}
 
 const ALL_ARCHS: [Arch; 8] = [
     Arch::Gpgpu,
@@ -21,6 +62,18 @@ const ALL_ARCHS: [Arch; 8] = [
     Arch::MillipedeNoRateMatch,
     Arch::Millipede,
     Arch::Multicore,
+];
+
+/// The event-driven variants (the multicore model is analytic and never
+/// fast-forwards).
+const EVENT_DRIVEN: [Arch; 7] = [
+    Arch::Gpgpu,
+    Arch::Vws,
+    Arch::Ssmc,
+    Arch::MillipedeNoFlowControl,
+    Arch::VwsRow,
+    Arch::MillipedeNoRateMatch,
+    Arch::Millipede,
 ];
 
 fn config(fast_forward: bool) -> SimConfig {
@@ -66,6 +119,94 @@ fn fast_forward_is_observably_invisible_on_every_arch() {
         "no variant engaged the fast-forward path — the differential \
          would be vacuous"
     );
+}
+
+#[test]
+fn fast_forward_digests_agree_on_random_points() {
+    let mut rng = Rng::new(0x5eed);
+    for case in 0..10 {
+        let arch = *rng.pick(&EVENT_DRIVEN);
+        let bench = *rng.pick(&Benchmark::ALL);
+        let num_chunks = rng.usize_in(1, 5);
+        let pbuf_entries = *rng.pick(&[8usize, 16, 32]);
+        let mk = |fast_forward| SimConfig {
+            num_chunks,
+            pbuf_entries,
+            fast_forward,
+            ..SimConfig::default()
+        };
+        let slow = run_one(arch, bench, &mk(false));
+        let fast = run_one(arch, bench, &mk(true));
+        let label = format!(
+            "case {case}: {} on {} (chunks={num_chunks} pbuf={pbuf_entries})",
+            arch.label(),
+            bench.name()
+        );
+        // digest_run covers stats (minus ff_skipped_cycles), DRAM counters,
+        // elapsed time, energy, and the reduced output.
+        assert_eq!(digest_run(&slow), digest_run(&fast), "{label}");
+        assert_eq!(slow.node.elapsed_ps, fast.node.elapsed_ps, "{label}");
+        assert_eq!(slow.node.output, fast.node.output, "{label}");
+    }
+}
+
+#[test]
+fn fast_forward_matches_the_walk_on_every_new_family_workload() {
+    // The randomized sweep above may or may not draw the graph/dense
+    // benchmarks; pin them explicitly. Their kernels stress exactly what a
+    // jump bug would perturb — data-dependent indexed LOCAL traffic
+    // (pagerank/bfs), divergent skip paths (bfs), and long finalize bursts
+    // (gemm) — so each must be bit-identical with and without jumps on the
+    // full Millipede model and on the plain GPGPU baseline.
+    for &bench in Benchmark::GRAPH.iter().chain(Benchmark::DENSE.iter()) {
+        for arch in [Arch::Gpgpu, Arch::Millipede] {
+            let mk = |fast_forward| SimConfig {
+                num_chunks: 3,
+                fast_forward,
+                ..SimConfig::default()
+            };
+            let slow = run_one(arch, bench, &mk(false));
+            let fast = run_one(arch, bench, &mk(true));
+            let label = format!("{} on {}", bench.name(), arch.label());
+            assert!(slow.node.output_ok && fast.node.output_ok, "{label}");
+            assert_eq!(digest_run(&slow), digest_run(&fast), "{label}");
+            assert_eq!(slow.node.elapsed_ps, fast.node.elapsed_ps, "{label}");
+            assert_eq!(slow.node.output, fast.node.output, "{label}");
+        }
+    }
+}
+
+#[test]
+fn fast_forward_matches_the_walk_across_random_dfs_periods() {
+    // A DFS adjustment changes the compute period mid-run and reschedules
+    // from the *last* compute edge, so a jump that left the clock anchored
+    // anywhere but its last skipped edge would shift every later edge.
+    // Randomize the DFS cooldown (and thus where adjustments land).
+    let mut rng = Rng::new(0xd5f);
+    for case in 0..6 {
+        let rate_cooldown = rng.range(16, 1024);
+        let bench = *rng.pick(&Benchmark::ALL);
+        let seed = rng.range(1, 1 << 20);
+        let w = Workload::build(bench, 2, 2048, seed);
+        let mk = |fast_forward| MillipedeConfig {
+            rate_cooldown,
+            fast_forward,
+            ..MillipedeConfig::default()
+        };
+        let slow = millipede::core_arch::run(&w, &mk(false));
+        let fast = millipede::core_arch::run(&w, &mk(true));
+        let label = format!(
+            "case {case}: {} cooldown={rate_cooldown} seed={seed}",
+            bench.name()
+        );
+        assert_eq!(slow.stats.ff_skipped_cycles, 0, "{label}");
+        let mut fs = fast.stats.clone();
+        fs.ff_skipped_cycles = 0;
+        assert_eq!(fs, slow.stats, "{label}: stats diverged");
+        assert_eq!(fast.dram, slow.dram, "{label}: DRAM diverged");
+        assert_eq!(fast.elapsed_ps, slow.elapsed_ps, "{label}");
+        assert_eq!(fast.output, slow.output, "{label}");
+    }
 }
 
 #[test]

@@ -5,22 +5,22 @@
 //! its workload module (`pagerank::`/`bfs::`/`gemm::`/`prim::reference_*`).
 //! This suite is the acceptance bar from the workload-families issue: the
 //! *simulated* observable result must match that reference bit-exactly on
-//! every architecture variant, with fast-forward on and off, under both
-//! main-loop schedulers. Three layers of checks:
+//! every architecture variant, with fast-forward on and off. Three layers
+//! of checks:
 //!
 //! 1. `output_ok` — each timing model compares its reduced output against
 //!    `Workload::reference` on its own thread grid (processor.rs); a
 //!    mismatch anywhere fails the run.
-//! 2. Cross-combo equality — within one (arch, bench) point, all four
-//!    FF × scheduler combos must produce the *same* full digest
-//!    (`digest_run`: stats, DRAM counters, elapsed time, energy, output),
-//!    so neither knob can perturb anything observable.
+//! 2. Cross-combo equality — within one (arch, bench) point, the FF off
+//!    and on runs must produce the *same* full digest (`digest_run`:
+//!    stats, DRAM counters, elapsed time, energy, output), so the knob
+//!    cannot perturb anything observable.
 //! 3. A direct functional check on the paper-default grid: executing the
 //!    kernel thread-by-thread on the predecoded engine and reducing must
 //!    reproduce the host reference with no timing model involved at all.
 
 use millipede::mapreduce::ThreadGrid;
-use millipede::sim::{digest_run, run_one, Arch, SchedulerKind, SimConfig};
+use millipede::sim::{digest_run, run_one, Arch, SimConfig};
 use millipede::workloads::{Benchmark, Workload};
 
 /// All eight architecture variants (Fig. 3 order plus the multicore
@@ -46,33 +46,29 @@ fn new_benches() -> Vec<Benchmark> {
         .collect()
 }
 
-/// Run `bench` on `arch` across FF {off,on} × scheduler {poll,wheel} and
-/// assert all four runs validate and agree bit-exactly.
+/// Run `bench` on `arch` with FF off and on and assert both runs validate
+/// and agree bit-exactly.
 fn check_all_combos(arch: Arch, bench: Benchmark) {
     let mut digests = Vec::new();
     let mut outputs = Vec::new();
     for fast_forward in [false, true] {
-        for scheduler in [SchedulerKind::Poll, SchedulerKind::Wheel] {
-            let cfg = SimConfig {
-                num_chunks: 3,
-                fast_forward,
-                scheduler,
-                ..SimConfig::default()
-            };
-            // run_one panics with the arch/bench label if output_ok is
-            // false, i.e. if the simulated output diverges from the
-            // host-side reference on the model's own grid.
-            let r = run_one(arch, bench, &cfg);
-            assert!(
-                r.node.output_ok,
-                "{} on {}: ff={fast_forward} {scheduler:?} diverged from \
-                 the host reference",
-                bench.name(),
-                arch.label()
-            );
-            digests.push(digest_run(&r));
-            outputs.push(r.node.output.clone());
-        }
+        let cfg = SimConfig {
+            num_chunks: 3,
+            fast_forward,
+            ..SimConfig::default()
+        };
+        // run_one panics with the arch/bench label if output_ok is false,
+        // i.e. if the simulated output diverges from the host-side
+        // reference on the model's own grid.
+        let r = run_one(arch, bench, &cfg);
+        assert!(
+            r.node.output_ok,
+            "{} on {}: ff={fast_forward} diverged from the host reference",
+            bench.name(),
+            arch.label()
+        );
+        digests.push(digest_run(&r));
+        outputs.push(r.node.output.clone());
     }
     for i in 1..digests.len() {
         assert_eq!(
