@@ -26,30 +26,9 @@ cargo build --offline --release --workspace
 echo "==> cargo test"
 cargo test --offline --workspace -q
 
-echo "==> fast-forward differential (MILLIPEDE_FASTFORWARD=0 vs =1)"
-# The golden digests are pinned against the cycle-by-cycle semantics; the
-# differential suite proves fast-forwarding and parallel sweeps reproduce
-# them bit-for-bit. Run both explicitly under each env setting so a
-# regression in either mode (or in the env plumbing itself) fails CI.
-MILLIPEDE_FASTFORWARD=0 cargo test --offline -q -p millipede \
-    --test fastforward_differential --test golden_digests
-MILLIPEDE_FASTFORWARD=1 cargo test --offline -q -p millipede \
-    --test fastforward_differential --test golden_digests
-
-echo "==> reference differentials (golden digests, workload families, decoded interpreter)"
-# The pinned golden digests; the graph and dense families' acceptance bar
-# (simulated results match each kernel's plain-Rust host reference
-# bit-exactly on all eight variants, FF on and off); and the predecoded
-# micro-op interpreter's lockstep differential against the reference enum
-# interpreter, with every timing model validating end-to-end through it.
-cargo test --offline -q -p millipede \
-    --test golden_digests --test workload_reference --test decoded_differential
-
-echo "==> telemetry (MILLIPEDE_TELEMETRY=1 digests + trace export)"
-# Telemetry is observational: the golden digests must hold with it on, and
-# the telemetry suite's own differentials must pass under the env toggle.
-MILLIPEDE_TELEMETRY=1 cargo test --offline -q -p millipede \
-    --test golden_digests --test telemetry
+echo "==> telemetry (trace export end to end)"
+# Fast-forward off/on and telemetry on are covered in-process by
+# tests/golden_digests.rs and tests/telemetry.rs (run by cargo test above).
 # End-to-end: one bench with --trace-out must leave stdout byte-identical
 # to a plain run and emit JSON that a strict parser accepts.
 trace_dir="$(mktemp -d)"

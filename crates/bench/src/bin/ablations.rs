@@ -2,7 +2,7 @@
 //! software barriers vs flow control, FR-FCFS queue depth, banks per
 //! channel, and the channel-width boundedness sweep.
 fn main() {
-    let args = millipede_bench::parse();
+    let args = millipede_bench::parse_untraced();
     println!(
         "Ablations ({} chunks, seed {})\n",
         args.cfg.num_chunks, args.cfg.seed

@@ -1,6 +1,6 @@
 //! Reports the rate-matching DFS convergence traces (§IV-F of the paper).
 fn main() {
-    let cfg = millipede_bench::config_from_args();
+    let cfg = millipede_bench::parse_untraced().cfg;
     println!(
         "Rate-matching convergence ({} chunks, seed {})\n",
         cfg.num_chunks, cfg.seed

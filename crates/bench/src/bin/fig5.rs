@@ -1,6 +1,6 @@
 //! Regenerates Fig. 5 — Millipede versus the conventional multicore.
 fn main() {
-    let args = millipede_bench::parse();
+    let args = millipede_bench::parse_untraced();
     let start = std::time::Instant::now();
     let fig = millipede_sim::experiments::fig5::run(&args.cfg);
     let wall = start.elapsed();

@@ -1,6 +1,6 @@
 //! Regenerates Table II — summary of application behaviour.
 fn main() {
-    let _ = millipede_bench::config_from_args();
+    millipede_bench::parse_untraced();
     println!("Table II — Summary of application behavior\n");
     println!("{}", millipede_sim::experiments::table2::render());
 }

@@ -13,15 +13,17 @@
 //! cycle-domain telemetry and writes a combined Chrome-trace/Perfetto JSON
 //! for the sweep; `--telemetry-epoch` sets the sampling epoch in compute
 //! cycles (and also enables telemetry). `--manifest-out` writes a
-//! `millipede-manifest/1` JSON (config fingerprint, per-run digests and
-//! metrics, host self-profiling) after the sweep; setting
-//! `MILLIPEDE_METRICS` prints the same document to stderr without a file.
-//! `--quiet` suppresses all stderr reporting. The defaults match
+//! `millipede-manifest/2` JSON (config fingerprint, per-run digests and
+//! metrics, host self-profiling) after the sweep. Binaries that keep no
+//! sweep of runs (`table2`, `table3`, `convergence`, `fig5`, `ablations`)
+//! parse with [`parse_untraced`], which rejects those three flags with
+//! exit 2 instead of accepting and ignoring them. `--quiet` suppresses all
+//! stderr reporting. The defaults match
 //! `SimConfig::default()` (48 chunks ≈ 1.5–6 MB of input depending on the
 //! benchmark's record arity — well past the steady state the paper argues
 //! for, §V).
 
-use millipede_metrics::{MetricsConfig, SelfProfile};
+use millipede_metrics::SelfProfile;
 use millipede_sim::manifest::ManifestRun;
 use millipede_sim::{RunResult, SimConfig, TelemetryConfig};
 use std::cell::RefCell;
@@ -43,7 +45,7 @@ pub struct Args {
     /// Write a Chrome-trace/Perfetto JSON of the sweep's telemetry here
     /// (`--trace-out`; implies telemetry on).
     pub trace_out: Option<PathBuf>,
-    /// Write a `millipede-manifest/1` JSON of the sweep here
+    /// Write a `millipede-manifest/2` JSON of the sweep here
     /// (`--manifest-out`).
     pub manifest_out: Option<PathBuf>,
     /// Host self-profile opened at parse time: `decode` covers argument
@@ -53,21 +55,21 @@ pub struct Args {
     pub selfprof: RefCell<SelfProfile>,
 }
 
-/// Parses the common `--chunks` / `--seed` arguments.
-pub fn config_from_args() -> SimConfig {
-    parse().cfg
-}
-
-/// Parses `--chunks`, `--seed`, and `--csv`; the bool is true for CSV
-/// output.
-pub fn config_and_format_from_args() -> (SimConfig, bool) {
-    let a = parse();
-    (a.cfg, a.csv)
-}
-
 /// Parses all shared arguments: `--chunks`, `--seed`, `--csv`,
-/// `--profile`, `--quiet`, `--trace-out`, `--telemetry-epoch`.
+/// `--profile`, `--quiet`, `--trace-out`, `--telemetry-epoch`,
+/// `--manifest-out`.
 pub fn parse() -> Args {
+    parse_args(true)
+}
+
+/// Parses the shared arguments of a binary that keeps no sweep of runs to
+/// trace or record: `--trace-out`, `--telemetry-epoch` and
+/// `--manifest-out` exit 2 with the usage message.
+pub fn parse_untraced() -> Args {
+    parse_args(false)
+}
+
+fn parse_args(traced: bool) -> Args {
     let mut selfprof = SelfProfile::start();
     selfprof.begin("decode");
     let mut cfg = SimConfig::default();
@@ -80,6 +82,9 @@ pub fn parse() -> Args {
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
+            flag @ ("--trace-out" | "--telemetry-epoch" | "--manifest-out") if !traced => usage(
+                &format!("{flag} is not supported: this binary keeps no runs to record"),
+            ),
             "--chunks" => {
                 i += 1;
                 cfg.num_chunks = args
@@ -143,8 +148,7 @@ pub fn parse() -> Args {
 /// Shared post-sweep reporting: the `--profile` table and the telemetry
 /// summary go to stderr (suppressed by `--quiet`; stdout is never
 /// touched), the combined Chrome trace is written to `--trace-out` when
-/// requested, and the run manifest is written to `--manifest-out` (or
-/// printed to stderr under `MILLIPEDE_METRICS` with no path).
+/// requested, and the run manifest is written to `--manifest-out`.
 pub fn report(args: &Args, runs: &[&RunResult]) {
     args.selfprof.borrow_mut().begin("report");
     if args.profile && !args.quiet {
@@ -166,7 +170,7 @@ pub fn report(args: &Args, runs: &[&RunResult]) {
             eprintln!("wrote Chrome trace to {}", path.display());
         }
     }
-    if args.manifest_out.is_some() || MetricsConfig::from_env().enabled {
+    if let Some(path) = &args.manifest_out {
         let doc = {
             // Close `report` so its wall is in the manifest, then render
             // outside the borrow (render reads the profile immutably).
@@ -183,18 +187,12 @@ pub fn report(args: &Args, runs: &[&RunResult]) {
                 &entries,
             )
         };
-        match &args.manifest_out {
-            Some(path) => {
-                if let Err(e) = std::fs::write(path, &doc) {
-                    eprintln!("error: could not write manifest to {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-                if !args.quiet {
-                    eprintln!("wrote run manifest to {}", path.display());
-                }
-            }
-            None if !args.quiet => eprint!("{doc}"),
-            None => {}
+        if let Err(e) = std::fs::write(path, &doc) {
+            eprintln!("error: could not write manifest to {}: {e}", path.display());
+            std::process::exit(1);
+        }
+        if !args.quiet {
+            eprintln!("wrote run manifest to {}", path.display());
         }
     }
 }
@@ -213,8 +211,8 @@ mod tests {
 
     #[test]
     fn default_config_used_without_args() {
-        // config_from_args reads real argv; in the test harness there are
-        // extra args, so only check the default construction path.
+        // parse reads real argv; in the test harness there are extra args,
+        // so only check the default construction path.
         let cfg = SimConfig::default();
         assert_eq!(cfg.num_chunks, 48);
     }

@@ -3,18 +3,27 @@
 use millipede_dram::{DramGeometry, DramTiming};
 use millipede_telemetry::TelemetryConfig;
 
+/// Local memory per corelet in bytes (Table III: 4 KB), partitioned across
+/// the corelet's contexts: a workload whose live state × contexts exceeds
+/// it cannot run.
+pub const LOCAL_BYTES_PER_CORELET: usize = 4096;
+
+/// Default minimum compute cycles between DFS adjustments.
+pub const DEFAULT_RATE_COOLDOWN: u64 = 256;
+
 /// Configuration of one Millipede processor and its DRAM channel.
+///
+/// Holds only what a caller varies; the Table III values every run shares
+/// are constants: the compute clock ([`millipede_engine::COMPUTE_MHZ`]), the
+/// FR-FCFS queue depth ([`millipede_dram::QUEUE_DEPTH`]), the local memory
+/// ([`LOCAL_BYTES_PER_CORELET`]), and the deadlock guard
+/// ([`millipede_engine::MAX_IDLE_CYCLES`]).
 #[derive(Debug, Clone)]
 pub struct MillipedeConfig {
     /// Corelets per processor (Table III: 32).
     pub corelets: usize,
     /// Hardware thread contexts per corelet (Table III: 4).
     pub contexts: usize,
-    /// Nominal compute clock in MHz (Table III: 700).
-    pub compute_mhz: f64,
-    /// Local memory per corelet in bytes (Table III: 4 KB), partitioned
-    /// across the contexts.
-    pub local_bytes_per_corelet: usize,
     /// Prefetch-buffer entries (Table III: 16 × 64 B per corelet, i.e. 16
     /// row entries processor-wide).
     pub pbuf_entries: usize,
@@ -30,11 +39,6 @@ pub struct MillipedeConfig {
     pub geometry: DramGeometry,
     /// DRAM channel timing.
     pub timing: DramTiming,
-    /// FR-FCFS queue depth (Table III: 16).
-    pub dram_queue: usize,
-    /// Abort the simulation if no corelet issues for this many consecutive
-    /// compute cycles (deadlock guard).
-    pub max_idle_cycles: u64,
     /// Run the runtime invariant sanitizer ([`crate::audit`]): DF-counter
     /// monotonicity, flow-control head protection, blocked-trigger
     /// liveness, DRAM tRC spacing, and per-domain clock monotonicity.
@@ -51,9 +55,9 @@ pub struct MillipedeConfig {
     /// are bit-identical either way (see DESIGN.md); off reproduces the
     /// original cycle-by-cycle schedule for differential testing.
     pub fast_forward: bool,
-    /// Cycle-domain telemetry (off by default; `MILLIPEDE_TELEMETRY=1`
-    /// enables it). Purely observational: results and determinism digests
-    /// are bit-identical with telemetry on or off.
+    /// Cycle-domain telemetry (off by default). Purely observational:
+    /// results and determinism digests are bit-identical with telemetry on
+    /// or off.
     pub telemetry: TelemetryConfig,
 }
 
@@ -62,20 +66,16 @@ impl Default for MillipedeConfig {
         MillipedeConfig {
             corelets: 32,
             contexts: 4,
-            compute_mhz: 700.0,
-            local_bytes_per_corelet: 4096,
             pbuf_entries: 16,
             flow_control: true,
             rate_match: true,
-            rate_cooldown: 256,
+            rate_cooldown: DEFAULT_RATE_COOLDOWN,
             geometry: DramGeometry::default(),
             timing: DramTiming::default(),
-            dram_queue: 16,
-            max_idle_cycles: 2_000_000,
             invariant_checks: cfg!(debug_assertions),
             wide_columns: false,
             fast_forward: true,
-            telemetry: TelemetryConfig::from_env(),
+            telemetry: TelemetryConfig::default(),
         }
     }
 }
@@ -108,10 +108,8 @@ mod tests {
         let c = MillipedeConfig::default();
         assert_eq!(c.corelets, 32);
         assert_eq!(c.contexts, 4);
-        assert_eq!(c.compute_mhz, 700.0);
-        assert_eq!(c.local_bytes_per_corelet, 4096);
         assert_eq!(c.pbuf_entries, 16);
-        assert_eq!(c.dram_queue, 16);
+        assert_eq!(LOCAL_BYTES_PER_CORELET, 4096);
         assert!(c.flow_control);
         assert!(c.rate_match);
     }

@@ -34,7 +34,7 @@ pub mod rate;
 pub mod result;
 
 pub use audit::{ClockDomain, InvariantChecker};
-pub use config::MillipedeConfig;
+pub use config::{MillipedeConfig, DEFAULT_RATE_COOLDOWN, LOCAL_BYTES_PER_CORELET};
 pub use pbuf::{ConsumeOutcome, Lookup, RowPrefetchBuffer};
 pub use processor::run;
 pub use rate::{OccupancySignal, RateMatcher};

@@ -18,7 +18,7 @@
 //!   Fig. 3's `Millipede-no-flow-control` bars show.
 
 use crate::audit::{ClockDomain, InvariantChecker};
-use crate::config::MillipedeConfig;
+use crate::config::{MillipedeConfig, LOCAL_BYTES_PER_CORELET};
 use crate::pbuf::{Lookup, RowPrefetchBuffer};
 use crate::rate::{OccupancySignal, RateMatcher};
 use crate::result::NodeResult;
@@ -31,7 +31,7 @@ mod run_impl {
     use millipede_engine::{
         drive, instrument, mhz_for_period_ps, period_ps_for_mhz, AccessClass, Arena2, CoreStats,
         DecodedProgram, DualClock, FlagGrid, Instrumented, NodeModel, Quiescence, StepEffect,
-        ThreadCtx,
+        ThreadCtx, COMPUTE_MHZ,
     };
     use millipede_mapreduce::ThreadGrid;
     use millipede_telemetry::Telemetry;
@@ -91,10 +91,6 @@ mod run_impl {
     }
 
     impl Instrumented for Node<'_> {
-        fn prefix(&self) -> &'static str {
-            "core"
-        }
-
         // Quiescence fingerprint: a sum of monotone counters that every
         // observable compute-edge state change bumps (prefetch push,
         // stall transition, demand fetch, pbuf allocation / flow block /
@@ -297,7 +293,7 @@ mod run_impl {
     ///
     /// Panics if the workload's live state does not fit the corelet local
     /// memory, if a kernel traps, or if the processor deadlocks (no issue
-    /// for `max_idle_cycles`).
+    /// for [`millipede_engine::MAX_IDLE_CYCLES`] cycles).
     pub fn run(workload: &Workload, cfg: &MillipedeConfig) -> NodeResult {
         let layout = workload.dataset.layout;
         let grid = if cfg.wide_columns {
@@ -306,11 +302,11 @@ mod run_impl {
             ThreadGrid::slab(cfg.corelets, cfg.contexts)
         };
         assert!(
-            workload.live_bytes * cfg.contexts <= cfg.local_bytes_per_corelet,
+            workload.live_bytes * cfg.contexts <= LOCAL_BYTES_PER_CORELET,
             "live state {}×{} exceeds {} B local memory",
             workload.live_bytes,
             cfg.contexts,
-            cfg.local_bytes_per_corelet
+            LOCAL_BYTES_PER_CORELET
         );
         let row_bytes = layout.row_bytes;
         let slab_bytes = grid.slab_bytes(&layout);
@@ -324,8 +320,8 @@ mod run_impl {
             total_rows,
             cfg.flow_control,
         );
-        let mut mc = MemoryController::with_capacity(cfg.geometry, cfg.timing, cfg.dram_queue);
-        let nominal = period_ps_for_mhz(cfg.compute_mhz);
+        let mut mc = MemoryController::new(cfg.geometry, cfg.timing);
+        let nominal = period_ps_for_mhz(COMPUTE_MHZ);
         let mut clock = DualClock::new(nominal, cfg.timing.channel_period_ps);
         let mut rate = RateMatcher::new(cfg.rate_match, nominal, cfg.rate_cooldown);
         pbuf.set_invariant_checks(cfg.invariant_checks);
@@ -363,7 +359,7 @@ mod run_impl {
             slots_per_cycle,
         };
         let mut tel = Telemetry::new(&cfg.telemetry);
-        let quiesce = Quiescence::new("Millipede", slots_per_cycle, cfg.max_idle_cycles);
+        let quiesce = Quiescence::new("Millipede", slots_per_cycle);
         let driven = drive(&mut node, &mut clock, quiesce, cfg.fast_forward, &mut tel);
 
         let stats = &mut node.stats;

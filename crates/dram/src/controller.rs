@@ -64,6 +64,11 @@ struct QueuedReq {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueFull;
 
+/// FR-FCFS request-queue depth (Table III: 16 deep). Only SSMC's queue-depth
+/// ablation runs a controller of another depth
+/// ([`MemoryController::with_capacity`]).
+pub const QUEUE_DEPTH: usize = 16;
+
 /// A First-Ready, First-Come-First-Served memory controller for one channel.
 ///
 /// Ticked once per channel clock cycle. Each cycle the controller issues at
@@ -116,9 +121,10 @@ pub struct MemoryController {
 }
 
 impl MemoryController {
-    /// Creates a controller with the paper's 16-deep FR-FCFS queue.
+    /// Creates a controller with the paper's [`QUEUE_DEPTH`]-deep FR-FCFS
+    /// queue.
     pub fn new(geometry: DramGeometry, timing: DramTiming) -> MemoryController {
-        MemoryController::with_capacity(geometry, timing, 16)
+        MemoryController::with_capacity(geometry, timing, QUEUE_DEPTH)
     }
 
     /// Creates a controller with an explicit queue capacity.

@@ -30,7 +30,7 @@ pub mod timing;
 
 pub use audit::TimingAudit;
 pub use bank::Bank;
-pub use controller::{Completion, MemoryController, ReqId, Request};
+pub use controller::{Completion, MemoryController, ReqId, Request, QUEUE_DEPTH};
 pub use geometry::DramGeometry;
 pub use timing::DramTiming;
 

@@ -9,6 +9,12 @@
 /// Simulated time in picoseconds.
 pub type TimePs = u64;
 
+/// Nominal compute clock in MHz of every simulated node (Table III: 700 MHz
+/// for Millipede's corelets, the GPGPU's SM, and SSMC's cores alike; §V
+/// holds it constant across architectures). Millipede's rate-matching DFS
+/// only ever slows the clock below it.
+pub const COMPUTE_MHZ: f64 = 700.0;
+
 /// Picosecond period for a frequency in MHz (rounded to the nearest ps).
 pub fn period_ps_for_mhz(mhz: f64) -> TimePs {
     assert!(mhz > 0.0);

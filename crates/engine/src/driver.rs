@@ -195,9 +195,6 @@ mod tests {
     }
 
     impl Instrumented for Toy {
-        fn prefix(&self) -> &'static str {
-            "toy"
-        }
         fn fingerprint(&self) -> u64 {
             u64::from(self.consumed)
         }
@@ -258,7 +255,7 @@ mod tests {
         let mut toy = Toy::new();
         let mut clock = DualClock::new(10, 35);
         let mut tel = Telemetry::new(&TelemetryConfig::enabled_with_epoch(7));
-        let q = Quiescence::new("Toy", 1, 1_000_000);
+        let q = Quiescence::new("Toy", 1);
         let driven = drive(&mut toy, &mut clock, q, fast_forward, &mut tel);
         (toy, driven, tel)
     }

@@ -5,14 +5,14 @@
 //! used to be hand-duplicated across core/ssmc/gpgpu/multicore (ROADMAP
 //! item 3). This module centralizes them:
 //!
-//! - [`Instrumented`] is the contract every model implements once: a
-//!   stable dotted metric/telemetry prefix, the quiescence fingerprint,
-//!   per-epoch-boundary sampling, and the invariant hooks. The anchor
-//!   arithmetic that reconstructs sample timestamps inside fast-forwarded
-//!   regions ([`Instrumented::emit_epoch_samples`]) and the standard
-//!   metrics registration ([`Instrumented::register_metrics`]) are
-//!   provided by the trait layer, so a new architecture variant gets
-//!   them for free.
+//! - [`Instrumented`] is the contract every cycle-driven model implements
+//!   once: the quiescence fingerprint, per-epoch-boundary sampling, and
+//!   the invariant hooks. The anchor arithmetic that reconstructs sample
+//!   timestamps inside fast-forwarded regions
+//!   ([`Instrumented::emit_epoch_samples`]) is provided by the trait
+//!   layer, so a new architecture variant gets it for free.
+//! - [`register_core_stats`] is the one stats→metrics naming the manifest
+//!   writer uses for every model.
 //! - [`Quiescence`] owns the shared run-loop bookkeeping the driver
 //!   ([`crate::drive`]) applies: the idle-streak deadlock guard and the
 //!   per-cycle accounting every proven-no-op edge replays by count
@@ -43,6 +43,10 @@ pub struct ReplayDeltas {
     pub misses: u64,
 }
 
+/// Deadlock guard: a run panics once no issue slot has issued for this
+/// many consecutive compute cycles.
+pub const MAX_IDLE_CYCLES: u64 = 2_000_000;
+
 /// Shared quiescence bookkeeping for the run loop ([`crate::drive`]): the
 /// idle-streak deadlock guard and the replay-by-count accounting of
 /// proven-no-op compute edges.
@@ -50,25 +54,23 @@ pub struct ReplayDeltas {
 pub struct Quiescence {
     label: &'static str,
     slots_per_cycle: u64,
-    max_idle_cycles: u64,
     idle_streak: u64,
 }
 
 impl Quiescence {
     /// Creates the bookkeeping for a model with `slots_per_cycle` issue
     /// slots per compute edge; `label` names the model in deadlock panics.
-    pub fn new(label: &'static str, slots_per_cycle: u64, max_idle_cycles: u64) -> Quiescence {
+    pub fn new(label: &'static str, slots_per_cycle: u64) -> Quiescence {
         Quiescence {
             label,
             slots_per_cycle,
-            max_idle_cycles,
             idle_streak: 0,
         }
     }
 
     fn guard(&self) {
         assert!(
-            self.idle_streak <= self.max_idle_cycles,
+            self.idle_streak <= MAX_IDLE_CYCLES,
             "{} deadlock: no issue for {} cycles",
             self.label,
             self.idle_streak
@@ -100,13 +102,8 @@ impl Quiescence {
 ///
 /// A model implements it on the struct that holds its run-loop state (the
 /// same struct implements [`crate::NodeModel`]); the trait layer provides
-/// the fast-forward-aware epoch walker and the standard metrics
-/// registration on top of the model-specific hooks.
+/// the fast-forward-aware epoch walker on top of the model-specific hooks.
 pub trait Instrumented {
-    /// Stable dotted prefix naming this model's metrics and telemetry
-    /// tracks (`"core"`, `"ssmc"`, `"gpgpu"`, `"multicore"`).
-    fn prefix(&self) -> &'static str;
-
     /// Quiescence fingerprint: a sum of monotone counters that is
     /// unchanged across a compute edge iff that edge observably changed
     /// nothing (see DESIGN.md, "One driver"). Per-retry-edge
@@ -141,18 +138,11 @@ pub trait Instrumented {
             self.sample_epoch(tel, due, at, cycle - due);
         }
     }
-
-    /// Registers the model's end-of-run counters under
-    /// [`Instrumented::prefix`] — the standard [`CoreStats`] set; override
-    /// to add model-specific extras on top of the default.
-    fn register_metrics(&self, reg: &mut Registry, stats: &CoreStats) {
-        register_core_stats(reg, self.prefix(), stats);
-    }
 }
 
 /// Registers every [`CoreStats`] field under `<prefix>.stats.*` — the one
-/// place the stats→registry naming lives (the trait layer), so all four
-/// models and the manifest writer share it.
+/// place the stats→registry naming lives, so all four models share it in
+/// the manifest writer.
 pub fn register_core_stats(reg: &mut Registry, prefix: &str, stats: &CoreStats) {
     let c = |reg: &mut Registry, name: &str, v: u64| {
         reg.counter_add(&format!("{prefix}.stats.{name}"), v);
@@ -212,9 +202,6 @@ mod tests {
 
     struct Dummy;
     impl Instrumented for Dummy {
-        fn prefix(&self) -> &'static str {
-            "dummy"
-        }
         fn fingerprint(&self) -> u64 {
             0
         }
@@ -240,28 +227,8 @@ mod tests {
     }
 
     #[test]
-    fn register_metrics_uses_prefix() {
-        let mut reg = Registry::new();
-        let stats = CoreStats {
-            instructions: 42,
-            rate_trace: vec![(1, 700.0)],
-            ..CoreStats::default()
-        };
-        Dummy.register_metrics(&mut reg, &stats);
-        assert_eq!(
-            reg.get("dummy.stats.instructions"),
-            Some(&millipede_metrics::Metric::Counter(42))
-        );
-        assert_eq!(
-            reg.get("dummy.stats.rate_steps"),
-            Some(&millipede_metrics::Metric::Counter(1))
-        );
-        assert!(reg.get("dummy.stats.rate_match_final_mhz").is_some());
-    }
-
-    #[test]
     fn replay_accounts_slots_and_streak() {
-        let mut q = Quiescence::new("Test", 4, 1000);
+        let mut q = Quiescence::new("Test", 4);
         let mut stats = CoreStats::default();
         let mut cycle = 10u64;
         q.note_edge(false);
@@ -278,9 +245,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "Test deadlock")]
     fn deadlock_guard_fires() {
-        let mut q = Quiescence::new("Test", 1, 3);
-        for _ in 0..5 {
-            q.note_edge(false);
-        }
+        let mut q = Quiescence::new("Test", 1);
+        let (mut cycle, mut stats) = (0, CoreStats::default());
+        q.replay(&mut cycle, &mut stats, MAX_IDLE_CYCLES);
+        q.note_edge(false);
     }
 }

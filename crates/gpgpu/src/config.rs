@@ -3,7 +3,31 @@
 use millipede_dram::{DramGeometry, DramTiming};
 use millipede_telemetry::TelemetryConfig;
 
-/// Configuration of one SM (Table III defaults).
+/// L1 D-cache bytes per SM (Table III: 32 KB).
+pub const L1_BYTES: u64 = 32 * 1024;
+/// L1 line bytes (Table III: 128 B): the coalescing, fill, and block
+/// prefetch granule.
+pub const L1_BLOCK: u64 = 128;
+/// L1 associativity.
+pub const L1_ASSOC: usize = 8;
+/// MSHR entries per SM.
+pub const MSHRS: usize = 16;
+/// Shared-memory banks (Table III: 4 B interleaving, one bank per lane of
+/// the 32-lane SM; a wider Fig. 6 SM keeps 32 banks).
+pub const SHARED_BANKS: usize = 32;
+/// Sequential block-prefetch lookahead in L1 blocks: a quarter of the L1.
+/// Running the stream to the cache edge would let fills evict blocks that
+/// lagging warps still need.
+pub const PREFETCH_DEGREE: u64 = L1_BYTES / L1_BLOCK / 4;
+
+/// Configuration of one SM.
+///
+/// Holds only what a caller varies; the Table III values every run shares
+/// are constants: the compute clock ([`millipede_engine::COMPUTE_MHZ`]), the
+/// FR-FCFS queue depth ([`millipede_dram::QUEUE_DEPTH`]), the L1 and MSHR
+/// sizes ([`L1_BYTES`], [`L1_BLOCK`], [`L1_ASSOC`], [`MSHRS`]), the shared
+/// memory banking ([`SHARED_BANKS`]), and the deadlock guard
+/// ([`millipede_engine::MAX_IDLE_CYCLES`]).
 #[derive(Debug, Clone)]
 pub struct GpgpuConfig {
     /// Lanes per SM (Table III: 32).
@@ -12,21 +36,6 @@ pub struct GpgpuConfig {
     pub contexts: usize,
     /// Warp width (32 = GPGPU, 4 = VWS's converged choice).
     pub warp_width: usize,
-    /// Compute clock in MHz.
-    pub compute_mhz: f64,
-    /// L1 D-cache bytes (Table III: 32 KB).
-    pub l1_bytes: u64,
-    /// L1 line bytes (Table III: 128).
-    pub l1_block: u64,
-    /// L1 associativity.
-    pub l1_assoc: usize,
-    /// MSHR entries.
-    pub mshrs: usize,
-    /// Sequential block-prefetch lookahead; `None` derives it from L1
-    /// capacity.
-    pub prefetch_degree: Option<u64>,
-    /// Shared-memory banks (Table III: 4 B interleaving, one bank/lane).
-    pub shared_banks: usize,
     /// Row-oriented input path (VWS-row): row prefetch buffer + flow
     /// control instead of block prefetch into the L1.
     pub row_oriented: bool,
@@ -40,10 +49,6 @@ pub struct GpgpuConfig {
     pub geometry: DramGeometry,
     /// DRAM timing.
     pub timing: DramTiming,
-    /// FR-FCFS queue depth.
-    pub dram_queue: usize,
-    /// Deadlock guard.
-    pub max_idle_cycles: u64,
     /// Idle-cycle fast-forward (bit-exact; see DESIGN.md). Off reproduces
     /// the cycle-by-cycle schedule for differential testing.
     pub fast_forward: bool,
@@ -58,29 +63,20 @@ impl GpgpuConfig {
             lanes: 32,
             contexts: 4,
             warp_width: 32,
-            compute_mhz: 700.0,
-            l1_bytes: 32 * 1024,
-            l1_block: 128,
-            l1_assoc: 8,
-            mshrs: 16,
-            prefetch_degree: None,
-            shared_banks: 32,
             row_oriented: false,
             wide_columns: false,
             pbuf_entries: 16,
             geometry: DramGeometry::default(),
             timing: DramTiming::default(),
-            dram_queue: 16,
-            max_idle_cycles: 2_000_000,
             fast_forward: true,
-            telemetry: TelemetryConfig::from_env(),
+            telemetry: TelemetryConfig::default(),
         }
     }
 
     /// VWS at its converged 4-wide operating point.
     pub fn vws() -> GpgpuConfig {
         GpgpuConfig {
-            warp_width: 4,
+            warp_width: crate::vws::NARROW,
             ..GpgpuConfig::gpgpu()
         }
     }
@@ -88,7 +84,7 @@ impl GpgpuConfig {
     /// VWS-row: VWS plus row-orientedness and flow control.
     pub fn vws_row() -> GpgpuConfig {
         GpgpuConfig {
-            warp_width: 4,
+            warp_width: crate::vws::NARROW,
             row_oriented: true,
             ..GpgpuConfig::gpgpu()
         }

@@ -26,14 +26,15 @@ pub mod config;
 pub mod vws;
 pub mod warp;
 
-pub use config::GpgpuConfig;
+pub use config::{GpgpuConfig, L1_BLOCK, L1_BYTES, SHARED_BANKS};
 
+use config::{L1_ASSOC, MSHRS, PREFETCH_DEGREE};
 use millipede_core::pbuf::{Lookup, RowPrefetchBuffer};
 use millipede_core::NodeResult;
 use millipede_dram::{MemoryController, Request, TimePs};
 use millipede_engine::{
     drive, instrument, period_ps_for_mhz, AccessClass, CoreStats, DecodedProgram, DualClock,
-    Instrumented, NodeModel, Quiescence, ReplayDeltas, StepEffect, ThreadCtx,
+    Instrumented, NodeModel, Quiescence, ReplayDeltas, StepEffect, ThreadCtx, COMPUTE_MHZ,
 };
 use millipede_isa::ReconvergenceMap;
 use millipede_mapreduce::ThreadGrid;
@@ -80,7 +81,6 @@ struct Sm {
     /// Block prefetcher state (non-row-oriented): next block to fetch.
     pf_next: u64,
     pf_end: u64,
-    pf_degree: u64,
     demand_block: u64,
 }
 
@@ -108,10 +108,6 @@ struct Node<'a> {
 }
 
 impl Instrumented for Node<'_> {
-    fn prefix(&self) -> &'static str {
-        "gpgpu"
-    }
-
     // Quiescence fingerprint (see DESIGN.md, "One driver"):
     // every observable compute-edge mutation either bumps one of these
     // monotone counters/cursors or is a per-retry-edge recount
@@ -205,7 +201,7 @@ impl NodeModel for Node<'_> {
         if let Some(pbuf) = self.pbuf.as_mut() {
             pump_rows(pbuf, &mut self.mc, now, self.row_bytes, &mut self.stats);
         } else {
-            pump_blocks(&mut self.sm, &mut self.mc, now, self.cfg, &mut self.stats);
+            pump_blocks(&mut self.sm, &mut self.mc, now, &mut self.stats);
         }
         // The scan takes each piece of state as its own argument, so the
         // optimizer may keep it in registers across the scan.
@@ -349,12 +345,6 @@ pub fn run(workload: &Workload, cfg: &GpgpuConfig) -> NodeResult {
         // audit:allow(unwrap-in-hot-path): thread_index is a bijection over the grid
         slots.into_iter().map(|s| s.expect("dense index")).collect()
     };
-    // Default lookahead: a quarter of the L1. Running the stream to the
-    // cache edge would let fills evict blocks that lagging warps still
-    // need.
-    let pf_degree = cfg
-        .prefetch_degree
-        .unwrap_or((cfg.l1_bytes / cfg.l1_block / 4).max(2));
     let sm = Sm {
         warps: (0..num_warps)
             .map(|w| Warp::new(w * cfg.warp_width, cfg.warp_width))
@@ -366,14 +356,13 @@ pub fn run(workload: &Workload, cfg: &GpgpuConfig) -> NodeResult {
         burst_lanes: vec![0; num_warps],
         rr: vec![0; cfg.clusters()],
         threads,
-        l1: Cache::new(cfg.l1_bytes, cfg.l1_assoc, cfg.l1_block),
-        mshr: Mshr::new(cfg.mshrs),
-        shared: SharedMemoryBanks::new(cfg.shared_banks),
+        l1: Cache::new(L1_BYTES, L1_ASSOC, L1_BLOCK),
+        mshr: Mshr::new(MSHRS),
+        shared: SharedMemoryBanks::new(SHARED_BANKS),
         lsu_busy_until: 0,
         wait_row: vec![u64::MAX; num_warps],
         pf_next: 0,
         pf_end: layout.total_bytes(),
-        pf_degree,
         demand_block: 0,
     };
 
@@ -387,7 +376,7 @@ pub fn run(workload: &Workload, cfg: &GpgpuConfig) -> NodeResult {
         row_bytes,
         sm,
         pbuf,
-        mc: MemoryController::with_capacity(cfg.geometry, cfg.timing, cfg.dram_queue),
+        mc: MemoryController::new(cfg.geometry, cfg.timing),
         stats: CoreStats::default(),
         live_warps: num_warps,
         ff_l1_hits: 0,
@@ -395,12 +384,9 @@ pub fn run(workload: &Workload, cfg: &GpgpuConfig) -> NodeResult {
         deltas: ReplayDeltas::default(),
         slots_per_cycle,
     };
-    let mut clock = DualClock::new(
-        period_ps_for_mhz(cfg.compute_mhz),
-        cfg.timing.channel_period_ps,
-    );
+    let mut clock = DualClock::new(period_ps_for_mhz(COMPUTE_MHZ), cfg.timing.channel_period_ps);
     let mut tel = Telemetry::new(&cfg.telemetry);
-    let quiesce = Quiescence::new("GPGPU", slots_per_cycle, cfg.max_idle_cycles);
+    let quiesce = Quiescence::new("GPGPU", slots_per_cycle);
     let driven = drive(&mut node, &mut clock, quiesce, cfg.fast_forward, &mut tel);
 
     let stats = &mut node.stats;
@@ -458,18 +444,12 @@ fn pump_rows(
 }
 
 /// Issues sequential block prefetches up to the L1-derived lookahead.
-fn pump_blocks(
-    sm: &mut Sm,
-    mc: &mut MemoryController,
-    now: TimePs,
-    cfg: &GpgpuConfig,
-    stats: &mut CoreStats,
-) {
-    let limit = sm.demand_block.saturating_add(sm.pf_degree * cfg.l1_block);
+fn pump_blocks(sm: &mut Sm, mc: &mut MemoryController, now: TimePs, stats: &mut CoreStats) {
+    let limit = sm.demand_block.saturating_add(PREFETCH_DEGREE * L1_BLOCK);
     while sm.pf_next < sm.pf_end && sm.pf_next <= limit {
         let block = sm.pf_next;
         if sm.l1.contains(block) || sm.mshr.pending(block) {
-            sm.pf_next += cfg.l1_block;
+            sm.pf_next += L1_BLOCK;
             continue;
         }
         if sm.mshr.is_full() || mc.free_slots() == 0 {
@@ -477,14 +457,14 @@ fn pump_blocks(
         }
         let req = Request {
             addr: block,
-            bytes: cfg.l1_block,
+            bytes: L1_BLOCK,
             tag: TAG_BLOCK_FILL,
         };
         if mc.try_push(req, now).is_err() {
             break;
         }
         sm.mshr.allocate_prefetch(block);
-        sm.pf_next += cfg.l1_block;
+        sm.pf_next += L1_BLOCK;
         stats.prefetches += 1;
     }
 }
@@ -660,7 +640,7 @@ fn try_issue_warp(
                     Lookup::Evicted => unreachable!("flow control is on for VWS-row"),
                 }
             } else {
-                let blocks = coalesce_blocks(addrs, cfg.l1_block);
+                let blocks = coalesce_blocks(addrs, L1_BLOCK);
                 if let Some(far) = blocks.iter().copied().max() {
                     sm.demand_block = sm.demand_block.max(far);
                 }
@@ -690,7 +670,7 @@ fn try_issue_warp(
                     } else if !sm.mshr.is_full() && mc.free_slots() > 0 {
                         let req = Request {
                             addr: block,
-                            bytes: cfg.l1_block,
+                            bytes: L1_BLOCK,
                             tag: TAG_BLOCK_FILL,
                         };
                         if mc.try_push(req, now).is_ok() {
@@ -721,8 +701,8 @@ fn try_issue_warp(
                 let a = decoded.mem_addr_at(&sm.threads[t]);
                 lanes_buf[j] = t;
                 addrs_buf[j] = a;
-                bank_buf[j] = (a / 4) * (cfg.shared_banks as u64 * 4)
-                    + (t as u64 % cfg.shared_banks as u64) * 4;
+                bank_buf[j] =
+                    (a / 4) * (SHARED_BANKS as u64 * 4) + (t as u64 % SHARED_BANKS as u64) * 4;
                 j += 1;
             }
             let lanes = &lanes_buf[..lane_count];

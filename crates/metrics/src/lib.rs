@@ -19,9 +19,7 @@
 //! timing model. Registries are populated *from* finished results, so
 //! metrics are digest-invisible by construction (the determinism digest
 //! hashes `RunResult` fields, not registries; pinned by
-//! `tests/manifest.rs`). The `MILLIPEDE_METRICS` knob follows the repo's
-//! boolean-env rule (`millipede_sim::config::env_flag`; restated here
-//! because this crate is dependency-free).
+//! `tests/manifest.rs`).
 
 #![warn(missing_docs)]
 
@@ -235,24 +233,6 @@ impl fmt::Display for Registry {
     }
 }
 
-/// Configuration of the metrics layer for one process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MetricsConfig {
-    /// Collect registries and emit manifests even without `--manifest-out`.
-    pub enabled: bool,
-}
-
-impl MetricsConfig {
-    /// Reads the `MILLIPEDE_METRICS` environment switch, following the
-    /// repo-wide boolean-knob rule (`millipede_sim::config::env_flag`;
-    /// restated here because this crate is dependency-free): unset, empty,
-    /// or `0` leaves metrics collection off; any other value enables it.
-    pub fn from_env() -> Self {
-        let enabled = std::env::var("MILLIPEDE_METRICS").is_ok_and(|v| !v.is_empty() && v != "0");
-        MetricsConfig { enabled }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,10 +310,5 @@ mod tests {
                 .and_then(json::Json::as_f64),
             Some(1.0)
         );
-    }
-
-    #[test]
-    fn metrics_config_default_is_off() {
-        assert!(!MetricsConfig::default().enabled);
     }
 }

@@ -21,113 +21,40 @@
 
 use millipede_core::NodeResult;
 use millipede_dram::DramStats;
-use millipede_engine::{
-    run_functional, CoreStats, FuncStats, Instrumented, JumpProfile, TimePs, DEFAULT_STEP_LIMIT,
-};
+use millipede_engine::{run_functional, CoreStats, FuncStats, JumpProfile, DEFAULT_STEP_LIMIT};
 use millipede_mapreduce::ThreadGrid;
 use millipede_telemetry::{Telemetry, TelemetryConfig};
 use millipede_workloads::Workload;
 
-/// Instrumentation view over the analytic model's results, implementing the
-/// shared [`Instrumented`] contract. The model has no cycle loop, so epoch
-/// samples linearly interpolate the end-of-run totals between the run's
-/// start and end anchors (enough to give the run a labelled span in a
-/// combined Chrome trace), and there are no timing audits to check.
-struct Model<'a> {
-    stats: &'a CoreStats,
-    dram: &'a DramStats,
-    /// Total modelled cycles; epoch samples scale counters by `due / end`.
-    end_cycle: u64,
-}
+/// Cores (paper: 8).
+pub const CORES: usize = 8;
+/// SMT contexts per core (paper: 4).
+pub const SMT: usize = 4;
+/// Hardware threads.
+pub const THREADS: usize = CORES * SMT;
+/// Clock in MHz (paper: 3.6 GHz).
+pub const CLOCK_MHZ: f64 = 3600.0;
+/// Issue width per core (paper: 4-wide OoO).
+pub const ISSUE_WIDTH: f64 = 4.0;
+/// Effective sustained IPC per core on these streaming kernels, as a
+/// fraction of issue width. BMLA inner loops are short dependence chains
+/// with one load per few instructions; half the peak is a generous
+/// sustained estimate for a 4-wide OoO core.
+pub const IPC_EFFICIENCY: f64 = 0.5;
+/// Off-chip memory bandwidth in GB/s (paper: ¼ of the die-stacked system's
+/// 32 channels × 4.8 GB/s). The off-chip access energy (70 pJ/bit \[44\])
+/// lives in the energy model.
+pub const MEM_BW_GBPS: f64 = 32.0 * 4.8 / 4.0;
+/// Sustained instruction throughput in instructions per nanosecond.
+pub const THROUGHPUT_PER_NS: f64 = CORES as f64 * ISSUE_WIDTH * IPC_EFFICIENCY * CLOCK_MHZ / 1000.0;
 
-impl Instrumented for Model<'_> {
-    fn prefix(&self) -> &'static str {
-        "multicore"
-    }
-
-    // No quiescence loop to guard: the fingerprint is just the run's
-    // dynamic instruction count, a stable identity for the manifest layer.
-    fn fingerprint(&self) -> u64 {
-        self.stats.instructions
-    }
-
-    fn sample_epoch(&self, tel: &mut Telemetry, due: u64, at: TimePs, _rewind: u64) {
-        let frac = if self.end_cycle == 0 {
-            1.0
-        } else {
-            due as f64 / self.end_cycle as f64
-        };
-        tel.counter(
-            "multicore::core",
-            "instructions",
-            due,
-            at,
-            self.stats.instructions as f64 * frac,
-        );
-        tel.counter(
-            "multicore::dram",
-            "bytes_transferred",
-            due,
-            at,
-            self.dram.bytes_transferred as f64 * frac,
-        );
-    }
-
-    fn assert_clean(&self) {}
-}
-
-/// Configuration of the Xeon-like reference machine (§VI-C defaults).
-#[derive(Debug, Clone)]
+/// Configuration of the Xeon-like reference machine (§VI-C). The machine
+/// itself is fixed (the constants above); only the observation varies.
+#[derive(Debug, Clone, Default)]
 pub struct MulticoreConfig {
-    /// Cores (paper: 8).
-    pub cores: usize,
-    /// SMT contexts per core (paper: 4).
-    pub smt: usize,
-    /// Clock in MHz (paper: 3.6 GHz).
-    pub clock_mhz: f64,
-    /// Issue width per core (paper: 4-wide OoO).
-    pub issue_width: f64,
-    /// Effective sustained IPC per core on these streaming kernels, as a
-    /// fraction of issue width. BMLA inner loops are short dependence
-    /// chains with one load per few instructions; half the peak is a
-    /// generous sustained estimate for a 4-wide OoO core.
-    pub ipc_efficiency: f64,
-    /// Off-chip memory bandwidth in GB/s (paper: ¼ of the die-stacked
-    /// system's 32 channels).
-    pub mem_bw_gbps: f64,
-    /// Off-chip access energy in pJ/bit (paper: 70 pJ/bit \[44\]).
-    pub mem_pj_per_bit: f64,
     /// Cycle-domain telemetry (off by default). The analytic model has no
     /// cycle loop, so only coarse start/end samples are recorded.
     pub telemetry: TelemetryConfig,
-}
-
-impl Default for MulticoreConfig {
-    fn default() -> Self {
-        MulticoreConfig {
-            cores: 8,
-            smt: 4,
-            clock_mhz: 3600.0,
-            issue_width: 4.0,
-            ipc_efficiency: 0.5,
-            // 32 die-stacked channels × 4.8 GB/s ÷ 4.
-            mem_bw_gbps: 32.0 * 4.8 / 4.0,
-            mem_pj_per_bit: 70.0,
-            telemetry: TelemetryConfig::from_env(),
-        }
-    }
-}
-
-impl MulticoreConfig {
-    /// Hardware threads.
-    pub fn threads(&self) -> usize {
-        self.cores * self.smt
-    }
-
-    /// Sustained instruction throughput in instructions per nanosecond.
-    pub fn throughput_per_ns(&self) -> f64 {
-        self.cores as f64 * self.issue_width * self.ipc_efficiency * self.clock_mhz / 1000.0
-    }
 }
 
 /// Runs `workload` on the multicore reference: functional execution for
@@ -154,9 +81,9 @@ pub fn run(workload: &Workload, cfg: &MulticoreConfig) -> NodeResult {
     }
 
     // Runtime: the slower of compute throughput and off-chip bandwidth.
-    let compute_ns = totals.instructions as f64 / cfg.throughput_per_ns();
+    let compute_ns = totals.instructions as f64 / THROUGHPUT_PER_NS;
     let bytes = workload.dataset.total_bytes();
-    let memory_ns = bytes as f64 / cfg.mem_bw_gbps; // GB/s == bytes/ns
+    let memory_ns = bytes as f64 / MEM_BW_GBPS; // GB/s == bytes/ns
     let elapsed_ns = compute_ns.max(memory_ns);
 
     let states: Vec<&[u32]> = ctxs.iter().map(|c| c.local.words()).collect();
@@ -171,10 +98,9 @@ pub fn run(workload: &Workload, cfg: &MulticoreConfig) -> NodeResult {
         local_loads: totals.local_loads,
         local_stores: totals.local_stores,
         // audit:allow(cast-truncation): analytic model; sub-cycle truncation is immaterial
-        compute_cycles: (elapsed_ns * cfg.clock_mhz / 1000.0) as u64,
+        compute_cycles: (elapsed_ns * CLOCK_MHZ / 1000.0) as u64,
         // audit:allow(cast-truncation): analytic model; sub-cycle truncation is immaterial
-        issue_slots: ((elapsed_ns * cfg.clock_mhz / 1000.0) as u64)
-            .saturating_mul(cfg.cores as u64),
+        issue_slots: ((elapsed_ns * CLOCK_MHZ / 1000.0) as u64).saturating_mul(CORES as u64),
         ..Default::default()
     };
     let dram = DramStats {
@@ -193,14 +119,12 @@ pub fn run(workload: &Workload, cfg: &MulticoreConfig) -> NodeResult {
     // run a labelled span in a combined Chrome trace).
     let mut tel = Telemetry::new(&cfg.telemetry);
     if tel.enabled() {
-        let model = Model {
-            stats: &stats,
-            dram: &dram,
-            end_cycle: stats.compute_cycles,
-        };
-        model.sample_epoch(&mut tel, 0, 0, 0);
-        model.sample_epoch(&mut tel, stats.compute_cycles, elapsed_ps, 0);
-        model.assert_clean();
+        for (due, at, frac) in [(0, 0, 0.0), (stats.compute_cycles, elapsed_ps, 1.0)] {
+            let instructions = stats.instructions as f64 * frac;
+            tel.counter("multicore::core", "instructions", due, at, instructions);
+            let bytes = dram.bytes_transferred as f64 * frac;
+            tel.counter("multicore::dram", "bytes_transferred", due, at, bytes);
+        }
     }
     NodeResult {
         stats,
@@ -219,11 +143,10 @@ mod tests {
     use millipede_workloads::{Benchmark, Workload};
 
     #[test]
-    fn defaults_match_paper() {
-        let c = MulticoreConfig::default();
-        assert_eq!(c.threads(), 32);
-        assert!((c.mem_bw_gbps - 38.4).abs() < 1e-9);
-        assert!((c.clock_mhz - 3600.0).abs() < 1e-9);
+    fn constants_match_paper() {
+        assert_eq!(THREADS, 32);
+        assert!((MEM_BW_GBPS - 38.4).abs() < 1e-9);
+        assert!((CLOCK_MHZ - 3600.0).abs() < 1e-9);
     }
 
     #[test]
@@ -245,14 +168,13 @@ mod tests {
         let gda = run(&Workload::build(Benchmark::Gda, 4, 2048, 7), &cfg);
         let count_bw = count.dram.bytes_transferred as f64 / (count.elapsed_ps as f64 / 1000.0);
         let gda_bw = gda.dram.bytes_transferred as f64 / (gda.elapsed_ps as f64 / 1000.0);
-        assert!(count_bw <= cfg.mem_bw_gbps + 1e-9);
+        assert!(count_bw <= MEM_BW_GBPS + 1e-9);
         assert!(gda_bw < count_bw, "gda {gda_bw} vs count {count_bw}");
     }
 
     #[test]
     fn throughput_model() {
-        let cfg = MulticoreConfig::default();
         // 8 cores × 4-wide × 0.5 × 3.6 GHz = 57.6 inst/ns.
-        assert!((cfg.throughput_per_ns() - 57.6).abs() < 1e-9);
+        assert!((THROUGHPUT_PER_NS - 57.6).abs() < 1e-9);
     }
 }

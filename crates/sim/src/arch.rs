@@ -1,8 +1,10 @@
 //! The compared architectures.
 
 use crate::config::SimConfig;
-use millipede_core::{MillipedeConfig, NodeResult};
+use millipede_core::{MillipedeConfig, NodeResult, DEFAULT_RATE_COOLDOWN};
+use millipede_dram::QUEUE_DEPTH;
 use millipede_energy::ArchKind;
+use millipede_gpgpu::vws::NARROW;
 use millipede_gpgpu::GpgpuConfig;
 use millipede_multicore::MulticoreConfig;
 use millipede_ssmc::SsmcConfig;
@@ -80,69 +82,97 @@ impl Arch {
             Arch::Millipede | Arch::MillipedeNoFlowControl | Arch::MillipedeNoRateMatch => {
                 (ArchKind::Millipede, cfg.corelets)
             }
-            Arch::Multicore => (ArchKind::Multicore, MulticoreConfig::default().cores),
+            Arch::Multicore => (ArchKind::Multicore, millipede_multicore::CORES),
         }
     }
 
     /// Runs `workload` on this architecture under `cfg`.
     pub fn run(self, workload: &Workload, cfg: &SimConfig) -> NodeResult {
         match self {
-            Arch::Gpgpu | Arch::Vws | Arch::VwsRow => {
-                let mut c = match self {
-                    Arch::Gpgpu => GpgpuConfig::gpgpu(),
-                    Arch::Vws => GpgpuConfig::vws(),
-                    _ => GpgpuConfig::vws_row(),
-                };
-                // A wider SM keeps full-SM-wide warps (Fig. 6: GPGPU branch
-                // inefficiency grows with lane count).
-                if self == Arch::Gpgpu {
-                    c.warp_width = cfg.corelets;
-                }
-                c.lanes = cfg.corelets;
-                c.contexts = cfg.contexts;
-                c.pbuf_entries = cfg.pbuf_entries;
-                c.geometry = cfg.geometry();
-                c.timing = cfg.timing();
-                c.fast_forward = cfg.fast_forward;
-                c.telemetry = cfg.telemetry.clone();
-                millipede_gpgpu::run(workload, &c)
+            // A wider SM keeps full-SM-wide warps (Fig. 6: GPGPU branch
+            // inefficiency grows with lane count).
+            Arch::Gpgpu => millipede_gpgpu::run(workload, &gpgpu_config(cfg, cfg.corelets, false)),
+            Arch::Vws => millipede_gpgpu::run(workload, &gpgpu_config(cfg, NARROW, false)),
+            Arch::VwsRow => millipede_gpgpu::run(workload, &gpgpu_config(cfg, NARROW, true)),
+            Arch::Ssmc => millipede_ssmc::run(workload, &ssmc_config(cfg)),
+            Arch::MillipedeNoFlowControl => {
+                millipede_core::run(workload, &millipede_config(cfg, false, false))
             }
-            Arch::Ssmc => {
-                let c = SsmcConfig {
-                    cores: cfg.corelets,
-                    contexts: cfg.contexts,
-                    l1_block: cfg.row_bytes / cfg.corelets as u64,
-                    geometry: cfg.geometry(),
-                    timing: cfg.timing(),
-                    fast_forward: cfg.fast_forward,
-                    telemetry: cfg.telemetry.clone(),
-                    ..SsmcConfig::default()
-                };
-                millipede_ssmc::run(workload, &c)
+            Arch::MillipedeNoRateMatch => {
+                millipede_core::run(workload, &millipede_config(cfg, true, false))
             }
-            Arch::Millipede | Arch::MillipedeNoFlowControl | Arch::MillipedeNoRateMatch => {
-                let mut c = match self {
-                    Arch::Millipede => MillipedeConfig::default(),
-                    Arch::MillipedeNoFlowControl => MillipedeConfig::no_flow_control(),
-                    _ => MillipedeConfig::no_rate_match(),
-                };
-                c.corelets = cfg.corelets;
-                c.contexts = cfg.contexts;
-                c.pbuf_entries = cfg.pbuf_entries;
-                c.geometry = cfg.geometry();
-                c.timing = cfg.timing();
-                c.fast_forward = cfg.fast_forward;
-                c.telemetry = cfg.telemetry.clone();
-                millipede_core::run(workload, &c)
-            }
-            Arch::Multicore => {
-                let c = MulticoreConfig {
-                    telemetry: cfg.telemetry.clone(),
-                    ..MulticoreConfig::default()
-                };
-                millipede_multicore::run(workload, &c)
-            }
+            Arch::Millipede => millipede_core::run(workload, &millipede_config(cfg, true, true)),
+            Arch::Multicore => millipede_multicore::run(workload, &multicore_config(cfg)),
         }
+    }
+}
+
+// The one `SimConfig` → model-config mapping per model family. `Arch::run`
+// and every ablation build their configs here, so a swept value or an
+// observation switch (`fast_forward`, `telemetry`) reaches every run the
+// same way. Each field is spelled out: a new model-config field fails to
+// compile here until it is mapped.
+
+/// The Millipede family's configuration: the three variants differ only in
+/// `flow_control` (off = `Millipede-no-flow-control`, Fig. 3) and
+/// `rate_match` (off = `Millipede-no-rate-match`, Fig. 4).
+pub fn millipede_config(cfg: &SimConfig, flow_control: bool, rate_match: bool) -> MillipedeConfig {
+    MillipedeConfig {
+        corelets: cfg.corelets,
+        contexts: cfg.contexts,
+        pbuf_entries: cfg.pbuf_entries,
+        flow_control,
+        rate_match,
+        rate_cooldown: DEFAULT_RATE_COOLDOWN,
+        geometry: cfg.geometry(),
+        timing: cfg.timing(),
+        invariant_checks: cfg!(debug_assertions),
+        wide_columns: false,
+        fast_forward: cfg.fast_forward,
+        telemetry: cfg.telemetry.clone(),
+    }
+}
+
+/// The GPGPU family's configuration: GPGPU runs SM-wide warps, VWS and
+/// VWS-row the converged [`NARROW`] width, and VWS-row alone takes the
+/// `row_oriented` input path.
+pub fn gpgpu_config(cfg: &SimConfig, warp_width: usize, row_oriented: bool) -> GpgpuConfig {
+    GpgpuConfig {
+        lanes: cfg.corelets,
+        contexts: cfg.contexts,
+        warp_width,
+        row_oriented,
+        wide_columns: false,
+        pbuf_entries: cfg.pbuf_entries,
+        geometry: cfg.geometry(),
+        timing: cfg.timing(),
+        fast_forward: cfg.fast_forward,
+        telemetry: cfg.telemetry.clone(),
+    }
+}
+
+/// SSMC's configuration. The L1 line is one slab (DESIGN.md): a row split
+/// evenly over the cores.
+pub fn ssmc_config(cfg: &SimConfig) -> SsmcConfig {
+    SsmcConfig {
+        cores: cfg.corelets,
+        contexts: cfg.contexts,
+        l1_bytes: millipede_ssmc::L1_BYTES,
+        l1_block: cfg.row_bytes / cfg.corelets as u64,
+        l1_assoc: millipede_ssmc::L1_ASSOC,
+        geometry: cfg.geometry(),
+        timing: cfg.timing(),
+        dram_queue: QUEUE_DEPTH,
+        fast_forward: cfg.fast_forward,
+        telemetry: cfg.telemetry.clone(),
+    }
+}
+
+/// The multicore reference's configuration: the machine is fixed, only
+/// the observation varies.
+pub fn multicore_config(cfg: &SimConfig) -> MulticoreConfig {
+    MulticoreConfig {
+        telemetry: cfg.telemetry.clone(),
     }
 }
 

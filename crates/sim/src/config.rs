@@ -1,9 +1,8 @@
-//! Simulation configuration and the `MILLIPEDE_*` environment knobs.
+//! Simulation configuration.
 //!
-//! Boolean knobs all parse through [`env_flag`] with one rule: unset means
-//! "use the default", and an empty string or `0` means off — so
-//! `MILLIPEDE_FASTFORWARD= cmd` and `MILLIPEDE_FASTFORWARD=0 cmd` agree
-//! instead of an empty value silently counting as "on".
+//! [`SimConfig`] is plain data: its default never reads the process
+//! environment, so a run's configuration is exactly what its caller wrote.
+//! [`crate::arch`] maps it onto each model family's configuration.
 
 use millipede_dram::{DramGeometry, DramTiming};
 use millipede_energy::EnergyParams;
@@ -37,12 +36,11 @@ pub struct SimConfig {
     /// Energy-model constants.
     pub energy: EnergyParams,
     /// Idle-cycle fast-forward in every event-driven timing model
-    /// (bit-exact; see DESIGN.md). Defaults from `MILLIPEDE_FASTFORWARD`
-    /// (unset → on, empty or `0` → off), so CI can difference the two
-    /// schedules without code changes.
+    /// (bit-exact; see DESIGN.md). On by default; off walks every compute
+    /// edge, the schedule the differential tests compare against.
     pub fast_forward: bool,
-    /// Cycle-domain telemetry for every model (off by default; defaults
-    /// from `MILLIPEDE_TELEMETRY`, unset, empty, or `0` → off).
+    /// Cycle-domain telemetry for every model (off by default; the bench
+    /// binaries' `--trace-out` and `--telemetry-epoch` turn it on).
     /// Observational only: determinism digests are bit-identical on or
     /// off.
     pub telemetry: TelemetryConfig,
@@ -59,25 +57,10 @@ impl Default for SimConfig {
             bandwidth_factor: 1,
             pbuf_entries: 16,
             energy: EnergyParams::default(),
-            fast_forward: fast_forward_from_env(),
-            telemetry: TelemetryConfig::from_env(),
+            fast_forward: true,
+            telemetry: TelemetryConfig::default(),
         }
     }
-}
-
-/// Reads one boolean `MILLIPEDE_*` environment knob.
-///
-/// The single rule every boolean knob follows: unset → `None` (the caller
-/// supplies its default), empty or `0` → `Some(false)`, anything else →
-/// `Some(true)`.
-pub fn env_flag(name: &str) -> Option<bool> {
-    std::env::var(name).ok().map(|v| !v.is_empty() && v != "0")
-}
-
-/// Reads the `MILLIPEDE_FASTFORWARD` environment switch: unset defaults to
-/// on; empty or `0` disables fast-forward; anything else enables it.
-pub fn fast_forward_from_env() -> bool {
-    env_flag("MILLIPEDE_FASTFORWARD").unwrap_or(true)
 }
 
 impl SimConfig {

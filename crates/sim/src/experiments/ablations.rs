@@ -19,10 +19,10 @@
 //!    claim — wide columns leave Millipede's slabs unchanged but break SIMT
 //!    coalescing ("GPGPUs must use word-size columns").
 
+use crate::arch::{gpgpu_config, millipede_config, ssmc_config};
 use crate::config::SimConfig;
 use crate::report::{f2, f3, Table};
-use millipede_core::{MillipedeConfig, NodeResult};
-use millipede_ssmc::SsmcConfig;
+use millipede_core::NodeResult;
 use millipede_workloads::{count, Benchmark, Workload};
 
 /// Results of the software-barrier ablation.
@@ -41,16 +41,7 @@ pub fn software_barriers(cfg: &SimConfig) -> BarrierAblation {
     let plain = Workload::build(Benchmark::Count, cfg.num_chunks, cfg.row_bytes, cfg.seed);
     let barred = count::build_with_barriers(cfg.num_chunks, cfg.row_bytes, cfg.seed);
 
-    let mk = |flow_control: bool| MillipedeConfig {
-        flow_control,
-        rate_match: false,
-        corelets: cfg.corelets,
-        contexts: cfg.contexts,
-        pbuf_entries: cfg.pbuf_entries,
-        geometry: cfg.geometry(),
-        timing: cfg.timing(),
-        ..MillipedeConfig::default()
-    };
+    let mk = |flow_control: bool| millipede_config(cfg, flow_control, false);
     let flow_control = millipede_core::run(&plain, &mk(true));
     let no_flow_control = millipede_core::run(&plain, &mk(false));
     let barriers = millipede_core::run(&barred, &mk(false));
@@ -98,15 +89,8 @@ pub fn queue_depth(cfg: &SimConfig, depths: &[usize]) -> Vec<SweepPoint> {
     depths
         .iter()
         .map(|&d| {
-            let c = SsmcConfig {
-                cores: cfg.corelets,
-                contexts: cfg.contexts,
-                l1_block: cfg.row_bytes / cfg.corelets as u64,
-                geometry: cfg.geometry(),
-                timing: cfg.timing(),
-                dram_queue: d,
-                ..SsmcConfig::default()
-            };
+            let mut c = ssmc_config(cfg);
+            c.dram_queue = d;
             let result = millipede_ssmc::run(&w, &c);
             assert!(result.output_ok);
             SweepPoint {
@@ -123,25 +107,10 @@ pub fn banks(cfg: &SimConfig, bank_counts: &[usize]) -> Vec<(SweepPoint, SweepPo
     bank_counts
         .iter()
         .map(|&n| {
-            let mut geometry = cfg.geometry();
-            geometry.banks = n;
-            let mc = MillipedeConfig {
-                corelets: cfg.corelets,
-                contexts: cfg.contexts,
-                pbuf_entries: cfg.pbuf_entries,
-                rate_match: false,
-                geometry,
-                timing: cfg.timing(),
-                ..MillipedeConfig::default()
-            };
-            let sc = SsmcConfig {
-                cores: cfg.corelets,
-                contexts: cfg.contexts,
-                l1_block: cfg.row_bytes / cfg.corelets as u64,
-                geometry,
-                timing: cfg.timing(),
-                ..SsmcConfig::default()
-            };
+            let mut mc = millipede_config(cfg, true, false);
+            mc.geometry.banks = n;
+            let mut sc = ssmc_config(cfg);
+            sc.geometry.banks = n;
             let milli = millipede_core::run(&w, &mc);
             let ssmc = millipede_ssmc::run(&w, &sc);
             assert!(milli.output_ok && ssmc.output_ok);
@@ -166,16 +135,8 @@ pub fn channel_width(cfg: &SimConfig, widths: &[u32]) -> Vec<(u32, NodeResult, N
     widths
         .iter()
         .map(|&bits| {
-            let mut timing = cfg.timing();
-            timing.width_bits = bits;
-            let mk = MillipedeConfig {
-                corelets: cfg.corelets,
-                contexts: cfg.contexts,
-                pbuf_entries: cfg.pbuf_entries,
-                geometry: cfg.geometry(),
-                timing,
-                ..MillipedeConfig::default()
-            };
+            let mut mk = millipede_config(cfg, true, true);
+            mk.timing.width_bits = bits;
             let count = Workload::build(Benchmark::Count, cfg.num_chunks, cfg.row_bytes, cfg.seed);
             let gda = Workload::build(Benchmark::Gda, cfg.num_chunks, cfg.row_bytes, cfg.seed);
             let rc = millipede_core::run(&count, &mk);
@@ -207,22 +168,11 @@ pub fn column_width(cfg: &SimConfig, benches: &[Benchmark]) -> Vec<ColumnRow> {
         .iter()
         .map(|&bench| {
             let w = Workload::build(bench, cfg.num_chunks, cfg.row_bytes, cfg.seed);
-            let mut g = millipede_gpgpu::GpgpuConfig::gpgpu();
-            g.lanes = cfg.corelets;
-            g.geometry = cfg.geometry();
-            g.timing = cfg.timing();
+            let mut g = gpgpu_config(cfg, cfg.corelets, false);
             let gpgpu_narrow = millipede_gpgpu::run(&w, &g);
             g.wide_columns = true;
             let gpgpu_wide = millipede_gpgpu::run(&w, &g);
-            let mut m = MillipedeConfig {
-                corelets: cfg.corelets,
-                contexts: cfg.contexts,
-                pbuf_entries: cfg.pbuf_entries,
-                rate_match: false,
-                geometry: cfg.geometry(),
-                timing: cfg.timing(),
-                ..MillipedeConfig::default()
-            };
+            let mut m = millipede_config(cfg, true, false);
             let millipede_narrow = millipede_core::run(&w, &m);
             m.wide_columns = true;
             let millipede_wide = millipede_core::run(&w, &m);
@@ -335,6 +285,41 @@ mod tests {
         SimConfig {
             num_chunks: 4,
             ..Default::default()
+        }
+    }
+
+    #[test]
+    fn every_ablation_honours_the_observation_settings() {
+        // Each ablation builds its configs through the one `SimConfig`
+        // mapping, so a walked (fast-forward off), traced config reaches
+        // every run it makes.
+        let cfg = SimConfig {
+            num_chunks: 2,
+            fast_forward: false,
+            telemetry: millipede_telemetry::TelemetryConfig::enabled_with_epoch(1024),
+            ..Default::default()
+        };
+        let b = software_barriers(&cfg);
+        let mut runs = vec![b.flow_control, b.no_flow_control, b.barriers];
+        runs.extend(queue_depth(&cfg, &[8]).into_iter().map(|p| p.result));
+        for (m, s) in banks(&cfg, &[2]) {
+            runs.extend([m.result, s.result]);
+        }
+        for (_, c, g) in channel_width(&cfg, &[64]) {
+            runs.extend([c, g]);
+        }
+        for r in column_width(&cfg, &[Benchmark::Count]) {
+            runs.extend([
+                r.gpgpu_narrow,
+                r.gpgpu_wide,
+                r.millipede_narrow,
+                r.millipede_wide,
+            ]);
+        }
+        assert_eq!(runs.len(), 12);
+        for (i, r) in runs.iter().enumerate() {
+            assert_eq!(r.stats.ff_skipped_cycles, 0, "run {i} fast-forwarded");
+            assert!(r.telemetry.enabled(), "run {i} recorded no telemetry");
         }
     }
 

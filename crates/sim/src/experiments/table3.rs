@@ -1,7 +1,12 @@
 //! Table III — hardware parameters.
 
+use crate::arch::ssmc_config;
 use crate::config::SimConfig;
 use crate::report::Table;
+use millipede_core::LOCAL_BYTES_PER_CORELET;
+use millipede_dram::QUEUE_DEPTH;
+use millipede_engine::COMPUTE_MHZ;
+use millipede_gpgpu::{L1_BLOCK, L1_BYTES, SHARED_BANKS};
 
 /// Renders Table III from the configuration actually used, flagging the
 /// documented calibration deviations from the paper.
@@ -16,7 +21,7 @@ pub fn render(cfg: &SimConfig) -> String {
     ]);
     t.row(vec![
         "Compute clock".into(),
-        "700 MHz".to_string(),
+        format!("{COMPUTE_MHZ} MHz"),
         "700 MHz".into(),
     ]);
     t.row(vec![
@@ -36,7 +41,7 @@ pub fn render(cfg: &SimConfig) -> String {
     ]);
     t.row(vec![
         "Local memory per corelet".into(),
-        "4 KB".to_string(),
+        format!("{} KB", LOCAL_BYTES_PER_CORELET / 1024),
         "4 KB".into(),
     ]);
     t.row(vec![
@@ -46,17 +51,21 @@ pub fn render(cfg: &SimConfig) -> String {
     ]);
     t.row(vec![
         "L1 D-cache per SM (GPGPU)".into(),
-        "32 KB, 128 B lines".to_string(),
+        format!("{} KB, {L1_BLOCK} B lines", L1_BYTES / 1024),
         "32 KB, 128 B".into(),
     ]);
     t.row(vec![
         "Shared memory per SM".into(),
-        "32 banks, 4 B interleave".to_string(),
+        format!("{SHARED_BANKS} banks, 4 B interleave"),
         "128 KB, 4 B interleave".into(),
     ]);
     t.row(vec![
         "L1 D-cache per SSMC core".into(),
-        "5 KB, 64 B lines (slab-sized)".to_string(),
+        format!(
+            "{} KB, {} B lines (slab-sized)",
+            millipede_ssmc::L1_BYTES / 1024,
+            ssmc_config(cfg).l1_block
+        ),
         "5 KB, 128 B".into(),
     ]);
     t.row(vec![
@@ -81,7 +90,7 @@ pub fn render(cfg: &SimConfig) -> String {
     ]);
     t.row(vec![
         "Memory controller".into(),
-        "FR-FCFS (16 deep)".to_string(),
+        format!("FR-FCFS ({QUEUE_DEPTH} deep)"),
         "FR-FCFS (16 deep)".into(),
     ]);
     t.row(vec![

@@ -30,11 +30,12 @@ pub mod runner;
 pub mod system;
 
 pub use arch::Arch;
-pub use config::{env_flag, fast_forward_from_env, SimConfig};
+pub use config::SimConfig;
 pub use determinism::{check_determinism, digest_run, Divergence, Fnv1a};
 pub use manifest::{ManifestRun, SCHEMA as MANIFEST_SCHEMA};
 pub use millipede_telemetry::{Telemetry, TelemetryConfig};
 pub use runner::{
-    run_grid, run_many, run_many_with, run_one, sweep_progress_from_env, sweep_threads, RunResult,
+    env_flag, run_grid, run_many, run_many_with, run_one, sweep_progress_from_env, sweep_threads,
+    RunResult,
 };
 pub use system::{run_system, SystemResult};

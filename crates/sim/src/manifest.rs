@@ -3,7 +3,7 @@
 //! A manifest is the machine-readable record of what one driver invocation
 //! simulated and what it cost the *host*: the configuration (plus a
 //! fingerprint), every run's determinism digest and full metrics registry
-//! (populated through the shared `Instrumented` registration in
+//! (populated through the shared `register_core_stats` in
 //! `millipede_engine::instrument`), and host self-profiling — wall-clock
 //! per phase, retired-instructions/sec, walked-edges/sec, fast-forward
 //! jumps and skipped-cycle ratio, sweep-pool utilization, per-point
@@ -82,8 +82,8 @@ fn metric_prefix(r: &RunResult) -> String {
     r.arch.label().to_ascii_lowercase()
 }
 
-/// Builds one run's full metrics registry: the shared `Instrumented`
-/// core-stats registration plus DRAM counters, energy gauges, fast-forward
+/// Builds one run's full metrics registry: the shared core-stats
+/// registration plus DRAM counters, energy gauges, fast-forward
 /// jump counts, and telemetry sink totals, all under the run's arch
 /// prefix.
 pub fn run_registry(r: &RunResult) -> Registry {

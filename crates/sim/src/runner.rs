@@ -76,12 +76,19 @@ pub fn run_one(arch: Arch, bench: Benchmark, cfg: &SimConfig) -> RunResult {
     }
 }
 
+/// Reads one boolean `MILLIPEDE_*` environment knob: unset → `None` (the
+/// caller supplies its default), empty or `0` → `Some(false)`, anything
+/// else → `Some(true)`. The env knobs steer only the host harness (worker
+/// count, progress lines), never a simulated result.
+pub fn env_flag(name: &str) -> Option<bool> {
+    std::env::var(name).ok().map(|v| !v.is_empty() && v != "0")
+}
+
 /// Whether sweeps emit a per-point progress line to stderr: set
-/// `MILLIPEDE_SWEEP_PROGRESS` to anything but empty or `0`
-/// ([`crate::config::env_flag`] semantics). Off by default so harness
-/// output stays quiet.
+/// `MILLIPEDE_SWEEP_PROGRESS` to anything but empty or `0` ([`env_flag`]
+/// semantics). Off by default so harness output stays quiet.
 pub fn sweep_progress_from_env() -> bool {
-    crate::config::env_flag("MILLIPEDE_SWEEP_PROGRESS").unwrap_or(false)
+    env_flag("MILLIPEDE_SWEEP_PROGRESS").unwrap_or(false)
 }
 
 /// Emits one whole, pre-formatted progress line for a finished point.

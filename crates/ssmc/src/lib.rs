@@ -24,46 +24,49 @@
 
 use millipede_core::NodeResult;
 use millipede_dram::{DramGeometry, DramTiming};
-use millipede_dram::{MemoryController, Request, TimePs};
+use millipede_dram::{MemoryController, Request, TimePs, QUEUE_DEPTH};
 use millipede_engine::{
     drive, instrument, period_ps_for_mhz, AccessClass, Arena2, CoreStats, DecodedProgram,
-    DualClock, FlagGrid, Instrumented, NodeModel, Quiescence, StepEffect, ThreadCtx,
+    DualClock, FlagGrid, Instrumented, NodeModel, Quiescence, StepEffect, ThreadCtx, COMPUTE_MHZ,
 };
 use millipede_mapreduce::ThreadGrid;
 use millipede_mem::{Cache, Mshr};
 use millipede_telemetry::{Telemetry, TelemetryConfig};
 use millipede_workloads::Workload;
 
+/// MSHR entries per core.
+pub const MSHRS: usize = 4;
+/// L1 D-cache bytes per core (Table III: 5 KB).
+pub const L1_BYTES: usize = 5 * 1024;
+/// L1 associativity.
+pub const L1_ASSOC: usize = 4;
+
 /// Configuration of one SSMC processor (Table III defaults).
+///
+/// Holds only what a caller varies; the values every run shares are
+/// constants: the compute clock ([`millipede_engine::COMPUTE_MHZ`]), the
+/// MSHRs ([`MSHRS`]), and the deadlock guard
+/// ([`millipede_engine::MAX_IDLE_CYCLES`]). The prefetch lookahead is
+/// derived from the L1's input share.
 #[derive(Debug, Clone)]
 pub struct SsmcConfig {
     /// Cores per processor (Table III: 32).
     pub cores: usize,
     /// Hardware thread contexts per core (Table III: 4).
     pub contexts: usize,
-    /// Compute clock in MHz (Table III: 700).
-    pub compute_mhz: f64,
-    /// L1 D-cache per core in bytes (Table III: 5 KB).
+    /// L1 D-cache per core in bytes (default [`L1_BYTES`]).
     pub l1_bytes: usize,
     /// L1 line size in bytes (one slab; see module docs).
     pub l1_block: u64,
-    /// L1 associativity.
+    /// L1 associativity (default [`L1_ASSOC`]).
     pub l1_assoc: usize,
-    /// MSHR entries per core.
-    pub mshrs: usize,
-    /// Prefetch lookahead in rows (the next-slab stride prefetcher).
-    /// `None` (default) derives the lookahead from the L1's input share —
-    /// the stream runs as far ahead as the cache can hold, which is what a
-    /// 100%-accurate sequential prefetcher naturally does.
-    pub prefetch_degree: Option<u64>,
     /// DRAM channel geometry.
     pub geometry: DramGeometry,
     /// DRAM channel timing.
     pub timing: DramTiming,
-    /// FR-FCFS queue depth (Table III: 16).
+    /// FR-FCFS queue depth (Table III: [`QUEUE_DEPTH`]; the queue-depth
+    /// ablation sweeps it).
     pub dram_queue: usize,
-    /// Deadlock guard.
-    pub max_idle_cycles: u64,
     /// Idle-cycle fast-forward (bit-exact; see DESIGN.md). Off reproduces
     /// the cycle-by-cycle schedule for differential testing.
     pub fast_forward: bool,
@@ -76,18 +79,14 @@ impl Default for SsmcConfig {
         SsmcConfig {
             cores: 32,
             contexts: 4,
-            compute_mhz: 700.0,
-            l1_bytes: 5 * 1024,
+            l1_bytes: L1_BYTES,
             l1_block: 64,
-            l1_assoc: 4,
-            mshrs: 4,
-            prefetch_degree: None,
+            l1_assoc: L1_ASSOC,
             geometry: DramGeometry::default(),
             timing: DramTiming::default(),
-            dram_queue: 16,
-            max_idle_cycles: 2_000_000,
+            dram_queue: QUEUE_DEPTH,
             fast_forward: true,
-            telemetry: TelemetryConfig::from_env(),
+            telemetry: TelemetryConfig::default(),
         }
     }
 }
@@ -197,10 +196,6 @@ impl Node<'_> {
 }
 
 impl Instrumented for Node<'_> {
-    fn prefix(&self) -> &'static str {
-        "ssmc"
-    }
-
     // Quiescence fingerprint (see DESIGN.md, "One driver"):
     // every observable compute-edge mutation either bumps one of these
     // monotone counters (prefetch, stall transition, demand fetch) or
@@ -383,12 +378,11 @@ pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
         let free = (cfg.l1_bytes - live_total) as u64;
         (free / set_bytes).max(2) * set_bytes
     };
-    // Stream as far ahead as the input share of the L1 can hold (minus a
-    // safety margin so demand blocks are not evicted by their own
-    // prefetches).
-    let degree = cfg
-        .prefetch_degree
-        .unwrap_or((input_capacity / cfg.l1_block).saturating_sub(4).max(2));
+    // Prefetch lookahead in rows: stream as far ahead as the input share of
+    // the L1 can hold — what a 100%-accurate sequential prefetcher
+    // naturally does — minus a safety margin so demand blocks are not
+    // evicted by their own prefetches.
+    let degree = (input_capacity / cfg.l1_block).saturating_sub(4).max(2);
 
     let slots_per_cycle = cfg.cores as u64;
     let decoded = DecodedProgram::of(&workload.program);
@@ -415,7 +409,7 @@ pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
             .map(|_| Core {
                 rr: 0,
                 l1: Cache::new(input_capacity, cfg.l1_assoc, cfg.l1_block),
-                mshr: Mshr::new(cfg.mshrs),
+                mshr: Mshr::new(MSHRS),
                 pf: SlabPrefetcher {
                     next_row: 0,
                     end_row: total_rows,
@@ -433,12 +427,9 @@ pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
         miss_delta: 0,
         slots_per_cycle,
     };
-    let mut clock = DualClock::new(
-        period_ps_for_mhz(cfg.compute_mhz),
-        cfg.timing.channel_period_ps,
-    );
+    let mut clock = DualClock::new(period_ps_for_mhz(COMPUTE_MHZ), cfg.timing.channel_period_ps);
     let mut tel = Telemetry::new(&cfg.telemetry);
-    let quiesce = Quiescence::new("SSMC", slots_per_cycle, cfg.max_idle_cycles);
+    let quiesce = Quiescence::new("SSMC", slots_per_cycle);
     let driven = drive(&mut node, &mut clock, quiesce, cfg.fast_forward, &mut tel);
 
     let stats = &mut node.stats;

@@ -1,4 +1,4 @@
-//! Telemetry configuration and the `MILLIPEDE_TELEMETRY` environment knob.
+//! Telemetry configuration.
 
 /// Configuration of the telemetry layer for one simulated run.
 ///
@@ -37,19 +37,6 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Reads the `MILLIPEDE_TELEMETRY` environment switch, following the
-    /// repo-wide boolean-knob rule (`millipede_sim::config::env_flag`;
-    /// restated here because this crate is dependency-free): unset, empty,
-    /// or `0` leaves telemetry off; any other value enables it with the
-    /// default epoch and capacity.
-    pub fn from_env() -> Self {
-        let enabled = std::env::var("MILLIPEDE_TELEMETRY").is_ok_and(|v| !v.is_empty() && v != "0");
-        TelemetryConfig {
-            enabled,
-            ..TelemetryConfig::default()
-        }
-    }
-
     /// An enabled configuration with the given sampling epoch (convenience
     /// for tests and examples).
     pub fn enabled_with_epoch(epoch_cycles: u64) -> Self {

@@ -12,34 +12,8 @@
 //! Nothing here reads the host clock: every timestamp is simulated.
 
 use crate::Telemetry;
+use millipede_metrics::json::{escape, fmt_f64};
 use std::fmt::Write as _;
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats an `f64` for JSON (Rust's `Display` never emits an exponent).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        // Telemetry values are counters and frequencies; a non-finite value
-        // would be a recording bug. Emit null rather than invalid JSON.
-        "null".to_string()
-    }
-}
 
 /// Renders one run's series as CSV: `track,name,cycle,time_ps,value`.
 pub fn series_csv(t: &Telemetry) -> String {
@@ -51,7 +25,7 @@ pub fn series_csv(t: &Telemetry) -> String {
                 "{track},{name},{},{},{}",
                 s.cycle,
                 s.time_ps,
-                json_num(s.value)
+                fmt_f64(s.value)
             );
         }
     }
@@ -69,7 +43,7 @@ pub fn events_csv(t: &Telemetry) -> String {
             e.name,
             e.cycle,
             e.time_ps,
-            json_num(e.value)
+            fmt_f64(e.value)
         );
     }
     out
@@ -91,16 +65,16 @@ pub fn chrome_trace(runs: &[(&str, &Telemetry)]) -> String {
         meta.push(format!(
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
              \"args\":{{\"name\":\"{}\"}}}}",
-            json_escape(label)
+            escape(label)
         ));
         for (track, name, samples) in t.series_iter() {
-            let counter = json_escape(&format!("{track}/{name}"));
+            let counter = escape(&format!("{track}/{name}"));
             for s in samples {
                 let line = format!(
                     "{{\"name\":\"{counter}\",\"ph\":\"C\",\"pid\":{pid},\"tid\":0,\
                      \"ts\":{},\"args\":{{\"value\":{}}}}}",
                     s.time_ps,
-                    json_num(s.value)
+                    fmt_f64(s.value)
                 );
                 timed.push((s.time_ps, timed.len(), line));
             }
@@ -109,11 +83,11 @@ pub fn chrome_trace(runs: &[(&str, &Telemetry)]) -> String {
             let line = format!(
                 "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":1,\
                  \"ts\":{},\"dur\":1,\"args\":{{\"cycle\":{},\"value\":{}}}}}",
-                json_escape(e.name),
-                json_escape(e.track),
+                escape(e.name),
+                escape(e.track),
                 e.time_ps,
                 e.cycle,
-                json_num(e.value)
+                fmt_f64(e.value)
             );
             timed.push((e.time_ps, timed.len(), line));
         }
@@ -167,13 +141,5 @@ mod tests {
         let s1 = json.find("\"ts\":5716").expect("first sample");
         let s2 = json.find("\"ts\":11432").expect("second sample");
         assert!(s1 < conflict && conflict < s2);
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_num(5.0), "5");
-        assert_eq!(json_num(0.25), "0.25");
-        assert_eq!(json_num(f64::NAN), "null");
     }
 }

@@ -40,7 +40,7 @@ use analysis::{reg_bit, Analysis, EntryState, RegSet};
 use millipede_isa::{assemble_with_map, reg, AsmError, Program, SourceMap};
 use std::fmt;
 
-pub use report::{json_escape, reports_to_json};
+pub use report::reports_to_json;
 
 /// Stable diagnostic codes. Codes are append-only: a published `MV0xx`
 /// number never changes meaning.

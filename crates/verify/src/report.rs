@@ -1,34 +1,16 @@
 //! Machine-readable reports and annotated listings.
 //!
-//! The JSON emitter is hand-rolled: the workspace is fully offline and the
-//! report shape is small and flat, so a serialization dependency would buy
-//! nothing. The annotated listing interleaves CFG and analysis facts into
+//! The JSON emitter is hand-rolled on the workspace's one JSON helper
+//! ([`millipede_metrics::json`]): the report shape is small and flat, so a
+//! serialization dependency would buy nothing. The annotated listing interleaves CFG and analysis facts into
 //! the disassembler's output so `millipede-cli verify --annotate` doubles as
 //! a CFG viewer.
 
 use crate::analysis::{regset_names, Analysis};
 use crate::{Severity, VerifyReport};
 use millipede_isa::{disassemble, Program};
+use millipede_metrics::json::escape;
 use std::fmt::Write as _;
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 impl VerifyReport {
     /// Renders the report as a JSON object.
@@ -39,7 +21,7 @@ impl VerifyReport {
             "{{\"program\": \"{}\", \"instructions\": {}, \"blocks\": {}, \
              \"branches\": {}, \"loops\": {}, \"clean\": {}, \"errors\": {}, \
              \"warnings\": {}, \"suppressed\": {}, \"diagnostics\": [",
-            json_escape(&self.program),
+            escape(&self.program),
             self.instructions,
             self.blocks,
             self.branches,
@@ -68,7 +50,7 @@ impl VerifyReport {
                 },
                 d.pc,
                 line,
-                json_escape(&d.message),
+                escape(&d.message),
             );
         }
         out.push_str("]}");

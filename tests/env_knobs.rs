@@ -1,38 +1,50 @@
-//! Pins the semantics of every `MILLIPEDE_*` boolean and numeric
-//! environment knob.
+//! Pins the semantics of the `MILLIPEDE_*` environment knobs.
 //!
-//! The repo-wide rule ([`millipede::sim::env_flag`]): unset means "use the
-//! default", and an empty value or `0` means off. Historically
-//! `MILLIPEDE_FASTFORWARD=""` counted as *on* (`v != "0"`), so
-//! `MILLIPEDE_FASTFORWARD= cmd` silently kept fast-forward enabled; this
-//! suite pins the fixed matrix so the knobs cannot drift apart again.
+//! Only the host harness reads the environment: `MILLIPEDE_SWEEP_THREADS`
+//! (sweep worker count) and `MILLIPEDE_SWEEP_PROGRESS` (per-point progress
+//! lines). The boolean rule ([`millipede::sim::env_flag`]): unset means
+//! "use the default", and an empty value or `0` means off. No config
+//! default reads the environment, so a run's configuration is exactly what
+//! its caller wrote — the retired simulation knobs must stay inert.
 //!
 //! All env-mutating tests live in this one integration binary and
 //! serialize on a process-wide lock, so the mutations never race the
 //! test harness's worker threads.
 
+use millipede::core_arch::MillipedeConfig;
+use millipede::gpgpu::GpgpuConfig;
+use millipede::multicore::MulticoreConfig;
 use millipede::sim::{
-    env_flag, fast_forward_from_env, sweep_progress_from_env, sweep_threads, TelemetryConfig,
+    env_flag, sweep_progress_from_env, sweep_threads, SimConfig, TelemetryConfig,
 };
+use millipede::ssmc::SsmcConfig;
 use std::sync::Mutex;
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-/// Runs `f` with `name` set to `value` (or unset for `None`), restoring
-/// the previous state afterwards. All access serializes on [`ENV_LOCK`].
-fn with_env<R>(name: &str, value: Option<&str>, f: impl FnOnce() -> R) -> R {
+/// Runs `f` with each `(name, value)` set (or unset for `None`),
+/// restoring the previous state afterwards. All access serializes on
+/// [`ENV_LOCK`].
+fn with_vars<R>(vars: &[(&str, Option<&str>)], f: impl FnOnce() -> R) -> R {
     let _guard = ENV_LOCK.lock().expect("env lock poisoned");
-    let saved = std::env::var(name).ok();
-    match value {
+    let set = |name: &str, value: Option<&str>| match value {
         Some(v) => std::env::set_var(name, v),
         None => std::env::remove_var(name),
+    };
+    let saved: Vec<Option<String>> = vars.iter().map(|(n, _)| std::env::var(n).ok()).collect();
+    for &(name, value) in vars {
+        set(name, value);
     }
     let result = f();
-    match saved {
-        Some(v) => std::env::set_var(name, v),
-        None => std::env::remove_var(name),
+    for (&(name, _), old) in vars.iter().zip(&saved) {
+        set(name, old.as_deref());
     }
     result
+}
+
+/// [`with_vars`] for one variable.
+fn with_env<R>(name: &str, value: Option<&str>, f: impl FnOnce() -> R) -> R {
+    with_vars(&[(name, value)], f)
 }
 
 #[test]
@@ -47,34 +59,73 @@ fn env_flag_rule_unset_default_empty_or_zero_off() {
 
 #[test]
 fn boolean_knob_matrix() {
-    // (value, fast_forward, sweep_progress, telemetry): the three boolean
-    // knobs differ only in their unset default (fast-forward on, the
-    // observational knobs off).
-    let matrix: [(Option<&str>, bool, bool, bool); 4] = [
-        (None, true, false, false),
-        (Some(""), false, false, false),
-        (Some("0"), false, false, false),
-        (Some("1"), true, true, true),
+    // (value, sweep_progress): the observational knob is off unless set.
+    let matrix: [(Option<&str>, bool); 4] = [
+        (None, false),
+        (Some(""), false),
+        (Some("0"), false),
+        (Some("1"), true),
     ];
-    for (value, ff, progress, telemetry) in matrix {
-        assert_eq!(
-            with_env("MILLIPEDE_FASTFORWARD", value, fast_forward_from_env),
-            ff,
-            "MILLIPEDE_FASTFORWARD={value:?}"
-        );
+    for (value, progress) in matrix {
         assert_eq!(
             with_env("MILLIPEDE_SWEEP_PROGRESS", value, sweep_progress_from_env),
             progress,
             "MILLIPEDE_SWEEP_PROGRESS={value:?}"
         );
-        assert_eq!(
-            with_env("MILLIPEDE_TELEMETRY", value, || {
-                TelemetryConfig::from_env().enabled
-            }),
-            telemetry,
-            "MILLIPEDE_TELEMETRY={value:?}"
-        );
     }
+}
+
+#[test]
+fn retired_knobs_leave_every_default_unchanged() {
+    // Fast-forward and telemetry are set by code (`SimConfig` fields, the
+    // bench binaries' `--trace-out`), never by the environment: with the
+    // retired knobs set the other way, every default is what it is unset.
+    let defaults = || {
+        let sim = SimConfig::default();
+        let millipede = MillipedeConfig::default();
+        let ssmc = SsmcConfig::default();
+        let gpgpu = GpgpuConfig::gpgpu();
+        let multicore = MulticoreConfig::default();
+        for (name, ff) in [
+            ("SimConfig", sim.fast_forward),
+            ("MillipedeConfig", millipede.fast_forward),
+            ("SsmcConfig", ssmc.fast_forward),
+            ("GpgpuConfig", gpgpu.fast_forward),
+        ] {
+            assert!(ff, "{name}::default has fast-forward off");
+        }
+        for (name, tel) in [
+            ("SimConfig", &sim.telemetry),
+            ("MillipedeConfig", &millipede.telemetry),
+            ("SsmcConfig", &ssmc.telemetry),
+            ("GpgpuConfig", &gpgpu.telemetry),
+            ("MulticoreConfig", &multicore.telemetry),
+        ] {
+            assert_eq!(
+                *tel,
+                TelemetryConfig::default(),
+                "{name}::default telemetry"
+            );
+        }
+        format!("{sim:?}\n{millipede:?}\n{ssmc:?}\n{gpgpu:?}\n{multicore:?}")
+    };
+    let unset = with_vars(
+        &[
+            ("MILLIPEDE_FASTFORWARD", None),
+            ("MILLIPEDE_TELEMETRY", None),
+            ("MILLIPEDE_METRICS", None),
+        ],
+        defaults,
+    );
+    let set = with_vars(
+        &[
+            ("MILLIPEDE_FASTFORWARD", Some("0")),
+            ("MILLIPEDE_TELEMETRY", Some("1")),
+            ("MILLIPEDE_METRICS", Some("1")),
+        ],
+        defaults,
+    );
+    assert_eq!(unset, set);
 }
 
 #[test]

@@ -6,8 +6,8 @@
 //! digests, per-domain cycle accounting, DRAM counters, energy, and reduced
 //! output. Likewise the parallel sweep harness must return exactly what the
 //! serial loop returns. This suite checks both claims across every
-//! architecture variant, so CI can run it under `MILLIPEDE_FASTFORWARD=0`
-//! and `=1` and catch a regression in either mode.
+//! architecture variant, running each point with fast-forward off and on
+//! in-process.
 //!
 //! Beyond the fixed points, the claim is driven across *randomized* sweep
 //! points (architecture × benchmark × input size × prefetch-buffer
@@ -225,30 +225,4 @@ fn serial_and_parallel_sweeps_are_identical() {
         assert_eq!(digest_run(s), digest_run(p), "{}", s.arch.label());
         assert_eq!(s.node.stats, p.node.stats, "{}", s.arch.label());
     }
-}
-
-#[test]
-fn env_toggle_reaches_the_default_config() {
-    // CI runs this suite under MILLIPEDE_FASTFORWARD=0 and =1; whichever
-    // mode is active, the default config must follow the env, and results
-    // must match an explicit config either way.
-    let env_cfg = SimConfig {
-        num_chunks: 2,
-        ..SimConfig::default()
-    };
-    assert_eq!(
-        env_cfg.fast_forward,
-        millipede_sim::fast_forward_from_env(),
-        "SimConfig::default must honour MILLIPEDE_FASTFORWARD"
-    );
-    let baseline = run_one(
-        Arch::Millipede,
-        Benchmark::Count,
-        &SimConfig {
-            fast_forward: false,
-            ..env_cfg.clone()
-        },
-    );
-    let from_env = run_one(Arch::Millipede, Benchmark::Count, &env_cfg);
-    assert_eq!(digest_run(&baseline), digest_run(&from_env));
 }

@@ -7,17 +7,18 @@
 //! reduced output — so *any* behavioural change to *any* simulator layer
 //! shows up here as a digest mismatch.
 //!
-//! These values are intentionally independent of host and environment:
-//! idle-cycle fast-forwarding (DESIGN.md, "Idle-cycle fast-forward") is
-//! bit-exact by construction and its `ff_skipped_cycles` counter is
-//! excluded from the digest, so the pins hold under
-//! `MILLIPEDE_FASTFORWARD=0` and `=1` alike — CI runs this suite under
-//! both.
+//! These values are intentionally independent of host and of the
+//! observation settings: idle-cycle fast-forwarding (DESIGN.md, "One
+//! driver") is bit-exact by construction and its `ff_skipped_cycles`
+//! counter is excluded from the digest, and telemetry is purely
+//! observational. The pins are checked in-process in three modes —
+//! fast-forward off, fast-forward on, and fast-forward on with telemetry
+//! recording.
 //!
 //! If a change is *supposed* to alter simulated behaviour, re-pin: run this
 //! test, and each failure message prints the actual digest to paste in.
 
-use millipede_sim::{digest_run, run_one, Arch, SimConfig};
+use millipede_sim::{digest_run, run_one, Arch, SimConfig, TelemetryConfig};
 use millipede_workloads::Benchmark;
 
 /// The reference configuration: small enough to run all variants in a few
@@ -104,14 +105,31 @@ const GOLDEN: &[(Arch, Benchmark, u64)] = &[
 
 #[test]
 fn golden_digests_hold_for_every_arch() {
-    let cfg = reference_config();
+    let walked = SimConfig {
+        fast_forward: false,
+        ..reference_config()
+    };
+    let traced = SimConfig {
+        telemetry: TelemetryConfig {
+            enabled: true,
+            ..TelemetryConfig::default()
+        },
+        ..reference_config()
+    };
+    let modes = [
+        ("fast-forward off", walked),
+        ("fast-forward on", reference_config()),
+        ("fast-forward on + telemetry", traced),
+    ];
     let mut failures = Vec::new();
-    for &(arch, bench, expected) in GOLDEN {
-        let digest = digest_run(&run_one(arch, bench, &cfg));
-        if digest != expected {
-            failures.push(format!(
-                "({arch:?}, {bench:?}): pinned {expected:#018x}, got {digest:#018x}"
-            ));
+    for (mode, cfg) in &modes {
+        for &(arch, bench, expected) in GOLDEN {
+            let digest = digest_run(&run_one(arch, bench, cfg));
+            if digest != expected {
+                failures.push(format!(
+                    "{mode}: ({arch:?}, {bench:?}): pinned {expected:#018x}, got {digest:#018x}"
+                ));
+            }
         }
     }
     assert!(

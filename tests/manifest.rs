@@ -2,10 +2,9 @@
 //!
 //! The metrics registry and run manifests (DESIGN.md, "Observability")
 //! claim to be purely observational: building the full manifest — registry
-//! registration through the shared `Instrumented` layer, config
-//! fingerprint, host self-profiling — must not change any determinism
-//! digest on any architecture, with the `MILLIPEDE_METRICS` knob on or
-//! off. This suite pins that claim on all 8 variants, validates the
+//! registration (`register_core_stats`), config fingerprint, host
+//! self-profiling — must not change any determinism digest on any
+//! architecture. This suite pins that claim on all 8 variants, validates the
 //! emitted document against the strict in-repo JSON parser, and drives
 //! `millipede-cli report` (render and `--diff`) end-to-end.
 
@@ -58,25 +57,6 @@ fn manifests_are_digest_invisible_on_every_arch() {
             "{label}: building the manifest changed the digest"
         );
     }
-}
-
-#[test]
-fn metrics_env_knob_is_digest_invisible_on_every_arch() {
-    // The env knob only gates collection in the drivers, never simulation;
-    // digests must be identical with MILLIPEDE_METRICS set and unset.
-    let cfg = config();
-    let baseline: Vec<u64> = ALL_ARCHS
-        .iter()
-        .map(|&arch| digest_run(&run_one(arch, Benchmark::Count, &cfg)))
-        .collect();
-    std::env::set_var("MILLIPEDE_METRICS", "1");
-    assert!(millipede::metrics::MetricsConfig::from_env().enabled);
-    let with_knob: Vec<u64> = ALL_ARCHS
-        .iter()
-        .map(|&arch| digest_run(&run_one(arch, Benchmark::Count, &cfg)))
-        .collect();
-    std::env::remove_var("MILLIPEDE_METRICS");
-    assert_eq!(baseline, with_knob, "MILLIPEDE_METRICS changed a digest");
 }
 
 #[test]
