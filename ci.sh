@@ -49,11 +49,12 @@ EOF
 fi
 
 echo "==> observability (manifests + millipede-cli report)"
-# Run manifests are observational: two short sweeps with --manifest-out must
-# leave stdout byte-identical to a plain run, emit millipede-manifest/2 JSON
-# that an independent parser accepts with the host self-profiling populated,
-# and render and diff through `millipede-cli report` (the
-# digest-invisibility bar lives in tests/manifest.rs).
+# Run manifests are observational: two short sweeps with --manifest-out
+# (and a third with telemetry on) must leave stdout byte-identical to a
+# plain run, emit millipede-manifest/2 JSON that an independent parser
+# accepts with the host self-profiling populated, and render and diff
+# through `millipede-cli report` (the digest-invisibility bar lives in
+# tests/manifest.rs).
 manifest_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir" "$manifest_dir"' EXIT
 ./target/release/fig3 --chunks 2 --quiet > "$manifest_dir/plain.out"
@@ -61,8 +62,11 @@ trap 'rm -rf "$trace_dir" "$manifest_dir"' EXIT
     --manifest-out "$manifest_dir/a.json" > "$manifest_dir/a.out"
 ./target/release/fig3 --chunks 2 --quiet \
     --manifest-out "$manifest_dir/b.json" > "$manifest_dir/b.out"
+./target/release/fig3 --chunks 2 --quiet --telemetry-epoch 64 \
+    --manifest-out "$manifest_dir/traced.json" > "$manifest_dir/traced.out"
 cmp "$manifest_dir/plain.out" "$manifest_dir/a.out"
 cmp "$manifest_dir/plain.out" "$manifest_dir/b.out"
+cmp "$manifest_dir/plain.out" "$manifest_dir/traced.out"
 if command -v python3 > /dev/null; then
     python3 - "$manifest_dir/a.json" <<'EOF'
 import json, sys
@@ -77,6 +81,22 @@ for run in doc["runs"]:
     assert run["digest"].startswith("0x"), f"{run['label']}: missing digest"
     assert run["metrics"], f"{run['label']}: empty metrics registry"
 print(f"manifest OK: {len(doc['runs'])} runs, {sum(len(r['metrics']) for r in doc['runs'])} metrics")
+EOF
+fi
+if command -v python3 > /dev/null; then
+    # Telemetry jumps stop on every epoch boundary, yet a traced run must
+    # take the same fast-forward jumps and reach the same digests.
+    python3 - "$manifest_dir/a.json" "$manifest_dir/traced.json" <<'EOF'
+import json, sys
+plain, traced = (json.load(open(p)) for p in sys.argv[1:3])
+assert traced["config"]["telemetry"], "traced manifest ran without telemetry"
+assert traced["host"]["ff"] == plain["host"]["ff"], \
+    f"ff jumps differ: {traced['host']['ff']} vs {plain['host']['ff']}"
+assert len(traced["runs"]) == len(plain["runs"]), "run counts differ"
+for p, t in zip(plain["runs"], traced["runs"]):
+    assert (p["label"], p["digest"]) == (t["label"], t["digest"]), \
+        f"{t['label']}: digest {t['digest']} != untraced {p['digest']}"
+print(f"traced manifest OK: ff {traced['host']['ff']}, {len(traced['runs'])} digests match")
 EOF
 fi
 ./target/release/millipede-cli report "$manifest_dir/a.json" > /dev/null

@@ -145,8 +145,8 @@ fn parse_args(traced: bool) -> Args {
     }
 }
 
-/// Shared post-sweep reporting: the `--profile` table and the telemetry
-/// summary go to stderr (suppressed by `--quiet`; stdout is never
+/// Shared post-sweep reporting: the `--profile` table and any telemetry
+/// overflow warning go to stderr (suppressed by `--quiet`; stdout is never
 /// touched), the combined Chrome trace is written to `--trace-out` when
 /// requested, and the run manifest is written to `--manifest-out`.
 pub fn report(args: &Args, runs: &[&RunResult]) {
@@ -155,10 +155,7 @@ pub fn report(args: &Args, runs: &[&RunResult]) {
         eprint!("{}", millipede_sim::report::profile(runs));
     }
     if !args.quiet {
-        let summary = millipede_sim::report::telemetry_summary(runs);
-        if !summary.is_empty() {
-            eprint!("{summary}");
-        }
+        eprint!("{}", millipede_sim::report::telemetry_warnings(runs));
     }
     if let Some(path) = &args.trace_out {
         let trace = millipede_sim::report::chrome_trace(runs);

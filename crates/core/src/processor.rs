@@ -30,8 +30,8 @@ mod run_impl {
     use super::*;
     use millipede_engine::{
         drive, instrument, mhz_for_period_ps, period_ps_for_mhz, AccessClass, Arena2, CoreStats,
-        DecodedProgram, DualClock, FlagGrid, Instrumented, NodeModel, Quiescence, StepEffect,
-        ThreadCtx, COMPUTE_MHZ,
+        DecodedProgram, DualClock, FlagGrid, NodeModel, Quiescence, StepEffect, ThreadCtx,
+        COMPUTE_MHZ,
     };
     use millipede_mapreduce::ThreadGrid;
     use millipede_telemetry::Telemetry;
@@ -87,10 +87,9 @@ mod run_impl {
         rate_drained: usize,
         /// Current compute period (the rate matcher's DFS output).
         period: TimePs,
-        slots_per_cycle: u64,
     }
 
-    impl Instrumented for Node<'_> {
+    impl NodeModel for Node<'_> {
         // Quiescence fingerprint: a sum of monotone counters that every
         // observable compute-edge state change bumps (prefetch push,
         // stall transition, demand fetch, pbuf allocation / flow block /
@@ -112,8 +111,7 @@ mod run_impl {
                 + p.premature_evictions
         }
 
-        fn sample_epoch(&self, tel: &mut Telemetry, due: u64, at: TimePs, rewind: u64) {
-            let slots = rewind * self.slots_per_cycle;
+        fn sample_epoch(&self, tel: &mut Telemetry, due: u64, at: TimePs) {
             let p = self.pbuf.stats();
             tel.counter(
                 "core::pbuf",
@@ -142,14 +140,14 @@ mod run_impl {
                 "issue_slots",
                 due,
                 at,
-                (self.stats.issue_slots - slots) as f64,
+                self.stats.issue_slots as f64,
             );
             tel.counter(
                 "core::processor",
                 "stall_slots",
                 due,
                 at,
-                (self.stats.stall_slots - slots) as f64,
+                self.stats.stall_slots as f64,
             );
             let d = self.mc.stats();
             instrument::sample_dram(tel, due, at, d.row_hits, d.row_misses, self.mc.queue_len());
@@ -163,9 +161,7 @@ mod run_impl {
             self.mc.timing_audit().assert_clean("memory controller");
             self.clock_audit.assert_clean("clock domains");
         }
-    }
 
-    impl NodeModel for Node<'_> {
         fn done(&self) -> bool {
             self.halted == self.total_threads
         }
@@ -328,7 +324,6 @@ mod run_impl {
         rate.set_invariant_checks(cfg.invariant_checks);
         mc.set_invariant_checks(cfg.invariant_checks);
 
-        let slots_per_cycle = cfg.corelets as u64;
         let decoded = DecodedProgram::of(&workload.program);
         let mut node = Node {
             cfg,
@@ -356,10 +351,9 @@ mod run_impl {
             total_threads: cfg.corelets * cfg.contexts,
             rate_drained: 0,
             period: nominal,
-            slots_per_cycle,
         };
         let mut tel = Telemetry::new(&cfg.telemetry);
-        let quiesce = Quiescence::new("Millipede", slots_per_cycle);
+        let quiesce = Quiescence::new("Millipede", cfg.corelets as u64);
         let driven = drive(&mut node, &mut clock, quiesce, cfg.fast_forward, &mut tel);
 
         let stats = &mut node.stats;
@@ -372,7 +366,6 @@ mod run_impl {
             0.0
         };
         stats.rate_trace = node.rate.trace().to_vec();
-        node.assert_clean();
 
         let states: Vec<&[u32]> = node
             .threads

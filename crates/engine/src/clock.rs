@@ -105,8 +105,14 @@ impl DualClock {
         }
     }
 
-    /// Fast-forwards both domains to the first channel edge at or after
-    /// `event`, returning how many compute edges were skipped.
+    /// Time of the last compute edge popped or fast-forwarded over.
+    pub fn last_compute(&self) -> TimePs {
+        self.last_compute
+    }
+
+    /// Fast-forwards both domains toward the first channel edge at or
+    /// after `event`, skipping at most `max` compute edges, and returns
+    /// how many it skipped.
     ///
     /// The caller asserts that, until the component driving the channel
     /// domain acts at or after `event`, every intervening edge is an exact
@@ -124,16 +130,26 @@ impl DualClock {
     ///   subsequent [`DualClock::set_compute_period`] reschedules exactly
     ///   as if the skipped edges had been popped one by one.
     ///
-    /// The next [`DualClock::pop`] returns the channel edge at the target.
-    pub fn fast_forward(&mut self, event: TimePs) -> u64 {
+    /// A call that would skip more than `max` compute edges stops after
+    /// the `max`-th and leaves the channel domain alone; calling again
+    /// with the same `event` goes on from there. The call that reaches the
+    /// target leaves the channel edge at the target as the next
+    /// [`DualClock::pop`].
+    pub fn fast_forward(&mut self, event: TimePs, max: u64) -> u64 {
         let target = self.channel_edge_for(event);
-        self.next_channel = target;
-        if self.next_compute > target {
-            return 0;
+        let due = if self.next_compute > target {
+            0
+        } else {
+            (target - self.next_compute) / self.compute_period + 1
+        };
+        let skipped = due.min(max);
+        if skipped == due {
+            self.next_channel = target;
         }
-        let skipped = (target - self.next_compute) / self.compute_period + 1;
-        self.last_compute = self.next_compute + (skipped - 1) * self.compute_period;
-        self.next_compute = self.last_compute + self.compute_period;
+        if skipped > 0 {
+            self.last_compute = self.next_compute + (skipped - 1) * self.compute_period;
+            self.next_compute = self.last_compute + self.compute_period;
+        }
         skipped
     }
 }
@@ -206,7 +222,7 @@ mod tests {
         for event in [1, 399, 400, 401, 999, 1000, 1001, 3999, 4000, 12_345] {
             let mut fast = DualClock::new(1000, 400);
             let mut slow = fast.clone();
-            let skipped = fast.fast_forward(event);
+            let skipped = fast.fast_forward(event, u64::MAX);
             let (slow_skipped, channel_t) = slow_forward(&mut slow, event);
             assert_eq!(skipped, slow_skipped, "event={event}");
             // The next pop on the fast clock is the channel edge slow
@@ -221,13 +237,51 @@ mod tests {
     }
 
     #[test]
+    fn capped_pieces_add_up_to_one_uncapped_jump() {
+        for event in [1, 401, 999, 2000, 3650, 12_345] {
+            for max in [1, 2, 3, 5] {
+                let mut whole = DualClock::new(1000, 400);
+                let mut pieces = whole.clone();
+                let mut slow = whole.clone();
+                let skipped = whole.fast_forward(event, u64::MAX);
+                let mut total = 0;
+                loop {
+                    let n = pieces.fast_forward(event, max);
+                    total += n;
+                    // Every piece stops on a skipped compute edge.
+                    assert_eq!(
+                        pieces.last_compute(),
+                        total * 1000,
+                        "event={event} max={max}"
+                    );
+                    if n < max {
+                        break;
+                    }
+                }
+                let (slow_skipped, channel_t) = slow_forward(&mut slow, event);
+                assert_eq!(total, skipped, "event={event} max={max}");
+                assert_eq!(total, slow_skipped, "event={event} max={max}");
+                assert_eq!(pieces.last_compute(), whole.last_compute());
+                assert_eq!(pieces.last_compute(), slow.last_compute());
+                assert_eq!(pieces.pop(), Edge::Channel(channel_t));
+                assert_eq!(whole.pop(), Edge::Channel(channel_t));
+                for _ in 0..8 {
+                    let next = slow.pop();
+                    assert_eq!(pieces.pop(), next, "event={event} max={max}");
+                    assert_eq!(whole.pop(), next, "event={event} max={max}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn fast_forward_to_past_event_is_next_channel_edge() {
         let mut c = DualClock::new(1000, 400);
         c.pop(); // Channel(400)
         c.pop(); // Channel(800)
                  // A completion already in the past still lands on the next channel
                  // edge (1200); the compute edge at 1000 is skipped.
-        assert_eq!(c.fast_forward(500), 1);
+        assert_eq!(c.fast_forward(500, u64::MAX), 1);
         assert_eq!(c.pop(), Edge::Channel(1200));
     }
 
@@ -236,7 +290,7 @@ mod tests {
         // Compute and channel tie at 2000; the tied compute edge observes
         // pre-event state, so it is skipped along with earlier ones.
         let mut c = DualClock::new(1000, 400);
-        assert_eq!(c.fast_forward(2000), 2);
+        assert_eq!(c.fast_forward(2000, u64::MAX), 2);
         assert_eq!(c.pop(), Edge::Channel(2000));
         assert_eq!(c.pop(), Edge::Channel(2400));
     }
@@ -244,7 +298,7 @@ mod tests {
     #[test]
     fn fast_forward_zero_skip_keeps_compute_schedule() {
         let mut c = DualClock::new(10_000, 400);
-        assert_eq!(c.fast_forward(800), 0);
+        assert_eq!(c.fast_forward(800, u64::MAX), 0);
         assert_eq!(c.pop(), Edge::Channel(800));
         assert_eq!(c.pop(), Edge::Channel(1200));
     }
@@ -255,7 +309,7 @@ mod tests {
         let mut slow = fast.clone();
         // Event 3650 lands on channel edge 4000; compute edges 1000..=4000
         // (the tied one included) are skipped.
-        assert_eq!(fast.fast_forward(3650), 4);
+        assert_eq!(fast.fast_forward(3650, u64::MAX), 4);
         assert_eq!(fast.pop(), Edge::Channel(4000));
         slow_forward(&mut slow, 3650);
         fast.set_compute_period(700);

@@ -6,7 +6,8 @@
 //! to the model ([`NodeModel`]). Everything around the two edge handlers
 //! is the driver's: the cycle count and last-edge time, the quiescence
 //! fingerprint taken around each compute edge, the deadlock guard, the
-//! bulk jump over proven-no-op edges, and the telemetry epoch walk.
+//! bulk jump over proven-no-op edges, telemetry epoch sampling, and the
+//! end-of-run invariant check.
 //!
 //! **The jump.** A compute edge that issues nothing and leaves the model's
 //! fingerprint unchanged changed nothing at all, so every later compute
@@ -14,18 +15,21 @@
 //! then fast-forwards both domains to the first channel edge at or after
 //! the controller's next event ([`DualClock::fast_forward`]) and replays
 //! the skipped edges' accounting by count: the shared slot counters via
-//! `Quiescence::replay`, the model's own per-retry recounts via
-//! [`NodeModel::replay`]. With fast-forward off every edge is walked; the
-//! two schedules are bit-identical (DESIGN.md, "One driver").
+//! [`Quiescence`], the model's own per-retry recounts via
+//! [`NodeModel::replay`]. A jump stops on every telemetry epoch boundary
+//! it crosses, replays up to it and samples there, so each sample reads
+//! the state the walked edge would have left. With fast-forward off every
+//! edge is walked; the two schedules are bit-identical (DESIGN.md, "One
+//! driver").
 
 use crate::clock::{DualClock, Edge, TimePs};
-use crate::instrument::{Instrumented, Quiescence};
 use crate::stats::CoreStats;
 use millipede_telemetry::Telemetry;
 
 /// A timing model the driver can run: two edge handlers plus the hooks
-/// the jump needs. The model's run-loop state lives in the implementor.
-pub trait NodeModel: Instrumented {
+/// the jump, telemetry and the end-of-run check need. The model's
+/// run-loop state lives in the implementor.
+pub trait NodeModel {
     /// Whether every thread has finished (the loop's exit test).
     fn done(&self) -> bool;
 
@@ -45,6 +49,13 @@ pub trait NodeModel: Instrumented {
     /// cycle of their own.
     fn channel_edge(&mut self, now: TimePs, cycle: u64, tel: &mut Telemetry) -> usize;
 
+    /// Quiescence fingerprint: a sum of monotone counters that is
+    /// unchanged across a compute edge iff that edge observably changed
+    /// nothing (see DESIGN.md, "One driver"). Per-retry-edge recounts are
+    /// deliberately excluded and replayed via [`NodeModel::replay`]
+    /// instead.
+    fn fingerprint(&self) -> u64;
+
     /// The memory controller's exact next-event bound: no channel edge
     /// before it changes anything a compute edge can see. `None` means
     /// the controller is idle, and a quiescent edge is not jumped.
@@ -63,6 +74,69 @@ pub trait NodeModel: Instrumented {
 
     /// The statistics the shared per-cycle accounting replays into.
     fn stats_mut(&mut self) -> &mut CoreStats;
+
+    /// Records the telemetry epoch sample of compute cycle `cycle`, whose
+    /// edge fell at `at`. The driver calls it with the state that edge
+    /// left, walked or jumped.
+    fn sample_epoch(&self, tel: &mut Telemetry, cycle: u64, at: TimePs);
+
+    /// End-of-run invariant hooks (timing audits, buffer audits, clock
+    /// monotonicity); panics on any violation.
+    fn assert_clean(&self);
+}
+
+/// Deadlock guard: a run panics once no issue slot has issued for this
+/// many consecutive compute cycles.
+pub const MAX_IDLE_CYCLES: u64 = 2_000_000;
+
+/// Shared quiescence bookkeeping for [`drive`]: the idle-streak deadlock
+/// guard and the replay-by-count accounting of proven-no-op compute
+/// edges.
+#[derive(Debug)]
+pub struct Quiescence {
+    label: &'static str,
+    slots_per_cycle: u64,
+    idle_streak: u64,
+}
+
+impl Quiescence {
+    /// Creates the bookkeeping for a model with `slots_per_cycle` issue
+    /// slots per compute edge; `label` names the model in deadlock panics.
+    pub fn new(label: &'static str, slots_per_cycle: u64) -> Quiescence {
+        Quiescence {
+            label,
+            slots_per_cycle,
+            idle_streak: 0,
+        }
+    }
+
+    fn guard(&self) {
+        assert!(
+            self.idle_streak <= MAX_IDLE_CYCLES,
+            "{} deadlock: no issue for {} cycles",
+            self.label,
+            self.idle_streak
+        );
+    }
+
+    /// Records one ticked compute edge's issue outcome and enforces the
+    /// deadlock bound.
+    fn note_edge(&mut self, any_issued: bool) {
+        self.idle_streak = if any_issued { 0 } else { self.idle_streak + 1 };
+        self.guard();
+    }
+
+    /// Replays the shared per-cycle accounting of `skipped` proven-no-op
+    /// edges: each visits every issue slot and stalls it. The model
+    /// replays its own recounts with the same count.
+    fn replay(&mut self, cycle: &mut u64, stats: &mut CoreStats, skipped: u64) {
+        *cycle += skipped;
+        stats.ff_skipped_cycles += skipped;
+        stats.issue_slots += skipped * self.slots_per_cycle;
+        stats.stall_slots += skipped * self.slots_per_cycle;
+        self.idle_streak += skipped;
+        self.guard();
+    }
 }
 
 /// Fast-forward jump counters of one run.
@@ -90,7 +164,17 @@ pub struct Driven {
     pub profile: JumpProfile,
 }
 
-/// Runs `model` to completion on `clock`.
+/// Samples `model` if `cycle` is the next telemetry epoch boundary. The
+/// driver never passes a boundary unsampled, so at most one is due.
+fn sample_if_due<M: NodeModel>(model: &M, tel: &mut Telemetry, cycle: u64, at: TimePs) {
+    if let Some(due) = tel.next_due(cycle) {
+        debug_assert_eq!(due, cycle, "a telemetry epoch boundary was skipped");
+        model.sample_epoch(tel, cycle, at);
+    }
+}
+
+/// Runs `model` to completion on `clock`, then runs its end-of-run
+/// invariant check ([`NodeModel::assert_clean`]).
 ///
 /// `quiesce` carries the model's deadlock bound and issue slots per
 /// compute edge; `fast_forward` enables the bulk jump (off, every edge is
@@ -99,7 +183,8 @@ pub struct Driven {
 /// # Panics
 ///
 /// Panics if the model issues nothing for longer than its deadlock bound,
-/// or on whatever the model's handlers panic on.
+/// if its invariant check fails, or on whatever the model's handlers
+/// panic on.
 pub fn drive<M: NodeModel>(
     model: &mut M,
     clock: &mut DualClock,
@@ -120,28 +205,34 @@ pub fn drive<M: NodeModel>(
                 let fp_before = model.fingerprint();
                 let issued = model.compute_edge(now, cycle, clock, tel);
                 quiesce.note_edge(issued);
-                let anchor = cycle;
+                sample_if_due(model, tel, cycle, now);
                 if fast_forward
                     && !issued
                     && model.may_jump(cycle)
                     && model.fingerprint() == fp_before
                 {
                     if let Some(event) = model.next_event_at() {
-                        let skipped = clock.fast_forward(event);
-                        if skipped > 0 {
+                        // One jump, cut into pieces that each end on an
+                        // epoch boundary or at the target.
+                        let start = cycle;
+                        loop {
+                            let max = tel.next_boundary().map_or(u64::MAX, |b| b - cycle);
+                            let skipped = clock.fast_forward(event, max);
+                            if skipped == 0 {
+                                break;
+                            }
                             quiesce.replay(&mut cycle, model.stats_mut(), skipped);
                             model.replay(skipped);
+                            sample_if_due(model, tel, cycle, clock.last_compute());
+                            if skipped < max {
+                                break;
+                            }
+                        }
+                        if cycle > start {
                             profile.sleeps += 1;
                             landing = true;
                         }
                     }
-                }
-                // Epoch boundaries inside a jump are reconstructed exactly:
-                // the skipped edges were no-ops at a constant period, so
-                // a boundary's time is `now + offset·period` and only the
-                // replayed per-cycle counters differ (rewound linearly).
-                if tel.enabled() {
-                    model.emit_epoch_samples(tel, cycle, anchor, now, clock.compute_period());
                 }
             }
             Edge::Channel(now) => {
@@ -153,6 +244,7 @@ pub fn drive<M: NodeModel>(
             }
         }
     }
+    model.assert_clean();
     Driven {
         cycles: cycle,
         last_time,
@@ -194,19 +286,6 @@ mod tests {
         }
     }
 
-    impl Instrumented for Toy {
-        fn fingerprint(&self) -> u64 {
-            u64::from(self.consumed)
-        }
-        fn sample_epoch(&self, tel: &mut Telemetry, due: u64, at: TimePs, rewind: u64) {
-            let misses = self.misses - self.miss_delta * rewind;
-            tel.counter("toy::core", "misses", due, at, misses as f64);
-            let slots = self.stats.stall_slots - rewind;
-            tel.counter("toy::core", "stall_slots", due, at, slots as f64);
-        }
-        fn assert_clean(&self) {}
-    }
-
     impl NodeModel for Toy {
         fn done(&self) -> bool {
             self.fills.is_empty() && self.ready == 0
@@ -240,6 +319,9 @@ mod tests {
             self.ready += n as u32;
             n
         }
+        fn fingerprint(&self) -> u64 {
+            u64::from(self.consumed)
+        }
         fn next_event_at(&self) -> Option<TimePs> {
             self.fills.first().copied()
         }
@@ -249,12 +331,22 @@ mod tests {
         fn stats_mut(&mut self) -> &mut CoreStats {
             &mut self.stats
         }
+        fn sample_epoch(&self, tel: &mut Telemetry, cycle: u64, at: TimePs) {
+            tel.counter("toy::core", "misses", cycle, at, self.misses as f64);
+            let slots = self.stats.stall_slots as f64;
+            tel.counter("toy::core", "stall_slots", cycle, at, slots);
+        }
+        fn assert_clean(&self) {}
     }
 
     fn run(fast_forward: bool) -> (Toy, Driven, Telemetry) {
+        run_with(fast_forward, TelemetryConfig::enabled_with_epoch(7))
+    }
+
+    fn run_with(fast_forward: bool, telemetry: TelemetryConfig) -> (Toy, Driven, Telemetry) {
         let mut toy = Toy::new();
         let mut clock = DualClock::new(10, 35);
-        let mut tel = Telemetry::new(&TelemetryConfig::enabled_with_epoch(7));
+        let mut tel = Telemetry::new(&telemetry);
         let q = Quiescence::new("Toy", 1);
         let driven = drive(&mut toy, &mut clock, q, fast_forward, &mut tel);
         (toy, driven, tel)
@@ -290,6 +382,48 @@ mod tests {
             assert!(!slow_s.is_empty());
             assert_eq!(fast_s, slow_s, "{name} samples");
         }
+    }
+
+    #[test]
+    fn telemetry_does_not_change_the_jumps() {
+        // The 7-cycle epoch is far shorter than the longest jump, so
+        // jumps stop on boundaries; they still count once each and skip
+        // the same edges as with telemetry off.
+        let (traced, traced_run, tel) = run(true);
+        let (plain, plain_run, _) = run_with(true, TelemetryConfig::default());
+        let mean_jump = traced.stats.ff_skipped_cycles / traced_run.profile.sleeps;
+        assert!(mean_jump > 7, "no jump crosses an epoch boundary");
+        assert!(tel.total_samples() > 0);
+        assert_eq!(traced_run.profile, plain_run.profile);
+        assert_eq!(traced_run.cycles, plain_run.cycles);
+        assert_eq!(traced.stats, plain.stats);
+        assert_eq!(traced.misses, plain.misses);
+        assert_eq!(traced.issued_at, plain.issued_at);
+    }
+
+    #[test]
+    fn replay_accounts_slots_and_streak() {
+        let mut q = Quiescence::new("Test", 4);
+        let mut stats = CoreStats::default();
+        let mut cycle = 10u64;
+        q.note_edge(false);
+        q.replay(&mut cycle, &mut stats, 5);
+        assert_eq!(cycle, 15);
+        assert_eq!(stats.ff_skipped_cycles, 5);
+        assert_eq!(stats.issue_slots, 20);
+        assert_eq!(stats.stall_slots, 20);
+        q.note_edge(true); // an issue resets the streak
+        q.replay(&mut cycle, &mut stats, 3);
+        assert_eq!(stats.ff_skipped_cycles, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "Test deadlock")]
+    fn deadlock_guard_fires() {
+        let mut q = Quiescence::new("Test", 1);
+        let (mut cycle, mut stats) = (0, CoreStats::default());
+        q.replay(&mut cycle, &mut stats, MAX_IDLE_CYCLES);
+        q.note_edge(false);
     }
 
     #[test]

@@ -32,8 +32,8 @@ pub use arena::{Arena2, FlagGrid};
 pub use clock::{mhz_for_period_ps, period_ps_for_mhz, DualClock, Edge, TimePs, COMPUTE_MHZ};
 pub use context::{LaunchParams, ThreadCtx};
 pub use decoded::{AccessClass, DecodedProgram, MicroOp, OpCode};
-pub use driver::{drive, Driven, JumpProfile, NodeModel};
+pub use driver::{drive, Driven, JumpProfile, NodeModel, Quiescence, MAX_IDLE_CYCLES};
 pub use func::{run_functional, FuncStats, DEFAULT_STEP_LIMIT};
-pub use instrument::{Instrumented, Quiescence, ReplayDeltas, MAX_IDLE_CYCLES};
+pub use instrument::ReplayDeltas;
 pub use stats::CoreStats;
 pub use step::{step, EffectiveAccess, StepEffect, Trap};

@@ -34,7 +34,7 @@ use millipede_core::NodeResult;
 use millipede_dram::{MemoryController, Request, TimePs};
 use millipede_engine::{
     drive, instrument, period_ps_for_mhz, AccessClass, CoreStats, DecodedProgram, DualClock,
-    Instrumented, NodeModel, Quiescence, ReplayDeltas, StepEffect, ThreadCtx, COMPUTE_MHZ,
+    NodeModel, Quiescence, ReplayDeltas, StepEffect, ThreadCtx, COMPUTE_MHZ,
 };
 use millipede_isa::ReconvergenceMap;
 use millipede_mapreduce::ThreadGrid;
@@ -102,12 +102,11 @@ struct Node<'a> {
     ff_l1_hits: u64,
     ff_l1_misses: u64,
     /// Per-retry-edge recount rates of the last compute edge, replayed
-    /// over a jump and rewound by telemetry sampling.
+    /// over a jump.
     deltas: ReplayDeltas,
-    slots_per_cycle: u64,
 }
 
-impl Instrumented for Node<'_> {
+impl NodeModel for Node<'_> {
     // Quiescence fingerprint (see DESIGN.md, "One driver"):
     // every observable compute-edge mutation either bumps one of these
     // monotone counters/cursors or is a per-retry-edge recount
@@ -129,42 +128,41 @@ impl Instrumented for Node<'_> {
             + pbuf_sum
     }
 
-    fn sample_epoch(&self, tel: &mut Telemetry, due: u64, at: TimePs, rewind: u64) {
+    fn sample_epoch(&self, tel: &mut Telemetry, due: u64, at: TimePs) {
         tel.counter(
             "gpgpu::sm",
             "l1_hits",
             due,
             at,
-            (self.sm.l1.stats().hits + self.ff_l1_hits - self.deltas.hits * rewind) as f64,
+            (self.sm.l1.stats().hits + self.ff_l1_hits) as f64,
         );
         tel.counter(
             "gpgpu::sm",
             "l1_misses",
             due,
             at,
-            (self.sm.l1.stats().misses + self.ff_l1_misses - self.deltas.misses * rewind) as f64,
+            (self.sm.l1.stats().misses + self.ff_l1_misses) as f64,
         );
         tel.counter(
             "gpgpu::sm",
             "demand_stalls",
             due,
             at,
-            (self.stats.demand_stalls - self.deltas.stalls * rewind) as f64,
+            self.stats.demand_stalls as f64,
         );
-        let slots = rewind * self.slots_per_cycle;
         tel.counter(
             "gpgpu::sm",
             "issue_slots",
             due,
             at,
-            (self.stats.issue_slots - slots) as f64,
+            self.stats.issue_slots as f64,
         );
         tel.counter(
             "gpgpu::sm",
             "stall_slots",
             due,
             at,
-            (self.stats.stall_slots - slots) as f64,
+            self.stats.stall_slots as f64,
         );
         if let Some(pbuf) = &self.pbuf {
             tel.counter("gpgpu::pbuf", "occupancy", due, at, pbuf.occupancy() as f64);
@@ -181,9 +179,7 @@ impl Instrumented for Node<'_> {
             .timing_audit()
             .assert_clean("GPGPU memory controller");
     }
-}
 
-impl NodeModel for Node<'_> {
     fn done(&self) -> bool {
         self.live_warps == 0
     }
@@ -366,7 +362,6 @@ pub fn run(workload: &Workload, cfg: &GpgpuConfig) -> NodeResult {
         demand_block: 0,
     };
 
-    let slots_per_cycle = cfg.clusters() as u64;
     let decoded = DecodedProgram::of(&workload.program);
     let mut node = Node {
         cfg,
@@ -382,11 +377,10 @@ pub fn run(workload: &Workload, cfg: &GpgpuConfig) -> NodeResult {
         ff_l1_hits: 0,
         ff_l1_misses: 0,
         deltas: ReplayDeltas::default(),
-        slots_per_cycle,
     };
     let mut clock = DualClock::new(period_ps_for_mhz(COMPUTE_MHZ), cfg.timing.channel_period_ps);
     let mut tel = Telemetry::new(&cfg.telemetry);
-    let quiesce = Quiescence::new("GPGPU", slots_per_cycle);
+    let quiesce = Quiescence::new("GPGPU", cfg.clusters() as u64);
     let driven = drive(&mut node, &mut clock, quiesce, cfg.fast_forward, &mut tel);
 
     let stats = &mut node.stats;
@@ -398,7 +392,6 @@ pub fn run(workload: &Workload, cfg: &GpgpuConfig) -> NodeResult {
         stats.flow_blocks = pbuf.stats().flow_blocks;
         stats.premature_evictions = pbuf.stats().premature_evictions;
     }
-    node.assert_clean();
 
     // Reduce in the grid's (corelet=lane, context=warp-slot) order.
     let states: Vec<&[u32]> = (0..cfg.lanes)

@@ -2,8 +2,8 @@
 //!
 //! Three pieces, all host-side and purely observational:
 //!
-//! 1. **The registry** ([`Registry`]): typed counters, gauges, and
-//!    histograms keyed by stable dotted names (`millipede.stats.
+//! 1. **The registry** ([`Registry`]): typed counters and gauges keyed
+//!    by stable dotted names (`millipede.stats.
 //!    instructions`, `host.sweep.utilization`). Read-out order is name
 //!    order (a `BTreeMap`), never insertion or hash order.
 //! 2. **A strict JSON layer** ([`json`]): a dependency-free parser and the
@@ -33,10 +33,8 @@ use std::fmt;
 
 /// A histogram summary: count, sum, and range of observed values.
 ///
-/// Deliberately bucket-free — the registry's histograms summarize
-/// host-side latencies (per-point sweep walls), where min/median/max are
-/// computed by the manifest layer from the raw series and the registry
-/// keeps the streaming summary.
+/// Deliberately bucket-free: the manifest folds host-side latencies
+/// (per-point sweep walls) into one streaming summary.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Histogram {
     /// Number of observations.
@@ -80,8 +78,6 @@ pub enum Metric {
     Counter(u64),
     /// Point-in-time measurement.
     Gauge(f64),
-    /// Distribution summary.
-    Histogram(Histogram),
 }
 
 /// A name-ordered registry of typed metrics.
@@ -158,24 +154,6 @@ impl Registry {
         }
     }
 
-    /// Folds `value` into the histogram `name`, creating it empty first.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid name or if `name` is registered as a
-    /// different metric type.
-    pub fn observe(&mut self, name: &str, value: f64) {
-        assert!(valid_name(name), "invalid metric name `{name}`");
-        match self
-            .entries
-            .entry(name.to_string())
-            .or_insert(Metric::Histogram(Histogram::default()))
-        {
-            Metric::Histogram(h) => h.observe(value),
-            other => panic!("metric `{name}` is not a histogram: {other:?}"),
-        }
-    }
-
     /// Looks up a metric by name.
     pub fn get(&self, name: &str) -> Option<&Metric> {
         self.entries.get(name)
@@ -187,8 +165,7 @@ impl Registry {
     }
 
     /// Renders the registry as one JSON object, keys in name order.
-    /// Counters render as integers, gauges as numbers, histograms as
-    /// `{count, sum, min, max}` objects.
+    /// Counters render as integers, gauges as numbers.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         for (i, (name, metric)) in self.iter().enumerate() {
@@ -199,13 +176,6 @@ impl Registry {
             match metric {
                 Metric::Counter(v) => out.push_str(&v.to_string()),
                 Metric::Gauge(v) => out.push_str(&json::fmt_f64(*v)),
-                Metric::Histogram(h) => out.push_str(&format!(
-                    "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{}}}",
-                    h.count,
-                    json::fmt_f64(h.sum),
-                    json::fmt_f64(h.min),
-                    json::fmt_f64(h.max)
-                )),
             }
         }
         out.push('}');
@@ -219,14 +189,6 @@ impl fmt::Display for Registry {
             match metric {
                 Metric::Counter(v) => writeln!(f, "{name} = {v}")?,
                 Metric::Gauge(v) => writeln!(f, "{name} = {v}")?,
-                Metric::Histogram(h) => writeln!(
-                    f,
-                    "{name} = n={} mean={:.3} min={:.3} max={:.3}",
-                    h.count,
-                    h.mean(),
-                    h.min,
-                    h.max
-                )?,
             }
         }
         Ok(())
@@ -257,13 +219,10 @@ mod tests {
 
     #[test]
     fn histograms_summarize() {
-        let mut r = Registry::new();
+        let mut h = Histogram::default();
         for v in [3.0, 1.0, 2.0] {
-            r.observe("lat.ms", v);
+            h.observe(v);
         }
-        let Some(Metric::Histogram(h)) = r.get("lat.ms") else {
-            panic!("not a histogram");
-        };
         assert_eq!(h.count, 3);
         assert_eq!(h.min, 1.0);
         assert_eq!(h.max, 3.0);
@@ -300,15 +259,8 @@ mod tests {
         let mut r = Registry::new();
         r.counter_add("c.n", 7);
         r.gauge_set("g.v", 1.5);
-        r.observe("h.x", 2.0);
         let doc = json::Json::parse(&r.to_json()).expect("valid json");
         assert_eq!(doc.get("c.n").and_then(json::Json::as_f64), Some(7.0));
         assert_eq!(doc.get("g.v").and_then(json::Json::as_f64), Some(1.5));
-        assert_eq!(
-            doc.get("h.x")
-                .and_then(|h| h.get("count"))
-                .and_then(json::Json::as_f64),
-            Some(1.0)
-        );
     }
 }

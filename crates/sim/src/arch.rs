@@ -12,8 +12,7 @@ use millipede_workloads::Workload;
 
 /// Every architecture configuration the paper's figures compare.
 ///
-/// The `Ord` derive (declaration order) keys deterministic sweep
-/// collections ([`crate::runner::run_grid`]).
+/// The `Ord` derive (declaration order) keys deterministic collections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Arch {
     /// 32-wide-warp GPGPU SM with cache-block prefetch.

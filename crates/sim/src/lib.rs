@@ -35,7 +35,6 @@ pub use determinism::{check_determinism, digest_run, Divergence, Fnv1a};
 pub use manifest::{ManifestRun, SCHEMA as MANIFEST_SCHEMA};
 pub use millipede_telemetry::{Telemetry, TelemetryConfig};
 pub use runner::{
-    env_flag, run_grid, run_many, run_many_with, run_one, sweep_progress_from_env, sweep_threads,
-    RunResult,
+    env_flag, run_many, run_many_with, run_one, sweep_progress_from_env, sweep_threads, RunResult,
 };
 pub use system::{run_system, SystemResult};

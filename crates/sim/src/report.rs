@@ -134,30 +134,13 @@ fn run_label(r: &RunResult) -> String {
     format!("{}/{}", r.arch.label(), r.bench.name())
 }
 
-/// Renders a compact per-run telemetry summary (series, samples, events,
-/// drops) in the same stderr-table style as [`profile`]. Runs whose
-/// telemetry sink was disabled are skipped; the result is empty if none
-/// recorded anything. Any run that overflowed its event ring gets a loud
-/// trailing `warning: ... dropped=N` line — a silently truncated trace
-/// looks complete but is not.
-pub fn telemetry_summary(results: &[&RunResult]) -> String {
-    let mut t = Table::new(vec![
-        "arch", "bench", "series", "samples", "events", "dropped",
-    ]);
+/// One loud `warning: ... dropped=N` line per run whose telemetry event
+/// buffer overflowed — a silently truncated trace looks complete but is
+/// not. Empty when nothing was dropped.
+pub fn telemetry_warnings(results: &[&RunResult]) -> String {
     let mut warnings = String::new();
     for r in results {
         let tel = &r.node.telemetry;
-        if !tel.enabled() {
-            continue;
-        }
-        t.row(vec![
-            r.arch.label().to_string(),
-            r.bench.name().to_string(),
-            tel.series_len().to_string(),
-            tel.total_samples().to_string(),
-            tel.events().len().to_string(),
-            tel.dropped_events().to_string(),
-        ]);
         if tel.dropped_events() > 0 {
             warnings.push_str(&format!(
                 "warning: {} telemetry event ring overflowed: dropped={} \
@@ -168,11 +151,7 @@ pub fn telemetry_summary(results: &[&RunResult]) -> String {
             ));
         }
     }
-    if t.is_empty() {
-        String::new()
-    } else {
-        format!("{}{warnings}", t.render())
-    }
+    warnings
 }
 
 /// Builds one combined Chrome-trace/Perfetto JSON document for the runs'
@@ -186,24 +165,6 @@ pub fn chrome_trace(results: &[&RunResult]) -> String {
         .map(|(l, r)| (l.as_str(), &r.node.telemetry))
         .collect();
     millipede_telemetry::export::chrome_trace(&runs)
-}
-
-/// Renders every run's sampled series as one CSV:
-/// `arch,bench,track,name,cycle,time_ps,value`.
-pub fn telemetry_csv(results: &[&RunResult]) -> String {
-    let mut out = String::from("arch,bench,track,name,cycle,time_ps,value\n");
-    for r in results {
-        let (arch, bench) = (r.arch.label(), r.bench.name());
-        for (track, name, samples) in r.node.telemetry.series_iter() {
-            for s in samples {
-                out.push_str(&format!(
-                    "{arch},{bench},{track},{name},{},{},{}\n",
-                    s.cycle, s.time_ps, s.value
-                ));
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

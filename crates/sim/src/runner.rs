@@ -3,8 +3,8 @@
 //! [`run_many`] fans a list of (architecture, benchmark) points over a
 //! bounded `std::thread::scope` worker pool; results always come back in
 //! input order, so report output is byte-identical regardless of how the
-//! OS schedules the workers. [`run_grid`] wraps the same sweep in a
-//! deterministically ordered `BTreeMap`. The worker count comes from
+//! OS schedules the workers. Fig. 5's multi-processor runs fan their
+//! shards out over the same pool. The worker count comes from
 //! `MILLIPEDE_SWEEP_THREADS` (or the host's available parallelism);
 //! `MILLIPEDE_SWEEP_THREADS=1` reproduces the serial baseline exactly.
 
@@ -13,7 +13,6 @@ use crate::config::SimConfig;
 use millipede_core::NodeResult;
 use millipede_energy::EnergyBreakdown;
 use millipede_workloads::{Benchmark, Workload};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -138,46 +137,54 @@ pub fn run_many(pairs: &[(Arch, Benchmark)], cfg: &SimConfig) -> Vec<RunResult> 
     run_many_with(pairs, cfg, sweep_threads())
 }
 
-/// Runs a set of (arch, bench) pairs over at most `threads` scoped worker
-/// threads, preserving input order in the output.
+/// Runs a set of (arch, bench) pairs over at most `threads` workers,
+/// preserving input order in the output.
 ///
-/// Workers claim points from a shared atomic cursor, so an expensive point
-/// never serializes the rest of the grid behind it. Every simulation is a
-/// pure function of `(arch, bench, cfg)`; the only scheduling-dependent
-/// quantity is the `wall` profiling field, so the returned vector —
-/// reassembled in input order — is identical for any worker count.
+/// Every simulation is a pure function of `(arch, bench, cfg)`; the only
+/// scheduling-dependent quantity is the `wall` profiling field, so the
+/// returned vector is identical for any worker count.
 pub fn run_many_with(
     pairs: &[(Arch, Benchmark)],
     cfg: &SimConfig,
     threads: usize,
 ) -> Vec<RunResult> {
     let progress = sweep_progress_from_env();
-    if threads <= 1 || pairs.len() <= 1 {
-        return pairs
+    pool_map(pairs, threads, |idx, &(arch, bench)| {
+        let r = run_one(arch, bench, cfg);
+        if progress {
+            progress_line(idx, pairs.len(), &r);
+        }
+        r
+    })
+}
+
+/// The sweep pool: maps `f` over `items` (with each item's index) on at
+/// most `threads` scoped worker threads and returns the results in input
+/// order. Workers claim items from a shared atomic cursor, so an
+/// expensive item never serializes the rest behind it. One thread, or one
+/// item, runs serially on the calling thread.
+pub(crate) fn pool_map<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(usize, &T) -> R + Sync,
+) -> Vec<R> {
+    if threads <= 1 || items.len() <= 1 {
+        return items
             .iter()
             .enumerate()
-            .map(|(idx, &(arch, bench))| {
-                let r = run_one(arch, bench, cfg);
-                if progress {
-                    progress_line(idx, pairs.len(), &r);
-                }
-                r
-            })
+            .map(|(i, item)| f(i, item))
             .collect();
     }
     let cursor = AtomicUsize::new(0);
-    let slots: Mutex<Vec<(usize, RunResult)>> = Mutex::new(Vec::with_capacity(pairs.len()));
+    let slots: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(pairs.len()) {
+        for _ in 0..threads.min(items.len()) {
             scope.spawn(|| loop {
                 let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&(arch, bench)) = pairs.get(idx) else {
+                let Some(item) = items.get(idx) else {
                     break;
                 };
-                let result = run_one(arch, bench, cfg);
-                if progress {
-                    progress_line(idx, pairs.len(), &result);
-                }
+                let result = f(idx, item);
                 slots
                     .lock()
                     .expect("sweep result mutex poisoned")
@@ -187,26 +194,8 @@ pub fn run_many_with(
     });
     let mut indexed = slots.into_inner().expect("sweep result mutex poisoned");
     indexed.sort_unstable_by_key(|(idx, _)| *idx);
-    assert_eq!(indexed.len(), pairs.len(), "sweep lost a point");
+    assert_eq!(indexed.len(), items.len(), "sweep lost a point");
     indexed.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Runs the full (architecture × benchmark) grid into a deterministically
-/// ordered map — iteration order is `(Arch, Benchmark)` declaration order
-/// regardless of how the parallel workers were scheduled.
-pub fn run_grid(
-    archs: &[Arch],
-    benches: &[Benchmark],
-    cfg: &SimConfig,
-) -> BTreeMap<(Arch, Benchmark), RunResult> {
-    let pairs: Vec<(Arch, Benchmark)> = archs
-        .iter()
-        .flat_map(|&a| benches.iter().map(move |&b| (a, b)))
-        .collect();
-    run_many(&pairs, cfg)
-        .into_iter()
-        .map(|r| ((r.arch, r.bench), r))
-        .collect()
 }
 
 /// Runs every Fig. 3 architecture on every benchmark (the workhorse sweep
@@ -275,23 +264,20 @@ mod tests {
     }
 
     #[test]
-    fn run_grid_orders_deterministically() {
-        let cfg = tiny();
-        let grid = run_grid(
-            &[Arch::Ssmc, Arch::Gpgpu],
-            &[Benchmark::Sample, Benchmark::Count],
-            &cfg,
-        );
-        let keys: Vec<_> = grid.keys().copied().collect();
-        assert_eq!(
-            keys,
-            vec![
-                (Arch::Gpgpu, Benchmark::Count),
-                (Arch::Gpgpu, Benchmark::Sample),
-                (Arch::Ssmc, Benchmark::Count),
-                (Arch::Ssmc, Benchmark::Sample),
-            ]
-        );
+    fn pool_keeps_input_order() {
+        // Early items cost the most, so with several workers later items
+        // finish first; the output must still come back in input order.
+        let items: Vec<u64> = (0..24).rev().collect();
+        let work = |idx: usize, &n: &u64| {
+            let spin = (0..n * 20_000).fold(0u64, |a, x| a.wrapping_add(x ^ a));
+            (idx, n, std::hint::black_box(spin))
+        };
+        let serial = pool_map(&items, 1, work);
+        let parallel = pool_map(&items, 4, work);
+        for (i, &n) in items.iter().enumerate() {
+            assert_eq!((serial[i].0, serial[i].1), (i, n));
+        }
+        assert_eq!(serial, parallel);
     }
 
     #[test]

@@ -4,13 +4,15 @@
 //! The paper's system (Table III: "1 of 32" processors simulated) shards
 //! the input across 32 Millipede processors, each with a private die-stacked
 //! channel; the host CPU performs the per-node Reduce over all processors
-//! (§IV-D). This module actually runs every processor (in parallel host
-//! threads — each simulation is independent and deterministic) and performs
-//! that final Reduce, rather than extrapolating a single-processor run.
+//! (§IV-D). This module actually runs every processor (over the sweep
+//! pool's `MILLIPEDE_SWEEP_THREADS` workers — each simulation is
+//! independent and deterministic) and performs that final Reduce, rather
+//! than extrapolating a single-processor run.
 //! Fig. 5 is built on this.
 
 use crate::arch::Arch;
 use crate::config::SimConfig;
+use crate::runner::{pool_map, sweep_threads};
 use millipede_core::NodeResult;
 use millipede_dram::DramStats;
 use millipede_energy::EnergyBreakdown;
@@ -49,16 +51,7 @@ pub fn run_system(
 ) -> SystemResult {
     let full = Workload::build(bench, cfg.num_chunks, cfg.row_bytes, cfg.seed);
     let shards = full.shard(processors);
-    let nodes: Vec<NodeResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|shard| scope.spawn(move || arch.run(shard, cfg)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("node simulation panicked"))
-            .collect()
-    });
+    let nodes = pool_map(&shards, sweep_threads(), |_, shard| arch.run(shard, cfg));
 
     let elapsed_ps = nodes.iter().map(|n| n.elapsed_ps).max().unwrap();
     let outputs: Vec<Reduced> = nodes.iter().map(|n| n.output.clone()).collect();

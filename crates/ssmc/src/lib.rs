@@ -27,7 +27,7 @@ use millipede_dram::{DramGeometry, DramTiming};
 use millipede_dram::{MemoryController, Request, TimePs, QUEUE_DEPTH};
 use millipede_engine::{
     drive, instrument, period_ps_for_mhz, AccessClass, Arena2, CoreStats, DecodedProgram,
-    DualClock, FlagGrid, Instrumented, NodeModel, Quiescence, StepEffect, ThreadCtx, COMPUTE_MHZ,
+    DualClock, FlagGrid, NodeModel, Quiescence, StepEffect, ThreadCtx, COMPUTE_MHZ,
 };
 use millipede_mapreduce::ThreadGrid;
 use millipede_mem::{Cache, Mshr};
@@ -186,7 +186,6 @@ struct Node<'a> {
     ff_l1_misses: u64,
     /// L1 misses the last compute edge re-counted (its replayed delta).
     miss_delta: u64,
-    slots_per_cycle: u64,
 }
 
 impl Node<'_> {
@@ -195,7 +194,7 @@ impl Node<'_> {
     }
 }
 
-impl Instrumented for Node<'_> {
+impl NodeModel for Node<'_> {
     // Quiescence fingerprint (see DESIGN.md, "One driver"):
     // every observable compute-edge mutation either bumps one of these
     // monotone counters (prefetch, stall transition, demand fetch) or
@@ -212,11 +211,9 @@ impl Instrumented for Node<'_> {
         self.stats.prefetches + self.stats.demand_stalls + self.stats.demand_fetches + cursors
     }
 
-    fn sample_epoch(&self, tel: &mut Telemetry, due: u64, at: TimePs, rewind: u64) {
+    fn sample_epoch(&self, tel: &mut Telemetry, due: u64, at: TimePs) {
         let hits: u64 = self.cores.iter().map(|c| c.l1.stats().hits).sum();
-        let l1_misses: u64 = self.cores.iter().map(|c| c.l1.stats().misses).sum();
-        let misses = l1_misses + self.ff_l1_misses - self.miss_delta * rewind;
-        let slots = rewind * self.slots_per_cycle;
+        let misses = self.l1_misses() + self.ff_l1_misses;
         tel.counter("ssmc::l1", "hits", due, at, hits as f64);
         tel.counter("ssmc::l1", "misses", due, at, misses as f64);
         tel.counter(
@@ -224,14 +221,14 @@ impl Instrumented for Node<'_> {
             "issue_slots",
             due,
             at,
-            (self.stats.issue_slots - slots) as f64,
+            self.stats.issue_slots as f64,
         );
         tel.counter(
             "ssmc::core",
             "stall_slots",
             due,
             at,
-            (self.stats.stall_slots - slots) as f64,
+            self.stats.stall_slots as f64,
         );
         tel.counter(
             "ssmc::core",
@@ -249,9 +246,7 @@ impl Instrumented for Node<'_> {
             .timing_audit()
             .assert_clean("SSMC memory controller");
     }
-}
 
-impl NodeModel for Node<'_> {
     fn done(&self) -> bool {
         self.halted == self.total_threads
     }
@@ -384,7 +379,6 @@ pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
     // evicted by their own prefetches.
     let degree = (input_capacity / cfg.l1_block).saturating_sub(4).max(2);
 
-    let slots_per_cycle = cfg.cores as u64;
     let decoded = DecodedProgram::of(&workload.program);
     let mut node = Node {
         cfg,
@@ -425,11 +419,10 @@ pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
         total_threads: cfg.cores * cfg.contexts,
         ff_l1_misses: 0,
         miss_delta: 0,
-        slots_per_cycle,
     };
     let mut clock = DualClock::new(period_ps_for_mhz(COMPUTE_MHZ), cfg.timing.channel_period_ps);
     let mut tel = Telemetry::new(&cfg.telemetry);
-    let quiesce = Quiescence::new("SSMC", slots_per_cycle);
+    let quiesce = Quiescence::new("SSMC", cfg.cores as u64);
     let driven = drive(&mut node, &mut clock, quiesce, cfg.fast_forward, &mut tel);
 
     let stats = &mut node.stats;
@@ -439,7 +432,6 @@ pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
         stats.l1_misses += core.l1.stats().misses;
     }
     stats.l1_misses += node.ff_l1_misses;
-    node.assert_clean();
     let states: Vec<&[u32]> = node
         .threads
         .t

@@ -1,4 +1,4 @@
-//! CSV and Chrome-trace/Perfetto JSON exporters.
+//! Chrome-trace/Perfetto JSON exporter.
 //!
 //! The Chrome trace is the JSON array flavour of the Trace Event Format:
 //! counter samples become `ph:"C"` events (one counter track per series)
@@ -13,41 +13,6 @@
 
 use crate::Telemetry;
 use millipede_metrics::json::{escape, fmt_f64};
-use std::fmt::Write as _;
-
-/// Renders one run's series as CSV: `track,name,cycle,time_ps,value`.
-pub fn series_csv(t: &Telemetry) -> String {
-    let mut out = String::from("track,name,cycle,time_ps,value\n");
-    for (track, name, samples) in t.series_iter() {
-        for s in samples {
-            let _ = writeln!(
-                out,
-                "{track},{name},{},{},{}",
-                s.cycle,
-                s.time_ps,
-                fmt_f64(s.value)
-            );
-        }
-    }
-    out
-}
-
-/// Renders one run's events as CSV: `track,name,cycle,time_ps,value`.
-pub fn events_csv(t: &Telemetry) -> String {
-    let mut out = String::from("track,name,cycle,time_ps,value\n");
-    for e in t.events() {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{}",
-            e.track,
-            e.name,
-            e.cycle,
-            e.time_ps,
-            fmt_f64(e.value)
-        );
-    }
-    out
-}
 
 /// Builds a combined Chrome-trace JSON document for a set of labelled runs.
 ///
@@ -118,15 +83,6 @@ mod tests {
         t.counter("core::pbuf", "occupancy", 8, 11432, 7.5);
         t.event("dram::controller", "row_conflict", 6, 8574, 42.0);
         t
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let csv = series_csv(&recorded());
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "track,name,cycle,time_ps,value");
-        assert_eq!(lines[1], "core::pbuf,occupancy,4,5716,3");
-        assert_eq!(lines[2], "core::pbuf,occupancy,8,11432,7.5");
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! schedule (`fast_forward` on or off). It also claims to be deterministic
 //! in its *own* output: the recorded series and events are bit-identical
 //! whether idle cycles were fast-forwarded or stepped one by one, because
-//! samples inside a skipped region are reconstructed from the replicated
-//! counters. This suite checks both claims, plus the Chrome-trace JSON
-//! shape, ring-buffer overflow accounting, and the epoch arithmetic.
+//! a fast-forward jump stops on every epoch boundary it crosses and the
+//! sample there is read from the replayed state, not reconstructed. This
+//! suite checks both claims, plus the Chrome-trace JSON shape, event-buffer
+//! overflow accounting, the overflow warning, and the epoch arithmetic.
 
 use millipede_sim::{digest_run, run_one, Arch, SimConfig, TelemetryConfig};
 use millipede_workloads::Benchmark;
@@ -65,7 +66,7 @@ fn telemetry_is_digest_invisible_on_every_arch() {
 fn recorded_telemetry_is_bit_identical_under_fast_forward() {
     // The stronger claim: not only do digests hold, the telemetry *itself*
     // must be bit-identical whether idle cycles were stepped or skipped —
-    // samples due inside a skipped region are reconstructed exactly.
+    // jumps stop on every epoch boundary, so each sample reads real state.
     let tel = TelemetryConfig::enabled_with_epoch(64);
     for arch in [Arch::Millipede, Arch::Ssmc, Arch::Gpgpu, Arch::VwsRow] {
         let slow = run_one(arch, Benchmark::Count, &config(false, tel.clone()));
@@ -178,7 +179,7 @@ fn telemetry_summary_warns_loudly_on_dropped_events() {
         overflowed.node.telemetry.dropped_events() > 0,
         "fixture must overflow its 4-entry ring"
     );
-    let summary = millipede_sim::report::telemetry_summary(&[&overflowed]);
+    let summary = millipede_sim::report::telemetry_warnings(&[&overflowed]);
     let dropped = format!("dropped={}", overflowed.node.telemetry.dropped_events());
     assert!(
         summary.contains("warning:") && summary.contains(&dropped),
@@ -192,7 +193,7 @@ fn telemetry_summary_warns_loudly_on_dropped_events() {
         &config(true, TelemetryConfig::enabled_with_epoch(64)),
     );
     assert_eq!(clean.node.telemetry.dropped_events(), 0);
-    let summary = millipede_sim::report::telemetry_summary(&[&clean]);
+    let summary = millipede_sim::report::telemetry_warnings(&[&clean]);
     assert!(
         !summary.contains("warning:"),
         "no-drop run must not warn, got:\n{summary}"
