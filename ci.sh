@@ -26,6 +26,13 @@ cargo build --offline --release --workspace
 echo "==> cargo test"
 cargo test --offline --workspace -q
 
+echo "==> published output (all_experiments vs experiments_output.txt)"
+# experiments_output.txt is the published full evaluation (EXPERIMENTS.md
+# quotes it). A change to any figure or table must be deliberate, so the
+# run's stdout must match the file byte for byte; regenerate the file with
+# `./target/release/all_experiments > experiments_output.txt`.
+./target/release/all_experiments | cmp - experiments_output.txt
+
 echo "==> telemetry (trace export end to end)"
 # Fast-forward off/on and telemetry on are covered in-process by
 # tests/golden_digests.rs and tests/telemetry.rs (run by cargo test above).

@@ -25,6 +25,7 @@
 //! DRAM, exposing full memory latency — the behaviour Fig. 3 isolates.
 
 use crate::audit::InvariantChecker;
+use millipede_dram::{MemoryController, Request, TimePs};
 
 /// Result of looking up the row for a demand access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -382,9 +383,8 @@ impl RowPrefetchBuffer {
 
     /// Hands out the next pending row fetch as a `(slot, row)` pair, if
     /// any. The slot must be completed via [`Self::fill_complete`] (or
-    /// returned with [`Self::untake_fetch`]). Equivalent to
-    /// `take_fetches(1)` without the `Vec` — the per-cycle prefetch pumps
-    /// poll this every compute edge.
+    /// returned with `untake_fetch`). Equivalent to `take_fetches(1)`
+    /// without the `Vec` — [`Self::pump`] polls this every compute edge.
     pub fn pop_fetch(&mut self) -> Option<(usize, u64)> {
         let slot = self.fetch_queue.pop_front()?;
         Some((slot, self.entries[slot].row))
@@ -405,15 +405,41 @@ impl RowPrefetchBuffer {
 
     /// Returns an undelivered fetch (DRAM queue was full); it stays next in
     /// line.
-    pub fn untake_fetch(&mut self, slot: usize) {
+    fn untake_fetch(&mut self, slot: usize) {
         self.fetch_queue.push_front(slot);
     }
 
-    /// Debugging accessor: `(row, valid, ready, pft, accessed, df)`.
-    #[doc(hidden)]
-    pub fn debug_entry(&self, slot: usize) -> (u64, bool, bool, bool, bool, u32) {
-        let e = &self.entries[slot];
-        (e.row, e.valid, e.ready, e.pft, e.accessed, e.df)
+    /// Hands pending row fetches to `mc`, in order, while it has free
+    /// queue slots, and returns how many it took. Each request reads one
+    /// whole row (`row_bytes`) and is tagged `tag_base + slot`; pass its
+    /// slot to [`Self::fill_complete`] when it lands. A fetch the
+    /// controller refuses stays next in line, so a pump that pushes
+    /// nothing leaves the buffer exactly as it was (the fast-forward
+    /// quiescence fingerprint relies on that).
+    pub fn pump(
+        &mut self,
+        mc: &mut MemoryController,
+        now: TimePs,
+        row_bytes: u64,
+        tag_base: u64,
+    ) -> u64 {
+        let mut pushed = 0;
+        while mc.free_slots() > 0 {
+            let Some((slot, row)) = self.pop_fetch() else {
+                break;
+            };
+            let req = Request {
+                addr: row * row_bytes,
+                bytes: row_bytes,
+                tag: tag_base + slot as u64,
+            };
+            if mc.try_push(req, now).is_err() {
+                self.untake_fetch(slot);
+                break;
+            }
+            pushed += 1;
+        }
+        pushed
     }
 
     /// Whether every row of the stream has been allocated.
@@ -637,6 +663,22 @@ mod tests {
             buf.take_fetches(usize::MAX),
             vec![(0, 0), (1, 1), (2, 2), (3, 3)]
         );
+    }
+
+    #[test]
+    fn pump_stops_at_a_full_controller_and_keeps_the_rest_queued() {
+        use millipede_dram::{DramGeometry, DramTiming};
+        let mut buf = RowPrefetchBuffer::new(4, 1, 4, 100, true);
+        let mut mc =
+            MemoryController::with_capacity(DramGeometry::default(), DramTiming::default(), 2);
+        assert_eq!(buf.pump(&mut mc, 0, 2048, 1 << 32), 2);
+        assert_eq!(mc.queue_len(), 2);
+        // The controller is full: the pump takes nothing, and the fetch
+        // queue (order included) and the statistics are untouched.
+        let before = buf.stats().clone();
+        assert_eq!(buf.pump(&mut mc, 0, 2048, 1 << 32), 0);
+        assert_eq!(buf.stats(), &before);
+        assert_eq!(buf.take_fetches(usize::MAX), vec![(2, 2), (3, 3)]);
     }
 
     #[test]

@@ -29,9 +29,8 @@ pub use run_impl::run;
 mod run_impl {
     use super::*;
     use millipede_engine::{
-        drive, instrument, mhz_for_period_ps, period_ps_for_mhz, AccessClass, Arena2, CoreStats,
-        DecodedProgram, DualClock, FlagGrid, NodeModel, Quiescence, StepEffect, ThreadCtx,
-        COMPUTE_MHZ,
+        drive, instrument, mhz_for_period_ps, period_ps_for_mhz, AccessClass, Contexts, CoreStats,
+        DecodedProgram, DualClock, FlagGrid, NodeModel, Quiescence, StepEffect, COMPUTE_MHZ,
     };
     use millipede_mapreduce::ThreadGrid;
     use millipede_telemetry::Telemetry;
@@ -40,26 +39,9 @@ mod run_impl {
 
     const TAG_PREFETCH_BASE: u64 = 1 << 32;
     const TAG_BYPASS: u64 = 1 << 33;
-
-    /// Per-context hot state, struct-of-arrays: thread contexts live in a
-    /// flat lane-major arena and each scheduling flag is one bit per
-    /// context, so the issue loop's whole-corelet queries are word ops.
-    struct Threads {
-        t: Arena2<ThreadCtx>,
-        done: FlagGrid,
-        /// Set while a context is blocked on memory (dedups rate-matcher
-        /// Empty signals and demand-stall counting).
-        stalled: FlagGrid,
-        /// Set while a context waits at a processor-wide software barrier
-        /// (§IV-C's alternative to hardware flow control).
-        at_barrier: FlagGrid,
-        /// Outstanding burst-retire issue credits per context: when a
-        /// context reaches the head of a pure-ALU run, the run executes
-        /// functionally in one go and the remaining instructions are
-        /// charged one issue cycle each from this counter
-        /// (replay-by-count; see DESIGN.md, "Predecoded interpreter").
-        burst: Arena2<u32>,
-    }
+    /// Bound on each corelet's bypass store. Past it the oldest (lowest)
+    /// row is dropped: it is never needed again.
+    const BYPASS_ROWS: usize = 32;
 
     /// One Millipede processor's run-loop state, driven by
     /// [`millipede_engine::drive`].
@@ -69,8 +51,10 @@ mod run_impl {
         image: &'a millipede_mem::InputImage,
         row_bytes: u64,
         slab_bytes: u64,
-        threads: Threads,
-        rr: Vec<usize>,
+        threads: Contexts,
+        /// Set while a context waits at a processor-wide software barrier
+        /// (§IV-C's alternative to hardware flow control).
+        at_barrier: FlagGrid,
         /// Per-corelet bypass store: row → slab-fill-arrived (the
         /// no-flow-control premature-eviction recovery path). Ordered so
         /// the eviction of the lowest (oldest) row is deterministic.
@@ -80,8 +64,6 @@ mod run_impl {
         rate: RateMatcher,
         clock_audit: InvariantChecker,
         stats: CoreStats,
-        halted: usize,
-        total_threads: usize,
         /// Rate-matcher trace entries already converted to freq_step
         /// events.
         rate_drained: usize,
@@ -95,12 +77,13 @@ mod run_impl {
         // stall transition, demand fetch, pbuf allocation / flow block /
         // premature eviction). If a compute edge issues nothing *and*
         // leaves this sum unchanged, it changed nothing at all: the fetch
-        // pump either had nothing to take or restored the queue exactly
-        // (`untake_fetch`), every context saw the same pbuf/bypass state
-        // it will see next cycle, and no rate-matcher signal fired (Full
-        // needs an issue, Empty needs a stall transition). Such edges
-        // repeat verbatim until the memory controller acts, so they can
-        // be skipped in bulk (see DESIGN.md, "One driver").
+        // pump either had nothing to take or left the queue exactly as it
+        // was (`RowPrefetchBuffer::pump`), every context saw the same
+        // pbuf/bypass state it will see next cycle, and no rate-matcher
+        // signal fired (Full needs an issue, Empty needs a stall
+        // transition). Such edges repeat verbatim until the memory
+        // controller acts, so they can be skipped in bulk (see DESIGN.md,
+        // "One driver").
         fn fingerprint(&self) -> u64 {
             let p = self.pbuf.stats();
             self.stats.prefetches
@@ -163,7 +146,7 @@ mod run_impl {
         }
 
         fn done(&self) -> bool {
-            self.halted == self.total_threads
+            self.threads.all_halted()
         }
 
         fn compute_edge(
@@ -175,22 +158,9 @@ mod run_impl {
         ) -> bool {
             self.clock_audit.on_clock_edge(ClockDomain::Compute, now);
             let tel_flow_blocks_before = self.pbuf.stats().flow_blocks;
-            // Hand pending row prefetches to the controller.
-            while self.mc.free_slots() > 0 {
-                let Some((slot, row)) = self.pbuf.pop_fetch() else {
-                    break;
-                };
-                let req = Request {
-                    addr: row * self.row_bytes,
-                    bytes: self.row_bytes,
-                    tag: TAG_PREFETCH_BASE + slot as u64,
-                };
-                if self.mc.try_push(req, now).is_err() {
-                    self.pbuf.untake_fetch(slot);
-                    break;
-                }
-                self.stats.prefetches += 1;
-            }
+            self.stats.prefetches +=
+                self.pbuf
+                    .pump(&mut self.mc, now, self.row_bytes, TAG_PREFETCH_BASE);
 
             // The scan takes each piece of state as its own argument, so
             // the optimizer may keep it in registers across the scan.
@@ -198,21 +168,20 @@ mod run_impl {
             let (row_bytes, slab_bytes) = (self.row_bytes, self.slab_bytes);
             let Node {
                 threads,
-                rr,
+                at_barrier,
                 bypass,
                 pbuf,
                 mc,
                 rate,
                 stats,
-                halted,
                 ..
             } = self;
             let mut any_issued = false;
             for c in 0..cfg.corelets {
                 stats.issue_slots += 1;
                 if corelet_tick(
-                    c, now, cycle, cfg, decoded, image, row_bytes, slab_bytes, threads, rr, bypass,
-                    pbuf, mc, clock, rate, stats, halted,
+                    c, now, cycle, cfg, decoded, image, row_bytes, slab_bytes, threads, at_barrier,
+                    bypass, pbuf, mc, clock, rate, stats,
                 ) {
                     any_issued = true;
                 } else {
@@ -240,18 +209,9 @@ mod run_impl {
             self.mc.tick(now);
             let completions = self.mc.pop_completed(now);
             let fills = completions.len();
+            let conflicts = completions.iter().map(|c| (c.row_hit, c.addr));
+            instrument::row_conflicts(tel, cycle, now, self.row_bytes, conflicts);
             for comp in completions {
-                if !comp.row_hit {
-                    // Stamped with the last completed compute cycle:
-                    // channel edges have no compute-cycle identity.
-                    tel.event(
-                        "dram::controller",
-                        "row_conflict",
-                        cycle,
-                        now,
-                        (comp.addr / self.row_bytes) as f64,
-                    );
-                }
                 if comp.tag >= TAG_BYPASS {
                     let corelet = ((comp.addr % self.row_bytes) / self.slab_bytes) as usize;
                     let row = comp.addr / self.row_bytes;
@@ -331,24 +291,16 @@ mod run_impl {
             image: &workload.dataset.image,
             row_bytes,
             slab_bytes,
-            threads: Threads {
-                t: Arena2::from_fn(cfg.corelets, cfg.contexts, |c, x| {
-                    workload.make_ctx(&grid, c, x)
-                }),
-                done: FlagGrid::new(cfg.corelets, cfg.contexts),
-                stalled: FlagGrid::new(cfg.corelets, cfg.contexts),
-                at_barrier: FlagGrid::new(cfg.corelets, cfg.contexts),
-                burst: Arena2::from_fn(cfg.corelets, cfg.contexts, |_, _| 0u32),
-            },
-            rr: vec![0; cfg.corelets],
+            threads: Contexts::new(cfg.corelets, cfg.contexts, |c, x| {
+                workload.make_ctx(&grid, c, x)
+            }),
+            at_barrier: FlagGrid::new(cfg.corelets, cfg.contexts),
             bypass: vec![BTreeMap::new(); cfg.corelets],
             pbuf,
             mc,
             rate,
             clock_audit: InvariantChecker::new(cfg.invariant_checks),
             stats: CoreStats::default(),
-            halted: 0,
-            total_threads: cfg.corelets * cfg.contexts,
             rate_drained: 0,
             period: nominal,
         };
@@ -357,7 +309,6 @@ mod run_impl {
         let driven = drive(&mut node, &mut clock, quiesce, cfg.fast_forward, &mut tel);
 
         let stats = &mut node.stats;
-        stats.compute_cycles = driven.cycles;
         stats.flow_blocks = node.pbuf.stats().flow_blocks;
         stats.premature_evictions = node.pbuf.stats().premature_evictions;
         stats.rate_match_final_mhz = if cfg.rate_match {
@@ -366,25 +317,15 @@ mod run_impl {
             0.0
         };
         stats.rate_trace = node.rate.trace().to_vec();
-
-        let states: Vec<&[u32]> = node
-            .threads
-            .t
-            .as_slice()
-            .iter()
-            .map(|t| t.local.words())
-            .collect();
-        let output = workload.reduce(&states);
-        let output_ok = output == workload.reference(&grid);
-        NodeResult {
-            stats: node.stats,
-            dram: node.mc.stats().clone(),
-            elapsed_ps: driven.last_time,
-            output,
-            output_ok,
-            telemetry: tel,
-            profile: driven.profile,
-        }
+        NodeResult::finish(
+            workload,
+            &grid,
+            &node.threads.states(),
+            node.stats,
+            node.mc.stats().clone(),
+            driven,
+            tel,
+        )
     }
 
     /// One compute-cycle issue attempt for corelet `c`. Returns whether an
@@ -403,202 +344,118 @@ mod run_impl {
         image: &millipede_mem::InputImage,
         row_bytes: u64,
         slab_bytes: u64,
-        threads: &mut Threads,
-        rr: &mut [usize],
+        threads: &mut Contexts,
+        at_barrier: &mut FlagGrid,
         bypass: &mut [BTreeMap<u64, bool>],
         pbuf: &mut RowPrefetchBuffer,
         mc: &mut MemoryController,
         clock: &mut DualClock,
         rate: &mut RateMatcher,
         stats: &mut CoreStats,
-        halted: &mut usize,
     ) -> bool {
         // Whole-corelet early out: every context done or parked at the
         // barrier means the scan below would be all `continue`s.
-        if threads.done.mask(c) | threads.at_barrier.mask(c) == threads.done.full_mask() {
+        let done = threads.done();
+        if done.mask(c) | at_barrier.mask(c) == done.full_mask() {
             return false;
         }
-        for k in 0..cfg.contexts {
-            let mut x = rr[c] + k;
-            if x >= cfg.contexts {
-                x -= cfg.contexts;
-            }
-            if threads.done.get(c, x) || threads.at_barrier.get(c, x) {
+        for x in threads.round_robin(c) {
+            if threads.done().get(c, x) || at_barrier.get(c, x) {
                 continue;
             }
-            // Charge one banked burst-retire credit: the instruction
-            // already executed functionally (it was pure ALU — invisible
-            // to every other context and to the memory system), so this
-            // cycle only pays its issue slot. Identical scheduling to
-            // committing it here: a mid-run context always issues.
-            {
-                let credits = threads.burst.get_mut(c, x);
-                if *credits > 0 {
-                    *credits -= 1;
-                    stats.instructions += 1;
-                    stats.issues += 1;
-                    rr[c] = if x + 1 == cfg.contexts { 0 } else { x + 1 };
+            if threads.charge_burst(c, x, stats) {
+                return true;
+            }
+            let ctx = threads.ctx(c, x);
+            if decoded.access_class(ctx.pc) != AccessClass::InputLoad {
+                commit(c, x, threads, at_barrier, decoded, image, stats, None);
+                return true;
+            }
+            let addr = decoded.mem_addr_at(ctx);
+            let row = addr / row_bytes;
+            let lookup = pbuf.lookup(row);
+            match lookup {
+                Lookup::Ready { slot } => {
+                    commit(c, x, threads, at_barrier, decoded, image, stats, Some(addr));
+                    stats.pbuf_hits += 1;
+                    let out = pbuf.consume(slot, c);
+                    if out.trigger_blocked {
+                        rate.on_signal(OccupancySignal::Full, cycle, clock);
+                    }
                     return true;
                 }
-            }
-            if decoded.access_class(threads.t.get(c, x).pc) == AccessClass::InputLoad {
-                let addr = decoded.mem_addr_at(threads.t.get(c, x));
-                let row = addr / row_bytes;
-                match pbuf.lookup(row) {
-                    Lookup::Ready { slot } => {
-                        commit(c, x, threads, decoded, image, stats, halted, Some(addr));
-                        stats.pbuf_hits += 1;
-                        let out = pbuf.consume(slot, c);
-                        if out.trigger_blocked {
-                            rate.on_signal(OccupancySignal::Full, cycle, clock);
-                        }
-                        rr[c] = if x + 1 == cfg.contexts { 0 } else { x + 1 };
-                        return true;
+                Lookup::Future | Lookup::Filling => {
+                    // Future: the accessor is ahead of the prefetch
+                    // stream. With flow control it stalls; without, its
+                    // demand wraps the buffer, prematurely evicting
+                    // unconsumed heads.
+                    if lookup == Lookup::Future && !cfg.flow_control {
+                        pbuf.force_allocate_for_demand(row);
                     }
-                    Lookup::Future => {
-                        // The accessor is ahead of the prefetch stream. With
-                        // flow control it stalls; without, its demand wraps
-                        // the buffer, prematurely evicting unconsumed heads.
-                        if !cfg.flow_control {
-                            pbuf.force_allocate_for_demand(row);
-                        }
-                        if !threads.stalled.get(c, x) {
-                            threads.stalled.set(c, x, true);
-                            stats.demand_stalls += 1;
-                            rate.on_signal(OccupancySignal::Empty, cycle, clock);
-                        }
-                        continue;
+                    if threads.stall(c, x, stats) {
+                        rate.on_signal(OccupancySignal::Empty, cycle, clock);
                     }
-                    Lookup::Filling => {
-                        if !threads.stalled.get(c, x) {
-                            threads.stalled.set(c, x, true);
-                            stats.demand_stalls += 1;
-                            rate.on_signal(OccupancySignal::Empty, cycle, clock);
+                }
+                Lookup::Evicted => {
+                    debug_assert!(
+                        !cfg.flow_control,
+                        "eviction under flow control is impossible"
+                    );
+                    match bypass[c].get(&row) {
+                        Some(true) => {
+                            commit(c, x, threads, at_barrier, decoded, image, stats, Some(addr));
+                            return true;
                         }
-                        continue;
-                    }
-                    Lookup::Evicted => {
-                        debug_assert!(
-                            !cfg.flow_control,
-                            "eviction under flow control is impossible"
-                        );
-                        match bypass[c].get(&row) {
-                            Some(true) => {
-                                commit(c, x, threads, decoded, image, stats, halted, Some(addr));
-                                rr[c] = if x + 1 == cfg.contexts { 0 } else { x + 1 };
-                                return true;
-                            }
-                            Some(false) => {
-                                // Fill in flight.
-                                continue;
-                            }
-                            None => {
-                                let addr = row * row_bytes + c as u64 * slab_bytes;
-                                let req = Request {
-                                    addr,
-                                    bytes: slab_bytes,
-                                    tag: TAG_BYPASS,
-                                };
-                                if mc.try_push(req, now).is_ok() {
-                                    if bypass[c].len() >= 32 {
-                                        // Bound the store: oldest (lowest)
-                                        // rows are never needed again.
-                                        if let Some(oldest) = bypass[c].keys().next().copied() {
-                                            bypass[c].remove(&oldest);
-                                        }
+                        // Fill in flight.
+                        Some(false) => {}
+                        None => {
+                            let req = Request {
+                                addr: row * row_bytes + c as u64 * slab_bytes,
+                                bytes: slab_bytes,
+                                tag: TAG_BYPASS,
+                            };
+                            if mc.try_push(req, now).is_ok() {
+                                if bypass[c].len() >= BYPASS_ROWS {
+                                    if let Some(oldest) = bypass[c].keys().next().copied() {
+                                        bypass[c].remove(&oldest);
                                     }
-                                    bypass[c].insert(row, false);
-                                    stats.demand_fetches += 1;
                                 }
-                                if !threads.stalled.get(c, x) {
-                                    threads.stalled.set(c, x, true);
-                                    stats.demand_stalls += 1;
-                                }
-                                continue;
+                                bypass[c].insert(row, false);
+                                stats.demand_fetches += 1;
                             }
+                            threads.stall(c, x, stats);
                         }
                     }
                 }
-            } else {
-                commit(c, x, threads, decoded, image, stats, halted, None);
-                rr[c] = if x + 1 == cfg.contexts { 0 } else { x + 1 };
-                return true;
             }
         }
         false
     }
 
-    /// Functionally executes the context's next instruction and updates
-    /// statistics. `mem_addr` carries the effective address the issue scan
-    /// already computed for a load (so it is not recomputed to commit).
-    ///
-    /// A context at the head of a pure-ALU run retires the *whole run*
-    /// here and banks the remaining issue cycles as burst credits; only
-    /// the first instruction is charged this cycle.
+    /// Issues context `x` of corelet `c` and applies the processor-wide
+    /// software barrier: a context that reaches it waits, and a halting
+    /// one stops taking part, so either may release the waiters.
     #[allow(clippy::too_many_arguments)]
     fn commit(
         c: usize,
         x: usize,
-        threads: &mut Threads,
+        threads: &mut Contexts,
+        at_barrier: &mut FlagGrid,
         decoded: &DecodedProgram,
         image: &millipede_mem::InputImage,
         stats: &mut CoreStats,
-        halted: &mut usize,
         mem_addr: Option<u64>,
     ) {
-        threads.stalled.set(c, x, false);
-        let ctx = threads.t.get_mut(c, x);
-        if decoded.run_len(ctx.pc) > 0 {
-            // Pure ALU: never traps, never halts, never barriers — no
-            // effect bookkeeping beyond the per-cycle issue charge.
-            let n = decoded.burst_retire(ctx, u32::MAX);
-            *threads.burst.get_mut(c, x) = n - 1;
-            stats.instructions += 1;
-            stats.issues += 1;
-            return;
+        match threads.commit(c, x, decoded, image, stats, mem_addr) {
+            StepEffect::Barrier => at_barrier.set(c, x, true),
+            StepEffect::Halt => {}
+            _ => return,
         }
-        let committed = match mem_addr {
-            Some(addr) => decoded.commit_mem_at(ctx, addr, image),
-            None => decoded.commit(ctx, image),
-        };
-        let effect =
-            committed.unwrap_or_else(|trap| panic!("kernel trap on corelet {c} ctx {x}: {trap}"));
-        stats.instructions += 1;
-        stats.issues += 1;
-        let mut sync_check = false;
-        match effect {
-            StepEffect::Branch { .. } => stats.branches += 1,
-            StepEffect::InputLoad { .. } => stats.input_loads += 1,
-            StepEffect::LocalLoad { .. } => stats.local_loads += 1,
-            StepEffect::LocalStore { .. } => stats.local_stores += 1,
-            StepEffect::Barrier => {
-                sync_check = true;
-            }
-            StepEffect::Halt => {
-                threads.done.set(c, x, true);
-                *halted += 1;
-                // A halting thread stops participating in barriers; waiters
-                // may now be releasable.
-                sync_check = true;
-            }
-            _ => {}
-        }
-        if sync_check {
-            if matches!(effect, StepEffect::Barrier) {
-                threads.at_barrier.set(c, x, true);
-            }
-            release_barrier_if_ready(threads);
-        }
-    }
-
-    /// Releases every waiting context once all live contexts on the
-    /// processor have reached the barrier.
-    fn release_barrier_if_ready(threads: &mut Threads) {
-        let full = threads.done.full_mask();
-        let all_waiting = (0..threads.done.lanes())
-            .all(|c| threads.done.mask(c) | threads.at_barrier.mask(c) == full);
-        if all_waiting {
-            threads.at_barrier.clear_all();
+        // Release every waiter once all live contexts on the processor
+        // have reached the barrier.
+        let done = threads.done();
+        if (0..done.lanes()).all(|c| done.mask(c) | at_barrier.mask(c) == done.full_mask()) {
+            at_barrier.clear_all();
         }
     }
 }

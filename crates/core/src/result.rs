@@ -1,9 +1,10 @@
 //! Cross-architecture run results.
 
 use millipede_dram::DramStats;
-use millipede_engine::{CoreStats, JumpProfile, TimePs};
+use millipede_engine::{CoreStats, Driven, JumpProfile, TimePs};
+use millipede_mapreduce::ThreadGrid;
 use millipede_telemetry::Telemetry;
-use millipede_workloads::Reduced;
+use millipede_workloads::{Reduced, Workload};
 
 /// The outcome of simulating one workload on one processor node.
 ///
@@ -34,6 +35,33 @@ pub struct NodeResult {
 }
 
 impl NodeResult {
+    /// The result of a driven run of `workload` on `grid`: reduces the
+    /// threads' final live `states` (in the grid's corelet-major order),
+    /// checks the output against the workload's reference, and records
+    /// the run's cycles, end time and jump counters from `driven`.
+    pub fn finish(
+        workload: &Workload,
+        grid: &ThreadGrid,
+        states: &[&[u32]],
+        mut stats: CoreStats,
+        dram: DramStats,
+        driven: Driven,
+        telemetry: Telemetry,
+    ) -> NodeResult {
+        stats.compute_cycles = driven.cycles;
+        let output = workload.reduce(states);
+        let output_ok = output == workload.reference(grid);
+        NodeResult {
+            stats,
+            dram,
+            elapsed_ps: driven.last_time,
+            output,
+            output_ok,
+            telemetry,
+            profile: driven.profile,
+        }
+    }
+
     /// Simulated runtime in microseconds.
     pub fn runtime_us(&self) -> f64 {
         self.elapsed_ps as f64 / 1e6

@@ -27,16 +27,104 @@
 //! context's own registers, so running ahead functionally is invisible to
 //! every other context and to all memory-system state.
 //!
+//! The effect types every interpreter reports in — [`StepEffect`],
+//! [`EffectiveAccess`] and [`Trap`] — live here, next to the interpreter
+//! the timing models and [`crate::run_functional`] execute on.
+//!
 //! Everything here is semantically bit-exact against the reference
 //! interpreter; `tests/decoded_differential.rs` enforces that over the
 //! fixture corpus and randomized programs.
 
 use crate::alu;
 use crate::context::ThreadCtx;
-use crate::step::{EffectiveAccess, StepEffect, Trap};
 use millipede_isa::{AddrSpace, AluOp, CmpOp, FAluOp, Instr, Program, Reg};
-use millipede_mem::InputImage;
+use millipede_mem::{InputImage, MemFault};
+use std::fmt;
 use std::sync::Arc;
+
+/// A fatal kernel error (memory fault or runaway execution).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Trap {
+    /// A local-memory access faulted.
+    Local(MemFault),
+    /// An input load was misaligned or out of bounds.
+    Input {
+        /// The faulting byte address.
+        addr: u64,
+    },
+    /// Stepped a context that already halted (simulator scheduling bug).
+    SteppedHalted,
+    /// The functional runner exceeded its step limit.
+    StepLimit,
+}
+
+impl fmt::Display for Trap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Trap::Local(e) => write!(f, "local memory fault: {e}"),
+            Trap::Input { addr } => write!(f, "bad input load at byte address {addr:#x}"),
+            Trap::SteppedHalted => write!(f, "stepped a halted context"),
+            Trap::StepLimit => write!(f, "step limit exceeded (kernel livelock?)"),
+        }
+    }
+}
+
+impl std::error::Error for Trap {}
+
+impl From<MemFault> for Trap {
+    fn from(e: MemFault) -> Self {
+        Trap::Local(e)
+    }
+}
+
+/// What an executed instruction did — the timing models key off this.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepEffect {
+    /// An ALU/immediate/convert instruction completed.
+    Alu,
+    /// A conditional branch executed (and whether it was taken).
+    Branch {
+        /// Whether the branch was taken.
+        taken: bool,
+    },
+    /// An unconditional jump executed.
+    Jump,
+    /// A word was loaded from the input dataset at this byte address.
+    InputLoad {
+        /// The byte address.
+        addr: u64,
+    },
+    /// A word was loaded from local live state.
+    LocalLoad {
+        /// The byte address.
+        addr: u64,
+    },
+    /// A word was stored to local live state.
+    LocalStore {
+        /// The byte address.
+        addr: u64,
+    },
+    /// The thread reached a processor-wide barrier (the timing model is
+    /// responsible for blocking it; functionally it is a no-op).
+    Barrier,
+    /// The thread halted.
+    Halt,
+}
+
+/// The memory access an instruction at the context's current PC *would*
+/// perform, computed without executing. Timing models use this to decide
+/// whether the context can proceed this cycle (prefetch-buffer hit, cache
+/// hit, …) before committing the instruction with
+/// [`DecodedProgram::commit_mem_at`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EffectiveAccess {
+    /// Which address space.
+    pub space: AddrSpace,
+    /// Byte address.
+    pub addr: u64,
+    /// Whether the access is a store.
+    pub write: bool,
+}
 
 /// Fused opcode: one byte selecting the exact operation, with the operand
 /// kind (register/immediate) and address space already resolved.

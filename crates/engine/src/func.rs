@@ -11,8 +11,7 @@
 //!    cheaply.
 
 use crate::context::ThreadCtx;
-use crate::decoded::DecodedProgram;
-use crate::step::{StepEffect, Trap};
+use crate::decoded::{DecodedProgram, StepEffect, Trap};
 use millipede_isa::Program;
 use millipede_mem::InputImage;
 

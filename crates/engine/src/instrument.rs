@@ -6,6 +6,8 @@
 //!   writer uses for every model.
 //! - [`sample_dram`] is the DRAM-controller sample trio every model
 //!   records at each telemetry epoch boundary.
+//! - [`row_conflicts`] is the per-fill row-conflict event every model
+//!   records on its channel edges.
 //!
 //! Everything here is observational: replayed accounting is bit-exact by
 //! construction (skipped edges are proven no-ops), and the golden-digest
@@ -85,4 +87,26 @@ pub fn sample_dram(
         at,
         queue_depth as f64,
     );
+}
+
+/// Records one `row_conflict` event for each completed fill, given as
+/// `(row_hit, addr)`, that had to open its row. Channel edges have no
+/// compute cycle of their own, so the events carry the last completed
+/// one, `cycle`.
+pub fn row_conflicts(
+    tel: &mut Telemetry,
+    cycle: u64,
+    at: TimePs,
+    row_bytes: u64,
+    fills: impl Iterator<Item = (bool, u64)>,
+) {
+    if !tel.enabled() {
+        return;
+    }
+    for (row_hit, addr) in fills {
+        if !row_hit {
+            let row = addr / row_bytes;
+            tel.event("dram::controller", "row_conflict", cycle, at, row as f64);
+        }
+    }
 }

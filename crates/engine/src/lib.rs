@@ -10,6 +10,13 @@
 //! methodology ("our results isolate the benefits of Millipede's novel
 //! features while holding ... software ... the same", §V).
 //!
+//! Every model executes on the predecoded interpreter ([`decoded`]), which
+//! also defines the effect types ([`StepEffect`], [`Trap`]); [`step`] is
+//! the reference interpreter the differential tests check it against.
+//! [`mimd`] is the hardware-context set the two MIMD timing models
+//! (Millipede, SSMC) share, and [`driver`] the run loop every timing
+//! model runs on.
+//!
 //! The crate also provides a pure-functional single-thread runner
 //! ([`func::run_functional`]) used to validate kernels against their Rust
 //! reference implementations and to measure Table IV's static
@@ -25,15 +32,18 @@ pub mod decoded;
 pub mod driver;
 pub mod func;
 pub mod instrument;
+pub mod mimd;
 pub mod stats;
 pub mod step;
 
 pub use arena::{Arena2, FlagGrid};
 pub use clock::{mhz_for_period_ps, period_ps_for_mhz, DualClock, Edge, TimePs, COMPUTE_MHZ};
 pub use context::{LaunchParams, ThreadCtx};
-pub use decoded::{AccessClass, DecodedProgram, MicroOp, OpCode};
+pub use decoded::{
+    AccessClass, DecodedProgram, EffectiveAccess, MicroOp, OpCode, StepEffect, Trap,
+};
 pub use driver::{drive, Driven, JumpProfile, NodeModel, Quiescence, MAX_IDLE_CYCLES};
 pub use func::{run_functional, FuncStats, DEFAULT_STEP_LIMIT};
 pub use instrument::ReplayDeltas;
+pub use mimd::Contexts;
 pub use stats::CoreStats;
-pub use step::{step, EffectiveAccess, StepEffect, Trap};

@@ -38,13 +38,15 @@ use millipede_engine::{
 };
 use millipede_isa::ReconvergenceMap;
 use millipede_mapreduce::ThreadGrid;
-use millipede_mem::{coalesce_blocks, Cache, Mshr, SharedMemoryBanks};
+use millipede_mem::{coalesce_blocks, Cache, Mshr, SequentialPrefetcher, SharedMemoryBanks};
 use millipede_telemetry::Telemetry;
 use millipede_workloads::Workload;
 use warp::Warp;
 
 const TAG_PREFETCH_BASE: u64 = 1 << 40;
 const TAG_BLOCK_FILL: u64 = 1 << 41;
+/// How far the block prefetcher runs past the farthest demanded block.
+const LOOKAHEAD: u64 = PREFETCH_DEGREE * L1_BLOCK;
 
 struct Sm {
     threads: Vec<ThreadCtx>,
@@ -78,10 +80,8 @@ struct Sm {
     /// cannot change while stalled (a stalling issue mutates nothing else),
     /// so the memoized row stays exact.
     wait_row: Vec<u64>,
-    /// Block prefetcher state (non-row-oriented): next block to fetch.
-    pf_next: u64,
-    pf_end: u64,
-    demand_block: u64,
+    /// Block prefetcher over the whole input (non-row-oriented variants).
+    pf: SequentialPrefetcher,
 }
 
 /// One SM's run-loop state, driven by [`millipede_engine::drive`].
@@ -122,8 +122,8 @@ impl NodeModel for Node<'_> {
         });
         self.stats.prefetches
             + self.stats.demand_fetches
-            + self.sm.pf_next
-            + self.sm.demand_block
+            + self.sm.pf.cursor()
+            + self.sm.pf.limit()
             + self.sm.outstanding_total
             + pbuf_sum
     }
@@ -195,9 +195,21 @@ impl NodeModel for Node<'_> {
         let hits_before = self.sm.l1.stats().hits;
         let misses_before = self.sm.l1.stats().misses;
         if let Some(pbuf) = self.pbuf.as_mut() {
-            pump_rows(pbuf, &mut self.mc, now, self.row_bytes, &mut self.stats);
+            self.stats.prefetches +=
+                pbuf.pump(&mut self.mc, now, self.row_bytes, TAG_PREFETCH_BASE);
         } else {
-            pump_blocks(&mut self.sm, &mut self.mc, now, &mut self.stats);
+            let Sm { l1, mshr, pf, .. } = &mut self.sm;
+            let (mc, stats) = (&mut self.mc, &mut self.stats);
+            pf.pump(l1, mshr, |block| {
+                let req = Request {
+                    addr: block,
+                    bytes: L1_BLOCK,
+                    tag: TAG_BLOCK_FILL,
+                };
+                let pushed = mc.free_slots() > 0 && mc.try_push(req, now).is_ok();
+                stats.prefetches += u64::from(pushed);
+                pushed
+            });
         }
         // The scan takes each piece of state as its own argument, so the
         // optimizer may keep it in registers across the scan.
@@ -246,16 +258,9 @@ impl NodeModel for Node<'_> {
         self.mc.tick(now);
         let completions = self.mc.pop_completed(now);
         let fills = completions.len();
+        let conflicts = completions.iter().map(|c| (c.row_hit, c.addr));
+        instrument::row_conflicts(tel, cycle, now, self.row_bytes, conflicts);
         for comp in completions {
-            if !comp.row_hit {
-                tel.event(
-                    "dram::controller",
-                    "row_conflict",
-                    cycle,
-                    now,
-                    (comp.addr / self.row_bytes) as f64,
-                );
-            }
             if comp.tag >= TAG_BLOCK_FILL {
                 let sm = &mut self.sm;
                 sm.l1.fill(comp.addr);
@@ -357,9 +362,7 @@ pub fn run(workload: &Workload, cfg: &GpgpuConfig) -> NodeResult {
         shared: SharedMemoryBanks::new(SHARED_BANKS),
         lsu_busy_until: 0,
         wait_row: vec![u64::MAX; num_warps],
-        pf_next: 0,
-        pf_end: layout.total_bytes(),
-        demand_block: 0,
+        pf: SequentialPrefetcher::new(0, L1_BLOCK, layout.total_bytes(), LOOKAHEAD),
     };
 
     let decoded = DecodedProgram::of(&workload.program);
@@ -384,7 +387,6 @@ pub fn run(workload: &Workload, cfg: &GpgpuConfig) -> NodeResult {
     let driven = drive(&mut node, &mut clock, quiesce, cfg.fast_forward, &mut tel);
 
     let stats = &mut node.stats;
-    stats.compute_cycles = driven.cycles;
     stats.shared_passes = node.sm.shared.passes();
     stats.l1_hits = node.sm.l1.stats().hits + node.ff_l1_hits;
     stats.l1_misses = node.sm.l1.stats().misses + node.ff_l1_misses;
@@ -398,68 +400,15 @@ pub fn run(workload: &Workload, cfg: &GpgpuConfig) -> NodeResult {
         .flat_map(|lane| (0..cfg.contexts).map(move |x| grid.thread_index(lane, x)))
         .map(|t| node.sm.threads[t].local.words())
         .collect();
-    let output = workload.reduce(&states);
-    let output_ok = output == workload.reference(&grid);
-    NodeResult {
-        stats: node.stats,
-        dram: node.mc.stats().clone(),
-        elapsed_ps: driven.last_time,
-        output,
-        output_ok,
-        telemetry: tel,
-        profile: driven.profile,
-    }
-}
-
-/// Hands pending row prefetches to the controller (VWS-row).
-fn pump_rows(
-    pbuf: &mut RowPrefetchBuffer,
-    mc: &mut MemoryController,
-    now: TimePs,
-    row_bytes: u64,
-    stats: &mut CoreStats,
-) {
-    while mc.free_slots() > 0 {
-        let Some((slot, row)) = pbuf.pop_fetch() else {
-            break;
-        };
-        let req = Request {
-            addr: row * row_bytes,
-            bytes: row_bytes,
-            tag: TAG_PREFETCH_BASE + slot as u64,
-        };
-        if mc.try_push(req, now).is_err() {
-            pbuf.untake_fetch(slot);
-            break;
-        }
-        stats.prefetches += 1;
-    }
-}
-
-/// Issues sequential block prefetches up to the L1-derived lookahead.
-fn pump_blocks(sm: &mut Sm, mc: &mut MemoryController, now: TimePs, stats: &mut CoreStats) {
-    let limit = sm.demand_block.saturating_add(PREFETCH_DEGREE * L1_BLOCK);
-    while sm.pf_next < sm.pf_end && sm.pf_next <= limit {
-        let block = sm.pf_next;
-        if sm.l1.contains(block) || sm.mshr.pending(block) {
-            sm.pf_next += L1_BLOCK;
-            continue;
-        }
-        if sm.mshr.is_full() || mc.free_slots() == 0 {
-            break;
-        }
-        let req = Request {
-            addr: block,
-            bytes: L1_BLOCK,
-            tag: TAG_BLOCK_FILL,
-        };
-        if mc.try_push(req, now).is_err() {
-            break;
-        }
-        sm.mshr.allocate_prefetch(block);
-        sm.pf_next += L1_BLOCK;
-        stats.prefetches += 1;
-    }
+    NodeResult::finish(
+        workload,
+        &grid,
+        &states,
+        node.stats,
+        node.mc.stats().clone(),
+        driven,
+        tel,
+    )
 }
 
 /// One issue attempt for `cluster`; returns whether a warp issued.
@@ -635,7 +584,7 @@ fn try_issue_warp(
             } else {
                 let blocks = coalesce_blocks(addrs, L1_BLOCK);
                 if let Some(far) = blocks.iter().copied().max() {
-                    sm.demand_block = sm.demand_block.max(far);
+                    sm.pf.raise_limit(far.saturating_add(LOOKAHEAD));
                 }
                 let mut missing_buf = [0u64; 64];
                 let mut missing_count = 0;

@@ -159,21 +159,6 @@ impl Cache {
         }
     }
 
-    /// Recounts one demand miss without probing the tag array.
-    ///
-    /// This is the stalled-retry fast path: a context stalled on an
-    /// in-flight fill re-probes its block every cycle, and each such probe
-    /// is a guaranteed miss that updates nothing but the miss counter (a
-    /// miss writes no LRU state, and the internal tick only orders LRU
-    /// writes relative to each other, so skipping its increment is
-    /// unobservable). Callers must guarantee the block is absent — i.e.
-    /// its fill is still pending — or the statistics diverge from a real
-    /// probe.
-    #[inline]
-    pub fn recount_miss(&mut self) {
-        self.stats.misses += 1;
-    }
-
     /// Whether the block containing `addr` is resident (no LRU/stat update).
     pub fn contains(&self, addr: u64) -> bool {
         let block = self.block_of(addr);

@@ -10,7 +10,8 @@
 //! * **SSMC** — 5 KB L1 D-cache per core ([`Cache`] + [`Mshr`] +
 //!   [`SequentialPrefetcher`]);
 //! * **GPGPU/VWS** — 32 KB L1 D-cache + 128 KB banked Shared Memory per SM
-//!   ([`Cache`], [`SharedMemoryBanks`], [`coalesce_blocks`]).
+//!   ([`Cache`], [`SequentialPrefetcher`], [`SharedMemoryBanks`],
+//!   [`coalesce_blocks`]).
 //!
 //! This crate also owns the *functional* backing stores: the read-only
 //! [`InputImage`] of the dataset resident in die-stacked DRAM (§IV-E) and the
@@ -31,5 +32,5 @@ pub use coalesce::coalesce_blocks;
 pub use image::InputImage;
 pub use local::{LocalMem, MemFault};
 pub use mshr::{Mshr, MshrOutcome};
-pub use prefetch::SequentialPrefetcher;
+pub use prefetch::{PrefetchStop, SequentialPrefetcher};
 pub use sharedmem::SharedMemoryBanks;

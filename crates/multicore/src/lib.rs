@@ -21,7 +21,9 @@
 
 use millipede_core::NodeResult;
 use millipede_dram::DramStats;
-use millipede_engine::{run_functional, CoreStats, FuncStats, JumpProfile, DEFAULT_STEP_LIMIT};
+use millipede_engine::{
+    run_functional, CoreStats, Driven, FuncStats, JumpProfile, DEFAULT_STEP_LIMIT,
+};
 use millipede_mapreduce::ThreadGrid;
 use millipede_telemetry::{Telemetry, TelemetryConfig};
 use millipede_workloads::Workload;
@@ -86,10 +88,6 @@ pub fn run(workload: &Workload, cfg: &MulticoreConfig) -> NodeResult {
     let memory_ns = bytes as f64 / MEM_BW_GBPS; // GB/s == bytes/ns
     let elapsed_ns = compute_ns.max(memory_ns);
 
-    let states: Vec<&[u32]> = ctxs.iter().map(|c| c.local.words()).collect();
-    let output = workload.reduce(&states);
-    let output_ok = output == workload.reference(&grid);
-
     let stats = CoreStats {
         instructions: totals.instructions,
         issues: totals.instructions,
@@ -126,15 +124,14 @@ pub fn run(workload: &Workload, cfg: &MulticoreConfig) -> NodeResult {
             tel.counter("multicore::dram", "bytes_transferred", due, at, bytes);
         }
     }
-    NodeResult {
-        stats,
-        dram,
-        elapsed_ps,
-        output,
-        output_ok,
-        telemetry: tel,
+    // No cycle loop, so no jumps: the analytic runtime is the whole run.
+    let driven = Driven {
+        cycles: stats.compute_cycles,
+        last_time: elapsed_ps,
         profile: JumpProfile::default(),
-    }
+    };
+    let states: Vec<&[u32]> = ctxs.iter().map(|c| c.local.words()).collect();
+    NodeResult::finish(workload, &grid, &states, stats, dram, driven, tel)
 }
 
 #[cfg(test)]

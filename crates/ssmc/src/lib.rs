@@ -26,11 +26,11 @@ use millipede_core::NodeResult;
 use millipede_dram::{DramGeometry, DramTiming};
 use millipede_dram::{MemoryController, Request, TimePs, QUEUE_DEPTH};
 use millipede_engine::{
-    drive, instrument, period_ps_for_mhz, AccessClass, Arena2, CoreStats, DecodedProgram,
-    DualClock, FlagGrid, NodeModel, Quiescence, StepEffect, ThreadCtx, COMPUTE_MHZ,
+    drive, instrument, period_ps_for_mhz, AccessClass, Arena2, Contexts, CoreStats, DecodedProgram,
+    DualClock, FlagGrid, NodeModel, Quiescence, COMPUTE_MHZ,
 };
 use millipede_mapreduce::ThreadGrid;
-use millipede_mem::{Cache, Mshr};
+use millipede_mem::{Cache, Mshr, PrefetchStop, SequentialPrefetcher};
 use millipede_telemetry::{Telemetry, TelemetryConfig};
 use millipede_workloads::Workload;
 
@@ -91,76 +91,18 @@ impl Default for SsmcConfig {
     }
 }
 
-/// Per-core next-slab stride prefetcher: the input stream of core *c* is
-/// its 64 B slab of every sequential row, so the stream stride is one row.
-#[derive(Debug, Clone)]
-struct SlabPrefetcher {
-    /// Next row index whose slab should be prefetched.
-    next_row: u64,
-    end_row: u64,
-    degree: u64,
-}
-
-impl SlabPrefetcher {
-    fn wanted(&mut self, demand_row: u64) -> Option<u64> {
-        if self.next_row < self.end_row && self.next_row <= demand_row + self.degree {
-            Some(self.next_row)
-        } else {
-            None
-        }
-    }
-
-    fn advance(&mut self) {
-        self.next_row += 1;
-    }
-}
-
-/// Why a core's prefetch pump is parked (pure memoization: a parked pump
-/// is one whose probes provably could not issue anything, so re-running it
-/// would change no state — see `pump_prefetch`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PfPark {
-    /// Probing could issue a prefetch; run the pump.
-    Ready,
-    /// Blocked on MSHR or DRAM-queue space. Both only free on a channel
-    /// edge (a fill completes, or the controller issues a CAS and pops the
-    /// request from its queue), which unparks every `Resource` core.
-    Resource,
-    /// Lookahead window exhausted: nothing to prefetch until `demand_row`
-    /// reaches the stored row (`u64::MAX` once the stream has ended).
-    Window(u64),
-}
-
 struct Core {
-    rr: usize,
     l1: Cache,
     mshr: Mshr,
-    pf: SlabPrefetcher,
-    pf_parked: PfPark,
-    /// Highest row any of this core's contexts has demanded.
-    demand_row: u64,
-}
-
-/// Per-context hot state, struct-of-arrays (see `millipede_engine::arena`):
-/// the contexts live core-major in one arena and the done/stalled booleans
-/// are one bit mask per core.
-struct Threads {
-    t: Arena2<ThreadCtx>,
-    done: FlagGrid,
-    stalled: FlagGrid,
-    /// Outstanding burst-retire issue credits per context: a pure-ALU run
-    /// executes functionally in one shot and the timing model replays its
-    /// cycles by count (see DESIGN.md, "Predecoded interpreter").
-    burst: Arena2<u32>,
-    /// Stalled on an *in-flight* fill: every scan visit is then a
-    /// guaranteed re-miss that changes nothing but the L1 miss counter, so
-    /// the scan replays it via [`Cache::recount_miss`] instead of probing.
-    /// Cleared by the channel arm when the fill for [`Threads::stall_block`]
-    /// lands (after which the slow path handles hit — or re-miss, if the
-    /// block was evicted before the context rescanned — exactly as before).
-    stall_fast: FlagGrid,
-    /// Block base the context is stalled on (valid while `stall_fast`).
-    stall_block: Arena2<u64>,
+    /// The core's input stream: its slab of every row, so the stride is
+    /// one row.
+    pf: SequentialPrefetcher,
+    /// The prefetcher last stopped on MSHR or DRAM-queue space. Both only
+    /// free on a channel edge (a fill completes, or the controller issues
+    /// a CAS and pops the request from its queue), which clears this for
+    /// every core. Until then a pump provably issues nothing, so it is not
+    /// run: pure memoization, bit-exact by construction.
+    pf_parked: bool,
 }
 
 /// One SSMC processor's run-loop state, driven by [`millipede_engine::drive`].
@@ -174,48 +116,51 @@ struct Node<'a> {
     row_shift: Option<u32>,
     row_bytes: u64,
     slab_bytes: u64,
-    threads: Threads,
+    /// Prefetch lookahead past the demand row, in bytes.
+    lookahead: u64,
+    threads: Contexts,
+    /// Stalled on an *in-flight* fill: every scan visit is then a
+    /// guaranteed re-miss that changes nothing but the L1 miss count, so
+    /// the scan counts the miss instead of probing.
+    /// Cleared by the channel arm when the fill for `stall_block` lands
+    /// (after which the slow path handles hit — or re-miss, if the block
+    /// was evicted before the context rescanned — exactly as before).
+    stall_fast: FlagGrid,
+    /// Block base the context is stalled on (valid while `stall_fast`).
+    stall_block: Arena2<u64>,
     cores: Vec<Core>,
     mc: MemoryController,
+    /// Counted live by the scan, L1 misses included (`stats.l1_misses`),
+    /// so a jump can replay them.
     stats: CoreStats,
-    halted: usize,
-    total_threads: usize,
-    /// L1 misses replayed for fast-forwarded edges so far (stalled
-    /// contexts re-probe their missing block every cycle); folded into
-    /// `stats.l1_misses` at the end so fast-forward stays bit-exact.
-    ff_l1_misses: u64,
-    /// L1 misses the last compute edge re-counted (its replayed delta).
+    /// L1 misses the last compute edge counted (its replayed delta:
+    /// stalled contexts re-probe their missing block every cycle).
     miss_delta: u64,
-}
-
-impl Node<'_> {
-    fn l1_misses(&self) -> u64 {
-        self.cores.iter().map(|c| c.l1.stats().misses).sum()
-    }
 }
 
 impl NodeModel for Node<'_> {
     // Quiescence fingerprint (see DESIGN.md, "One driver"):
     // every observable compute-edge mutation either bumps one of these
     // monotone counters (prefetch, stall transition, demand fetch) or
-    // advances the monotone prefetcher/demand cursors included in the sum.
+    // advances a prefetcher's monotone cursor or demand-raised limit,
+    // both included in the sum.
     // L1 demand-miss recounting is deliberately excluded — it *does* recur
-    // on stalled edges and is replayed via `ff_l1_misses` instead. (Repeat
+    // on stalled edges and is replayed via `miss_delta` instead. (Repeat
     // misses never touch LRU state, so only the counter is observable.)
     fn fingerprint(&self) -> u64 {
         let cursors: u64 = self
             .cores
             .iter()
-            .map(|c| c.pf.next_row + c.demand_row)
+            .map(|c| c.pf.cursor() + c.pf.limit())
             .sum();
         self.stats.prefetches + self.stats.demand_stalls + self.stats.demand_fetches + cursors
     }
 
     fn sample_epoch(&self, tel: &mut Telemetry, due: u64, at: TimePs) {
         let hits: u64 = self.cores.iter().map(|c| c.l1.stats().hits).sum();
-        let misses = self.l1_misses() + self.ff_l1_misses;
         tel.counter("ssmc::l1", "hits", due, at, hits as f64);
-        tel.counter("ssmc::l1", "misses", due, at, misses as f64);
+        let misses = self.stats.l1_misses as f64;
+        tel.counter("ssmc::l1", "misses", due, at, misses);
         tel.counter(
             "ssmc::core",
             "issue_slots",
@@ -248,7 +193,7 @@ impl NodeModel for Node<'_> {
     }
 
     fn done(&self) -> bool {
-        self.halted == self.total_threads
+        self.threads.all_halted()
     }
 
     fn compute_edge(
@@ -258,32 +203,46 @@ impl NodeModel for Node<'_> {
         _clock: &mut DualClock,
         _tel: &mut Telemetry,
     ) -> bool {
-        let misses_before = self.l1_misses();
+        let misses_before = self.stats.l1_misses;
         // The scan takes each piece of state as its own argument, so the
         // optimizer may keep it in registers across the scan.
         let (cfg, decoded, image) = (self.cfg, self.decoded, self.image);
         let (row_shift, row_bytes, slab_bytes) = (self.row_shift, self.row_bytes, self.slab_bytes);
+        let lookahead = self.lookahead;
         let Node {
             threads,
+            stall_fast,
+            stall_block,
             cores,
             mc,
             stats,
-            halted,
             ..
         } = self;
         let mut any_issued = false;
         for c in 0..cfg.cores {
             stats.issue_slots += 1;
             if core_tick(
-                c, now, cfg, decoded, image, row_shift, row_bytes, slab_bytes, threads, cores, mc,
-                stats, halted,
+                c,
+                now,
+                decoded,
+                image,
+                row_shift,
+                row_bytes,
+                slab_bytes,
+                lookahead,
+                threads,
+                stall_fast,
+                stall_block,
+                &mut cores[c],
+                mc,
+                stats,
             ) {
                 any_issued = true;
             } else {
                 stats.stall_slots += 1;
             }
         }
-        self.miss_delta = self.l1_misses() - misses_before;
+        self.miss_delta = self.stats.l1_misses - misses_before;
         any_issued
     }
 
@@ -293,27 +252,19 @@ impl NodeModel for Node<'_> {
         self.mc.tick(now);
         let completions = self.mc.pop_completed(now);
         let fills = completions.len();
+        let conflicts = completions.iter().map(|c| (c.row_hit, c.addr));
+        instrument::row_conflicts(tel, cycle, now, self.row_bytes, conflicts);
         for comp in completions {
-            if !comp.row_hit {
-                tel.event(
-                    "dram::controller",
-                    "row_conflict",
-                    cycle,
-                    now,
-                    (comp.addr / self.row_bytes) as f64,
-                );
-            }
             let ci = comp.tag as usize;
             let core = &mut self.cores[ci];
             let block = comp.addr;
             core.l1.fill(block);
             core.mshr.complete(block);
             // The fill ends the guaranteed-re-miss regime for any context
-            // stalled on this block (see `Threads::stall_fast`).
-            let threads = &mut self.threads;
+            // stalled on this block (see `Node::stall_fast`).
             for x in 0..self.cfg.contexts {
-                if threads.stall_fast.get(ci, x) && *threads.stall_block.get(ci, x) == block {
-                    threads.stall_fast.set(ci, x, false);
+                if self.stall_fast.get(ci, x) && *self.stall_block.get(ci, x) == block {
+                    self.stall_fast.set(ci, x, false);
                 }
             }
         }
@@ -321,9 +272,7 @@ impl NodeModel for Node<'_> {
         // can unblock a resource-parked prefetch pump.
         if fills > 0 || self.mc.free_slots() > free_before {
             for core in &mut self.cores {
-                if core.pf_parked == PfPark::Resource {
-                    core.pf_parked = PfPark::Ready;
-                }
+                core.pf_parked = false;
             }
         }
         fills
@@ -334,7 +283,7 @@ impl NodeModel for Node<'_> {
     }
 
     fn replay(&mut self, skipped: u64) {
-        self.ff_l1_misses += self.miss_delta * skipped;
+        self.stats.l1_misses += self.miss_delta * skipped;
     }
 
     fn stats_mut(&mut self) -> &mut CoreStats {
@@ -378,6 +327,7 @@ pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
     // naturally does — minus a safety margin so demand blocks are not
     // evicted by their own prefetches.
     let degree = (input_capacity / cfg.l1_block).saturating_sub(4).max(2);
+    let lookahead = degree * row_bytes;
 
     let decoded = DecodedProgram::of(&workload.program);
     let mut node = Node {
@@ -389,35 +339,30 @@ pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
             .then(|| row_bytes.trailing_zeros()),
         row_bytes,
         slab_bytes,
-        threads: Threads {
-            t: Arena2::from_fn(cfg.cores, cfg.contexts, |c, x| {
-                workload.make_ctx(&grid, c, x)
-            }),
-            done: FlagGrid::new(cfg.cores, cfg.contexts),
-            stalled: FlagGrid::new(cfg.cores, cfg.contexts),
-            burst: Arena2::from_fn(cfg.cores, cfg.contexts, |_, _| 0u32),
-            stall_fast: FlagGrid::new(cfg.cores, cfg.contexts),
-            stall_block: Arena2::from_fn(cfg.cores, cfg.contexts, |_, _| 0u64),
-        },
-        cores: (0..cfg.cores)
-            .map(|_| Core {
-                rr: 0,
-                l1: Cache::new(input_capacity, cfg.l1_assoc, cfg.l1_block),
-                mshr: Mshr::new(MSHRS),
-                pf: SlabPrefetcher {
-                    next_row: 0,
-                    end_row: total_rows,
-                    degree,
-                },
-                pf_parked: PfPark::Ready,
-                demand_row: 0,
+        lookahead,
+        threads: Contexts::new(cfg.cores, cfg.contexts, |c, x| {
+            workload.make_ctx(&grid, c, x)
+        }),
+        stall_fast: FlagGrid::new(cfg.cores, cfg.contexts),
+        stall_block: Arena2::from_fn(cfg.cores, cfg.contexts, |_, _| 0),
+        cores: (0..cfg.cores as u64)
+            .map(|c| {
+                let slab = c * slab_bytes;
+                Core {
+                    l1: Cache::new(input_capacity, cfg.l1_assoc, cfg.l1_block),
+                    mshr: Mshr::new(MSHRS),
+                    pf: SequentialPrefetcher::new(
+                        slab,
+                        row_bytes,
+                        total_rows * row_bytes + slab,
+                        lookahead + slab,
+                    ),
+                    pf_parked: false,
+                }
             })
             .collect(),
         mc: MemoryController::with_capacity(cfg.geometry, cfg.timing, cfg.dram_queue),
         stats: CoreStats::default(),
-        halted: 0,
-        total_threads: cfg.cores * cfg.contexts,
-        ff_l1_misses: 0,
         miss_delta: 0,
     };
     let mut clock = DualClock::new(period_ps_for_mhz(COMPUTE_MHZ), cfg.timing.channel_period_ps);
@@ -426,30 +371,18 @@ pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
     let driven = drive(&mut node, &mut clock, quiesce, cfg.fast_forward, &mut tel);
 
     let stats = &mut node.stats;
-    stats.compute_cycles = driven.cycles;
     for core in &node.cores {
         stats.l1_hits += core.l1.stats().hits;
-        stats.l1_misses += core.l1.stats().misses;
     }
-    stats.l1_misses += node.ff_l1_misses;
-    let states: Vec<&[u32]> = node
-        .threads
-        .t
-        .as_slice()
-        .iter()
-        .map(|t| t.local.words())
-        .collect();
-    let output = workload.reduce(&states);
-    let output_ok = output == workload.reference(&grid);
-    NodeResult {
-        stats: node.stats,
-        dram: node.mc.stats().clone(),
-        elapsed_ps: driven.last_time,
-        output,
-        output_ok,
-        telemetry: tel,
-        profile: driven.profile,
-    }
+    NodeResult::finish(
+        workload,
+        &grid,
+        &node.threads.states(),
+        node.stats,
+        node.mc.stats().clone(),
+        driven,
+        tel,
+    )
 }
 
 /// One issue attempt for core `c`; returns whether an instruction issued.
@@ -461,195 +394,107 @@ pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
 fn core_tick(
     c: usize,
     now: TimePs,
-    cfg: &SsmcConfig,
     decoded: &DecodedProgram,
     image: &millipede_mem::InputImage,
     row_shift: Option<u32>,
     row_bytes: u64,
     slab_bytes: u64,
-    threads: &mut Threads,
-    cores: &mut [Core],
+    lookahead: u64,
+    threads: &mut Contexts,
+    stall_fast: &mut FlagGrid,
+    stall_block: &mut Arena2<u64>,
+    core: &mut Core,
     mc: &mut MemoryController,
     stats: &mut CoreStats,
-    halted: &mut usize,
 ) -> bool {
-    // Keep the slab prefetcher running off the leading context's position.
-    pump_prefetch(c, now, row_bytes, slab_bytes, cores, mc, stats);
+    pump_prefetch(c, now, slab_bytes, core, mc, stats);
 
     // Whole-core early-out: a core whose contexts all halted scans nothing
     // (its prefetcher may still be draining the tail of the stream above).
-    if threads.done.all_set(c) {
+    if threads.done().all_set(c) {
         return false;
     }
-    for k in 0..cfg.contexts {
-        // `rr + k < 2 × contexts`, so a conditional subtract replaces the
-        // hardware divide a `%` would cost on this per-cycle path.
-        let mut x = cores[c].rr + k;
-        if x >= cfg.contexts {
-            x -= cfg.contexts;
-        }
-        if threads.done.get(c, x) {
+    for x in threads.round_robin(c) {
+        if threads.done().get(c, x) {
             continue;
         }
-        if threads.stall_fast.get(c, x) {
-            // Stalled on an in-flight fill: the full probe would recount
-            // one L1 miss and change nothing else, so replay just that.
-            cores[c].l1.recount_miss();
+        if stall_fast.get(c, x) {
+            // Stalled on an in-flight fill: the full probe would count one
+            // L1 miss and change nothing else, so count just that.
+            stats.l1_misses += 1;
             continue;
         }
-        // Charge one banked burst cycle: the instructions already executed
-        // functionally, so the context always issues until credits drain.
-        {
-            let credits = threads.burst.get_mut(c, x);
-            if *credits > 0 {
-                *credits -= 1;
-                stats.instructions += 1;
-                stats.issues += 1;
-                cores[c].rr = if x + 1 == cfg.contexts { 0 } else { x + 1 };
-                return true;
-            }
+        if threads.charge_burst(c, x, stats) {
+            return true;
         }
-        if decoded.access_class(threads.t.get(c, x).pc) == AccessClass::InputLoad {
-            let addr = decoded.mem_addr_at(threads.t.get(c, x));
-            let core = &mut cores[c];
-            let drow = match row_shift {
-                Some(s) => addr >> s,
-                None => addr / row_bytes,
+        let ctx = threads.ctx(c, x);
+        if decoded.access_class(ctx.pc) != AccessClass::InputLoad {
+            threads.commit(c, x, decoded, image, stats, None);
+            return true;
+        }
+        let addr = decoded.mem_addr_at(ctx);
+        // The prefetch window runs `lookahead` past this core's slab of
+        // the demanded row.
+        let row_base = match row_shift {
+            Some(s) => addr >> s << s,
+            None => addr / row_bytes * row_bytes,
+        };
+        core.pf
+            .raise_limit(row_base + lookahead + c as u64 * slab_bytes);
+        if core.l1.access(addr) {
+            threads.commit(c, x, decoded, image, stats, Some(addr));
+            return true;
+        }
+        stats.l1_misses += 1;
+        // Miss: merge into an in-flight fill or start a demand fetch.
+        let block = addr & !(slab_bytes - 1);
+        if !core.mshr.pending(block) && !core.mshr.is_full() {
+            let req = Request {
+                addr: block,
+                bytes: slab_bytes,
+                tag: c as u64,
             };
-            core.demand_row = core.demand_row.max(drow);
-            if core.l1.access(addr) {
-                commit(c, x, threads, decoded, image, stats, halted, Some(addr));
-                cores[c].rr = if x + 1 == cfg.contexts { 0 } else { x + 1 };
-                return true;
+            if mc.try_push(req, now).is_ok() {
+                core.mshr.allocate(block, x as u64);
+                stats.demand_fetches += 1;
             }
-            // Miss: merge into an in-flight fill or start a demand fetch.
-            let block = addr & !(slab_bytes - 1);
-            if !core.mshr.pending(block) && !core.mshr.is_full() {
-                let req = Request {
-                    addr: block,
-                    bytes: slab_bytes,
-                    tag: c as u64,
-                };
-                if mc.try_push(req, now).is_ok() {
-                    core.mshr.allocate(block, x as u64);
-                    stats.demand_fetches += 1;
-                }
-            }
-            if !threads.stalled.get(c, x) {
-                threads.stalled.set(c, x, true);
-                stats.demand_stalls += 1;
-            }
-            if core.mshr.pending(block) {
-                // Fill in flight (just allocated, merged, or a racing
-                // prefetch): retries are pure re-misses until it lands.
-                threads.stall_fast.set(c, x, true);
-                *threads.stall_block.get_mut(c, x) = block;
-            }
-            continue;
         }
-        commit(c, x, threads, decoded, image, stats, halted, None);
-        cores[c].rr = if x + 1 == cfg.contexts { 0 } else { x + 1 };
-        return true;
+        threads.stall(c, x, stats);
+        if core.mshr.pending(block) {
+            // Fill in flight (just allocated, merged, or a racing
+            // prefetch): retries are pure re-misses until it lands.
+            stall_fast.set(c, x, true);
+            *stall_block.get_mut(c, x) = block;
+        }
     }
     false
 }
 
-/// Issues slab prefetches for core `c` up to its lookahead, as MSHR and
-/// DRAM-queue space allow.
+/// Runs core `c`'s slab prefetcher ahead of its leading context, unless
+/// it is parked on resources (see [`Core::pf_parked`]).
 fn pump_prefetch(
     c: usize,
     now: TimePs,
-    row_bytes: u64,
     slab_bytes: u64,
-    cores: &mut [Core],
+    core: &mut Core,
     mc: &mut MemoryController,
     stats: &mut CoreStats,
 ) {
-    let core = &mut cores[c];
-    // Parked pumps are provably no-ops (the park reason still holds), so
-    // skip their probes entirely — bit-exact by construction.
-    match core.pf_parked {
-        PfPark::Resource => return,
-        PfPark::Window(need) if core.demand_row < need => return,
-        _ => core.pf_parked = PfPark::Ready,
+    if core.pf_parked {
+        return;
     }
-    let demand_row = core.demand_row;
-    loop {
-        let Some(row) = core.pf.wanted(demand_row) else {
-            // Window exhausted: park until the demand cursor catches up
-            // (forever, once the stream has ended — `wanted` can then
-            // never fire again regardless of `demand_row`).
-            core.pf_parked = PfPark::Window(if core.pf.next_row >= core.pf.end_row {
-                u64::MAX
-            } else {
-                core.pf.next_row.saturating_sub(core.pf.degree)
-            });
-            return;
-        };
-        let block = row * row_bytes + c as u64 * slab_bytes;
-        if core.l1.contains(block) || core.mshr.pending(block) {
-            core.pf.advance();
-            continue;
-        }
-        if core.mshr.is_full() || mc.free_slots() == 0 {
-            core.pf_parked = PfPark::Resource;
-            return;
-        }
+    let Core { l1, mshr, pf, .. } = core;
+    let stop = pf.pump(l1, mshr, |block| {
         let req = Request {
             addr: block,
             bytes: slab_bytes,
             tag: c as u64,
         };
-        if mc.try_push(req, now).is_err() {
-            core.pf_parked = PfPark::Resource;
-            return;
-        }
-        core.mshr.allocate_prefetch(block);
-        core.pf.advance();
-        stats.prefetches += 1;
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn commit(
-    c: usize,
-    x: usize,
-    threads: &mut Threads,
-    decoded: &DecodedProgram,
-    image: &millipede_mem::InputImage,
-    stats: &mut CoreStats,
-    halted: &mut usize,
-    mem_addr: Option<u64>,
-) {
-    threads.stalled.set(c, x, false);
-    let ctx = threads.t.get_mut(c, x);
-    if decoded.run_len(ctx.pc) > 0 {
-        // Pure-ALU run: execute it all now, bank the remaining cycles as
-        // issue credits so the timing schedule is unchanged.
-        let n = decoded.burst_retire(ctx, u32::MAX);
-        *threads.burst.get_mut(c, x) = n - 1;
-        stats.instructions += 1;
-        stats.issues += 1;
-        return;
-    }
-    let committed = match mem_addr {
-        Some(addr) => decoded.commit_mem_at(ctx, addr, image),
-        None => decoded.commit(ctx, image),
-    };
-    let effect = committed.unwrap_or_else(|trap| panic!("kernel trap on core {c} ctx {x}: {trap}"));
-    stats.instructions += 1;
-    stats.issues += 1;
-    match effect {
-        StepEffect::Branch { .. } => stats.branches += 1,
-        StepEffect::InputLoad { .. } => stats.input_loads += 1,
-        StepEffect::LocalLoad { .. } => stats.local_loads += 1,
-        StepEffect::LocalStore { .. } => stats.local_stores += 1,
-        StepEffect::Halt => {
-            threads.done.set(c, x, true);
-            *halted += 1;
-        }
-        _ => {}
-    }
+        let pushed = mc.free_slots() > 0 && mc.try_push(req, now).is_ok();
+        stats.prefetches += u64::from(pushed);
+        pushed
+    });
+    core.pf_parked = stop == PrefetchStop::Resource;
 }
 
 #[cfg(test)]
