@@ -360,6 +360,10 @@ mod run_impl {
             return false;
         }
         for x in threads.round_robin(c) {
+            debug_assert!(
+                threads.credits_consistent(c, x, at_barrier.get(c, x)),
+                "corelet {c} ctx {x} holds issue credits while done, stalled or at the barrier"
+            );
             if threads.done().get(c, x) || at_barrier.get(c, x) {
                 continue;
             }

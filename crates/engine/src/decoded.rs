@@ -17,15 +17,21 @@
 //!   the number of consecutive pure-ALU micro-ops starting at each PC
 //!   before the next branch/memory/barrier/halt boundary.
 //!
-//! The run lengths feed [`DecodedProgram::burst_retire`]: a timing model
-//! that finds a context at the head of an unblocked ALU run executes the
-//! whole run in one tight loop and then *charges* the remaining issue
-//! cycles by count (exactly the replay-by-count discipline the
-//! fast-forward jump already uses), so the scheduler
-//! round-trip is paid per run, not per instruction. Pure-ALU micro-ops
-//! never trap, never touch memory, never halt, and only write the
-//! context's own registers, so running ahead functionally is invisible to
-//! every other context and to all memory-system state.
+//! Two entry points execute a whole run in one tight loop, and the timing
+//! model then *charges* its issue slots by count (the replay-by-count
+//! discipline the fast-forward jump also uses), so the scheduler
+//! round-trip is paid per run, not per instruction:
+//!
+//! * [`DecodedProgram::run_ahead`] (the MIMD models) runs a context
+//!   through its *context-local* instructions — ALU, branch, jump, local
+//!   load/store — up to the next input load, barrier, halt or trapping
+//!   instruction. They touch only the context's registers and its own
+//!   partition of local memory, so running them early is invisible to
+//!   every other context and to all memory-system state.
+//! * [`DecodedProgram::burst_retire`] (the SIMT warp path and
+//!   [`crate::run_functional`]) runs a pure-ALU run from the run-length
+//!   table. Pure-ALU micro-ops never trap, never touch memory and never
+//!   branch, so every lane of a warp stays in lockstep.
 //!
 //! The effect types every interpreter reports in — [`StepEffect`],
 //! [`EffectiveAccess`] and [`Trap`] — live here, next to the interpreter
@@ -357,6 +363,22 @@ fn exec_alu_uop(uop: MicroOp, ctx: &mut ThreadCtx) {
     ctx.write_reg(uop.dst, v);
 }
 
+/// Whether the conditional-branch micro-op `uop` is taken.
+#[inline]
+fn branch_taken(uop: MicroOp, ctx: &ThreadCtx) -> bool {
+    let cmp = match uop.op {
+        OpCode::BrEq => CmpOp::Eq,
+        OpCode::BrNe => CmpOp::Ne,
+        OpCode::BrLt => CmpOp::Lt,
+        OpCode::BrGe => CmpOp::Ge,
+        OpCode::BrLtu => CmpOp::Ltu,
+        OpCode::BrGeu => CmpOp::Geu,
+        OpCode::BrFlt => CmpOp::Flt,
+        _ => CmpOp::Fge,
+    };
+    cmp.eval(ctx.read_reg(uop.a), ctx.read_reg(uop.b))
+}
+
 impl OpCode {
     /// The opcode's access class (precomputed into the per-PC table).
     fn class(self) -> AccessClass {
@@ -469,6 +491,20 @@ fn decode(instr: &Instr) -> MicroOp {
         Instr::Bar => uop(OpCode::Bar, z, z, z, 0),
         Instr::Halt => uop(OpCode::Halt, z, z, z, 0),
     }
+}
+
+/// What one [`DecodedProgram::run_ahead`] executed: its instruction count
+/// and the per-kind counts the timing models' statistics keep.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LocalRun {
+    /// Instructions executed (each owes one issue slot).
+    pub instructions: u32,
+    /// Conditional branches among them.
+    pub branches: u32,
+    /// Local live-state loads among them.
+    pub local_loads: u32,
+    /// Local live-state stores among them.
+    pub local_stores: u32,
 }
 
 /// A program predecoded into flat micro-op, access-class, and run-length
@@ -623,17 +659,7 @@ impl DecodedProgram {
             | OpCode::BrGeu
             | OpCode::BrFlt
             | OpCode::BrFge => {
-                let cmp = match uop.op {
-                    OpCode::BrEq => CmpOp::Eq,
-                    OpCode::BrNe => CmpOp::Ne,
-                    OpCode::BrLt => CmpOp::Lt,
-                    OpCode::BrGe => CmpOp::Ge,
-                    OpCode::BrLtu => CmpOp::Ltu,
-                    OpCode::BrGeu => CmpOp::Geu,
-                    OpCode::BrFlt => CmpOp::Flt,
-                    _ => CmpOp::Fge,
-                };
-                let taken = cmp.eval(ctx.read_reg(uop.a), ctx.read_reg(uop.b));
+                let taken = branch_taken(uop, ctx);
                 if taken {
                     next_pc = uop.imm;
                 }
@@ -719,6 +745,71 @@ impl DecodedProgram {
         }
         ctx.pc = pc as u32;
         n
+    }
+
+    /// Runs the context ahead through its *context-local* instructions —
+    /// ALU, branch, jump, and local load/store — executing up to `max` of
+    /// them in one tight loop, and returns what ran.
+    ///
+    /// The run stops *before* the first input load, barrier or halt (the
+    /// instructions that reach outside the context), and before any
+    /// instruction that would trap: a trap leaves the context unchanged,
+    /// so that instruction still traps when it is committed on its own.
+    /// Everything executed touches only the context's registers and its
+    /// own partition of local memory, so running it early is invisible to
+    /// every other context and to the memory system. The caller still owes
+    /// the timing model one issue slot per executed instruction
+    /// (replay-by-count).
+    #[inline]
+    pub fn run_ahead(&self, ctx: &mut ThreadCtx, max: u32) -> LocalRun {
+        debug_assert!(!ctx.halted, "run_ahead on a halted context");
+        let mut run = LocalRun::default();
+        let mut pc = ctx.pc;
+        while run.instructions < max {
+            let uop = self.ops[pc as usize];
+            match uop.op {
+                OpCode::LdIn | OpCode::Bar | OpCode::Halt => break,
+                OpCode::LdLocal => {
+                    let Ok(v) = ctx.local.load(mem_addr(ctx, uop)) else {
+                        break;
+                    };
+                    ctx.write_reg(uop.dst, v);
+                    run.local_loads += 1;
+                    pc += 1;
+                }
+                OpCode::St => {
+                    let v = ctx.read_reg(uop.dst);
+                    if ctx.local.store(mem_addr(ctx, uop), v).is_err() {
+                        break;
+                    }
+                    run.local_stores += 1;
+                    pc += 1;
+                }
+                OpCode::BrEq
+                | OpCode::BrNe
+                | OpCode::BrLt
+                | OpCode::BrGe
+                | OpCode::BrLtu
+                | OpCode::BrGeu
+                | OpCode::BrFlt
+                | OpCode::BrFge => {
+                    pc = if branch_taken(uop, ctx) {
+                        uop.imm
+                    } else {
+                        pc + 1
+                    };
+                    run.branches += 1;
+                }
+                OpCode::Jmp => pc = uop.imm,
+                _ => {
+                    exec_alu_uop(uop, ctx);
+                    pc += 1;
+                }
+            }
+            run.instructions += 1;
+        }
+        ctx.pc = pc;
+        run
     }
 }
 

@@ -40,7 +40,7 @@ pub use arena::{Arena2, FlagGrid};
 pub use clock::{mhz_for_period_ps, period_ps_for_mhz, DualClock, Edge, TimePs, COMPUTE_MHZ};
 pub use context::{LaunchParams, ThreadCtx};
 pub use decoded::{
-    AccessClass, DecodedProgram, EffectiveAccess, MicroOp, OpCode, StepEffect, Trap,
+    AccessClass, DecodedProgram, EffectiveAccess, LocalRun, MicroOp, OpCode, StepEffect, Trap,
 };
 pub use driver::{drive, Driven, JumpProfile, NodeModel, Quiescence, MAX_IDLE_CYCLES};
 pub use func::{run_functional, FuncStats, DEFAULT_STEP_LIMIT};

@@ -6,14 +6,31 @@
 //! how an input load is served (row prefetch buffer vs L1), so each model
 //! keeps its own issue scan and input-load arm, and both scans call into
 //! one [`Contexts`] for everything per-context they have in common: the
-//! round-robin order, burst-retire credits, the stall transition, the
-//! commit, and the halted count.
+//! round-robin order, issue credits, the stall transition, the commit,
+//! and the halted count.
+//!
+//! **Local-run retire.** Only input loads, barriers and halts reach outside
+//! a context: its registers and its partition of local memory are its own
+//! (PAPER.md, modeling decision 1), and every instruction costs one issue
+//! slot. So after an issuing instruction commits, [`Contexts::commit`]
+//! runs the context ahead through its context-local instructions
+//! ([`DecodedProgram::run_ahead`]) up to the next input load, barrier,
+//! halt or trapping instruction, and banks the count as issue credits.
+//! The scans then pay one credit per slot ([`Contexts::charge_burst`]),
+//! the same schedule as committing each instruction in its own slot,
+//! because a context mid-run always issues when the scan reaches it.
 
 use crate::arena::{Arena2, FlagGrid};
 use crate::context::ThreadCtx;
 use crate::decoded::{DecodedProgram, StepEffect};
 use crate::stats::CoreStats;
 use millipede_mem::InputImage;
+
+/// The most instructions one run-ahead executes. It only bounds a runaway
+/// local loop: a context whose credits drain mid-run commits its next
+/// instruction in that slot and runs ahead again, so the cap cannot change
+/// the schedule.
+const RUN_AHEAD_CAP: u32 = 1 << 16;
 
 /// The hardware contexts of every core of one processor, struct-of-arrays
 /// (see [`crate::arena`]): contexts live core-major in one arena and each
@@ -25,10 +42,10 @@ pub struct Contexts {
     /// Set while a context is blocked on memory; dedups demand-stall
     /// counting (and Millipede's rate-matcher Empty signal).
     stalled: FlagGrid,
-    /// Outstanding burst-retire issue credits per context: a pure-ALU run
-    /// executes functionally in one go and the remaining instructions are
-    /// charged one issue cycle each from this counter (replay-by-count;
-    /// see DESIGN.md, "Predecoded interpreter").
+    /// Outstanding issue credits per context: a local run executes
+    /// functionally in one go and its instructions are charged one issue
+    /// slot each from this counter (replay-by-count; see DESIGN.md,
+    /// "Local-run retire").
     burst: Arena2<u32>,
     /// Per core, the context the next round-robin scan starts at.
     rr: Vec<usize>,
@@ -90,12 +107,21 @@ impl Contexts {
         };
     }
 
-    /// Charges one banked burst-retire credit, if the context has one, and
+    /// Whether the context at `(core, slot)` keeps the credit invariant: a
+    /// context holding issue credits is mid-run, so it is neither done nor
+    /// stalled, nor `parked` by the caller's own rules (Millipede's
+    /// barrier). The scans debug-assert it on every context they reach.
+    pub fn credits_consistent(&self, core: usize, slot: usize, parked: bool) -> bool {
+        *self.burst.get(core, slot) == 0
+            || !(parked || self.done.get(core, slot) || self.stalled.get(core, slot))
+    }
+
+    /// Charges one banked issue credit, if the context has one, and
     /// returns whether it did. The instruction already executed
-    /// functionally (it was pure ALU, invisible to every other context and
-    /// to the memory system), so this cycle only pays its issue slot:
-    /// the same schedule as committing it here, since a mid-run context
-    /// always issues.
+    /// functionally (it was context-local, invisible to every other
+    /// context and to the memory system), so this slot only pays its
+    /// issue: the same schedule as committing it here, since a mid-run
+    /// context always issues.
     #[inline(always)]
     pub fn charge_burst(&mut self, core: usize, slot: usize, stats: &mut CoreStats) -> bool {
         let credits = self.burst.get_mut(core, slot);
@@ -126,10 +152,10 @@ impl Contexts {
     /// (Millipede's barrier). `mem_addr` carries the effective address the
     /// issue scan already computed for a load, so it is not recomputed.
     ///
-    /// A context at the head of a pure-ALU run retires the *whole run*
-    /// here and banks the remaining issue cycles as burst credits; only
-    /// the first instruction is charged this cycle, and the effect is
-    /// [`StepEffect::Alu`].
+    /// Unless the instruction was a barrier or a halt, the context then
+    /// runs ahead through its local run (see the module docs): the run is
+    /// counted here and banked as issue credits, and only the issuing
+    /// instruction is charged this slot.
     ///
     /// # Panics
     ///
@@ -149,12 +175,6 @@ impl Contexts {
         stats.instructions += 1;
         stats.issues += 1;
         let ctx = self.t.get_mut(core, slot);
-        if decoded.run_len(ctx.pc) > 0 {
-            // Pure ALU: never traps, never halts, never barriers.
-            let n = decoded.burst_retire(ctx, u32::MAX);
-            *self.burst.get_mut(core, slot) = n - 1;
-            return StepEffect::Alu;
-        }
         let committed = match mem_addr {
             Some(addr) => decoded.commit_mem_at(ctx, addr, image),
             None => decoded.commit(ctx, image),
@@ -169,9 +189,16 @@ impl Contexts {
             StepEffect::Halt => {
                 self.done.set(core, slot, true);
                 self.halted += 1;
+                return effect;
             }
+            StepEffect::Barrier => return effect,
             _ => {}
         }
+        let run = decoded.run_ahead(ctx, RUN_AHEAD_CAP);
+        stats.branches += u64::from(run.branches);
+        stats.local_loads += u64::from(run.local_loads);
+        stats.local_stores += u64::from(run.local_stores);
+        *self.burst.get_mut(core, slot) = run.instructions;
         effect
     }
 
@@ -187,6 +214,7 @@ mod tests {
     use super::*;
     use crate::context::LaunchParams;
     use millipede_isa::assemble;
+    use millipede_isa::reg::r;
     use std::sync::Arc;
 
     fn contexts(src: &str, cores: usize, slots: usize) -> (Contexts, Arc<DecodedProgram>) {
@@ -229,6 +257,79 @@ mod tests {
             StepEffect::Halt
         );
         assert!(set.done().get(0, 0) && set.all_halted());
+    }
+
+    /// One issue slot of core 0, scanned the way the models scan it: the
+    /// first live context in round-robin order pays a credit or commits.
+    fn issue(set: &mut Contexts, decoded: &DecodedProgram, stats: &mut CoreStats) -> bool {
+        let image = InputImage::new(vec![7; 16]);
+        for x in set.round_robin(0) {
+            assert!(set.credits_consistent(0, x, false));
+            if set.done().get(0, x) {
+                continue;
+            }
+            if !set.charge_burst(0, x, stats) {
+                set.commit(0, x, decoded, &image, stats, None);
+            }
+            return true;
+        }
+        false
+    }
+
+    #[test]
+    fn a_local_run_is_counted_at_commit_and_stops_at_an_input_load() {
+        let (mut set, decoded) = contexts(
+            "li r1, 3\n\
+             top: st.local r1, 0(r0)\n\
+             ld.local r2, 0(r0)\n\
+             subi r1, r1, 1\n\
+             bne r1, r0, top\n\
+             ld.in r3, 0(r0)\n\
+             halt",
+            1,
+            1,
+        );
+        let mut stats = CoreStats::default();
+        assert_eq!(
+            set.commit(0, 0, &decoded, &InputImage::new(vec![7]), &mut stats, None),
+            StepEffect::Alu
+        );
+        assert_eq!(set.ctx(0, 0).pc, 5, "stopped before the input load");
+        assert_eq!(stats.instructions, 1, "only the issuing instruction so far");
+        assert_eq!(
+            (stats.branches, stats.local_loads, stats.local_stores),
+            (3, 3, 3),
+            "the run's branches and local accesses count when it runs"
+        );
+        let mut slots = 1;
+        while issue(&mut set, &decoded, &mut stats) {
+            slots += 1;
+        }
+        assert_eq!(slots, 15, "one slot per instruction");
+        assert_eq!(
+            (stats.instructions, stats.issues, stats.input_loads),
+            (15, 15, 1)
+        );
+    }
+
+    /// Context 0 is scanned first and faults on a `st.local` late in a
+    /// long local run; context 1 faults early. The trap must fire in the
+    /// faulting instruction's own issue slot, so context 1's comes first:
+    /// a run-ahead that executed the faulting store would trap context 0
+    /// at its first issue instead.
+    #[test]
+    #[should_panic(expected = "kernel trap on core 0 ctx 1")]
+    fn a_trap_fires_in_its_own_issue_slot() {
+        let program =
+            assemble("t", "top: st.local r0, 0(r2)\naddi r2, r2, 4\njmp top").expect("assembles");
+        let decoded = DecodedProgram::of(&program);
+        let mut set = Contexts::new(1, 2, |_, slot| {
+            let mut ctx = ThreadCtx::new(64, &LaunchParams::new());
+            ctx.write_reg(r(2), if slot == 0 { 0 } else { 60 });
+            ctx
+        });
+        let mut stats = CoreStats::default();
+        while issue(&mut set, &decoded, &mut stats) {}
     }
 
     #[test]

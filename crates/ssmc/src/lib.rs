@@ -415,6 +415,10 @@ fn core_tick(
         return false;
     }
     for x in threads.round_robin(c) {
+        debug_assert!(
+            threads.credits_consistent(c, x, false),
+            "core {c} ctx {x} holds issue credits while done or stalled"
+        );
         if threads.done().get(c, x) {
             continue;
         }

@@ -3,6 +3,8 @@
 //! obeying the memory-conservation invariants the paper's comparison
 //! methodology depends on.
 
+use millipede::engine::{run_functional, FuncStats, DEFAULT_STEP_LIMIT};
+use millipede::mapreduce::ThreadGrid;
 use millipede::sim::{Arch, SimConfig};
 use millipede::workloads::{Benchmark, Workload};
 
@@ -103,6 +105,37 @@ fn thread_level_work_is_architecture_independent() {
         ssmc.stats.input_loads,
         w.dataset.num_records() as u64 * w.dataset.layout.num_fields as u64
     );
+}
+
+#[test]
+fn mimd_thread_level_totals_equal_the_functional_run() {
+    // The MIMD models retire local runs ahead of their issue slots and
+    // count them as they run; their totals must still be exactly the sum
+    // of the grid's single-threaded functional runs.
+    let cfg = cfg();
+    let grid = ThreadGrid::slab(cfg.corelets, cfg.contexts);
+    for bench in Benchmark::BMLA {
+        let w = workload(bench);
+        let mut want = FuncStats::default();
+        for c in 0..grid.corelets {
+            for x in 0..grid.contexts {
+                let mut ctx = w.make_ctx(&grid, c, x);
+                let stats =
+                    run_functional(&mut ctx, &w.program, &w.dataset.image, DEFAULT_STEP_LIMIT)
+                        .expect("kernel must not trap");
+                want.merge(&stats);
+            }
+        }
+        for arch in [Arch::Millipede, Arch::MillipedeNoFlowControl, Arch::Ssmc] {
+            let s = arch.run(&w, &cfg).stats;
+            let label = format!("{} / {}", arch.label(), bench.name());
+            assert_eq!(s.instructions, want.instructions, "{label}: instructions");
+            assert_eq!(s.branches, want.branches, "{label}: branches");
+            assert_eq!(s.input_loads, want.input_words, "{label}: input loads");
+            assert_eq!(s.local_loads, want.local_loads, "{label}: local loads");
+            assert_eq!(s.local_stores, want.local_stores, "{label}: local stores");
+        }
+    }
 }
 
 #[test]

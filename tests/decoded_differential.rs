@@ -4,15 +4,18 @@
 //! be observably bit-identical to the reference enum interpreter
 //! (`millipede::engine::step`): same `StepEffect` stream, same traps, same
 //! final register/local state, and the burst-retire fast path must commit
-//! exactly the instructions single-stepping would. This suite enforces that
-//! over the assembly fixture corpus and over randomized programs, then
-//! drives every timing model end-to-end (the models execute exclusively
-//! through the decoded form).
+//! exactly the instructions single-stepping would, and the MIMD models'
+//! run-ahead must execute exactly the context-local run single-stepping
+//! would. This suite enforces that over the assembly fixture corpus, the
+//! compiled-in kernels and randomized programs, then drives every timing
+//! model end-to-end (the models execute exclusively through the decoded
+//! form).
 
 use millipede::engine::step::{effective_access, step};
-use millipede::engine::{DecodedProgram, LaunchParams, ThreadCtx};
+use millipede::engine::{DecodedProgram, LaunchParams, LocalRun, StepEffect, ThreadCtx};
 use millipede::isa::reg::r;
-use millipede::isa::{assemble, AluOp, CmpOp, FAluOp, Instr, Program};
+use millipede::isa::{assemble, AddrSpace, AluOp, CmpOp, FAluOp, Instr, Program};
+use millipede::mapreduce::ThreadGrid;
 use millipede::mem::InputImage;
 use millipede::sim::{Arch, SimConfig};
 use millipede::workloads::{Benchmark, Workload};
@@ -153,6 +156,91 @@ fn run_burst_differential(program: &Program, input: &InputImage, label: &str) {
     );
 }
 
+/// States of one single-stepped run the run-ahead is checked from.
+const RUN_AHEAD_STATES: u64 = 2_000;
+/// The run-ahead cap the differential passes.
+const RUN_AHEAD_MAX: u32 = 64;
+
+/// The reference for one run-ahead from `ctx`: single-steps the reference
+/// interpreter through context-local instructions, stopping before the
+/// first input load, barrier, halt or trapping instruction (a trap leaves
+/// the context unchanged), or after `max` instructions.
+fn reference_local_run(
+    ctx: &mut ThreadCtx,
+    program: &Program,
+    input: &InputImage,
+    max: u32,
+) -> LocalRun {
+    let mut run = LocalRun::default();
+    while run.instructions < max {
+        let outside = matches!(
+            program.instrs()[ctx.pc as usize],
+            Instr::Ld {
+                space: AddrSpace::Input,
+                ..
+            } | Instr::Bar
+                | Instr::Halt
+        );
+        if outside {
+            break;
+        }
+        match step(ctx, program, input) {
+            Err(_) => break,
+            Ok(StepEffect::Branch { .. }) => run.branches += 1,
+            Ok(StepEffect::LocalLoad { .. }) => run.local_loads += 1,
+            Ok(StepEffect::LocalStore { .. }) => run.local_stores += 1,
+            Ok(_) => {}
+        }
+        run.instructions += 1;
+    }
+    run
+}
+
+/// From every state single-stepping `start` reaches (up to
+/// [`RUN_AHEAD_STATES`]), runs a copy ahead with `run_ahead` and another
+/// with [`reference_local_run`], and asserts the same counts, pc,
+/// registers and local words.
+fn run_ahead_differential(program: &Program, start: ThreadCtx, input: &InputImage, label: &str) {
+    let decoded = DecodedProgram::of(program);
+    let mut state = start;
+    for n in 0..RUN_AHEAD_STATES {
+        if state.halted {
+            return;
+        }
+        let mut ahead = state.clone();
+        let mut reference = state.clone();
+        let run = decoded.run_ahead(&mut ahead, RUN_AHEAD_MAX);
+        let want = reference_local_run(&mut reference, program, input, RUN_AHEAD_MAX);
+        assert_eq!(run, want, "{label}: run-ahead counts diverged at state {n}");
+        assert_eq!(
+            ahead.pc, reference.pc,
+            "{label}: run-ahead stopped elsewhere at state {n}"
+        );
+        assert_eq!(
+            ahead.regs, reference.regs,
+            "{label}: run-ahead registers at state {n}"
+        );
+        assert_eq!(
+            ahead.local.words(),
+            reference.local.words(),
+            "{label}: run-ahead local state at state {n}"
+        );
+        if step(&mut state, program, input).is_err() {
+            return;
+        }
+    }
+}
+
+#[test]
+fn run_ahead_stops_exactly_at_the_cap_on_a_local_loop() {
+    let program = assemble("spin", "l: jmp l\n").unwrap();
+    let decoded = DecodedProgram::of(&program);
+    let mut ctx = fresh_ctx();
+    let run = decoded.run_ahead(&mut ctx, 1_000);
+    assert_eq!(run.instructions, 1_000);
+    assert_eq!(ctx.pc, 0);
+}
+
 // ---------------------------------------------------------------------
 // Fixture corpus: every .asm under tests/fixtures, including the seeded-bug
 // programs (their traps and livelocks must reproduce identically).
@@ -173,6 +261,7 @@ fn fixtures_execute_identically() {
             .unwrap_or_else(|e| panic!("fixture {name} failed to assemble: {e}"));
         run_lockstep(&program, &input, &name);
         run_burst_differential(&program, &input, &name);
+        run_ahead_differential(&program, fresh_ctx(), &input, &name);
         checked += 1;
     }
     assert!(
@@ -196,6 +285,12 @@ fn benchmark_kernels_execute_identically() {
         // lacks, so traps are expected — they must still match exactly.
         run_lockstep(&w.program, &input, &name);
         run_burst_differential(&w.program, &input, &name);
+        // The run-ahead also from a real launch over the real dataset,
+        // through the kernel's input loads and barriers.
+        run_ahead_differential(&w.program, fresh_ctx(), &input, &name);
+        let grid = ThreadGrid::slab(32, 4);
+        let launched = w.make_ctx(&grid, 1, 2);
+        run_ahead_differential(&w.program, launched, &w.dataset.image, &name);
     }
 }
 
@@ -277,6 +372,7 @@ fn randomized_programs_execute_identically() {
         let label = format!("random case {case}");
         run_lockstep(&program, &input, &label);
         run_burst_differential(&program, &input, &label);
+        run_ahead_differential(&program, fresh_ctx(), &input, &label);
     }
 }
 
