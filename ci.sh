@@ -92,18 +92,21 @@ EOF
 fi
 if command -v python3 > /dev/null; then
     # Telemetry jumps stop on every epoch boundary, yet a traced run must
-    # take the same fast-forward jumps and reach the same digests.
+    # take the same fast-forward jumps, pay the same issue slots from
+    # run-ahead credits, and reach the same digests.
     python3 - "$manifest_dir/a.json" "$manifest_dir/traced.json" <<'EOF'
 import json, sys
 plain, traced = (json.load(open(p)) for p in sys.argv[1:3])
 assert traced["config"]["telemetry"], "traced manifest ran without telemetry"
 assert traced["host"]["ff"] == plain["host"]["ff"], \
     f"ff jumps differ: {traced['host']['ff']} vs {plain['host']['ff']}"
+assert traced["host"]["credit_issues"] == plain["host"]["credit_issues"], \
+    f"credit issues differ: {traced['host']['credit_issues']} vs {plain['host']['credit_issues']}"
 assert len(traced["runs"]) == len(plain["runs"]), "run counts differ"
 for p, t in zip(plain["runs"], traced["runs"]):
     assert (p["label"], p["digest"]) == (t["label"], t["digest"]), \
         f"{t['label']}: digest {t['digest']} != untraced {p['digest']}"
-print(f"traced manifest OK: ff {traced['host']['ff']}, {len(traced['runs'])} digests match")
+print(f"traced manifest OK: ff {traced['host']['ff']}, credit issues {traced['host']['credit_issues']}, {len(traced['runs'])} digests match")
 EOF
 fi
 ./target/release/millipede-cli report "$manifest_dir/a.json" > /dev/null

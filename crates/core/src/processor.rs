@@ -306,7 +306,8 @@ mod run_impl {
         };
         let mut tel = Telemetry::new(&cfg.telemetry);
         let quiesce = Quiescence::new("Millipede", cfg.corelets as u64);
-        let driven = drive(&mut node, &mut clock, quiesce, cfg.fast_forward, &mut tel);
+        let mut driven = drive(&mut node, &mut clock, quiesce, cfg.fast_forward, &mut tel);
+        driven.profile.credit_issues = node.threads.credit_issues();
 
         let stats = &mut node.stats;
         stats.flow_blocks = node.pbuf.stats().flow_blocks;

@@ -17,8 +17,8 @@
 //!   the number of consecutive pure-ALU micro-ops starting at each PC
 //!   before the next branch/memory/barrier/halt boundary.
 //!
-//! Two entry points execute a whole run in one tight loop, and the timing
-//! model then *charges* its issue slots by count (the replay-by-count
+//! Three entry points execute a whole run in one tight loop; the timing
+//! models then *charge* its issue slots by count (the replay-by-count
 //! discipline the fast-forward jump also uses), so the scheduler
 //! round-trip is paid per run, not per instruction:
 //!
@@ -28,10 +28,15 @@
 //!   instruction. They touch only the context's registers and its own
 //!   partition of local memory, so running them early is invisible to
 //!   every other context and to all memory-system state.
-//! * [`DecodedProgram::burst_retire`] (the SIMT warp path and
-//!   [`crate::run_functional`]) runs a pure-ALU run from the run-length
-//!   table. Pure-ALU micro-ops never trap, never touch memory and never
-//!   branch, so every lane of a warp stays in lockstep.
+//! * [`DecodedProgram::warp_run_ahead`] (the SIMT warp path) runs one
+//!   warp's live lanes through the same kinds of instruction in lockstep,
+//!   one instruction across all lanes at a time. It also stops before a
+//!   branch the lanes disagree on (the warp must split), before a local
+//!   access the caller's bank model would serialize, and before the
+//!   current path's reconvergence PC (where the IPDOM stack hands the
+//!   warp to the sibling path).
+//! * [`DecodedProgram::burst_retire`] ([`crate::run_functional`]) runs a
+//!   pure-ALU run from the run-length table.
 //!
 //! The effect types every interpreter reports in — [`StepEffect`],
 //! [`EffectiveAccess`] and [`Trap`] — live here, next to the interpreter
@@ -44,7 +49,7 @@
 use crate::alu;
 use crate::context::ThreadCtx;
 use millipede_isa::{AddrSpace, AluOp, CmpOp, FAluOp, Instr, Program, Reg};
-use millipede_mem::{InputImage, MemFault};
+use millipede_mem::{InputImage, MemFault, MAX_LANES};
 use std::fmt;
 use std::sync::Arc;
 
@@ -493,8 +498,17 @@ fn decode(instr: &Instr) -> MicroOp {
     }
 }
 
-/// What one [`DecodedProgram::run_ahead`] executed: its instruction count
-/// and the per-kind counts the timing models' statistics keep.
+/// The most instructions one run-ahead executes ([`DecodedProgram::run_ahead`],
+/// [`DecodedProgram::warp_run_ahead`]). It only bounds a runaway local
+/// loop: a context or warp whose credits drain mid-run issues its next
+/// instruction in that slot and runs ahead again, so the cap cannot change
+/// the schedule.
+pub const RUN_AHEAD_CAP: u32 = 1 << 16;
+
+/// What one run-ahead executed: its instruction count and the per-kind
+/// counts the timing models' statistics keep. For a warp
+/// ([`DecodedProgram::warp_run_ahead`]) each count is of warp-wide
+/// instructions, each executed by every live lane.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LocalRun {
     /// Instructions executed (each owes one issue slot).
@@ -811,6 +825,116 @@ impl DecodedProgram {
         ctx.pc = pc;
         run
     }
+
+    /// Runs one warp ahead in lockstep: executes up to `max` instructions,
+    /// each on every lane in `live` (bit *i* = `lanes[i]`, all at the same
+    /// PC), and returns what ran. Every live lane ends at the same PC.
+    ///
+    /// It runs ALU operations, jumps, conditional branches every live lane
+    /// agrees on (all lanes are evaluated before the warp moves), and local
+    /// loads/stores where every lane's address is in bounds and `accept`
+    /// takes the access. `accept(idx, addrs)` gets the live lanes' indices
+    /// in ascending order and their byte addresses; it is asked last, so an
+    /// access it accepts runs (the caller may record it there).
+    ///
+    /// The run stops *before* an input load, barrier or halt, a divergent
+    /// branch, a local access any lane would trap on or that `accept`
+    /// refuses, and the PC `reconv` (the current IPDOM path's reconvergence
+    /// point). Each of those leaves the warp unchanged, so it still fires
+    /// in its own issue slot. The caller owes the timing model one issue
+    /// slot per executed instruction (replay-by-count).
+    pub fn warp_run_ahead(
+        &self,
+        lanes: &mut [ThreadCtx],
+        live: u64,
+        reconv: Option<u32>,
+        max: u32,
+        mut accept: impl FnMut(&[usize], &[u64]) -> bool,
+    ) -> LocalRun {
+        debug_assert_ne!(live, 0, "warp_run_ahead with no live lane");
+        let mut idx_buf = [0usize; MAX_LANES];
+        let mut n = 0;
+        let mut m = live;
+        while m != 0 {
+            idx_buf[n] = m.trailing_zeros() as usize;
+            m &= m - 1;
+            n += 1;
+        }
+        let idx = &idx_buf[..n];
+        let mut pc = lanes[idx[0]].pc;
+        debug_assert!(
+            idx.iter().all(|&i| lanes[i].pc == pc && !lanes[i].halted),
+            "warp lanes out of lockstep"
+        );
+        let mut addrs_buf = [0u64; MAX_LANES];
+        let mut run = LocalRun::default();
+        while run.instructions < max && reconv != Some(pc) {
+            let uop = self.ops[pc as usize];
+            match uop.op {
+                OpCode::LdIn | OpCode::Bar | OpCode::Halt => break,
+                OpCode::LdLocal | OpCode::St => {
+                    let addrs = &mut addrs_buf[..n];
+                    let mut in_bounds = true;
+                    for (a, &i) in addrs.iter_mut().zip(idx) {
+                        *a = mem_addr(&lanes[i], uop);
+                        in_bounds &= lanes[i].local.in_bounds(*a);
+                    }
+                    if !in_bounds || !accept(idx, addrs) {
+                        break;
+                    }
+                    // Every access below is in bounds, so none faults.
+                    for (&a, &i) in addrs.iter().zip(idx) {
+                        let ctx = &mut lanes[i];
+                        if uop.op == OpCode::LdLocal {
+                            if let Ok(v) = ctx.local.load(a) {
+                                ctx.write_reg(uop.dst, v);
+                            }
+                        } else {
+                            let v = ctx.read_reg(uop.dst);
+                            let stored = ctx.local.store(a, v);
+                            debug_assert!(stored.is_ok(), "checked in bounds");
+                        }
+                    }
+                    if uop.op == OpCode::LdLocal {
+                        run.local_loads += 1;
+                    } else {
+                        run.local_stores += 1;
+                    }
+                    pc += 1;
+                }
+                OpCode::BrEq
+                | OpCode::BrNe
+                | OpCode::BrLt
+                | OpCode::BrGe
+                | OpCode::BrLtu
+                | OpCode::BrGeu
+                | OpCode::BrFlt
+                | OpCode::BrFge => {
+                    let taken = branch_taken(uop, &lanes[idx[0]]);
+                    if idx[1..]
+                        .iter()
+                        .any(|&i| branch_taken(uop, &lanes[i]) != taken)
+                    {
+                        break;
+                    }
+                    pc = if taken { uop.imm } else { pc + 1 };
+                    run.branches += 1;
+                }
+                OpCode::Jmp => pc = uop.imm,
+                _ => {
+                    for &i in idx {
+                        exec_alu_uop(uop, &mut lanes[i]);
+                    }
+                    pc += 1;
+                }
+            }
+            run.instructions += 1;
+        }
+        for &i in idx {
+            lanes[i].pc = pc;
+        }
+        run
+    }
 }
 
 #[cfg(test)]
@@ -912,6 +1036,69 @@ mod tests {
         assert_eq!(c.pc, 2);
         // At a non-ALU pc the burst is empty.
         assert_eq!(d.burst_retire(&mut b, u32::MAX), 0);
+    }
+
+    #[test]
+    fn warp_run_ahead_stops_before_each_stop_rule() {
+        // Two lanes: lane i has r1 = i and r5 = i * 4096 (lane 1's local
+        // accesses through r5 fault).
+        let lanes = || -> Vec<ThreadCtx> {
+            (0..2u32)
+                .map(|i| {
+                    let params = LaunchParams::new().set(r(1), i).set(r(5), i * 4096);
+                    ThreadCtx::new(256, &params)
+                })
+                .collect()
+        };
+        // (program, reconvergence pc, accept local accesses, stop pc,
+        // instructions run)
+        let cases: [(&str, Option<u32>, bool, u32, u32); 9] = [
+            ("addi r2, r0, 1\nld.in r3, 0(r0)\nhalt", None, true, 1, 1),
+            ("addi r2, r0, 1\nbar\nhalt", None, true, 1, 1),
+            ("addi r2, r0, 1\nhalt", None, true, 1, 1),
+            ("addi r2, r0, 1\nbne r1, r0, x\nx: halt", None, true, 1, 1),
+            (
+                "addi r2, r0, 1\nbeq r1, r1, x\nhalt\nx: halt",
+                None,
+                true,
+                3,
+                2,
+            ),
+            ("addi r2, r0, 1\nst.local r2, 0(r5)\nhalt", None, true, 1, 1),
+            (
+                "addi r2, r0, 1\nst.local r2, 0(r0)\nhalt",
+                None,
+                false,
+                1,
+                1,
+            ),
+            ("addi r2, r0, 1\nst.local r2, 0(r0)\nhalt", None, true, 2, 2),
+            (
+                "addi r2, r0, 1\njmp x\nx: addi r2, r2, 1\nhalt",
+                Some(2),
+                true,
+                2,
+                2,
+            ),
+        ];
+        for (src, reconv, accept, stop, instructions) in cases {
+            let d = DecodedProgram::new(&assemble("t", src).unwrap());
+            let mut warp = lanes();
+            let run = d.warp_run_ahead(&mut warp, 0b11, reconv, 64, |idx, addrs| {
+                assert_eq!((idx, addrs.len()), (&[0, 1][..], 2));
+                accept
+            });
+            assert_eq!(run.instructions, instructions, "{src}");
+            assert!(
+                warp.iter().all(|c| c.pc == stop),
+                "{src}: stopped elsewhere"
+            );
+        }
+        // A lane outside the live mask is left alone.
+        let d = DecodedProgram::new(&assemble("t", "addi r2, r0, 1\nhalt").unwrap());
+        let mut warp = lanes();
+        d.warp_run_ahead(&mut warp, 0b10, None, 64, |_, _| true);
+        assert_eq!((warp[0].pc, warp[1].pc), (0, 1));
     }
 
     #[test]

@@ -139,7 +139,7 @@ impl Quiescence {
     }
 }
 
-/// Fast-forward jump counters of one run.
+/// Host-side counters of one run: fast-forward jumps and issue credits.
 ///
 /// Host observability for run manifests; never read back by the driver
 /// or a model, so like `ff_skipped_cycles` it is outside the digests.
@@ -151,6 +151,10 @@ pub struct JumpProfile {
     /// `sleeps − wakes` counts the jumps that landed on an edge with
     /// nothing for compute to see.
     pub wakes: u64,
+    /// Issue slots paid from run-ahead credits instead of a commit (set
+    /// by the model after [`drive`] returns; `issues − credit_issues`
+    /// slots went through the full per-instruction dispatch).
+    pub credit_issues: u64,
 }
 
 /// What a driven run reports back to its model's `run`.

@@ -41,6 +41,7 @@ pub use clock::{mhz_for_period_ps, period_ps_for_mhz, DualClock, Edge, TimePs, C
 pub use context::{LaunchParams, ThreadCtx};
 pub use decoded::{
     AccessClass, DecodedProgram, EffectiveAccess, LocalRun, MicroOp, OpCode, StepEffect, Trap,
+    RUN_AHEAD_CAP,
 };
 pub use driver::{drive, Driven, JumpProfile, NodeModel, Quiescence, MAX_IDLE_CYCLES};
 pub use func::{run_functional, FuncStats, DEFAULT_STEP_LIMIT};

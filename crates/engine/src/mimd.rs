@@ -22,15 +22,9 @@
 
 use crate::arena::{Arena2, FlagGrid};
 use crate::context::ThreadCtx;
-use crate::decoded::{DecodedProgram, StepEffect};
+use crate::decoded::{DecodedProgram, StepEffect, RUN_AHEAD_CAP};
 use crate::stats::CoreStats;
 use millipede_mem::InputImage;
-
-/// The most instructions one run-ahead executes. It only bounds a runaway
-/// local loop: a context whose credits drain mid-run commits its next
-/// instruction in that slot and runs ahead again, so the cap cannot change
-/// the schedule.
-const RUN_AHEAD_CAP: u32 = 1 << 16;
 
 /// The hardware contexts of every core of one processor, struct-of-arrays
 /// (see [`crate::arena`]): contexts live core-major in one arena and each
@@ -50,6 +44,8 @@ pub struct Contexts {
     /// Per core, the context the next round-robin scan starts at.
     rr: Vec<usize>,
     halted: usize,
+    /// Issue slots paid from `burst` credits (host observability).
+    credit_issues: u64,
 }
 
 impl Contexts {
@@ -66,6 +62,7 @@ impl Contexts {
             burst: Arena2::from_fn(cores, slots, |_, _| 0),
             rr: vec![0; cores],
             halted: 0,
+            credit_issues: 0,
         }
     }
 
@@ -129,6 +126,7 @@ impl Contexts {
             return false;
         }
         *credits -= 1;
+        self.credit_issues += 1;
         stats.instructions += 1;
         stats.issues += 1;
         self.issued(core, slot);
@@ -202,6 +200,11 @@ impl Contexts {
         effect
     }
 
+    /// Issue slots paid from credits so far ([`Contexts::charge_burst`]).
+    pub fn credit_issues(&self) -> u64 {
+        self.credit_issues
+    }
+
     /// Every context's live state, core-major: the slice a workload's
     /// host reduction takes.
     pub fn states(&self) -> Vec<&[u32]> {
@@ -252,6 +255,7 @@ mod tests {
         assert!(set.charge_burst(0, 0, &mut stats));
         assert!(!set.charge_burst(0, 0, &mut stats), "credits drained");
         assert_eq!((stats.instructions, stats.issues), (3, 3));
+        assert_eq!(set.credit_issues(), 2);
         assert_eq!(
             set.commit(0, 0, &decoded, &image, &mut stats, None),
             StepEffect::Halt

@@ -34,11 +34,13 @@ use millipede_core::NodeResult;
 use millipede_dram::{MemoryController, Request, TimePs};
 use millipede_engine::{
     drive, instrument, period_ps_for_mhz, AccessClass, CoreStats, DecodedProgram, DualClock,
-    NodeModel, Quiescence, ReplayDeltas, StepEffect, ThreadCtx, COMPUTE_MHZ,
+    NodeModel, Quiescence, ReplayDeltas, StepEffect, ThreadCtx, COMPUTE_MHZ, RUN_AHEAD_CAP,
 };
 use millipede_isa::ReconvergenceMap;
 use millipede_mapreduce::ThreadGrid;
-use millipede_mem::{coalesce_blocks, Cache, Mshr, SequentialPrefetcher, SharedMemoryBanks};
+use millipede_mem::{
+    coalesce_blocks, Cache, Mshr, SequentialPrefetcher, SharedMemoryBanks, MAX_LANES,
+};
 use millipede_telemetry::Telemetry;
 use millipede_workloads::Workload;
 use warp::Warp;
@@ -59,13 +61,15 @@ struct Sm {
     outstanding_total: u64,
     /// Warp busy (shared-memory serialization) until this cycle.
     busy_until: Vec<u64>,
-    /// Outstanding burst-retire issue credits per warp: a pure-ALU run
-    /// executes functionally in one shot and the timing model replays its
-    /// cycles by count (see DESIGN.md, "Predecoded interpreter").
+    /// Outstanding issue credits per warp: a lockstep run executes
+    /// functionally in one go and the timing model charges its issue slots
+    /// by count (see DESIGN.md, "Lockstep warp run-ahead").
     burst: Vec<u32>,
-    /// Live lanes of each warp's in-flight burst, for per-cycle charge
+    /// Live lanes of each warp's in-flight run, for per-slot charge
     /// accounting (instructions and lane-idle replay).
     burst_lanes: Vec<u64>,
+    /// Issue slots paid from `burst` credits (host observability).
+    credit_issues: u64,
     rr: Vec<usize>,
     l1: Cache,
     mshr: Mshr,
@@ -82,6 +86,29 @@ struct Sm {
     wait_row: Vec<u64>,
     /// Block prefetcher over the whole input (non-row-oriented variants).
     pf: SequentialPrefetcher,
+}
+
+impl Sm {
+    /// Whether warp `wi` keeps the credit invariant at `cycle`: a warp
+    /// holding issue credits is mid-run, so it has no outstanding fills,
+    /// no pending bank-conflict wait, no prefetch-buffer row wait, and live
+    /// lanes. `cluster_tick` debug-asserts it on every warp it reaches.
+    fn credits_consistent(&self, wi: usize, cycle: u64) -> bool {
+        self.burst[wi] == 0
+            || (self.outstanding[wi] == 0
+                && self.busy_until[wi] <= cycle
+                && self.wait_row[wi] == u64::MAX
+                && !self.warps[wi].finished())
+    }
+}
+
+/// The Shared Memory address lane `thread`'s access to its live-state byte
+/// `addr` lands on: live state is striped per thread (§III-E), so thread
+/// *t*'s words sit in bank *t* mod [`SHARED_BANKS`].
+#[inline]
+fn striped_addr(thread: usize, addr: u64) -> u64 {
+    let banks = SHARED_BANKS as u64;
+    (addr / 4) * (banks * 4) + (thread as u64 % banks) * 4
 }
 
 /// One SM's run-loop state, driven by [`millipede_engine::drive`].
@@ -301,90 +328,105 @@ impl NodeModel for Node<'_> {
     }
 }
 
+impl<'a> Node<'a> {
+    /// The run-loop state of `workload` on one SM configured by `cfg`,
+    /// with its threads assigned records by `grid`.
+    fn new(
+        workload: &'a Workload,
+        cfg: &'a GpgpuConfig,
+        grid: &ThreadGrid,
+        decoded: &'a DecodedProgram,
+    ) -> Node<'a> {
+        assert_eq!(
+            cfg.lanes % cfg.warp_width,
+            0,
+            "lanes must divide into warps"
+        );
+        let layout = workload.dataset.layout;
+        let row_bytes = layout.row_bytes;
+        let total_rows = layout.total_rows();
+
+        let num_warps = cfg.num_warps();
+        let words_per_warp_per_row = (layout.row_words() / num_warps) as u32;
+        let pbuf = cfg.row_oriented.then(|| {
+            RowPrefetchBuffer::new(
+                cfg.pbuf_entries,
+                num_warps,
+                words_per_warp_per_row,
+                total_rows,
+                true,
+            )
+        });
+
+        // Threads in linear (grid thread-index) order: warp w covers
+        // [w*width, (w+1)*width).
+        let threads: Vec<ThreadCtx> = {
+            let mut slots: Vec<Option<ThreadCtx>> = (0..cfg.threads()).map(|_| None).collect();
+            for lane in 0..cfg.lanes {
+                for warp_slot in 0..cfg.contexts {
+                    slots[grid.thread_index(lane, warp_slot)] =
+                        Some(workload.make_ctx(grid, lane, warp_slot));
+                }
+            }
+            // audit:allow(unwrap-in-hot-path): thread_index is a bijection over the grid
+            slots.into_iter().map(|s| s.expect("dense index")).collect()
+        };
+        let sm = Sm {
+            warps: (0..num_warps)
+                .map(|w| Warp::new(w * cfg.warp_width, cfg.warp_width))
+                .collect(),
+            outstanding: vec![0; num_warps],
+            outstanding_total: 0,
+            busy_until: vec![0; num_warps],
+            burst: vec![0; num_warps],
+            burst_lanes: vec![0; num_warps],
+            credit_issues: 0,
+            rr: vec![0; cfg.clusters()],
+            threads,
+            l1: Cache::new(L1_BYTES, L1_ASSOC, L1_BLOCK),
+            mshr: Mshr::new(MSHRS),
+            shared: SharedMemoryBanks::new(SHARED_BANKS),
+            lsu_busy_until: 0,
+            wait_row: vec![u64::MAX; num_warps],
+            pf: SequentialPrefetcher::new(0, L1_BLOCK, layout.total_bytes(), LOOKAHEAD),
+        };
+
+        Node {
+            cfg,
+            decoded,
+            image: &workload.dataset.image,
+            rm: ReconvergenceMap::compute(&workload.program),
+            row_bytes,
+            sm,
+            pbuf,
+            mc: MemoryController::new(cfg.geometry, cfg.timing),
+            stats: CoreStats::default(),
+            live_warps: num_warps,
+            ff_l1_hits: 0,
+            ff_l1_misses: 0,
+            deltas: ReplayDeltas::default(),
+        }
+    }
+}
+
 /// Runs `workload` to completion on one SM.
 ///
 /// # Panics
 ///
 /// Panics on kernel traps or simulated deadlock.
 pub fn run(workload: &Workload, cfg: &GpgpuConfig) -> NodeResult {
-    assert_eq!(
-        cfg.lanes % cfg.warp_width,
-        0,
-        "lanes must divide into warps"
-    );
-    let layout = workload.dataset.layout;
     let grid = if cfg.wide_columns {
         ThreadGrid::block_columns(cfg.lanes, cfg.contexts)
     } else {
         ThreadGrid::coalesced(cfg.lanes, cfg.contexts)
     };
-    let row_bytes = layout.row_bytes;
-    let total_rows = layout.total_rows();
-
-    let num_warps = cfg.num_warps();
-    let words_per_warp_per_row = (layout.row_words() / num_warps) as u32;
-    let pbuf = cfg.row_oriented.then(|| {
-        RowPrefetchBuffer::new(
-            cfg.pbuf_entries,
-            num_warps,
-            words_per_warp_per_row,
-            total_rows,
-            true,
-        )
-    });
-
-    // Threads in linear (grid thread-index) order: warp w covers
-    // [w*width, (w+1)*width).
-    let threads: Vec<ThreadCtx> = {
-        let mut slots: Vec<Option<ThreadCtx>> = (0..cfg.threads()).map(|_| None).collect();
-        for lane in 0..cfg.lanes {
-            for warp_slot in 0..cfg.contexts {
-                slots[grid.thread_index(lane, warp_slot)] =
-                    Some(workload.make_ctx(&grid, lane, warp_slot));
-            }
-        }
-        // audit:allow(unwrap-in-hot-path): thread_index is a bijection over the grid
-        slots.into_iter().map(|s| s.expect("dense index")).collect()
-    };
-    let sm = Sm {
-        warps: (0..num_warps)
-            .map(|w| Warp::new(w * cfg.warp_width, cfg.warp_width))
-            .collect(),
-        outstanding: vec![0; num_warps],
-        outstanding_total: 0,
-        busy_until: vec![0; num_warps],
-        burst: vec![0; num_warps],
-        burst_lanes: vec![0; num_warps],
-        rr: vec![0; cfg.clusters()],
-        threads,
-        l1: Cache::new(L1_BYTES, L1_ASSOC, L1_BLOCK),
-        mshr: Mshr::new(MSHRS),
-        shared: SharedMemoryBanks::new(SHARED_BANKS),
-        lsu_busy_until: 0,
-        wait_row: vec![u64::MAX; num_warps],
-        pf: SequentialPrefetcher::new(0, L1_BLOCK, layout.total_bytes(), LOOKAHEAD),
-    };
-
     let decoded = DecodedProgram::of(&workload.program);
-    let mut node = Node {
-        cfg,
-        decoded: &decoded,
-        image: &workload.dataset.image,
-        rm: ReconvergenceMap::compute(&workload.program),
-        row_bytes,
-        sm,
-        pbuf,
-        mc: MemoryController::new(cfg.geometry, cfg.timing),
-        stats: CoreStats::default(),
-        live_warps: num_warps,
-        ff_l1_hits: 0,
-        ff_l1_misses: 0,
-        deltas: ReplayDeltas::default(),
-    };
+    let mut node = Node::new(workload, cfg, &grid, &decoded);
     let mut clock = DualClock::new(period_ps_for_mhz(COMPUTE_MHZ), cfg.timing.channel_period_ps);
     let mut tel = Telemetry::new(&cfg.telemetry);
     let quiesce = Quiescence::new("GPGPU", cfg.clusters() as u64);
-    let driven = drive(&mut node, &mut clock, quiesce, cfg.fast_forward, &mut tel);
+    let mut driven = drive(&mut node, &mut clock, quiesce, cfg.fast_forward, &mut tel);
+    driven.profile.credit_issues = node.sm.credit_issues;
 
     let stats = &mut node.stats;
     stats.shared_passes = node.sm.shared.passes();
@@ -438,15 +480,20 @@ fn cluster_tick(
             slot -= warps_in_cluster;
         }
         let wi = cluster + clusters * slot;
+        debug_assert!(
+            sm.credits_consistent(wi, cycle),
+            "warp {wi} holds credits it cannot pay"
+        );
         if sm.outstanding[wi] > 0 || sm.busy_until[wi] > cycle {
             continue;
         }
-        // Charge one banked burst cycle before consulting the IPDOM stack:
+        // Charge one banked run credit before consulting the IPDOM stack:
         // the run's instructions already executed (and its path may already
-        // have settled at reconvergence), so the stack must not be touched
+        // have reached reconvergence), so the stack must not be touched
         // until every credit is repaid.
         if sm.burst[wi] > 0 {
             sm.burst[wi] -= 1;
+            sm.credit_issues += 1;
             stats.instructions += sm.burst_lanes[wi];
             stats.issues += 1;
             stats.lane_idle += cfg.warp_width as u64 - sm.burst_lanes[wi];
@@ -505,8 +552,14 @@ fn cluster_tick(
     false
 }
 
-/// Attempts to execute one instruction for warp `wi` at `pc` with active
-/// mask `live`.
+/// Attempts to issue warp `wi` at `pc` with active mask `live`.
+///
+/// When the instruction is eligible the warp runs ahead in lockstep
+/// ([`DecodedProgram::warp_run_ahead`]): the run executes now, its
+/// branches, local accesses and Shared Memory accesses are counted as they
+/// run, and every instruction after the issuing one is banked as an issue
+/// credit. Input loads, barriers, halts, divergent branches and serializing
+/// or trapping local accesses fire in their own slot below.
 #[allow(clippy::too_many_arguments)]
 fn try_issue_warp(
     wi: usize,
@@ -524,10 +577,10 @@ fn try_issue_warp(
     mc: &mut MemoryController,
     stats: &mut CoreStats,
 ) -> bool {
-    // Lane sets come straight from the `live` mask: the hot arms (ALU,
-    // branch) walk its set bits with `trailing_zeros` and never materialize
-    // a lane list; the memory arms build stack buffers (warp width is at
-    // most 64 — heap allocations here dominated the wall-clock profile).
+    // Lane sets come straight from the `live` mask: the branch arm walks
+    // its set bits with `trailing_zeros` and never materializes a lane
+    // list; the other arms build stack buffers (warp width is at most
+    // 64 — heap allocations here dominated the wall-clock profile).
     let first = sm.warps[wi].first_thread;
     let lane_count = live.count_ones() as usize;
     debug_assert!(
@@ -537,7 +590,44 @@ fn try_issue_warp(
         "warp threads out of sync"
     );
 
-    match decoded.access_class(pc) {
+    let class = decoded.access_class(pc);
+    if !matches!(
+        class,
+        AccessClass::InputLoad | AccessClass::Barrier | AccessClass::Halt
+    ) {
+        let reconv = sm.warps[wi].current_reconv();
+        let Sm {
+            threads, shared, ..
+        } = &mut *sm;
+        let lanes = &mut threads[first..first + cfg.warp_width];
+        let run = decoded.warp_run_ahead(lanes, live, reconv, RUN_AHEAD_CAP, |idx, addrs| {
+            let mut keys = [0u64; MAX_LANES];
+            for (k, (&i, &a)) in keys.iter_mut().zip(idx.iter().zip(addrs)) {
+                *k = striped_addr(first + i, a);
+            }
+            let conflict_free = shared.passes_of(&keys[..idx.len()]) == 1;
+            if conflict_free {
+                shared.record(1);
+            }
+            conflict_free
+        });
+        if run.instructions > 0 {
+            let lanes = lane_count as u64;
+            stats.branches += u64::from(run.branches) * lanes;
+            stats.local_loads += u64::from(run.local_loads) * lanes;
+            stats.local_stores += u64::from(run.local_stores) * lanes;
+            let end = sm.threads[first + live.trailing_zeros() as usize].pc;
+            sm.warps[wi].advance_to(end);
+            sm.burst[wi] = run.instructions - 1;
+            sm.burst_lanes[wi] = lanes;
+            stats.instructions += lanes;
+            stats.issues += 1;
+            stats.lane_idle += cfg.warp_width as u64 - lanes;
+            return true;
+        }
+    }
+
+    match class {
         AccessClass::InputLoad => {
             if sm.lsu_busy_until > cycle {
                 // The L1 port is still draining a previous multi-block
@@ -548,8 +638,8 @@ fn try_issue_warp(
             }
             // Compute each lane's address once; the commit below reuses it
             // instead of re-resolving the access.
-            let mut lanes_buf = [0usize; 64];
-            let mut addrs_buf = [0u64; 64];
+            let mut lanes_buf = [0usize; MAX_LANES];
+            let mut addrs_buf = [0u64; MAX_LANES];
             let mut m = live;
             let mut j = 0;
             while m != 0 {
@@ -582,13 +672,14 @@ fn try_issue_warp(
                     Lookup::Evicted => unreachable!("flow control is on for VWS-row"),
                 }
             } else {
-                let blocks = coalesce_blocks(addrs, L1_BLOCK);
+                let mut blocks_buf = [0u64; MAX_LANES];
+                let blocks = coalesce_blocks(addrs, L1_BLOCK, &mut blocks_buf);
                 if let Some(far) = blocks.iter().copied().max() {
                     sm.pf.raise_limit(far.saturating_add(LOOKAHEAD));
                 }
-                let mut missing_buf = [0u64; 64];
+                let mut missing_buf = [0u64; MAX_LANES];
                 let mut missing_count = 0;
-                for &b in &blocks {
+                for &b in blocks {
                     if !sm.l1.access(b) {
                         missing_buf[missing_count] = b;
                         missing_count += 1;
@@ -628,13 +719,13 @@ fn try_issue_warp(
             }
         }
         AccessClass::LocalLoad | AccessClass::LocalStore => {
-            // Shared memory: per-thread state striped so lane i's words live
-            // in bank i — conflict-free for these kernels, but the banking
-            // model is consulted for generality and energy accounting. Each
-            // lane's address is computed once and reused by the commit.
-            let mut lanes_buf = [0usize; 64];
-            let mut addrs_buf = [0u64; 64];
-            let mut bank_buf = [0u64; 64];
+            // A local access the run-ahead refused: it serializes into
+            // several Shared Memory passes (the warp waits them out), or a
+            // lane traps on it. Each lane's address is computed once and
+            // reused by the commit.
+            let mut lanes_buf = [0usize; MAX_LANES];
+            let mut addrs_buf = [0u64; MAX_LANES];
+            let mut bank_buf = [0u64; MAX_LANES];
             let mut m = live;
             let mut j = 0;
             while m != 0 {
@@ -643,20 +734,22 @@ fn try_issue_warp(
                 let a = decoded.mem_addr_at(&sm.threads[t]);
                 lanes_buf[j] = t;
                 addrs_buf[j] = a;
-                bank_buf[j] =
-                    (a / 4) * (SHARED_BANKS as u64 * 4) + (t as u64 % SHARED_BANKS as u64) * 4;
+                bank_buf[j] = striped_addr(t, a);
                 j += 1;
             }
             let lanes = &lanes_buf[..lane_count];
             let addrs = &addrs_buf[..lane_count];
-            let passes = sm.shared.conflict_passes(&bank_buf[..lane_count]).max(1) as u64;
+            let passes = sm.shared.passes_of(&bank_buf[..lane_count]);
+            sm.shared.record(passes);
             if passes > 1 {
-                sm.busy_until[wi] = cycle + passes - 1;
+                sm.busy_until[wi] = cycle + u64::from(passes) - 1;
             }
             exec_lanes(wi, lanes, Some(addrs), sm, decoded, image, stats, cfg);
             true
         }
         AccessClass::Branch => {
+            // A divergent branch (the run-ahead takes uniform ones): the
+            // warp splits on the IPDOM stack.
             let mut taken_mask = 0u64;
             let mut nt_mask = 0u64;
             let mut target = 0u32;
@@ -695,34 +788,10 @@ fn try_issue_warp(
             }
             true
         }
-        AccessClass::Alu => {
-            // Pure-ALU run: execute it for every lane now and bank the
-            // remaining cycles as per-warp issue credits (replay-by-count).
-            // The run is capped at the path's reconvergence PC so the IPDOM
-            // stack settles exactly where cycle-by-cycle execution would.
-            let mut cap = decoded.run_len(pc);
-            if let Some(r) = sm.warps[wi].current_reconv() {
-                if r > pc {
-                    cap = cap.min(r - pc);
-                }
-            }
-            let mut n = 1;
-            let mut m = live;
-            while m != 0 {
-                let t = first + m.trailing_zeros() as usize;
-                m &= m - 1;
-                n = decoded.burst_retire(&mut sm.threads[t], cap);
-            }
-            sm.warps[wi].advance_to(pc + n);
-            sm.burst[wi] = n - 1;
-            sm.burst_lanes[wi] = lane_count as u64;
-            stats.instructions += lane_count as u64;
-            stats.issues += 1;
-            stats.lane_idle += (cfg.warp_width - lane_count) as u64;
-            true
-        }
-        AccessClass::Jump | AccessClass::Barrier | AccessClass::Halt => {
-            let mut lanes_buf = [0usize; 64];
+        // ALU ops and jumps always run ahead; barriers and halts commit
+        // here.
+        AccessClass::Alu | AccessClass::Jump | AccessClass::Barrier | AccessClass::Halt => {
+            let mut lanes_buf = [0usize; MAX_LANES];
             let mut m = live;
             let mut j = 0;
             while m != 0 {
@@ -936,6 +1005,57 @@ mod tests {
             assert_eq!(fast.elapsed_ps, slow.elapsed_ps);
             assert_eq!(fast.output, slow.output);
         }
+    }
+
+    #[test]
+    fn a_serializing_local_access_stops_the_run_and_waits_out_its_passes() {
+        // One 64-wide warp (the Fig. 6 SM). Lanes i and i+32 share a bank
+        // under the per-thread striping, so a store whose address differs
+        // between the two halves takes two passes.
+        let program = millipede_isa::assemble(
+            "serialize",
+            "addi r7, r0, 1\n\
+             addi r7, r7, 1\n\
+             st.local r7, 0(r6)\n\
+             addi r7, r7, 1\n\
+             halt",
+        )
+        .expect("assembles");
+        let w = Workload {
+            program,
+            ..small(Benchmark::Count)
+        };
+        let cfg = GpgpuConfig {
+            lanes: 64,
+            contexts: 1,
+            warp_width: 64,
+            ..GpgpuConfig::gpgpu()
+        };
+        let grid = ThreadGrid::coalesced(cfg.lanes, cfg.contexts);
+        let decoded = DecodedProgram::of(&w.program);
+        let mut node = Node::new(&w, &cfg, &grid, &decoded);
+        for (t, ctx) in node.sm.threads.iter_mut().enumerate() {
+            ctx.write_reg(millipede_isa::reg::r(6), if t < 32 { 0 } else { 4 });
+        }
+        let period = period_ps_for_mhz(COMPUTE_MHZ);
+        let mut clock = DualClock::new(period, cfg.timing.channel_period_ps);
+        let mut tel = Telemetry::off();
+        let mut edge = |node: &mut Node, cycle: u64| {
+            assert!(node.compute_edge(cycle * period, cycle, &mut clock, &mut tel));
+        };
+
+        edge(&mut node, 0);
+        assert_eq!(node.sm.threads[0].pc, 2, "the run stopped before the store");
+        assert_eq!(node.sm.burst[0], 1, "one credit banked");
+        assert_eq!(node.sm.shared.accesses(), 0);
+        edge(&mut node, 1);
+        assert_eq!(node.sm.burst[0], 0);
+        edge(&mut node, 2);
+        assert_eq!(node.sm.threads[0].pc, 3, "the store issued in its own slot");
+        assert_eq!(node.sm.busy_until[0], 3, "busy_until marks the second pass");
+        assert_eq!(node.stats.local_stores, 64);
+        assert_eq!((node.sm.shared.accesses(), node.sm.shared.passes()), (1, 2));
+        assert_eq!(node.sm.credit_issues, 1);
     }
 
     #[test]

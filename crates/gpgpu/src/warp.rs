@@ -83,6 +83,14 @@ impl Warp {
         self.current().is_none()
     }
 
+    /// What [`Warp::done`] reports, without settling the stack: every
+    /// frame would pop (settling pops a frame on its own state alone).
+    pub fn finished(&self) -> bool {
+        self.stack
+            .iter()
+            .all(|f| f.mask & !self.halted == 0 || f.reconv == Some(f.pc))
+    }
+
     /// Advances the current path's PC (uniform execution).
     pub fn advance_to(&mut self, pc: u32) {
         let top = self.stack.last_mut().expect("warp not done"); // audit:allow(unwrap-in-hot-path): documented precondition

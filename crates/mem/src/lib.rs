@@ -33,4 +33,4 @@ pub use image::InputImage;
 pub use local::{LocalMem, MemFault};
 pub use mshr::{Mshr, MshrOutcome};
 pub use prefetch::{PrefetchStop, SequentialPrefetcher};
-pub use sharedmem::SharedMemoryBanks;
+pub use sharedmem::{SharedMemoryBanks, MAX_LANES};

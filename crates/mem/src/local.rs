@@ -59,8 +59,15 @@ impl LocalMem {
         self.words.len() as u64 * 4
     }
 
+    /// Whether a load or store at byte address `addr` would succeed
+    /// (word-aligned and in bounds): the faulting check, without the fault.
+    #[inline]
+    pub fn in_bounds(&self, addr: u64) -> bool {
+        addr.is_multiple_of(4) && addr / 4 < self.words.len() as u64
+    }
+
     fn index(&self, addr: u64, write: bool) -> Result<usize, MemFault> {
-        if !addr.is_multiple_of(4) || addr / 4 >= self.words.len() as u64 {
+        if !self.in_bounds(addr) {
             return Err(MemFault {
                 addr,
                 size: self.len_bytes(),
@@ -136,6 +143,14 @@ mod tests {
         let e = m.store(100, 0).unwrap_err();
         assert!(e.write);
         assert_eq!(e.size, 16);
+    }
+
+    #[test]
+    fn in_bounds_is_exactly_the_fault_check() {
+        let mut m = LocalMem::new(16);
+        for addr in 0..24 {
+            assert_eq!(m.in_bounds(addr), m.load(addr).is_ok(), "addr {addr}");
+        }
     }
 
     #[test]

@@ -111,6 +111,7 @@ pub fn run_registry(r: &RunResult) -> Registry {
     let p = r.node.profile;
     reg.counter_add(&format!("{prefix}.ff.jumps"), p.sleeps);
     reg.counter_add(&format!("{prefix}.ff.fill_wakes"), p.wakes);
+    reg.counter_add(&format!("{prefix}.credit_issues"), p.credit_issues);
     let tel = &r.node.telemetry;
     for (name, v) in [
         ("series", tel.series_len() as u64),
@@ -143,6 +144,7 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
     let mut ff_skipped: u64 = 0;
     let mut jumps: u64 = 0;
     let mut fill_wakes: u64 = 0;
+    let mut credit_issues: u64 = 0;
     let mut dropped: u64 = 0;
     let mut point_ms = Histogram::default();
     for r in runs {
@@ -152,6 +154,7 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
         ff_skipped += s.ff_skipped_cycles;
         jumps += r.result.node.profile.sleeps;
         fill_wakes += r.result.node.profile.wakes;
+        credit_issues += r.result.node.profile.credit_issues;
         dropped += r.result.node.telemetry.dropped_events();
         point_ms.observe(r.wall_ms);
     }
@@ -196,7 +199,7 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
          \"total_ms\":{},\"sweep\":{{\"threads\":{threads},\"points\":{},\
          \"utilization\":{},\"point_ms\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
          \"mean\":{}}}}},\"retired_instructions_per_sec\":{},\"walked_edges_per_sec\":{},\
-         \"ff_skipped_ratio\":{},\"ff\":{{\"jumps\":{jumps},\"fill_wakes\":{fill_wakes}}},\
+         \"ff_skipped_ratio\":{},\"ff\":{{\"jumps\":{jumps},\"fill_wakes\":{fill_wakes}}},\"credit_issues\":{credit_issues},\
          \"telemetry_dropped_events\":{dropped}}},\n  \"runs\": [\n{}\n  ]\n}}\n",
         cfg.num_chunks,
         cfg.seed,

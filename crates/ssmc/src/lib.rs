@@ -368,7 +368,8 @@ pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
     let mut clock = DualClock::new(period_ps_for_mhz(COMPUTE_MHZ), cfg.timing.channel_period_ps);
     let mut tel = Telemetry::new(&cfg.telemetry);
     let quiesce = Quiescence::new("SSMC", cfg.cores as u64);
-    let driven = drive(&mut node, &mut clock, quiesce, cfg.fast_forward, &mut tel);
+    let mut driven = drive(&mut node, &mut clock, quiesce, cfg.fast_forward, &mut tel);
+    driven.profile.credit_issues = node.threads.credit_issues();
 
     let stats = &mut node.stats;
     for core in &node.cores {

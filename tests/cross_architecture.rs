@@ -107,13 +107,12 @@ fn thread_level_work_is_architecture_independent() {
     );
 }
 
-#[test]
-fn mimd_thread_level_totals_equal_the_functional_run() {
-    // The MIMD models retire local runs ahead of their issue slots and
-    // count them as they run; their totals must still be exactly the sum
-    // of the grid's single-threaded functional runs.
+/// Asserts that `arches`' thread-level totals on every BMLA are exactly
+/// the sum of `grid`'s single-threaded functional runs, although the
+/// models retire runs ahead of their issue slots and count them as they
+/// run.
+fn assert_thread_level_totals(arches: &[Arch], grid: ThreadGrid) {
     let cfg = cfg();
-    let grid = ThreadGrid::slab(cfg.corelets, cfg.contexts);
     for bench in Benchmark::BMLA {
         let w = workload(bench);
         let mut want = FuncStats::default();
@@ -126,7 +125,7 @@ fn mimd_thread_level_totals_equal_the_functional_run() {
                 want.merge(&stats);
             }
         }
-        for arch in [Arch::Millipede, Arch::MillipedeNoFlowControl, Arch::Ssmc] {
+        for &arch in arches {
             let s = arch.run(&w, &cfg).stats;
             let label = format!("{} / {}", arch.label(), bench.name());
             assert_eq!(s.instructions, want.instructions, "{label}: instructions");
@@ -136,6 +135,26 @@ fn mimd_thread_level_totals_equal_the_functional_run() {
             assert_eq!(s.local_stores, want.local_stores, "{label}: local stores");
         }
     }
+}
+
+#[test]
+fn mimd_thread_level_totals_equal_the_functional_run() {
+    let cfg = cfg();
+    assert_thread_level_totals(
+        &[Arch::Millipede, Arch::MillipedeNoFlowControl, Arch::Ssmc],
+        ThreadGrid::slab(cfg.corelets, cfg.contexts),
+    );
+}
+
+#[test]
+fn simt_thread_level_totals_equal_the_functional_run() {
+    // SIMT warps count every lane's instruction, branch and access, so a
+    // warp's lockstep run-ahead must add up to the same per-thread totals.
+    let cfg = cfg();
+    assert_thread_level_totals(
+        &[Arch::Gpgpu, Arch::Vws, Arch::VwsRow],
+        ThreadGrid::coalesced(cfg.corelets, cfg.contexts),
+    );
 }
 
 #[test]

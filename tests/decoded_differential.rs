@@ -4,9 +4,11 @@
 //! be observably bit-identical to the reference enum interpreter
 //! (`millipede::engine::step`): same `StepEffect` stream, same traps, same
 //! final register/local state, and the burst-retire fast path must commit
-//! exactly the instructions single-stepping would, and the MIMD models'
+//! exactly the instructions single-stepping would, the MIMD models'
 //! run-ahead must execute exactly the context-local run single-stepping
-//! would. This suite enforces that over the assembly fixture corpus, the
+//! would, and the SIMT warps' lockstep run-ahead must execute exactly what
+//! single-stepping every live lane would. This suite enforces that over
+//! the assembly fixture corpus, the
 //! compiled-in kernels and randomized programs, then drives every timing
 //! model end-to-end (the models execute exclusively through the decoded
 //! form).
@@ -17,6 +19,7 @@ use millipede::isa::reg::r;
 use millipede::isa::{assemble, AddrSpace, AluOp, CmpOp, FAluOp, Instr, Program};
 use millipede::mapreduce::ThreadGrid;
 use millipede::mem::InputImage;
+use millipede::mem::SharedMemoryBanks;
 use millipede::sim::{Arch, SimConfig};
 use millipede::workloads::{Benchmark, Workload};
 
@@ -231,6 +234,161 @@ fn run_ahead_differential(program: &Program, start: ThreadCtx, input: &InputImag
     }
 }
 
+/// Lockstep states of one warp walk the warp run-ahead is checked from.
+const WARP_STATES: u64 = 300;
+/// The warp widths the differential runs: VWS's and the GPGPU's.
+const WARP_WIDTHS: [usize; 2] = [4, 32];
+
+/// A warp of `width` plain contexts whose launch registers differ by lane
+/// (`r1` = lane, `r2` = 4 × lane, `r3` = lane mod 2), so data-dependent
+/// branches and addresses split the lanes some of the time.
+fn plain_warp(width: usize) -> Vec<ThreadCtx> {
+    (0..width as u32)
+        .map(|i| {
+            let params = LaunchParams::new()
+                .set(r(1), i)
+                .set(r(2), 4 * i)
+                .set(r(3), i % 2);
+            ThreadCtx::new(LOCAL_BYTES, &params)
+        })
+        .collect()
+}
+
+/// The bank model the differential's `accept` predicate consults: a local
+/// access is taken iff it would not serialize over eight banks.
+fn conflict_free(addrs: &[u64]) -> bool {
+    SharedMemoryBanks::new(8).passes_of(addrs) == 1
+}
+
+/// The reference for one warp run-ahead from `lanes` (live lanes `live`):
+/// single-steps every live lane with the reference interpreter, one
+/// instruction at a time, stopping before the first input load, barrier or
+/// halt, the PC `reconv`, a branch the lanes disagree on, a local access
+/// any lane traps on or [`conflict_free`] refuses, or after `max`
+/// instructions. Returns the run and how many accesses it accepted.
+fn reference_warp_run(
+    lanes: &mut [ThreadCtx],
+    live: &[usize],
+    reconv: Option<u32>,
+    program: &Program,
+    input: &InputImage,
+    max: u32,
+) -> (LocalRun, u32) {
+    let mut run = LocalRun::default();
+    let mut accepted = 0;
+    while run.instructions < max {
+        let pc = lanes[live[0]].pc;
+        if reconv == Some(pc) {
+            break;
+        }
+        let instr = program.instrs()[pc as usize];
+        match instr {
+            Instr::Ld {
+                space: AddrSpace::Input,
+                ..
+            }
+            | Instr::Bar
+            | Instr::Halt => break,
+            Instr::Br { .. } | Instr::Ld { .. } | Instr::St { .. } => {
+                // What each lane would do, tried on a copy. A branch
+                // splits the warp when the lanes disagree on taking it,
+                // even when both ways lead to the same PC.
+                let effects: Vec<Option<StepEffect>> = live
+                    .iter()
+                    .map(|&i| step(&mut lanes[i].clone(), program, input).ok())
+                    .collect();
+                if effects.iter().any(Option::is_none) {
+                    break;
+                }
+                if matches!(instr, Instr::Br { .. }) {
+                    if effects.iter().any(|e| *e != effects[0]) {
+                        break;
+                    }
+                } else {
+                    let addrs: Vec<u64> = live
+                        .iter()
+                        .map(|&i| effective_access(&lanes[i], program).unwrap().addr)
+                        .collect();
+                    if !conflict_free(&addrs) {
+                        break;
+                    }
+                    accepted += 1;
+                }
+            }
+            _ => {}
+        }
+        let effect = live
+            .iter()
+            .map(|&i| step(&mut lanes[i], program, input).unwrap())
+            .last()
+            .unwrap();
+        match effect {
+            StepEffect::Branch { .. } => run.branches += 1,
+            StepEffect::LocalLoad { .. } => run.local_loads += 1,
+            StepEffect::LocalStore { .. } => run.local_stores += 1,
+            _ => {}
+        }
+        run.instructions += 1;
+    }
+    (run, accepted)
+}
+
+/// Walks the warp `start` through `program` in lockstep (after a split it
+/// follows the lanes that went with its first live lane) and, from every
+/// state of the walk (up to [`WARP_STATES`]), runs a copy ahead with
+/// `warp_run_ahead` and another with [`reference_warp_run`], asserting the
+/// same counts, accepted accesses, and every lane's pc, registers and
+/// local words. The reconvergence PC varies from state to state, so the
+/// reconvergence stop is exercised too.
+fn warp_run_ahead_differential(
+    program: &Program,
+    start: Vec<ThreadCtx>,
+    input: &InputImage,
+    label: &str,
+) {
+    let decoded = DecodedProgram::of(program);
+    let len = program.len() as u64;
+    let mut state = start;
+    let mut live: Vec<usize> = (0..state.len()).collect();
+    for n in 0..WARP_STATES {
+        let pc = state[live[0]].pc;
+        let reconv = (n % 3 != 0).then(|| ((u64::from(pc) + n) % len) as u32);
+        let mask = live.iter().fold(0u64, |m, &i| m | 1 << i);
+        let mut ahead = state.clone();
+        let mut reference = state.clone();
+        let mut accepted = 0;
+        let run = decoded.warp_run_ahead(&mut ahead, mask, reconv, RUN_AHEAD_MAX, |idx, addrs| {
+            assert_eq!(idx, &live[..], "{label}: accept got other lanes");
+            let ok = conflict_free(addrs);
+            accepted += u32::from(ok);
+            ok
+        });
+        let (want, want_accepted) =
+            reference_warp_run(&mut reference, &live, reconv, program, input, RUN_AHEAD_MAX);
+        let at = format!("{label}: {} lanes, state {n}", live.len());
+        assert_eq!(run, want, "{at}: warp run-ahead counts diverged");
+        assert_eq!(accepted, want_accepted, "{at}: accepted accesses");
+        assert_eq!(accepted, run.local_loads + run.local_stores, "{at}");
+        for (i, (a, b)) in ahead.iter().zip(&reference).enumerate() {
+            assert_eq!(a.pc, b.pc, "{at}: lane {i} stopped elsewhere");
+            assert_eq!(a.regs, b.regs, "{at}: lane {i} registers");
+            assert_eq!(a.local.words(), b.local.words(), "{at}: lane {i} local");
+        }
+        // One lockstep step; a split keeps the first live lane's side.
+        for &i in &live {
+            if step(&mut state[i], program, input).is_err() {
+                return;
+            }
+        }
+        live.retain(|&i| !state[i].halted);
+        let Some(&lead) = live.first() else {
+            return;
+        };
+        let lead_pc = state[lead].pc;
+        live.retain(|&i| state[i].pc == lead_pc);
+    }
+}
+
 #[test]
 fn run_ahead_stops_exactly_at_the_cap_on_a_local_loop() {
     let program = assemble("spin", "l: jmp l\n").unwrap();
@@ -239,6 +397,16 @@ fn run_ahead_stops_exactly_at_the_cap_on_a_local_loop() {
     let run = decoded.run_ahead(&mut ctx, 1_000);
     assert_eq!(run.instructions, 1_000);
     assert_eq!(ctx.pc, 0);
+}
+
+#[test]
+fn warp_run_ahead_stops_exactly_at_the_cap_on_a_local_loop() {
+    let program = assemble("spin", "l: jmp l\n").unwrap();
+    let decoded = DecodedProgram::of(&program);
+    let mut warp = plain_warp(4);
+    let run = decoded.warp_run_ahead(&mut warp, 0b1111, None, 1_000, |_, _| true);
+    assert_eq!(run.instructions, 1_000);
+    assert!(warp.iter().all(|c| c.pc == 0));
 }
 
 // ---------------------------------------------------------------------
@@ -262,6 +430,9 @@ fn fixtures_execute_identically() {
         run_lockstep(&program, &input, &name);
         run_burst_differential(&program, &input, &name);
         run_ahead_differential(&program, fresh_ctx(), &input, &name);
+        for width in WARP_WIDTHS {
+            warp_run_ahead_differential(&program, plain_warp(width), &input, &name);
+        }
         checked += 1;
     }
     assert!(
@@ -291,6 +462,13 @@ fn benchmark_kernels_execute_identically() {
         let grid = ThreadGrid::slab(32, 4);
         let launched = w.make_ctx(&grid, 1, 2);
         run_ahead_differential(&w.program, launched, &w.dataset.image, &name);
+        // Warps: plain lanes, and real launches on the SIMT grid.
+        let grid = ThreadGrid::coalesced(32, 4);
+        for width in WARP_WIDTHS {
+            warp_run_ahead_differential(&w.program, plain_warp(width), &input, &name);
+            let warp = (0..width).map(|lane| w.make_ctx(&grid, lane, 1)).collect();
+            warp_run_ahead_differential(&w.program, warp, &w.dataset.image, &name);
+        }
     }
 }
 
@@ -373,6 +551,9 @@ fn randomized_programs_execute_identically() {
         run_lockstep(&program, &input, &label);
         run_burst_differential(&program, &input, &label);
         run_ahead_differential(&program, fresh_ctx(), &input, &label);
+        for width in WARP_WIDTHS {
+            warp_run_ahead_differential(&program, plain_warp(width), &input, &label);
+        }
     }
 }
 

@@ -101,6 +101,15 @@ fn rendered_manifest_is_schema_valid_with_populated_self_profiling() {
         .and_then(Json::as_f64)
         .expect("ff.fill_wakes");
     assert!(fill_wakes <= jumps, "every fill wake ends a jump");
+    let credit_issues = host
+        .get("credit_issues")
+        .and_then(Json::as_f64)
+        .expect("host.credit_issues");
+    let issues: u64 = runs.iter().map(|r| r.node.stats.issues).sum();
+    assert!(
+        credit_issues > 0.0 && credit_issues < issues as f64,
+        "credit-paid issues {credit_issues} of {issues}"
+    );
     let phases = host
         .get("phases_ms")
         .and_then(Json::as_object)
@@ -123,7 +132,12 @@ fn rendered_manifest_is_schema_valid_with_populated_self_profiling() {
             .and_then(Json::as_object)
             .expect("metrics registry");
         let prefix = r.arch.label().to_ascii_lowercase();
-        for name in ["stats.instructions", "ff.jumps", "ff.fill_wakes"] {
+        for name in [
+            "stats.instructions",
+            "ff.jumps",
+            "ff.fill_wakes",
+            "credit_issues",
+        ] {
             assert!(
                 metrics
                     .iter()
