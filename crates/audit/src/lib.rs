@@ -18,6 +18,7 @@
 //! | `module-doc`       | every module starts with a `//!` doc comment |
 //! | `wall-clock`       | no `Instant` / `SystemTime` in telemetry or metrics code — every recorded timestamp must be simulated time; the one exemption is the metrics crate's self-profiling module |
 //! | `raw-fetch`        | no raw `.fetch(` instruction decode in timing-model per-cycle paths — models must execute through `DecodedProgram` so every instruction is decoded exactly once |
+//! | `channel-edge`     | no `.tick(` / `.pop_completed(` / `.next_event_at(` in timing-model crates — the memory channel's edge has one home, `engine::drive` |
 //!
 //! A violation can be suppressed, with a reason, by a comment on the same
 //! line or the line above: `// audit:allow(<lint>): <reason>`.
@@ -50,11 +51,14 @@ pub enum Lint {
     WallClock,
     /// Raw `.fetch(` instruction decode in a timing-model per-cycle path.
     RawFetch,
+    /// A memory-channel edge (`.tick(`, `.pop_completed(`,
+    /// `.next_event_at(`) driven from a timing-model crate.
+    ChannelEdge,
 }
 
 impl Lint {
     /// All lints, in diagnostic-catalogue order.
-    pub const ALL: [Lint; 7] = [
+    pub const ALL: [Lint; 8] = [
         Lint::CastTruncation,
         Lint::HashIteration,
         Lint::UnwrapInHotPath,
@@ -62,6 +66,7 @@ impl Lint {
         Lint::ModuleDoc,
         Lint::WallClock,
         Lint::RawFetch,
+        Lint::ChannelEdge,
     ];
 
     /// The lint's kebab-case name, as used in `audit:allow(<name>)`.
@@ -74,6 +79,7 @@ impl Lint {
             Lint::ModuleDoc => "module-doc",
             Lint::WallClock => "wall-clock",
             Lint::RawFetch => "raw-fetch",
+            Lint::ChannelEdge => "channel-edge",
         }
     }
 }
@@ -139,13 +145,19 @@ const WALL_CLOCK_EXEMPT_FILES: [&str; 1] = ["crates/metrics/src/selfprof.rs"];
 /// `raw-fetch` lint. Decoding an instruction with `Program::fetch` every
 /// cycle is the double-decode pattern the predecode refactor removed; the
 /// reference interpreter (`crates/engine`), the static tooling, and the
-/// tests are exempt.
+/// tests are exempt. The same crates may not drive the memory channel
+/// (the `channel-edge` lint): `engine::drive` ticks the controller, pops
+/// its fills and reads its next event for every model.
 const MODEL_CRATES: [&str; 4] = [
     "crates/core",
     "crates/ssmc",
     "crates/gpgpu",
     "crates/multicore",
 ];
+
+/// The `MemoryController` calls that make up a channel edge (the
+/// `channel-edge` lint).
+const CHANNEL_EDGE_CALLS: [&str; 3] = [".tick(", ".pop_completed(", ".next_event_at("];
 
 /// Identifier fragments that mark a line as cycle/timing arithmetic.
 fn is_timing_token(tok: &str) -> bool {
@@ -459,6 +471,23 @@ pub fn scan_source(rel_path: &str, content: &str) -> Vec<Diagnostic> {
                 });
             }
 
+            // channel-edge: the controller's clock edge driven by a model.
+            // The driver owns the channel; a model only enqueues requests
+            // and applies the fills it is handed.
+            if model_crate
+                && !allowed(Lint::ChannelEdge)
+                && CHANNEL_EDGE_CALLS.iter().any(|c| code.contains(c))
+            {
+                diags.push(Diagnostic {
+                    file: rel_path.to_string(),
+                    line: lineno,
+                    lint: Lint::ChannelEdge,
+                    message: "memory-channel edge driven from a timing model; engine::drive \
+                              ticks the controller and hands the model its fills"
+                        .to_string(),
+                });
+            }
+
             // float-eq: exact comparison against a float literal.
             if !allowed(Lint::FloatEq) && has_float_literal_comparison(&code) {
                 diags.push(Diagnostic {
@@ -738,6 +767,53 @@ mod tests {
         // And the escape hatch works.
         let allowed = "//! D.\n// audit:allow(raw-fetch): one-shot decode outside the cycle loop\nfn f(p: &Program) -> Instr { *p.fetch(0) }\n";
         assert!(scan_source("crates/core/src/x.rs", allowed).is_empty());
+    }
+
+    #[test]
+    fn channel_edge_scoped_to_model_crates() {
+        for call in [
+            "mc.tick(now)",
+            "mc.pop_completed(now)",
+            "mc.next_event_at()",
+        ] {
+            let src = format!("//! D.\nfn f(mc: &mut MemoryController) {{ {call}; }}\n");
+            for model in [
+                "crates/core",
+                "crates/ssmc",
+                "crates/gpgpu",
+                "crates/multicore",
+            ] {
+                assert_eq!(
+                    lints_of(&format!("{model}/src/x.rs"), &src),
+                    vec![Lint::ChannelEdge],
+                    "{model}: {call}"
+                );
+            }
+            // The driver and the controller's own crate own the edge.
+            assert!(scan_source("crates/engine/src/x.rs", &src).is_empty());
+            assert!(scan_source("crates/dram/src/x.rs", &src).is_empty());
+        }
+        // Enqueueing a request is the model's half of the channel.
+        let push =
+            "//! D.\nfn f(mc: &mut MemoryController, r: Request) { let _ = mc.try_push(r, 0); }\n";
+        assert!(scan_source("crates/core/src/x.rs", push).is_empty());
+        // Tests may drive a controller directly.
+        let test = "//! D.\n#[cfg(test)]\nmod tests {\n    fn f(mc: &mut MemoryController) { mc.tick(0); }\n}\n";
+        assert!(scan_source("crates/gpgpu/src/x.rs", test).is_empty());
+    }
+
+    #[test]
+    fn channel_edge_escape_hatch() {
+        let same_line = "//! D.\nfn f(mc: &mut MemoryController) { mc.tick(0); } // audit:allow(channel-edge): standalone controller probe\n";
+        assert!(scan_source("crates/ssmc/src/x.rs", same_line).is_empty());
+        let line_above = "//! D.\n// audit:allow(channel-edge): standalone controller probe\nfn f(mc: &MemoryController) -> Option<u64> { mc.next_event_at() }\n";
+        assert!(scan_source("crates/ssmc/src/x.rs", line_above).is_empty());
+        // An allow for another lint does not cover it.
+        let wrong = "//! D.\n// audit:allow(raw-fetch): not this lint\nfn f(mc: &mut MemoryController) { mc.tick(0); }\n";
+        assert_eq!(
+            lints_of("crates/ssmc/src/x.rs", wrong),
+            vec![Lint::ChannelEdge]
+        );
     }
 
     #[test]

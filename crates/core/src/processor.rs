@@ -3,8 +3,8 @@
 //! Two clock domains drive the simulation: on each compute edge every
 //! corelet tries to issue one instruction from one of its 4 hardware
 //! contexts (round-robin, skipping contexts whose next input load cannot be
-//! served); on each channel edge the FR-FCFS controller advances and
-//! completed fills are applied.
+//! served); on each channel edge the driver advances the FR-FCFS controller
+//! and the model applies the fills it completed.
 //!
 //! Input loads go through the row prefetch buffer:
 //!
@@ -22,14 +22,14 @@ use crate::config::{MillipedeConfig, LOCAL_BYTES_PER_CORELET};
 use crate::pbuf::{Lookup, RowPrefetchBuffer};
 use crate::rate::{OccupancySignal, RateMatcher};
 use crate::result::NodeResult;
-use millipede_dram::{MemoryController, Request, TimePs};
+use millipede_dram::{Completion, MemoryController, Request, TimePs};
 
 pub use run_impl::run;
 
 mod run_impl {
     use super::*;
     use millipede_engine::{
-        drive, instrument, mhz_for_period_ps, period_ps_for_mhz, AccessClass, Contexts, CoreStats,
+        drive, mhz_for_period_ps, period_ps_for_mhz, AccessClass, Contexts, CoreStats,
         DecodedProgram, DualClock, FlagGrid, NodeModel, Quiescence, StepEffect, COMPUTE_MHZ,
     };
     use millipede_mapreduce::ThreadGrid;
@@ -60,7 +60,6 @@ mod run_impl {
         /// the eviction of the lowest (oldest) row is deterministic.
         bypass: Vec<BTreeMap<u64, bool>>,
         pbuf: RowPrefetchBuffer,
-        mc: MemoryController,
         rate: RateMatcher,
         clock_audit: InvariantChecker,
         stats: CoreStats,
@@ -132,8 +131,6 @@ mod run_impl {
                 at,
                 self.stats.stall_slots as f64,
             );
-            let d = self.mc.stats();
-            instrument::sample_dram(tel, due, at, d.row_hits, d.row_misses, self.mc.queue_len());
         }
 
         // End-of-run sanitizer report (all no-ops when the checks are
@@ -141,7 +138,6 @@ mod run_impl {
         fn assert_clean(&self) {
             self.pbuf.audit().assert_clean("row prefetch buffer");
             self.rate.audit().assert_clean("rate matcher");
-            self.mc.timing_audit().assert_clean("memory controller");
             self.clock_audit.assert_clean("clock domains");
         }
 
@@ -154,13 +150,12 @@ mod run_impl {
             now: TimePs,
             cycle: u64,
             clock: &mut DualClock,
+            mc: &mut MemoryController,
             tel: &mut Telemetry,
-        ) -> bool {
+        ) -> u64 {
             self.clock_audit.on_clock_edge(ClockDomain::Compute, now);
             let tel_flow_blocks_before = self.pbuf.stats().flow_blocks;
-            self.stats.prefetches +=
-                self.pbuf
-                    .pump(&mut self.mc, now, self.row_bytes, TAG_PREFETCH_BASE);
+            self.stats.prefetches += self.pbuf.pump(mc, now, self.row_bytes, TAG_PREFETCH_BASE);
 
             // The scan takes each piece of state as its own argument, so
             // the optimizer may keep it in registers across the scan.
@@ -171,22 +166,16 @@ mod run_impl {
                 at_barrier,
                 bypass,
                 pbuf,
-                mc,
                 rate,
                 stats,
                 ..
             } = self;
-            let mut any_issued = false;
+            let mut issued = 0;
             for c in 0..cfg.corelets {
-                stats.issue_slots += 1;
-                if corelet_tick(
+                issued += u64::from(corelet_tick(
                     c, now, cycle, cfg, decoded, image, row_bytes, slab_bytes, threads, at_barrier,
                     bypass, pbuf, mc, clock, rate, stats,
-                ) {
-                    any_issued = true;
-                } else {
-                    stats.stall_slots += 1;
-                }
+                ));
             }
             self.period = clock.compute_period();
             // Telemetry: purely observational, never feeds back into
@@ -201,17 +190,12 @@ mod run_impl {
                     tel.event("core::pbuf", "flow_block", cycle, now, 1.0);
                 }
             }
-            any_issued
+            issued
         }
 
-        fn channel_edge(&mut self, now: TimePs, cycle: u64, tel: &mut Telemetry) -> usize {
+        fn channel_edge(&mut self, now: TimePs, fills: &[Completion], _queue_freed: bool) {
             self.clock_audit.on_clock_edge(ClockDomain::Channel, now);
-            self.mc.tick(now);
-            let completions = self.mc.pop_completed(now);
-            let fills = completions.len();
-            let conflicts = completions.iter().map(|c| (c.row_hit, c.addr));
-            instrument::row_conflicts(tel, cycle, now, self.row_bytes, conflicts);
-            for comp in completions {
+            for comp in fills {
                 if comp.tag >= TAG_BYPASS {
                     let corelet = ((comp.addr % self.row_bytes) / self.slab_bytes) as usize;
                     let row = comp.addr / self.row_bytes;
@@ -221,11 +205,6 @@ mod run_impl {
                     self.pbuf.fill_complete(slot);
                 }
             }
-            fills
-        }
-
-        fn next_event_at(&self) -> Option<TimePs> {
-            self.mc.next_event_at()
         }
 
         fn stats_mut(&mut self) -> &mut CoreStats {
@@ -297,7 +276,6 @@ mod run_impl {
             at_barrier: FlagGrid::new(cfg.corelets, cfg.contexts),
             bypass: vec![BTreeMap::new(); cfg.corelets],
             pbuf,
-            mc,
             rate,
             clock_audit: InvariantChecker::new(cfg.invariant_checks),
             stats: CoreStats::default(),
@@ -306,7 +284,14 @@ mod run_impl {
         };
         let mut tel = Telemetry::new(&cfg.telemetry);
         let quiesce = Quiescence::new("Millipede", cfg.corelets as u64);
-        let mut driven = drive(&mut node, &mut clock, quiesce, cfg.fast_forward, &mut tel);
+        let mut driven = drive(
+            &mut node,
+            &mut clock,
+            &mut mc,
+            quiesce,
+            cfg.fast_forward,
+            &mut tel,
+        );
         driven.profile.credit_issues = node.threads.credit_issues();
 
         let stats = &mut node.stats;
@@ -323,7 +308,7 @@ mod run_impl {
             &grid,
             &node.threads.states(),
             node.stats,
-            node.mc.stats().clone(),
+            mc.stats().clone(),
             driven,
             tel,
         )

@@ -168,11 +168,6 @@ impl MemoryController {
         self.queue.len()
     }
 
-    /// Whether the controller has no queued work and no pending completions.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.completed.is_empty()
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &DramStats {
         &self.stats
@@ -290,20 +285,11 @@ impl MemoryController {
         out
     }
 
-    /// Whether any completion is pending (regardless of timestamp).
-    pub fn has_pending_completions(&self) -> bool {
-        !self.completed.is_empty()
-    }
-
-    /// Earliest pending completion timestamp, if any.
-    pub fn next_completion_at(&self) -> Option<TimePs> {
-        self.completed.iter().map(|c| c.done_at).min()
-    }
-
     /// Earliest time at which this controller can next make progress:
     /// the minimum over pending completion timestamps and, per queued
     /// request, the time its bank can accept a command
-    /// (`max(arrival, bank ready)`). `None` when idle.
+    /// (`max(arrival, bank ready)`). `None` when idle: nothing queued and
+    /// no completion left to pop.
     ///
     /// This bound is *exact*, not heuristic: between [`MemoryController::tick`]
     /// calls, bank state ([`Bank::ready_at`], the open row) only changes
@@ -337,7 +323,7 @@ mod tests {
             c.tick(now);
             now += c.timing().channel_period_ps;
             done.extend(c.pop_completed(now));
-            if c.is_idle() {
+            if c.next_event_at().is_none() {
                 break;
             }
         }
@@ -746,9 +732,12 @@ mod tests {
         c.tick(now); // CAS issues on the first edge at/after `ready`.
         assert_eq!(c.stats().requests, 1);
         // Only a completion remains; the bound is its timestamp.
-        let done_at = c.next_completion_at().unwrap();
-        assert_eq!(c.next_event_at(), Some(done_at));
-        assert_eq!(c.pop_completed(done_at).len(), 1);
+        assert_eq!(c.queue_len(), 0);
+        let done_at = c.next_event_at().unwrap();
+        assert!(c.pop_completed(done_at - 1).is_empty());
+        let popped = c.pop_completed(done_at);
+        assert_eq!(popped.len(), 1);
+        assert_eq!(popped[0].done_at, done_at);
         assert_eq!(c.next_event_at(), None);
     }
 
@@ -769,9 +758,12 @@ mod tests {
         }
         // Nothing completes "before" its done_at.
         assert!(c.pop_completed(0).is_empty());
-        assert!(c.has_pending_completions());
-        let at = c.next_completion_at().unwrap();
-        assert_eq!(c.pop_completed(at).len(), 1);
-        assert!(c.is_idle());
+        assert_eq!(c.queue_len(), 0, "the CAS issued");
+        let at = c.next_event_at().expect("a completion is pending");
+        assert!(c.pop_completed(at - 1).is_empty());
+        let popped = c.pop_completed(at);
+        assert_eq!(popped.len(), 1);
+        assert_eq!(popped[0].done_at, at);
+        assert_eq!(c.next_event_at(), None, "idle after the pop");
     }
 }

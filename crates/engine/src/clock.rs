@@ -6,8 +6,7 @@
 //! kept in picoseconds; the main loop repeatedly asks which domain's edge
 //! comes next and ticks that component.
 
-/// Simulated time in picoseconds.
-pub type TimePs = u64;
+pub use millipede_dram::TimePs;
 
 /// Nominal compute clock in MHz of every simulated node (Table III: 700 MHz
 /// for Millipede's corelets, the GPGPU's SM, and SSMC's cores alike; §V

@@ -1,65 +1,69 @@
 //! The one event-driven run loop every timing model runs on.
 //!
 //! A PNM node has two clock domains (§IV-F, Table III): the compute clock,
-//! which rate-matching DFS rescales, and the fixed channel clock. [`drive`]
-//! pops their edges off a [`DualClock`] in time order and hands each one
-//! to the model ([`NodeModel`]). Everything around the two edge handlers
-//! is the driver's: the cycle count and last-edge time, the quiescence
-//! fingerprint taken around each compute edge, the deadlock guard, the
-//! bulk jump over proven-no-op edges, telemetry epoch sampling, and the
-//! end-of-run invariant check.
+//! which rate-matching DFS rescales, and the fixed channel clock of the
+//! node's one FR-FCFS channel. [`drive`] pops their edges off a
+//! [`DualClock`] in time order. The channel edge is the driver's: it ticks
+//! the [`MemoryController`] it is lent, pops the completed fills, records
+//! their `row_conflict` events and hands the fills to the model
+//! ([`NodeModel::channel_edge`]). The compute edge is the model's; the
+//! driver keeps its issue-slot ledger. Everything else is the driver's
+//! too: the cycle count and last-edge time, the quiescence fingerprint
+//! taken around each compute edge, the deadlock guard, the bulk jump over
+//! proven-no-op edges, telemetry epoch sampling (the model's samples, then
+//! the controller's), and the end-of-run invariant checks.
 //!
 //! **The jump.** A compute edge that issues nothing and leaves the model's
 //! fingerprint unchanged changed nothing at all, so every later compute
 //! edge repeats it verbatim until the memory controller acts. The driver
 //! then fast-forwards both domains to the first channel edge at or after
 //! the controller's next event ([`DualClock::fast_forward`]) and replays
-//! the skipped edges' accounting by count: the shared slot counters via
-//! [`Quiescence`], the model's own per-retry recounts via
-//! [`NodeModel::replay`]. A jump stops on every telemetry epoch boundary
-//! it crosses, replays up to it and samples there, so each sample reads
-//! the state the walked edge would have left. With fast-forward off every
-//! edge is walked; the two schedules are bit-identical (DESIGN.md, "One
+//! the skipped edges' accounting by count ([`Quiescence`]): the slot
+//! ledger, and the per-retry recounts the quiescent edge made in
+//! [`CoreStats`]. A jump stops on every telemetry epoch boundary it
+//! crosses, replays up to it and samples there, so each sample reads the
+//! state the walked edge would have left. With fast-forward off every edge
+//! is walked; the two schedules are bit-identical (DESIGN.md, "One
 //! driver").
 
 use crate::clock::{DualClock, Edge, TimePs};
 use crate::stats::CoreStats;
+use millipede_dram::{Completion, MemoryController};
 use millipede_telemetry::Telemetry;
 
-/// A timing model the driver can run: two edge handlers plus the hooks
-/// the jump, telemetry and the end-of-run check need. The model's
-/// run-loop state lives in the implementor.
+/// A timing model the driver can run: its two halves of the clock edges
+/// plus the hooks the jump, telemetry and the end-of-run check need. The
+/// model's run-loop state lives in the implementor; the memory channel is
+/// the driver's.
 pub trait NodeModel {
     /// Whether every thread has finished (the loop's exit test).
     fn done(&self) -> bool;
 
     /// Ticks the `cycle`-th compute edge, at `now`. `clock` is lent for
-    /// DFS retunes ([`DualClock::set_compute_period`]). Returns whether
-    /// any issue slot issued.
+    /// DFS retunes ([`DualClock::set_compute_period`]) and `mc` for the
+    /// requests the edge enqueues. Returns how many of the edge's issue
+    /// slots issued; the driver charges the slot ledger from it.
     fn compute_edge(
         &mut self,
         now: TimePs,
         cycle: u64,
         clock: &mut DualClock,
+        mc: &mut MemoryController,
         tel: &mut Telemetry,
-    ) -> bool;
+    ) -> u64;
 
-    /// Ticks the channel edge at `now` and returns the number of fills it
-    /// completed. `cycle` is the last compute cycle: channel edges have no
-    /// cycle of their own.
-    fn channel_edge(&mut self, now: TimePs, cycle: u64, tel: &mut Telemetry) -> usize;
+    /// The model's half of the channel edge at `now`: applies `fills`, the
+    /// completions the driver just popped, in completion order.
+    /// `queue_freed` says whether the edge's controller tick freed a
+    /// request-queue slot.
+    fn channel_edge(&mut self, now: TimePs, fills: &[Completion], queue_freed: bool);
 
     /// Quiescence fingerprint: a sum of monotone counters that is
     /// unchanged across a compute edge iff that edge observably changed
-    /// nothing (see DESIGN.md, "One driver"). Per-retry-edge recounts are
-    /// deliberately excluded and replayed via [`NodeModel::replay`]
-    /// instead.
+    /// nothing (see DESIGN.md, "One driver"). The per-retry recounts in
+    /// [`CoreStats`] (`demand_stalls`, `l1_hits`, `l1_misses`) may be left
+    /// out: the driver replays them by count.
     fn fingerprint(&self) -> u64;
-
-    /// The memory controller's exact next-event bound: no channel edge
-    /// before it changes anything a compute edge can see. `None` means
-    /// the controller is idle, and a quiescent edge is not jumped.
-    fn next_event_at(&self) -> Option<TimePs>;
 
     /// An extra gate on the jump, for state that wakes on a compute-cycle
     /// timer rather than on memory (a GPGPU warp or LSU busy timer).
@@ -67,12 +71,7 @@ pub trait NodeModel {
         true
     }
 
-    /// Replays the model's own per-retry recounts (its
-    /// [`crate::ReplayDeltas`] for the quiescent edge just ticked) for
-    /// `skipped` jumped edges.
-    fn replay(&mut self, _skipped: u64) {}
-
-    /// The statistics the shared per-cycle accounting replays into.
+    /// The statistics the driver's slot ledger and replay write into.
     fn stats_mut(&mut self) -> &mut CoreStats;
 
     /// Records the telemetry epoch sample of compute cycle `cycle`, whose
@@ -80,18 +79,47 @@ pub trait NodeModel {
     /// left, walked or jumped.
     fn sample_epoch(&self, tel: &mut Telemetry, cycle: u64, at: TimePs);
 
-    /// End-of-run invariant hooks (timing audits, buffer audits, clock
-    /// monotonicity); panics on any violation.
-    fn assert_clean(&self);
+    /// End-of-run invariant hooks (buffer audits, clock monotonicity);
+    /// panics on any violation. The driver audits the controller itself.
+    fn assert_clean(&self) {}
 }
 
 /// Deadlock guard: a run panics once no issue slot has issued for this
 /// many consecutive compute cycles.
 pub const MAX_IDLE_CYCLES: u64 = 2_000_000;
 
-/// Shared quiescence bookkeeping for [`drive`]: the idle-streak deadlock
-/// guard and the replay-by-count accounting of proven-no-op compute
-/// edges.
+/// The per-retry recounts a stalled compute edge re-records every cycle:
+/// a context or warp that retries its stall counts it again. They are
+/// replayed by count over a jump, as the delta the quiescent edge made.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Recounts {
+    demand_stalls: u64,
+    l1_hits: u64,
+    l1_misses: u64,
+}
+
+impl Recounts {
+    fn of(stats: &CoreStats) -> Recounts {
+        Recounts {
+            demand_stalls: stats.demand_stalls,
+            l1_hits: stats.l1_hits,
+            l1_misses: stats.l1_misses,
+        }
+    }
+
+    /// The recounts made since `before` was read.
+    fn since(self, before: Recounts) -> Recounts {
+        Recounts {
+            demand_stalls: self.demand_stalls - before.demand_stalls,
+            l1_hits: self.l1_hits - before.l1_hits,
+            l1_misses: self.l1_misses - before.l1_misses,
+        }
+    }
+}
+
+/// The driver's issue-slot ledger and quiescence bookkeeping: the
+/// idle-streak deadlock guard, the per-edge slot charge, and the
+/// replay-by-count accounting of proven-no-op compute edges.
 #[derive(Debug)]
 pub struct Quiescence {
     label: &'static str,
@@ -119,21 +147,38 @@ impl Quiescence {
         );
     }
 
-    /// Records one ticked compute edge's issue outcome and enforces the
-    /// deadlock bound.
-    fn note_edge(&mut self, any_issued: bool) {
-        self.idle_streak = if any_issued { 0 } else { self.idle_streak + 1 };
+    /// Charges `edges` compute edges on which `issued` slots issued in
+    /// all: every slot is an issue opportunity, and every one that did
+    /// not issue is a stall.
+    fn charge(&self, stats: &mut CoreStats, edges: u64, issued: u64) {
+        let slots = edges * self.slots_per_cycle;
+        debug_assert!(
+            issued <= slots,
+            "{} issued {issued} of {slots} slots",
+            self.label
+        );
+        stats.issue_slots += slots;
+        stats.stall_slots += slots - issued;
+    }
+
+    /// Charges one walked compute edge that issued `issued` slots and
+    /// enforces the deadlock bound.
+    fn walked(&mut self, stats: &mut CoreStats, issued: u64) {
+        self.charge(stats, 1, issued);
+        self.idle_streak = if issued > 0 { 0 } else { self.idle_streak + 1 };
         self.guard();
     }
 
-    /// Replays the shared per-cycle accounting of `skipped` proven-no-op
-    /// edges: each visits every issue slot and stalls it. The model
-    /// replays its own recounts with the same count.
-    fn replay(&mut self, cycle: &mut u64, stats: &mut CoreStats, skipped: u64) {
+    /// Replays `skipped` proven-no-op edges, each a repeat of the
+    /// quiescent edge that made `recounts`: the cycle count, the slot
+    /// ledger (every slot stalls), the recounts and the idle streak.
+    fn replay(&mut self, cycle: &mut u64, stats: &mut CoreStats, skipped: u64, recounts: Recounts) {
         *cycle += skipped;
         stats.ff_skipped_cycles += skipped;
-        stats.issue_slots += skipped * self.slots_per_cycle;
-        stats.stall_slots += skipped * self.slots_per_cycle;
+        self.charge(stats, skipped, 0);
+        stats.demand_stalls += recounts.demand_stalls * skipped;
+        stats.l1_hits += recounts.l1_hits * skipped;
+        stats.l1_misses += recounts.l1_misses * skipped;
         self.idle_streak += skipped;
         self.guard();
     }
@@ -168,17 +213,50 @@ pub struct Driven {
     pub profile: JumpProfile,
 }
 
-/// Samples `model` if `cycle` is the next telemetry epoch boundary. The
-/// driver never passes a boundary unsampled, so at most one is due.
-fn sample_if_due<M: NodeModel>(model: &M, tel: &mut Telemetry, cycle: u64, at: TimePs) {
+/// Samples `model`, then the controller, if `cycle` is the next telemetry
+/// epoch boundary. The driver never passes a boundary unsampled, so at
+/// most one is due. Inlined: the check runs on every compute edge.
+#[inline(always)]
+fn sample_if_due<M: NodeModel>(
+    model: &M,
+    mc: &MemoryController,
+    tel: &mut Telemetry,
+    cycle: u64,
+    at: TimePs,
+) {
     if let Some(due) = tel.next_due(cycle) {
         debug_assert_eq!(due, cycle, "a telemetry epoch boundary was skipped");
         model.sample_epoch(tel, cycle, at);
+        let d = mc.stats();
+        let track = "dram::controller";
+        tel.counter(track, "row_hits", cycle, at, d.row_hits as f64);
+        tel.counter(track, "row_misses", cycle, at, d.row_misses as f64);
+        tel.counter(track, "queue_depth", cycle, at, mc.queue_len() as f64);
     }
 }
 
-/// Runs `model` to completion on `clock`, then runs its end-of-run
-/// invariant check ([`NodeModel::assert_clean`]).
+/// Records one `row_conflict` event for each fill that had to open its
+/// row. Channel edges have no compute cycle of their own, so the events
+/// carry the last completed one, `cycle`.
+fn row_conflicts(
+    tel: &mut Telemetry,
+    cycle: u64,
+    at: TimePs,
+    row_bytes: u64,
+    fills: &[Completion],
+) {
+    if !tel.enabled() {
+        return;
+    }
+    for fill in fills.iter().filter(|f| !f.row_hit) {
+        let row = fill.addr / row_bytes;
+        tel.event("dram::controller", "row_conflict", cycle, at, row as f64);
+    }
+}
+
+/// Runs `model` to completion on `clock` and the lent channel `mc`, then
+/// runs the end-of-run invariant checks: the model's
+/// ([`NodeModel::assert_clean`]) and the controller's timing audit.
 ///
 /// `quiesce` carries the model's deadlock bound and issue slots per
 /// compute edge; `fast_forward` enables the bulk jump (off, every edge is
@@ -187,15 +265,17 @@ fn sample_if_due<M: NodeModel>(model: &M, tel: &mut Telemetry, cycle: u64, at: T
 /// # Panics
 ///
 /// Panics if the model issues nothing for longer than its deadlock bound,
-/// if its invariant check fails, or on whatever the model's handlers
-/// panic on.
+/// if an invariant check fails, or on whatever the model's handlers panic
+/// on.
 pub fn drive<M: NodeModel>(
     model: &mut M,
     clock: &mut DualClock,
+    mc: &mut MemoryController,
     mut quiesce: Quiescence,
     fast_forward: bool,
     tel: &mut Telemetry,
 ) -> Driven {
+    let row_bytes = mc.geometry().row_bytes;
     let mut cycle = 0u64;
     let mut last_time: TimePs = 0;
     let mut profile = JumpProfile::default();
@@ -207,15 +287,17 @@ pub fn drive<M: NodeModel>(
                 last_time = now;
                 cycle += 1;
                 let fp_before = model.fingerprint();
-                let issued = model.compute_edge(now, cycle, clock, tel);
-                quiesce.note_edge(issued);
-                sample_if_due(model, tel, cycle, now);
+                let before = Recounts::of(model.stats_mut());
+                let issued = model.compute_edge(now, cycle, clock, mc, tel);
+                quiesce.walked(model.stats_mut(), issued);
+                sample_if_due(model, mc, tel, cycle, now);
                 if fast_forward
-                    && !issued
+                    && issued == 0
                     && model.may_jump(cycle)
                     && model.fingerprint() == fp_before
                 {
-                    if let Some(event) = model.next_event_at() {
+                    if let Some(event) = mc.next_event_at() {
+                        let recounts = Recounts::of(model.stats_mut()).since(before);
                         // One jump, cut into pieces that each end on an
                         // epoch boundary or at the target.
                         let start = cycle;
@@ -225,9 +307,8 @@ pub fn drive<M: NodeModel>(
                             if skipped == 0 {
                                 break;
                             }
-                            quiesce.replay(&mut cycle, model.stats_mut(), skipped);
-                            model.replay(skipped);
-                            sample_if_due(model, tel, cycle, clock.last_compute());
+                            quiesce.replay(&mut cycle, model.stats_mut(), skipped, recounts);
+                            sample_if_due(model, mc, tel, cycle, clock.last_compute());
                             if skipped < max {
                                 break;
                             }
@@ -241,14 +322,22 @@ pub fn drive<M: NodeModel>(
             }
             Edge::Channel(now) => {
                 last_time = now;
-                let fills = model.channel_edge(now, cycle, tel);
-                if std::mem::take(&mut landing) && fills > 0 {
+                let free_before = mc.free_slots();
+                mc.tick(now);
+                let fills = mc.pop_completed(now);
+                row_conflicts(tel, cycle, now, row_bytes, &fills);
+                model.channel_edge(now, &fills, mc.free_slots() > free_before);
+                if std::mem::take(&mut landing) && !fills.is_empty() {
                     profile.wakes += 1;
                 }
             }
         }
     }
     model.assert_clean();
+    mc.timing_audit().assert_clean(&format!(
+        "the {} node's FR-FCFS memory controller",
+        quiesce.label
+    ));
     Driven {
         cycles: cycle,
         last_time,
@@ -259,132 +348,211 @@ pub fn drive<M: NodeModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use millipede_telemetry::TelemetryConfig;
+    use millipede_dram::{DramGeometry, DramTiming, ReqId, Request};
+    use millipede_telemetry::{Sample, TelemetryConfig};
 
-    /// A one-slot toy node: each fill the channel delivers lets one
-    /// compute edge issue; a stalled edge re-counts a miss (its replayed
-    /// delta). The first and third issues retune the compute clock.
+    /// Issue slots per toy compute edge.
+    const SLOTS: u64 = 3;
+
+    /// A three-slot toy node on a real controller. Slot 0 sends the next
+    /// request while fewer than two are in flight; each fill brings two
+    /// tokens, and slots 1 and 2 issue by spending one each, so an edge
+    /// can issue on some slots and stall on others. An issuing slot counts
+    /// an L1 hit; a stalled one recounts a demand stall and one L1 miss per
+    /// request in flight, so each quiescent edge's recounts depend on when
+    /// it falls. The first issue after the first fill retunes the compute
+    /// clock to 17 ps, the first after the third fill to 29 ps.
     struct Toy {
-        fills: Vec<TimePs>,
-        ready: u32,
-        consumed: u32,
-        misses: u64,
-        miss_delta: u64,
-        retunes: Vec<(u32, TimePs)>,
+        to_send: Vec<u64>,
+        sent: usize,
+        /// Ids of the completions handed over, in arrival order.
+        received: Vec<ReqId>,
+        tokens: u32,
+        consumed: u64,
+        retunes: Vec<(usize, TimePs)>,
+        retuned_at: Vec<(u64, TimePs)>,
         issued_at: Vec<(u64, TimePs)>,
+        /// Cycles of compute edges that followed a jump.
+        landed_at: Vec<u64>,
+        last_cycle: u64,
+        /// The toy's own slot count: visited and stalled.
+        visited: u64,
+        stalled: u64,
+        /// Edges that issued on some slots and stalled on others.
+        mixed: u64,
         stats: CoreStats,
     }
 
     impl Toy {
         fn new() -> Toy {
             Toy {
-                fills: vec![95, 100, 400, 1_000, 1_010, 2_345, 5_000],
-                ready: 0,
+                to_send: vec![0, 64, 4 * 2048, 128, 2048, 8 * 2048 + 64, 192],
+                sent: 0,
+                received: Vec::new(),
+                tokens: 0,
                 consumed: 0,
-                misses: 0,
-                miss_delta: 0,
                 retunes: vec![(1, 17), (3, 29)],
+                retuned_at: Vec::new(),
                 issued_at: Vec::new(),
+                landed_at: Vec::new(),
+                last_cycle: 0,
+                visited: 0,
+                stalled: 0,
+                mixed: 0,
                 stats: CoreStats::default(),
             }
+        }
+
+        fn stall(&mut self, in_flight: u64) {
+            self.stalled += 1;
+            self.stats.demand_stalls += 1;
+            self.stats.l1_misses += in_flight;
         }
     }
 
     impl NodeModel for Toy {
         fn done(&self) -> bool {
-            self.fills.is_empty() && self.ready == 0
+            self.sent == self.to_send.len() && self.received.len() == self.sent && self.tokens == 0
         }
         fn compute_edge(
             &mut self,
             now: TimePs,
             cycle: u64,
             clock: &mut DualClock,
+            mc: &mut MemoryController,
             _tel: &mut Telemetry,
-        ) -> bool {
-            self.stats.issue_slots += 1;
-            if self.ready == 0 {
-                self.stats.stall_slots += 1;
-                self.misses += 1;
-                self.miss_delta = 1;
-                return false;
+        ) -> u64 {
+            if cycle > self.last_cycle + 1 {
+                self.landed_at.push(cycle);
             }
-            self.ready -= 1;
-            self.consumed += 1;
-            self.miss_delta = 0;
-            self.issued_at.push((cycle, now));
-            if let Some(&(_, period)) = self.retunes.iter().find(|r| r.0 == self.consumed) {
-                clock.set_compute_period(period);
+            self.last_cycle = cycle;
+            self.visited += SLOTS;
+            let in_flight = (self.sent - self.received.len()) as u64;
+            let mut issued = 0;
+            let next = self.to_send.get(self.sent).copied();
+            let sent = next.filter(|_| in_flight < 2).is_some_and(|addr| {
+                let req = Request {
+                    addr,
+                    bytes: 64,
+                    tag: self.sent as u64,
+                };
+                mc.try_push(req, now).is_ok()
+            });
+            if sent {
+                self.sent += 1;
+                issued += 1;
+            } else {
+                self.stall(in_flight);
             }
-            true
+            for _ in 1..SLOTS {
+                if self.tokens > 0 {
+                    self.tokens -= 1;
+                    self.consumed += 1;
+                    issued += 1;
+                } else {
+                    self.stall(in_flight);
+                }
+            }
+            self.stats.l1_hits += issued;
+            self.mixed += u64::from(0 < issued && issued < SLOTS);
+            if issued > 0 {
+                self.issued_at.push((cycle, now));
+                let fills = self.received.len();
+                if let Some(i) = self.retunes.iter().position(|r| r.0 <= fills) {
+                    clock.set_compute_period(self.retunes.remove(i).1);
+                    self.retuned_at.push((cycle, now));
+                }
+            }
+            issued
         }
-        fn channel_edge(&mut self, now: TimePs, _cycle: u64, _tel: &mut Telemetry) -> usize {
-            let n = self.fills.iter().take_while(|&&t| t <= now).count();
-            self.fills.drain(..n);
-            self.ready += n as u32;
-            n
+        fn channel_edge(&mut self, _now: TimePs, fills: &[Completion], _queue_freed: bool) {
+            for fill in fills {
+                self.received.push(fill.id);
+                self.tokens += 2;
+            }
         }
         fn fingerprint(&self) -> u64 {
-            u64::from(self.consumed)
-        }
-        fn next_event_at(&self) -> Option<TimePs> {
-            self.fills.first().copied()
-        }
-        fn replay(&mut self, skipped: u64) {
-            self.misses += self.miss_delta * skipped;
+            self.sent as u64 + self.consumed
         }
         fn stats_mut(&mut self) -> &mut CoreStats {
             &mut self.stats
         }
         fn sample_epoch(&self, tel: &mut Telemetry, cycle: u64, at: TimePs) {
-            tel.counter("toy::core", "misses", cycle, at, self.misses as f64);
+            let misses = self.stats.l1_misses as f64;
+            tel.counter("toy::core", "misses", cycle, at, misses);
             let slots = self.stats.stall_slots as f64;
             tel.counter("toy::core", "stall_slots", cycle, at, slots);
         }
-        fn assert_clean(&self) {}
     }
 
-    fn run(fast_forward: bool) -> (Toy, Driven, Telemetry) {
+    fn run(fast_forward: bool) -> (Toy, Driven, Telemetry, MemoryController) {
         run_with(fast_forward, TelemetryConfig::enabled_with_epoch(7))
     }
 
-    fn run_with(fast_forward: bool, telemetry: TelemetryConfig) -> (Toy, Driven, Telemetry) {
+    fn run_with(
+        fast_forward: bool,
+        telemetry: TelemetryConfig,
+    ) -> (Toy, Driven, Telemetry, MemoryController) {
         let mut toy = Toy::new();
-        let mut clock = DualClock::new(10, 35);
+        let mut mc = MemoryController::new(DramGeometry::default(), DramTiming::default());
+        let mut clock = DualClock::new(50, mc.timing().channel_period_ps);
         let mut tel = Telemetry::new(&telemetry);
-        let q = Quiescence::new("Toy", 1);
-        let driven = drive(&mut toy, &mut clock, q, fast_forward, &mut tel);
-        (toy, driven, tel)
+        let q = Quiescence::new("Toy", SLOTS);
+        let driven = drive(&mut toy, &mut clock, &mut mc, q, fast_forward, &mut tel);
+        (toy, driven, tel, mc)
     }
 
     #[test]
     fn jumps_match_the_per_edge_walk() {
-        let (slow, slow_run, slow_tel) = run(false);
-        let (fast, fast_run, fast_tel) = run(true);
+        let (slow, slow_run, slow_tel, _) = run(false);
+        let (fast, fast_run, fast_tel, _) = run(true);
+        // The walk's ledger is the toy's own slot count: every slot
+        // charged once, and only the slots that did not issue stalled.
+        assert_eq!(slow.stats.issue_slots, slow.visited);
+        assert_eq!(slow.stats.stall_slots, slow.stalled);
+        assert!(slow.mixed > 0, "no edge both issued and stalled");
         assert_eq!(fast_run.cycles, slow_run.cycles);
         assert_eq!(fast_run.last_time, slow_run.last_time);
-        assert_eq!(fast.stats.issue_slots, slow.stats.issue_slots);
-        assert_eq!(fast.stats.stall_slots, slow.stats.stall_slots);
-        assert_eq!(fast.misses, slow.misses, "replayed deltas");
+        let mut fs = fast.stats.clone();
+        fs.ff_skipped_cycles = 0;
+        assert_eq!(fs, slow.stats, "ledger and replayed recounts");
         assert_eq!(fast.issued_at, slow.issued_at);
+        assert_eq!(fast.received, slow.received);
         assert_eq!(slow.stats.ff_skipped_cycles, 0);
         assert_eq!(slow_run.profile, JumpProfile::default());
         assert!(fast.stats.ff_skipped_cycles > 0, "never jumped");
         assert!(fast_run.profile.sleeps > 0);
         assert!(fast_run.profile.wakes <= fast_run.profile.sleeps);
-        for name in ["misses", "stall_slots"] {
-            let key = |s: &millipede_telemetry::Sample| (s.cycle, s.time_ps, s.value.to_bits());
-            let slow_s: Vec<_> = slow_tel
-                .samples("toy::core", name)
-                .iter()
-                .map(key)
-                .collect();
-            let fast_s: Vec<_> = fast_tel
-                .samples("toy::core", name)
-                .iter()
-                .map(key)
-                .collect();
+        let key = |s: &Sample| (s.cycle, s.time_ps, s.value.to_bits());
+        for (track, name) in [
+            ("toy::core", "misses"),
+            ("toy::core", "stall_slots"),
+            ("dram::controller", "row_hits"),
+            ("dram::controller", "row_misses"),
+            ("dram::controller", "queue_depth"),
+        ] {
+            let slow_s: Vec<_> = slow_tel.samples(track, name).iter().map(key).collect();
+            let fast_s: Vec<_> = fast_tel.samples(track, name).iter().map(key).collect();
             assert!(!slow_s.is_empty());
-            assert_eq!(fast_s, slow_s, "{name} samples");
+            assert_eq!(fast_s, slow_s, "{track} {name} samples");
+        }
+        let event = |e: &millipede_telemetry::Event| (e.cycle, e.time_ps, e.value.to_bits());
+        let slow_e: Vec<_> = slow_tel.events().iter().map(event).collect();
+        let fast_e: Vec<_> = fast_tel.events().iter().map(event).collect();
+        assert!(!slow_e.is_empty(), "no row conflicts recorded");
+        assert_eq!(fast_e, slow_e, "row_conflict events");
+    }
+
+    #[test]
+    fn every_popped_completion_reaches_the_model_once() {
+        for fast_forward in [false, true] {
+            let (toy, _, _, mc) = run(fast_forward);
+            let mut ids = toy.received.clone();
+            ids.sort_unstable();
+            let sent: Vec<ReqId> = (0..toy.to_send.len() as ReqId).collect();
+            assert_eq!(ids, sent, "fast_forward={fast_forward}");
+            assert_eq!(mc.stats().requests, sent.len() as u64);
+            assert_eq!(mc.next_event_at(), None, "a fill was left undelivered");
         }
     }
 
@@ -393,16 +561,16 @@ mod tests {
         // The 7-cycle epoch is far shorter than the longest jump, so
         // jumps stop on boundaries; they still count once each and skip
         // the same edges as with telemetry off.
-        let (traced, traced_run, tel) = run(true);
-        let (plain, plain_run, _) = run_with(true, TelemetryConfig::default());
+        let (traced, traced_run, tel, _) = run(true);
+        let (plain, plain_run, _, _) = run_with(true, TelemetryConfig::default());
         let mean_jump = traced.stats.ff_skipped_cycles / traced_run.profile.sleeps;
         assert!(mean_jump > 7, "no jump crosses an epoch boundary");
         assert!(tel.total_samples() > 0);
         assert_eq!(traced_run.profile, plain_run.profile);
         assert_eq!(traced_run.cycles, plain_run.cycles);
         assert_eq!(traced.stats, plain.stats);
-        assert_eq!(traced.misses, plain.misses);
         assert_eq!(traced.issued_at, plain.issued_at);
+        assert_eq!(traced.landed_at, plain.landed_at);
     }
 
     #[test]
@@ -410,15 +578,29 @@ mod tests {
         let mut q = Quiescence::new("Test", 4);
         let mut stats = CoreStats::default();
         let mut cycle = 10u64;
-        q.note_edge(false);
-        q.replay(&mut cycle, &mut stats, 5);
+        q.walked(&mut stats, 1);
+        assert_eq!((stats.issue_slots, stats.stall_slots), (4, 3));
+        q.walked(&mut stats, 0);
+        let recounts = Recounts {
+            demand_stalls: 2,
+            l1_hits: 1,
+            l1_misses: 3,
+        };
+        q.replay(&mut cycle, &mut stats, 5, recounts);
         assert_eq!(cycle, 15);
         assert_eq!(stats.ff_skipped_cycles, 5);
-        assert_eq!(stats.issue_slots, 20);
-        assert_eq!(stats.stall_slots, 20);
-        q.note_edge(true); // an issue resets the streak
-        q.replay(&mut cycle, &mut stats, 3);
+        assert_eq!(stats.issue_slots, 28);
+        assert_eq!(stats.stall_slots, 27);
+        assert_eq!(
+            (stats.demand_stalls, stats.l1_hits, stats.l1_misses),
+            (10, 5, 15)
+        );
+        assert_eq!(q.idle_streak, 6);
+        q.walked(&mut stats, 2); // an issue resets the streak
+        assert_eq!(q.idle_streak, 0);
+        q.replay(&mut cycle, &mut stats, 3, Recounts::default());
         assert_eq!(stats.ff_skipped_cycles, 8);
+        assert_eq!(q.idle_streak, 3);
     }
 
     #[test]
@@ -426,24 +608,31 @@ mod tests {
     fn deadlock_guard_fires() {
         let mut q = Quiescence::new("Test", 1);
         let (mut cycle, mut stats) = (0, CoreStats::default());
-        q.replay(&mut cycle, &mut stats, MAX_IDLE_CYCLES);
-        q.note_edge(false);
+        q.replay(&mut cycle, &mut stats, MAX_IDLE_CYCLES, Recounts::default());
+        q.walked(&mut stats, 0);
     }
 
     #[test]
     fn retune_after_a_jump_reschedules_from_the_last_skipped_edge() {
-        // Fill 400 arrives after a jump at the 17 ps period; the third
-        // issue retunes to 29 ps, so every later compute edge hangs off
-        // the first one walked after that jump.
-        let (fast, _, _) = run(true);
-        let (slow, _, _) = run(false);
-        let third = fast.issued_at[2];
-        assert_eq!(third, slow.issued_at[2]);
-        let (prev_cycle, prev_at) = fast.issued_at[1];
-        assert!(third.0 > prev_cycle + 1, "a jump or stall separates them");
-        assert_eq!((third.1 - prev_at) % 17, 0, "17 ps grid up to the retune");
-        for &(cycle, at) in &fast.issued_at[3..] {
-            assert_eq!(at - third.1, (cycle - third.0) * 29, "29 ps after it");
+        // The third fill lands after a jump at the 17 ps period; the issue
+        // it enables retunes to 29 ps, so every later compute edge hangs
+        // off the first one walked after that jump.
+        let (fast, _, _, _) = run(true);
+        let (slow, _, _, _) = run(false);
+        assert_eq!(fast.retuned_at, slow.retuned_at);
+        let [(c17, t17), (c29, t29)] = fast.retuned_at[..] else {
+            panic!("expected two retunes, got {:?}", fast.retuned_at);
+        };
+        assert!(
+            fast.landed_at.iter().any(|&c| c17 < c && c <= c29),
+            "no jump between the retunes"
+        );
+        assert!(slow.landed_at.is_empty(), "the walk jumped");
+        assert_eq!(t29 - t17, (c29 - c17) * 17, "17 ps grid up to the retune");
+        let after: Vec<_> = fast.issued_at.iter().filter(|i| i.0 > c29).collect();
+        assert!(!after.is_empty());
+        for &&(cycle, at) in &after {
+            assert_eq!(at - t29, (cycle - c29) * 29, "29 ps after it");
         }
     }
 }

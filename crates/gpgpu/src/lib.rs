@@ -31,10 +31,10 @@ pub use config::{GpgpuConfig, L1_BLOCK, L1_BYTES, SHARED_BANKS};
 use config::{L1_ASSOC, MSHRS, PREFETCH_DEGREE};
 use millipede_core::pbuf::{Lookup, RowPrefetchBuffer};
 use millipede_core::NodeResult;
-use millipede_dram::{MemoryController, Request, TimePs};
+use millipede_dram::{Completion, MemoryController, Request, TimePs};
 use millipede_engine::{
-    drive, instrument, period_ps_for_mhz, AccessClass, CoreStats, DecodedProgram, DualClock,
-    NodeModel, Quiescence, ReplayDeltas, StepEffect, ThreadCtx, COMPUTE_MHZ, RUN_AHEAD_CAP,
+    drive, period_ps_for_mhz, AccessClass, CoreStats, DecodedProgram, DualClock, NodeModel,
+    Quiescence, StepEffect, ThreadCtx, COMPUTE_MHZ, RUN_AHEAD_CAP,
 };
 use millipede_isa::ReconvergenceMap;
 use millipede_mapreduce::ThreadGrid;
@@ -70,6 +70,7 @@ struct Sm {
     burst_lanes: Vec<u64>,
     /// Issue slots paid from `burst` credits (host observability).
     credit_issues: u64,
+    /// Per cluster, the warp slot its round-robin scan starts from.
     rr: Vec<usize>,
     l1: Cache,
     mshr: Mshr,
@@ -100,6 +101,16 @@ impl Sm {
                 && self.wait_row[wi] == u64::MAX
                 && !self.warps[wi].finished())
     }
+
+    /// Starts `cluster`'s next round-robin scan at the warp slot after
+    /// `slot`, the one that just issued.
+    fn rotate_past(&mut self, cluster: usize, slot: usize, warps_in_cluster: usize) {
+        self.rr[cluster] = if slot + 1 == warps_in_cluster {
+            0
+        } else {
+            slot + 1
+        };
+    }
 }
 
 /// The Shared Memory address lane `thread`'s access to its live-state byte
@@ -120,25 +131,18 @@ struct Node<'a> {
     row_bytes: u64,
     sm: Sm,
     pbuf: Option<RowPrefetchBuffer>,
-    mc: MemoryController,
+    /// Counted live by the scan, L1 probes included (`stats.l1_hits`,
+    /// `stats.l1_misses`), so the driver can replay them over a jump.
     stats: CoreStats,
     live_warps: usize,
-    /// L1 probes replayed for fast-forwarded edges so far (stalled warps
-    /// re-probe their coalesced blocks every cycle); folded into the L1
-    /// stats at the end so fast-forward stays bit-exact.
-    ff_l1_hits: u64,
-    ff_l1_misses: u64,
-    /// Per-retry-edge recount rates of the last compute edge, replayed
-    /// over a jump.
-    deltas: ReplayDeltas,
 }
 
 impl NodeModel for Node<'_> {
     // Quiescence fingerprint (see DESIGN.md, "One driver"):
     // every observable compute-edge mutation either bumps one of these
     // monotone counters/cursors or is a per-retry-edge recount
-    // (demand_stalls, L1 hit/miss probes) that is replayed via the `ff_*`
-    // accumulators instead. `outstanding` catches MSHR secondary
+    // (demand_stalls, L1 hit/miss probes) that the driver replays by count
+    // instead. `outstanding` catches MSHR secondary
     // allocations, which bump no statistic. Warp wakeup timers
     // (`busy_until`, `lsu_busy_until`) are cycle-keyed and independent of
     // memory, so fast-forward is gated off entirely while any is pending.
@@ -156,19 +160,13 @@ impl NodeModel for Node<'_> {
     }
 
     fn sample_epoch(&self, tel: &mut Telemetry, due: u64, at: TimePs) {
-        tel.counter(
-            "gpgpu::sm",
-            "l1_hits",
-            due,
-            at,
-            (self.sm.l1.stats().hits + self.ff_l1_hits) as f64,
-        );
+        tel.counter("gpgpu::sm", "l1_hits", due, at, self.stats.l1_hits as f64);
         tel.counter(
             "gpgpu::sm",
             "l1_misses",
             due,
             at,
-            (self.sm.l1.stats().misses + self.ff_l1_misses) as f64,
+            self.stats.l1_misses as f64,
         );
         tel.counter(
             "gpgpu::sm",
@@ -194,17 +192,12 @@ impl NodeModel for Node<'_> {
         if let Some(pbuf) = &self.pbuf {
             tel.counter("gpgpu::pbuf", "occupancy", due, at, pbuf.occupancy() as f64);
         }
-        let d = self.mc.stats();
-        instrument::sample_dram(tel, due, at, d.row_hits, d.row_misses, self.mc.queue_len());
     }
 
     fn assert_clean(&self) {
         if let Some(pbuf) = &self.pbuf {
             pbuf.audit().assert_clean("VWS-row prefetch buffer");
         }
-        self.mc
-            .timing_audit()
-            .assert_clean("GPGPU memory controller");
     }
 
     fn done(&self) -> bool {
@@ -216,17 +209,14 @@ impl NodeModel for Node<'_> {
         now: TimePs,
         cycle: u64,
         _clock: &mut DualClock,
+        mc: &mut MemoryController,
         _tel: &mut Telemetry,
-    ) -> bool {
-        let stalls_before = self.stats.demand_stalls;
-        let hits_before = self.sm.l1.stats().hits;
-        let misses_before = self.sm.l1.stats().misses;
+    ) -> u64 {
         if let Some(pbuf) = self.pbuf.as_mut() {
-            self.stats.prefetches +=
-                pbuf.pump(&mut self.mc, now, self.row_bytes, TAG_PREFETCH_BASE);
+            self.stats.prefetches += pbuf.pump(mc, now, self.row_bytes, TAG_PREFETCH_BASE);
         } else {
             let Sm { l1, mshr, pf, .. } = &mut self.sm;
-            let (mc, stats) = (&mut self.mc, &mut self.stats);
+            let stats = &mut self.stats;
             pf.pump(l1, mshr, |block| {
                 let req = Request {
                     addr: block,
@@ -245,15 +235,13 @@ impl NodeModel for Node<'_> {
             rm,
             sm,
             pbuf,
-            mc,
             stats,
             live_warps,
             ..
         } = self;
-        let mut any_issued = false;
+        let mut issued = 0;
         for cluster in 0..cfg.clusters() {
-            stats.issue_slots += 1;
-            if cluster_tick(
+            issued += u64::from(cluster_tick(
                 cluster,
                 cycle,
                 now,
@@ -267,27 +255,13 @@ impl NodeModel for Node<'_> {
                 mc,
                 stats,
                 live_warps,
-            ) {
-                any_issued = true;
-            } else {
-                stats.stall_slots += 1;
-            }
+            ));
         }
-        self.deltas = ReplayDeltas {
-            stalls: self.stats.demand_stalls - stalls_before,
-            hits: self.sm.l1.stats().hits - hits_before,
-            misses: self.sm.l1.stats().misses - misses_before,
-        };
-        any_issued
+        issued
     }
 
-    fn channel_edge(&mut self, now: TimePs, cycle: u64, tel: &mut Telemetry) -> usize {
-        self.mc.tick(now);
-        let completions = self.mc.pop_completed(now);
-        let fills = completions.len();
-        let conflicts = completions.iter().map(|c| (c.row_hit, c.addr));
-        instrument::row_conflicts(tel, cycle, now, self.row_bytes, conflicts);
-        for comp in completions {
+    fn channel_edge(&mut self, _now: TimePs, fills: &[Completion], _queue_freed: bool) {
+        for comp in fills {
             if comp.tag >= TAG_BLOCK_FILL {
                 let sm = &mut self.sm;
                 sm.l1.fill(comp.addr);
@@ -304,23 +278,12 @@ impl NodeModel for Node<'_> {
                     .fill_complete(slot);
             }
         }
-        fills
-    }
-
-    fn next_event_at(&self) -> Option<TimePs> {
-        self.mc.next_event_at()
     }
 
     // Warp wakeup timers are cycle-keyed, not memory events: no jump while
     // any is pending.
     fn may_jump(&self, cycle: u64) -> bool {
         self.sm.lsu_busy_until <= cycle && self.sm.busy_until.iter().all(|&b| b <= cycle)
-    }
-
-    fn replay(&mut self, skipped: u64) {
-        self.stats.demand_stalls += self.deltas.stalls * skipped;
-        self.ff_l1_hits += self.deltas.hits * skipped;
-        self.ff_l1_misses += self.deltas.misses * skipped;
     }
 
     fn stats_mut(&mut self) -> &mut CoreStats {
@@ -399,12 +362,8 @@ impl<'a> Node<'a> {
             row_bytes,
             sm,
             pbuf,
-            mc: MemoryController::new(cfg.geometry, cfg.timing),
             stats: CoreStats::default(),
             live_warps: num_warps,
-            ff_l1_hits: 0,
-            ff_l1_misses: 0,
-            deltas: ReplayDeltas::default(),
         }
     }
 }
@@ -422,16 +381,22 @@ pub fn run(workload: &Workload, cfg: &GpgpuConfig) -> NodeResult {
     };
     let decoded = DecodedProgram::of(&workload.program);
     let mut node = Node::new(workload, cfg, &grid, &decoded);
+    let mut mc = MemoryController::new(cfg.geometry, cfg.timing);
     let mut clock = DualClock::new(period_ps_for_mhz(COMPUTE_MHZ), cfg.timing.channel_period_ps);
     let mut tel = Telemetry::new(&cfg.telemetry);
     let quiesce = Quiescence::new("GPGPU", cfg.clusters() as u64);
-    let mut driven = drive(&mut node, &mut clock, quiesce, cfg.fast_forward, &mut tel);
+    let mut driven = drive(
+        &mut node,
+        &mut clock,
+        &mut mc,
+        quiesce,
+        cfg.fast_forward,
+        &mut tel,
+    );
     driven.profile.credit_issues = node.sm.credit_issues;
 
     let stats = &mut node.stats;
     stats.shared_passes = node.sm.shared.passes();
-    stats.l1_hits = node.sm.l1.stats().hits + node.ff_l1_hits;
-    stats.l1_misses = node.sm.l1.stats().misses + node.ff_l1_misses;
     if let Some(pbuf) = &node.pbuf {
         stats.flow_blocks = pbuf.stats().flow_blocks;
         stats.premature_evictions = pbuf.stats().premature_evictions;
@@ -447,7 +412,7 @@ pub fn run(workload: &Workload, cfg: &GpgpuConfig) -> NodeResult {
         &grid,
         &states,
         node.stats,
-        node.mc.stats().clone(),
+        mc.stats().clone(),
         driven,
         tel,
     )
@@ -497,11 +462,7 @@ fn cluster_tick(
             stats.instructions += sm.burst_lanes[wi];
             stats.issues += 1;
             stats.lane_idle += cfg.warp_width as u64 - sm.burst_lanes[wi];
-            sm.rr[cluster] = if slot + 1 == warps_in_cluster {
-                0
-            } else {
-                slot + 1
-            };
+            sm.rotate_past(cluster, slot, warps_in_cluster);
             return true;
         }
         if sm.wait_row[wi] != u64::MAX {
@@ -541,11 +502,7 @@ fn cluster_tick(
             if sm.warps[wi].done() {
                 *live_warps -= 1;
             }
-            sm.rr[cluster] = if slot + 1 == warps_in_cluster {
-                0
-            } else {
-                slot + 1
-            };
+            sm.rotate_past(cluster, slot, warps_in_cluster);
             return true;
         }
     }
@@ -579,8 +536,9 @@ fn try_issue_warp(
 ) -> bool {
     // Lane sets come straight from the `live` mask: the branch arm walks
     // its set bits with `trailing_zeros` and never materializes a lane
-    // list; the other arms build stack buffers (warp width is at most
-    // 64 — heap allocations here dominated the wall-clock profile).
+    // list; the other arms build one in a stack buffer (`live_threads`;
+    // warp width is at most 64 — heap allocations here dominated the
+    // wall-clock profile).
     let first = sm.warps[wi].first_thread;
     let lane_count = live.count_ones() as usize;
     debug_assert!(
@@ -639,17 +597,11 @@ fn try_issue_warp(
             // Compute each lane's address once; the commit below reuses it
             // instead of re-resolving the access.
             let mut lanes_buf = [0usize; MAX_LANES];
+            let lanes = live_threads(first, live, &mut lanes_buf);
             let mut addrs_buf = [0u64; MAX_LANES];
-            let mut m = live;
-            let mut j = 0;
-            while m != 0 {
-                let t = first + m.trailing_zeros() as usize;
-                m &= m - 1;
-                lanes_buf[j] = t;
-                addrs_buf[j] = decoded.mem_addr_at(&sm.threads[t]);
-                j += 1;
+            for (a, &t) in addrs_buf.iter_mut().zip(lanes) {
+                *a = decoded.mem_addr_at(&sm.threads[t]);
             }
-            let lanes = &lanes_buf[..lane_count];
             let addrs = &addrs_buf[..lane_count];
             if let Some(pbuf) = pbuf {
                 // VWS-row: all of a warp's addresses fall in one row.
@@ -680,7 +632,10 @@ fn try_issue_warp(
                 let mut missing_buf = [0u64; MAX_LANES];
                 let mut missing_count = 0;
                 for &b in blocks {
-                    if !sm.l1.access(b) {
+                    if sm.l1.access(b) {
+                        stats.l1_hits += 1;
+                    } else {
+                        stats.l1_misses += 1;
                         missing_buf[missing_count] = b;
                         missing_count += 1;
                     }
@@ -724,20 +679,13 @@ fn try_issue_warp(
             // lane traps on it. Each lane's address is computed once and
             // reused by the commit.
             let mut lanes_buf = [0usize; MAX_LANES];
+            let lanes = live_threads(first, live, &mut lanes_buf);
             let mut addrs_buf = [0u64; MAX_LANES];
             let mut bank_buf = [0u64; MAX_LANES];
-            let mut m = live;
-            let mut j = 0;
-            while m != 0 {
-                let t = first + m.trailing_zeros() as usize;
-                m &= m - 1;
-                let a = decoded.mem_addr_at(&sm.threads[t]);
-                lanes_buf[j] = t;
-                addrs_buf[j] = a;
-                bank_buf[j] = striped_addr(t, a);
-                j += 1;
+            for (j, &t) in lanes.iter().enumerate() {
+                addrs_buf[j] = decoded.mem_addr_at(&sm.threads[t]);
+                bank_buf[j] = striped_addr(t, addrs_buf[j]);
             }
-            let lanes = &lanes_buf[..lane_count];
             let addrs = &addrs_buf[..lane_count];
             let passes = sm.shared.passes_of(&bank_buf[..lane_count]);
             sm.shared.record(passes);
@@ -792,26 +740,25 @@ fn try_issue_warp(
         // here.
         AccessClass::Alu | AccessClass::Jump | AccessClass::Barrier | AccessClass::Halt => {
             let mut lanes_buf = [0usize; MAX_LANES];
-            let mut m = live;
-            let mut j = 0;
-            while m != 0 {
-                lanes_buf[j] = first + m.trailing_zeros() as usize;
-                m &= m - 1;
-                j += 1;
-            }
-            exec_lanes(
-                wi,
-                &lanes_buf[..lane_count],
-                None,
-                sm,
-                decoded,
-                image,
-                stats,
-                cfg,
-            );
+            let lanes = live_threads(first, live, &mut lanes_buf);
+            exec_lanes(wi, lanes, None, sm, decoded, image, stats, cfg);
             true
         }
     }
+}
+
+/// Writes the thread index of every lane set in `live`, lowest lane first,
+/// into `buf` and returns them; `first` is the warp's first thread.
+#[inline]
+fn live_threads(first: usize, live: u64, buf: &mut [usize; MAX_LANES]) -> &[usize] {
+    let mut m = live;
+    let mut j = 0;
+    while m != 0 {
+        buf[j] = first + m.trailing_zeros() as usize;
+        m &= m - 1;
+        j += 1;
+    }
+    &buf[..j]
 }
 
 /// Commits one (non-branch) instruction on every selected lane and advances
@@ -1039,9 +986,14 @@ mod tests {
         }
         let period = period_ps_for_mhz(COMPUTE_MHZ);
         let mut clock = DualClock::new(period, cfg.timing.channel_period_ps);
+        let mut mc = MemoryController::new(cfg.geometry, cfg.timing);
         let mut tel = Telemetry::off();
         let mut edge = |node: &mut Node, cycle: u64| {
-            assert!(node.compute_edge(cycle * period, cycle, &mut clock, &mut tel));
+            let now = cycle * period;
+            assert_eq!(
+                node.compute_edge(now, cycle, &mut clock, &mut mc, &mut tel),
+                1
+            );
         };
 
         edge(&mut node, 0);

@@ -23,11 +23,11 @@
 #![warn(missing_docs)]
 
 use millipede_core::NodeResult;
+use millipede_dram::{Completion, MemoryController, Request, TimePs, QUEUE_DEPTH};
 use millipede_dram::{DramGeometry, DramTiming};
-use millipede_dram::{MemoryController, Request, TimePs, QUEUE_DEPTH};
 use millipede_engine::{
-    drive, instrument, period_ps_for_mhz, AccessClass, Arena2, Contexts, CoreStats, DecodedProgram,
-    DualClock, FlagGrid, NodeModel, Quiescence, COMPUTE_MHZ,
+    drive, period_ps_for_mhz, AccessClass, Arena2, Contexts, CoreStats, DecodedProgram, DualClock,
+    FlagGrid, NodeModel, Quiescence, COMPUTE_MHZ,
 };
 use millipede_mapreduce::ThreadGrid;
 use millipede_mem::{Cache, Mshr, PrefetchStop, SequentialPrefetcher};
@@ -129,13 +129,9 @@ struct Node<'a> {
     /// Block base the context is stalled on (valid while `stall_fast`).
     stall_block: Arena2<u64>,
     cores: Vec<Core>,
-    mc: MemoryController,
     /// Counted live by the scan, L1 misses included (`stats.l1_misses`),
-    /// so a jump can replay them.
+    /// so the driver can replay them over a jump.
     stats: CoreStats,
-    /// L1 misses the last compute edge counted (its replayed delta:
-    /// stalled contexts re-probe their missing block every cycle).
-    miss_delta: u64,
 }
 
 impl NodeModel for Node<'_> {
@@ -145,8 +141,8 @@ impl NodeModel for Node<'_> {
     // advances a prefetcher's monotone cursor or demand-raised limit,
     // both included in the sum.
     // L1 demand-miss recounting is deliberately excluded — it *does* recur
-    // on stalled edges and is replayed via `miss_delta` instead. (Repeat
-    // misses never touch LRU state, so only the counter is observable.)
+    // on stalled edges, and the driver replays it by count. (Repeat misses
+    // never touch LRU state, so only the counter is observable.)
     fn fingerprint(&self) -> u64 {
         let cursors: u64 = self
             .cores
@@ -182,14 +178,6 @@ impl NodeModel for Node<'_> {
             at,
             self.stats.demand_stalls as f64,
         );
-        let d = self.mc.stats();
-        instrument::sample_dram(tel, due, at, d.row_hits, d.row_misses, self.mc.queue_len());
-    }
-
-    fn assert_clean(&self) {
-        self.mc
-            .timing_audit()
-            .assert_clean("SSMC memory controller");
     }
 
     fn done(&self) -> bool {
@@ -201,9 +189,9 @@ impl NodeModel for Node<'_> {
         now: TimePs,
         _cycle: u64,
         _clock: &mut DualClock,
+        mc: &mut MemoryController,
         _tel: &mut Telemetry,
-    ) -> bool {
-        let misses_before = self.stats.l1_misses;
+    ) -> u64 {
         // The scan takes each piece of state as its own argument, so the
         // optimizer may keep it in registers across the scan.
         let (cfg, decoded, image) = (self.cfg, self.decoded, self.image);
@@ -214,14 +202,12 @@ impl NodeModel for Node<'_> {
             stall_fast,
             stall_block,
             cores,
-            mc,
             stats,
             ..
         } = self;
-        let mut any_issued = false;
+        let mut issued = 0;
         for c in 0..cfg.cores {
-            stats.issue_slots += 1;
-            if core_tick(
+            issued += u64::from(core_tick(
                 c,
                 now,
                 decoded,
@@ -236,25 +222,14 @@ impl NodeModel for Node<'_> {
                 &mut cores[c],
                 mc,
                 stats,
-            ) {
-                any_issued = true;
-            } else {
-                stats.stall_slots += 1;
-            }
+            ));
         }
-        self.miss_delta = self.stats.l1_misses - misses_before;
-        any_issued
+        issued
     }
 
     // Completion tags: core index (slab fills are per-core).
-    fn channel_edge(&mut self, now: TimePs, cycle: u64, tel: &mut Telemetry) -> usize {
-        let free_before = self.mc.free_slots();
-        self.mc.tick(now);
-        let completions = self.mc.pop_completed(now);
-        let fills = completions.len();
-        let conflicts = completions.iter().map(|c| (c.row_hit, c.addr));
-        instrument::row_conflicts(tel, cycle, now, self.row_bytes, conflicts);
-        for comp in completions {
+    fn channel_edge(&mut self, _now: TimePs, fills: &[Completion], queue_freed: bool) {
+        for comp in fills {
             let ci = comp.tag as usize;
             let core = &mut self.cores[ci];
             let block = comp.addr;
@@ -270,20 +245,11 @@ impl NodeModel for Node<'_> {
         }
         // A fill frees an MSHR and a CAS issue frees a queue slot; either
         // can unblock a resource-parked prefetch pump.
-        if fills > 0 || self.mc.free_slots() > free_before {
+        if !fills.is_empty() || queue_freed {
             for core in &mut self.cores {
                 core.pf_parked = false;
             }
         }
-        fills
-    }
-
-    fn next_event_at(&self) -> Option<TimePs> {
-        self.mc.next_event_at()
-    }
-
-    fn replay(&mut self, skipped: u64) {
-        self.stats.l1_misses += self.miss_delta * skipped;
     }
 
     fn stats_mut(&mut self) -> &mut CoreStats {
@@ -361,14 +327,20 @@ pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
                 }
             })
             .collect(),
-        mc: MemoryController::with_capacity(cfg.geometry, cfg.timing, cfg.dram_queue),
         stats: CoreStats::default(),
-        miss_delta: 0,
     };
+    let mut mc = MemoryController::with_capacity(cfg.geometry, cfg.timing, cfg.dram_queue);
     let mut clock = DualClock::new(period_ps_for_mhz(COMPUTE_MHZ), cfg.timing.channel_period_ps);
     let mut tel = Telemetry::new(&cfg.telemetry);
     let quiesce = Quiescence::new("SSMC", cfg.cores as u64);
-    let mut driven = drive(&mut node, &mut clock, quiesce, cfg.fast_forward, &mut tel);
+    let mut driven = drive(
+        &mut node,
+        &mut clock,
+        &mut mc,
+        quiesce,
+        cfg.fast_forward,
+        &mut tel,
+    );
     driven.profile.credit_issues = node.threads.credit_issues();
 
     let stats = &mut node.stats;
@@ -380,7 +352,7 @@ pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
         &grid,
         &node.threads.states(),
         node.stats,
-        node.mc.stats().clone(),
+        mc.stats().clone(),
         driven,
         tel,
     )
@@ -450,29 +422,67 @@ fn core_tick(
             threads.commit(c, x, decoded, image, stats, Some(addr));
             return true;
         }
-        stats.l1_misses += 1;
-        // Miss: merge into an in-flight fill or start a demand fetch.
-        let block = addr & !(slab_bytes - 1);
-        if !core.mshr.pending(block) && !core.mshr.is_full() {
-            let req = Request {
-                addr: block,
-                bytes: slab_bytes,
-                tag: c as u64,
-            };
-            if mc.try_push(req, now).is_ok() {
-                core.mshr.allocate(block, x as u64);
-                stats.demand_fetches += 1;
-            }
-        }
-        threads.stall(c, x, stats);
-        if core.mshr.pending(block) {
-            // Fill in flight (just allocated, merged, or a racing
-            // prefetch): retries are pure re-misses until it lands.
-            stall_fast.set(c, x, true);
-            *stall_block.get_mut(c, x) = block;
-        }
+        demand_miss(
+            c,
+            x,
+            now,
+            addr,
+            slab_bytes,
+            threads,
+            stall_fast,
+            stall_block,
+            core,
+            mc,
+            stats,
+        );
     }
     false
+}
+
+/// Context `x` of core `c` missed the L1 on its input load at `addr`:
+/// merges into an in-flight fill or starts a demand fetch, and stalls the
+/// context.
+///
+/// Kept out of line: inlined, the scan's loop calls nothing that may write
+/// `threads`, so the optimizer hoists every `Contexts` field load into
+/// each core's prologue and spills them there, which made compute-bound
+/// SSMC points ~12% slower.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn demand_miss(
+    c: usize,
+    x: usize,
+    now: TimePs,
+    addr: u64,
+    slab_bytes: u64,
+    threads: &mut Contexts,
+    stall_fast: &mut FlagGrid,
+    stall_block: &mut Arena2<u64>,
+    core: &mut Core,
+    mc: &mut MemoryController,
+    stats: &mut CoreStats,
+) {
+    stats.l1_misses += 1;
+    // Merge into an in-flight fill or start a demand fetch.
+    let block = addr & !(slab_bytes - 1);
+    if !core.mshr.pending(block) && !core.mshr.is_full() {
+        let req = Request {
+            addr: block,
+            bytes: slab_bytes,
+            tag: c as u64,
+        };
+        if mc.try_push(req, now).is_ok() {
+            core.mshr.allocate(block, x as u64);
+            stats.demand_fetches += 1;
+        }
+    }
+    threads.stall(c, x, stats);
+    if core.mshr.pending(block) {
+        // Fill in flight (just allocated, merged, or a racing prefetch):
+        // retries are pure re-misses until it lands.
+        stall_fast.set(c, x, true);
+        *stall_block.get_mut(c, x) = block;
+    }
 }
 
 /// Runs core `c`'s slab prefetcher ahead of its leading context, unless

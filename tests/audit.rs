@@ -104,6 +104,15 @@ fn lint_raw_fetch_fires_in_model_crates_only() {
 }
 
 #[test]
+fn lint_channel_edge_fires_in_model_crates_only() {
+    let src = "//! doc\npub fn f(mc: &mut MemoryController, now: u64) { mc.tick(now); }\n";
+    // Timing-model crate: fires — the driver owns the channel edge.
+    assert!(lints_found("crates/ssmc/src/bad.rs", src).contains(&"channel-edge"));
+    // The driver: ticks the controller for every model.
+    assert!(!lints_found("crates/engine/src/ok.rs", src).contains(&"channel-edge"));
+}
+
+#[test]
 fn lint_allow_escape_hatch_suppresses_with_reason() {
     let container = ["Hash", "Map"].concat();
     let src = format!(
@@ -120,7 +129,7 @@ fn every_lint_has_a_firing_negative_fixture() {
     // above catch it individually).
     let container = ["Hash", "Map"].concat();
     let hash_src = format!("//! doc\nuse std::collections::{container};\n");
-    let fixtures: [(&str, String); 7] = [
+    let fixtures: [(&str, String); 8] = [
         ("crates/core/src/a.rs", "pub fn x() {}\n".to_string()),
         ("crates/core/src/b.rs", hash_src),
         (
@@ -142,6 +151,11 @@ fn every_lint_has_a_firing_negative_fixture() {
         (
             "crates/gpgpu/src/g.rs",
             "//! doc\npub fn f(p: &Program, pc: u32) -> Instr { *p.fetch(pc) }\n".to_string(),
+        ),
+        (
+            "crates/core/src/h.rs",
+            "//! doc\npub fn f(mc: &MemoryController) -> Option<u64> { mc.next_event_at() }\n"
+                .to_string(),
         ),
     ];
     let mut fired: Vec<&str> = fixtures
