@@ -17,6 +17,10 @@ cargo run --offline -q -p millipede-audit
 echo "==> cargo clippy (workspace lints)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (rustdoc warnings are errors)"
+# A doc link to a renamed or deleted item must fail here, not rot.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "==> cargo build --release"
 # --workspace so the bench binaries the telemetry leg drives are built too
 # (the root manifest is both workspace and facade package, and a bare

@@ -7,36 +7,25 @@
 //! `step` itself. A [`DecodedProgram`] is built **once per program** and
 //! flattens each instruction into a packed [`MicroOp`] — fused opcode byte,
 //! pre-resolved register identifiers, and a raw 32-bit immediate/offset/
-//! target payload — plus two side tables the per-cycle scheduler loops
-//! consume without touching the enum at all:
+//! target payload — plus an **access-class table** ([`AccessClass`], one
+//! byte per PC) answering "would the instruction at this PC load input /
+//! touch local memory / branch / barrier / halt?" with a single indexed
+//! load, so the per-cycle scheduler loops never touch the enum.
 //!
-//! * an **access-class table** ([`AccessClass`], one byte per PC) answering
-//!   "would the instruction at this PC load input / touch local memory /
-//!   branch / barrier / halt?" with a single indexed load, and
-//! * a **straight-line run-length table** (`run_len`, one `u32` per PC):
-//!   the number of consecutive pure-ALU micro-ops starting at each PC
-//!   before the next branch/memory/barrier/halt boundary.
-//!
-//! Three entry points execute a whole run in one tight loop; the timing
-//! models then *charge* its issue slots by count (the replay-by-count
-//! discipline the fast-forward jump also uses), so the scheduler
-//! round-trip is paid per run, not per instruction:
-//!
-//! * [`DecodedProgram::run_ahead`] (the MIMD models) runs a context
-//!   through its *context-local* instructions — ALU, branch, jump, local
-//!   load/store — up to the next input load, barrier, halt or trapping
-//!   instruction. They touch only the context's registers and its own
-//!   partition of local memory, so running them early is invisible to
-//!   every other context and to all memory-system state.
-//! * [`DecodedProgram::warp_run_ahead`] (the SIMT warp path) runs one
-//!   warp's live lanes through the same kinds of instruction in lockstep,
-//!   one instruction across all lanes at a time. It also stops before a
-//!   branch the lanes disagree on (the warp must split), before a local
-//!   access the caller's bank model would serialize, and before the
-//!   current path's reconvergence PC (where the IPDOM stack hands the
-//!   warp to the sibling path).
-//! * [`DecodedProgram::burst_retire`] ([`crate::run_functional`]) runs a
-//!   pure-ALU run from the run-length table.
+//! [`DecodedProgram::run_ahead`] executes a whole run in one tight loop;
+//! the timing models then *charge* its issue slots by count (the
+//! replay-by-count discipline the fast-forward jump also uses), so the
+//! scheduler round-trip is paid per run, not per instruction. It runs a
+//! warp's live lanes in lockstep, one instruction across all lanes at a
+//! time, through ALU operations, jumps, branches every lane agrees on and
+//! local loads/stores, up to the next input load, barrier, halt, divergent
+//! branch, trapping or refused local access, or reconvergence PC. Those
+//! instructions touch only the lanes' registers and their own partitions
+//! of local memory, so running them early is invisible to every other
+//! context and to all memory-system state. A SIMT warp (the GPGPU and VWS
+//! models) passes its live mask, IPDOM reconvergence PC and Shared Memory
+//! bank check; a MIMD context (Millipede, SSMC) is the one-lane warp, with
+//! no reconvergence PC and every in-bounds local access accepted.
 //!
 //! The effect types every interpreter reports in — [`StepEffect`],
 //! [`EffectiveAccess`] and [`Trap`] — live here, next to the interpreter
@@ -273,14 +262,6 @@ pub enum AccessClass {
     Halt,
 }
 
-impl AccessClass {
-    /// Whether this class is a pure-ALU operation (burst-eligible).
-    #[inline]
-    pub fn is_alu(self) -> bool {
-        matches!(self, AccessClass::Alu)
-    }
-}
-
 /// One predecoded instruction: fused opcode plus pre-resolved operands.
 ///
 /// Field use by opcode group:
@@ -498,17 +479,15 @@ fn decode(instr: &Instr) -> MicroOp {
     }
 }
 
-/// The most instructions one run-ahead executes ([`DecodedProgram::run_ahead`],
-/// [`DecodedProgram::warp_run_ahead`]). It only bounds a runaway local
-/// loop: a context or warp whose credits drain mid-run issues its next
-/// instruction in that slot and runs ahead again, so the cap cannot change
-/// the schedule.
+/// The most instructions one [`DecodedProgram::run_ahead`] executes. It
+/// only bounds a runaway local loop: a context or warp whose credits drain
+/// mid-run issues its next instruction in that slot and runs ahead again,
+/// so the cap cannot change the schedule.
 pub const RUN_AHEAD_CAP: u32 = 1 << 16;
 
-/// What one run-ahead executed: its instruction count and the per-kind
-/// counts the timing models' statistics keep. For a warp
-/// ([`DecodedProgram::warp_run_ahead`]) each count is of warp-wide
-/// instructions, each executed by every live lane.
+/// What one [`DecodedProgram::run_ahead`] executed: its instruction count
+/// and the per-kind counts the timing models' statistics keep. Each count
+/// is of warp-wide instructions, each executed by every live lane.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LocalRun {
     /// Instructions executed (each owes one issue slot).
@@ -521,14 +500,13 @@ pub struct LocalRun {
     pub local_stores: u32,
 }
 
-/// A program predecoded into flat micro-op, access-class, and run-length
-/// tables. Built once per [`Program`] (see [`DecodedProgram::of`]) and
-/// shared by every thread context executing it.
+/// A program predecoded into flat micro-op and access-class tables. Built
+/// once per [`Program`] (see [`DecodedProgram::of`]) and shared by every
+/// thread context executing it.
 #[derive(Debug)]
 pub struct DecodedProgram {
     ops: Box<[MicroOp]>,
     class: Box<[AccessClass]>,
-    run_len: Box<[u32]>,
 }
 
 impl DecodedProgram {
@@ -536,26 +514,7 @@ impl DecodedProgram {
     pub fn new(program: &Program) -> DecodedProgram {
         let ops: Box<[MicroOp]> = program.instrs().iter().map(decode).collect();
         let class: Box<[AccessClass]> = ops.iter().map(|u| u.op.class()).collect();
-        // run_len[pc] = consecutive pure-ALU micro-ops starting at pc.
-        // Computed backwards; a validated program never ends in an ALU
-        // instruction (the last instruction is Halt or Jmp), so an ALU run
-        // always terminates before the end of the table.
-        let mut run_len = vec![0u32; ops.len()];
-        for pc in (0..ops.len()).rev() {
-            if class[pc].is_alu() {
-                let next = if pc + 1 < ops.len() {
-                    run_len[pc + 1]
-                } else {
-                    0
-                };
-                run_len[pc] = 1 + next;
-            }
-        }
-        DecodedProgram {
-            ops,
-            class,
-            run_len: run_len.into(),
-        }
+        DecodedProgram { ops, class }
     }
 
     /// The cached decoded form of `program`, built on first use and shared
@@ -588,44 +547,9 @@ impl DecodedProgram {
         self.class[pc as usize]
     }
 
-    /// Straight-line pure-ALU run length starting at `pc` (0 when the
-    /// instruction at `pc` is not pure ALU).
-    #[inline]
-    pub fn run_len(&self, pc: u32) -> u32 {
-        self.run_len[pc as usize]
-    }
-
-    /// The memory access the instruction at `ctx.pc` *would* perform —
-    /// bit-identical to [`crate::step::effective_access`], without
-    /// re-decoding the instruction enum.
-    #[inline]
-    pub fn peek_access(&self, ctx: &ThreadCtx) -> Option<EffectiveAccess> {
-        let uop = self.fetch(ctx.pc);
-        match uop.op {
-            OpCode::LdIn => Some(EffectiveAccess {
-                space: AddrSpace::Input,
-                addr: mem_addr(ctx, uop),
-                write: false,
-            }),
-            OpCode::LdLocal => Some(EffectiveAccess {
-                space: AddrSpace::Local,
-                addr: mem_addr(ctx, uop),
-                write: false,
-            }),
-            OpCode::St => Some(EffectiveAccess {
-                space: AddrSpace::Local,
-                addr: mem_addr(ctx, uop),
-                write: true,
-            }),
-            _ => None,
-        }
-    }
-
-    /// Effective byte address of the load/store at `ctx.pc`.
-    ///
-    /// Callers dispatch on [`DecodedProgram::access_class`] first; this is
-    /// the fused fast path that skips even the `Option` of
-    /// [`DecodedProgram::peek_access`].
+    /// Effective byte address of the load/store at `ctx.pc` — the address
+    /// [`crate::step::effective_access`] reports. Callers dispatch on
+    /// [`DecodedProgram::access_class`] first.
     #[inline]
     pub fn mem_addr_at(&self, ctx: &ThreadCtx) -> u64 {
         let uop = self.fetch(ctx.pc);
@@ -700,10 +624,10 @@ impl DecodedProgram {
     }
 
     /// Executes the load/store micro-op at `ctx.pc` with its effective
-    /// address already computed (by [`DecodedProgram::mem_addr_at`] or
-    /// [`DecodedProgram::peek_access`] on the *same* register state), so a
-    /// timing model that needed the address for its cache/coalescing/bank
-    /// decision does not recompute it to commit.
+    /// address already computed (by [`DecodedProgram::mem_addr_at`] on the
+    /// *same* register state), so a timing model that needed the address
+    /// for its cache/coalescing/bank decision does not recompute it to
+    /// commit.
     #[inline]
     pub fn commit_mem_at(
         &self,
@@ -740,92 +664,6 @@ impl DecodedProgram {
         Ok(effect)
     }
 
-    /// Executes up to `max` micro-ops of the pure-ALU run starting at
-    /// `ctx.pc` in one tight loop and returns how many ran (0 when the
-    /// instruction at `ctx.pc` is not pure ALU).
-    ///
-    /// Infallible by construction: pure-ALU micro-ops never trap, never
-    /// halt, never touch memory, and advance the PC by exactly one each.
-    /// The caller still owes the timing model one issue cycle per executed
-    /// micro-op (replay-by-count).
-    #[inline]
-    pub fn burst_retire(&self, ctx: &mut ThreadCtx, max: u32) -> u32 {
-        debug_assert!(!ctx.halted, "burst_retire on a halted context");
-        let n = self.run_len[ctx.pc as usize].min(max);
-        let mut pc = ctx.pc as usize;
-        for _ in 0..n {
-            exec_alu_uop(self.ops[pc], ctx);
-            pc += 1;
-        }
-        ctx.pc = pc as u32;
-        n
-    }
-
-    /// Runs the context ahead through its *context-local* instructions —
-    /// ALU, branch, jump, and local load/store — executing up to `max` of
-    /// them in one tight loop, and returns what ran.
-    ///
-    /// The run stops *before* the first input load, barrier or halt (the
-    /// instructions that reach outside the context), and before any
-    /// instruction that would trap: a trap leaves the context unchanged,
-    /// so that instruction still traps when it is committed on its own.
-    /// Everything executed touches only the context's registers and its
-    /// own partition of local memory, so running it early is invisible to
-    /// every other context and to the memory system. The caller still owes
-    /// the timing model one issue slot per executed instruction
-    /// (replay-by-count).
-    #[inline]
-    pub fn run_ahead(&self, ctx: &mut ThreadCtx, max: u32) -> LocalRun {
-        debug_assert!(!ctx.halted, "run_ahead on a halted context");
-        let mut run = LocalRun::default();
-        let mut pc = ctx.pc;
-        while run.instructions < max {
-            let uop = self.ops[pc as usize];
-            match uop.op {
-                OpCode::LdIn | OpCode::Bar | OpCode::Halt => break,
-                OpCode::LdLocal => {
-                    let Ok(v) = ctx.local.load(mem_addr(ctx, uop)) else {
-                        break;
-                    };
-                    ctx.write_reg(uop.dst, v);
-                    run.local_loads += 1;
-                    pc += 1;
-                }
-                OpCode::St => {
-                    let v = ctx.read_reg(uop.dst);
-                    if ctx.local.store(mem_addr(ctx, uop), v).is_err() {
-                        break;
-                    }
-                    run.local_stores += 1;
-                    pc += 1;
-                }
-                OpCode::BrEq
-                | OpCode::BrNe
-                | OpCode::BrLt
-                | OpCode::BrGe
-                | OpCode::BrLtu
-                | OpCode::BrGeu
-                | OpCode::BrFlt
-                | OpCode::BrFge => {
-                    pc = if branch_taken(uop, ctx) {
-                        uop.imm
-                    } else {
-                        pc + 1
-                    };
-                    run.branches += 1;
-                }
-                OpCode::Jmp => pc = uop.imm,
-                _ => {
-                    exec_alu_uop(uop, ctx);
-                    pc += 1;
-                }
-            }
-            run.instructions += 1;
-        }
-        ctx.pc = pc;
-        run
-    }
-
     /// Runs one warp ahead in lockstep: executes up to `max` instructions,
     /// each on every lane in `live` (bit *i* = `lanes[i]`, all at the same
     /// PC), and returns what ran. Every live lane ends at the same PC.
@@ -843,7 +681,11 @@ impl DecodedProgram {
     /// point). Each of those leaves the warp unchanged, so it still fires
     /// in its own issue slot. The caller owes the timing model one issue
     /// slot per executed instruction (replay-by-count).
-    pub fn warp_run_ahead(
+    ///
+    /// A MIMD context runs as the one-lane warp:
+    /// `run_ahead(slice::from_mut(ctx), 1, None, max, |_, _| true)`.
+    #[inline]
+    pub fn run_ahead(
         &self,
         lanes: &mut [ThreadCtx],
         live: u64,
@@ -851,7 +693,7 @@ impl DecodedProgram {
         max: u32,
         mut accept: impl FnMut(&[usize], &[u64]) -> bool,
     ) -> LocalRun {
-        debug_assert_ne!(live, 0, "warp_run_ahead with no live lane");
+        debug_assert_ne!(live, 0, "run_ahead with no live lane");
         let mut idx_buf = [0usize; MAX_LANES];
         let mut n = 0;
         let mut m = live;
@@ -949,6 +791,19 @@ mod tests {
         ThreadCtx::new(256, &LaunchParams::new())
     }
 
+    /// The access preview [`effective_access`] gives, read from the class
+    /// table and `mem_addr_at` the way the timing models read it.
+    fn decoded_access(d: &DecodedProgram, ctx: &ThreadCtx) -> Option<EffectiveAccess> {
+        let (space, write) = match d.access_class(ctx.pc) {
+            AccessClass::InputLoad => (AddrSpace::Input, false),
+            AccessClass::LocalLoad => (AddrSpace::Local, false),
+            AccessClass::LocalStore => (AddrSpace::Local, true),
+            _ => return None,
+        };
+        let addr = d.mem_addr_at(ctx);
+        Some(EffectiveAccess { space, addr, write })
+    }
+
     /// Every-kind sample program: ALU reg-reg/imm, float, converts, loads,
     /// stores, branches (taken + not), jump, barrier, halt.
     const SAMPLE: &str = "
@@ -981,8 +836,7 @@ mod tests {
         let mut a = ctx();
         let mut b = ctx();
         for _ in 0..100 {
-            let ea = effective_access(&a, &p);
-            assert_eq!(ea, d.peek_access(&b));
+            assert_eq!(effective_access(&a, &p), decoded_access(&d, &b));
             let ra = step(&mut a, &p, &input);
             let rb = d.commit(&mut b, &input);
             assert_eq!(ra, rb);
@@ -997,17 +851,14 @@ mod tests {
     }
 
     #[test]
-    fn class_and_run_len_tables() {
+    fn class_table() {
         let p = assemble("sample", SAMPLE).unwrap();
         let d = DecodedProgram::new(&p);
         assert_eq!(d.len(), p.len());
         assert!(!d.is_empty());
-        // PCs 0..=5 are a 6-long ALU run ending at the ld.in at pc 6.
         assert_eq!(d.access_class(0), AccessClass::Alu);
-        assert_eq!(d.run_len(0), 6);
-        assert_eq!(d.run_len(5), 1);
+        assert_eq!(d.access_class(5), AccessClass::Alu);
         assert_eq!(d.access_class(6), AccessClass::InputLoad);
-        assert_eq!(d.run_len(6), 0);
         assert_eq!(d.access_class(7), AccessClass::LocalStore);
         assert_eq!(d.access_class(8), AccessClass::LocalLoad);
         assert_eq!(d.access_class(9), AccessClass::Branch);
@@ -1017,29 +868,7 @@ mod tests {
     }
 
     #[test]
-    fn burst_retire_equals_single_steps() {
-        let p = assemble("sample", SAMPLE).unwrap();
-        let d = DecodedProgram::new(&p);
-        let input = InputImage::new(vec![10, 20, 30, 40]);
-        let mut a = ctx();
-        let mut b = ctx();
-        let n = d.burst_retire(&mut b, u32::MAX);
-        assert_eq!(n, 6);
-        for _ in 0..n {
-            step(&mut a, &p, &input).unwrap();
-        }
-        assert_eq!(a.pc, b.pc);
-        assert_eq!(a.regs, b.regs);
-        // A capped burst executes exactly the cap.
-        let mut c = ctx();
-        assert_eq!(d.burst_retire(&mut c, 2), 2);
-        assert_eq!(c.pc, 2);
-        // At a non-ALU pc the burst is empty.
-        assert_eq!(d.burst_retire(&mut b, u32::MAX), 0);
-    }
-
-    #[test]
-    fn warp_run_ahead_stops_before_each_stop_rule() {
+    fn run_ahead_stops_before_each_stop_rule() {
         // Two lanes: lane i has r1 = i and r5 = i * 4096 (lane 1's local
         // accesses through r5 fault).
         let lanes = || -> Vec<ThreadCtx> {
@@ -1084,7 +913,7 @@ mod tests {
         for (src, reconv, accept, stop, instructions) in cases {
             let d = DecodedProgram::new(&assemble("t", src).unwrap());
             let mut warp = lanes();
-            let run = d.warp_run_ahead(&mut warp, 0b11, reconv, 64, |idx, addrs| {
+            let run = d.run_ahead(&mut warp, 0b11, reconv, 64, |idx, addrs| {
                 assert_eq!((idx, addrs.len()), (&[0, 1][..], 2));
                 accept
             });
@@ -1097,30 +926,32 @@ mod tests {
         // A lane outside the live mask is left alone.
         let d = DecodedProgram::new(&assemble("t", "addi r2, r0, 1\nhalt").unwrap());
         let mut warp = lanes();
-        d.warp_run_ahead(&mut warp, 0b10, None, 64, |_, _| true);
+        d.run_ahead(&mut warp, 0b10, None, 64, |_, _| true);
         assert_eq!((warp[0].pc, warp[1].pc), (0, 1));
     }
 
     #[test]
-    fn commit_mem_at_reuses_the_peeked_address() {
+    fn commit_mem_at_reuses_the_computed_address() {
         let p = assemble("sample", SAMPLE).unwrap();
         let d = DecodedProgram::new(&p);
         let input = InputImage::new(vec![10, 20, 30, 40]);
         let mut c = ctx();
-        d.burst_retire(&mut c, u32::MAX);
+        // A one-lane run-ahead stops before the input load at pc 6.
+        let run = d.run_ahead(std::slice::from_mut(&mut c), 1, None, 64, |_, _| true);
+        assert_eq!((run.instructions, c.pc), (6, 6));
         // ld.in r7, (r1) with r1 = 8.
-        let ea = d.peek_access(&c).unwrap();
-        assert_eq!(ea.addr, 8);
+        let addr = d.mem_addr_at(&c);
+        assert_eq!(addr, 8);
         assert_eq!(
-            d.commit_mem_at(&mut c, ea.addr, &input),
+            d.commit_mem_at(&mut c, addr, &input),
             Ok(StepEffect::InputLoad { addr: 8 })
         );
         assert_eq!(c.read_reg(r(7)), 30);
         // st.local r7, 4(r2) with r2 = 4.
-        let ea = d.peek_access(&c).unwrap();
-        assert!(ea.write);
+        assert_eq!(d.access_class(c.pc), AccessClass::LocalStore);
+        let addr = d.mem_addr_at(&c);
         assert_eq!(
-            d.commit_mem_at(&mut c, ea.addr, &input),
+            d.commit_mem_at(&mut c, addr, &input),
             Ok(StepEffect::LocalStore { addr: 8 })
         );
         assert_eq!(c.local.load(8), Ok(30));

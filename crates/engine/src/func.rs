@@ -77,10 +77,10 @@ impl FuncStats {
 
 /// Runs `ctx` until it halts (or `step_limit` instructions elapse).
 ///
-/// Executes over the program's predecoded form ([`DecodedProgram`]),
-/// retiring whole pure-ALU runs per loop iteration; the observable result
-/// (final context state, statistics, traps) is bit-identical to stepping
-/// the reference interpreter one instruction at a time.
+/// Executes over the program's predecoded form ([`DecodedProgram`]), one
+/// instruction at a time; the observable result (final context state,
+/// statistics, traps) is bit-identical to stepping the reference
+/// interpreter.
 pub fn run_functional(
     ctx: &mut ThreadCtx,
     program: &Program,
@@ -92,15 +92,6 @@ pub fn run_functional(
     while !ctx.halted {
         if stats.instructions >= step_limit {
             return Err(Trap::StepLimit);
-        }
-        if decoded.run_len(ctx.pc) > 0 {
-            // Pure-ALU run: retire it in one burst, capped at the step
-            // budget so a runaway kernel still hits the limit exactly.
-            let budget = step_limit - stats.instructions;
-            let cap = u32::try_from(budget).unwrap_or(u32::MAX);
-            let n = decoded.burst_retire(ctx, cap);
-            stats.instructions += u64::from(n);
-            continue;
         }
         let effect = decoded.commit(ctx, input)?;
         stats.instructions += 1;

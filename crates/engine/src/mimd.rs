@@ -13,9 +13,11 @@
 //! a context: its registers and its partition of local memory are its own
 //! (PAPER.md, modeling decision 1), and every instruction costs one issue
 //! slot. So after an issuing instruction commits, [`Contexts::commit`]
-//! runs the context ahead through its context-local instructions
-//! ([`DecodedProgram::run_ahead`]) up to the next input load, barrier,
-//! halt or trapping instruction, and banks the count as issue credits.
+//! runs the context ahead through its context-local instructions up to
+//! the next input load, barrier, halt or trapping instruction, and banks
+//! the count as issue credits. The context runs as a one-lane warp of
+//! [`DecodedProgram::run_ahead`]: no divergence, no reconvergence PC, and
+//! every in-bounds local access accepted.
 //! The scans then pay one credit per slot ([`Contexts::charge_burst`]),
 //! the same schedule as committing each instruction in its own slot,
 //! because a context mid-run always issues when the scan reaches it.
@@ -25,6 +27,7 @@ use crate::context::ThreadCtx;
 use crate::decoded::{DecodedProgram, StepEffect, RUN_AHEAD_CAP};
 use crate::stats::CoreStats;
 use millipede_mem::InputImage;
+use std::slice;
 
 /// The hardware contexts of every core of one processor, struct-of-arrays
 /// (see [`crate::arena`]): contexts live core-major in one arena and each
@@ -39,7 +42,7 @@ pub struct Contexts {
     /// Outstanding issue credits per context: a local run executes
     /// functionally in one go and its instructions are charged one issue
     /// slot each from this counter (replay-by-count; see DESIGN.md,
-    /// "Local-run retire").
+    /// "Run-ahead").
     burst: Arena2<u32>,
     /// Per core, the context the next round-robin scan starts at.
     rr: Vec<usize>,
@@ -192,7 +195,7 @@ impl Contexts {
             StepEffect::Barrier => return effect,
             _ => {}
         }
-        let run = decoded.run_ahead(ctx, RUN_AHEAD_CAP);
+        let run = decoded.run_ahead(slice::from_mut(ctx), 1, None, RUN_AHEAD_CAP, |_, _| true);
         stats.branches += u64::from(run.branches);
         stats.local_loads += u64::from(run.local_loads);
         stats.local_stores += u64::from(run.local_stores);

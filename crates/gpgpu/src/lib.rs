@@ -63,7 +63,7 @@ struct Sm {
     busy_until: Vec<u64>,
     /// Outstanding issue credits per warp: a lockstep run executes
     /// functionally in one go and the timing model charges its issue slots
-    /// by count (see DESIGN.md, "Lockstep warp run-ahead").
+    /// by count (see DESIGN.md, "Run-ahead").
     burst: Vec<u32>,
     /// Live lanes of each warp's in-flight run, for per-slot charge
     /// accounting (instructions and lane-idle replay).
@@ -512,7 +512,7 @@ fn cluster_tick(
 /// Attempts to issue warp `wi` at `pc` with active mask `live`.
 ///
 /// When the instruction is eligible the warp runs ahead in lockstep
-/// ([`DecodedProgram::warp_run_ahead`]): the run executes now, its
+/// ([`DecodedProgram::run_ahead`]): the run executes now, its
 /// branches, local accesses and Shared Memory accesses are counted as they
 /// run, and every instruction after the issuing one is banked as an issue
 /// credit. Input loads, barriers, halts, divergent branches and serializing
@@ -558,7 +558,7 @@ fn try_issue_warp(
             threads, shared, ..
         } = &mut *sm;
         let lanes = &mut threads[first..first + cfg.warp_width];
-        let run = decoded.warp_run_ahead(lanes, live, reconv, RUN_AHEAD_CAP, |idx, addrs| {
+        let run = decoded.run_ahead(lanes, live, reconv, RUN_AHEAD_CAP, |idx, addrs| {
             let mut keys = [0u64; MAX_LANES];
             for (k, (&i, &a)) in keys.iter_mut().zip(idx.iter().zip(addrs)) {
                 *k = striped_addr(first + i, a);
@@ -736,9 +736,17 @@ fn try_issue_warp(
             }
             true
         }
-        // ALU ops and jumps always run ahead; barriers and halts commit
-        // here.
-        AccessClass::Alu | AccessClass::Jump | AccessClass::Barrier | AccessClass::Halt => {
+        // Barriers and halts commit here. ALU ops and jumps never do:
+        // `Warp::current` settles any path sitting at its reconvergence PC,
+        // and the run-ahead above executes at least one of them under a
+        // non-zero cap. The check is a debug assert because an arm of its
+        // own changes the register allocation of the whole inlined issue
+        // path in release builds.
+        AccessClass::Barrier | AccessClass::Halt | AccessClass::Alu | AccessClass::Jump => {
+            debug_assert!(
+                matches!(class, AccessClass::Barrier | AccessClass::Halt),
+                "an ALU op or jump always runs ahead"
+            );
             let mut lanes_buf = [0usize; MAX_LANES];
             let lanes = live_threads(first, live, &mut lanes_buf);
             exec_lanes(wi, lanes, None, sm, decoded, image, stats, cfg);

@@ -2,7 +2,7 @@
 //! synthetic CSR edge stream (graph-analytics family; not in the paper).
 //!
 //! Records are `(src, dst)` edges in CSR order over the same hub-skewed
-//! [`SynthGraph`](crate::graph::SynthGraph) as `pagerank`. The host
+//! [`SynthGraph`] as `pagerank`. The host
 //! preloads `dist[v]` with a deliberately *partial* BFS from vertex 0
 //! (levels beyond [`FRONTIER_LEVEL`] stay [`UNREACHED`]) and `next[v]`
 //! with the sentinel; the kernel performs one edge-parallel relaxation:

@@ -473,20 +473,24 @@ fn main() {
     let mut manifest_out: Option<String> = None;
     let mut i = 2;
     while i < args.len() {
-        let take = |i: &mut usize, what: &str| -> u64 {
+        // A value below `min` is a usage error, not a run that panics or
+        // deadlocks: a node needs a chunk and a corelet, and the row
+        // prefetch buffer at least two entries.
+        let take = |i: &mut usize, what: &str, min: u64| -> u64 {
             *i += 1;
             args.get(*i)
                 .and_then(|v| v.parse().ok())
+                .filter(|&v| v >= min)
                 .unwrap_or_else(|| {
-                    eprintln!("{what} needs a positive integer");
-                    std::process::exit(2);
+                    eprintln!("{what} needs an integer of at least {min}");
+                    usage();
                 })
         };
         match args[i].as_str() {
-            "--chunks" => cfg.num_chunks = take(&mut i, "--chunks") as usize,
-            "--seed" => cfg.seed = take(&mut i, "--seed"),
-            "--corelets" => cfg.corelets = take(&mut i, "--corelets") as usize,
-            "--pbuf" => cfg.pbuf_entries = take(&mut i, "--pbuf") as usize,
+            "--chunks" => cfg.num_chunks = take(&mut i, "--chunks", 1) as usize,
+            "--seed" => cfg.seed = take(&mut i, "--seed", 0),
+            "--corelets" => cfg.corelets = take(&mut i, "--corelets", 1) as usize,
+            "--pbuf" => cfg.pbuf_entries = take(&mut i, "--pbuf", 2) as usize,
             "--csv" => csv = true,
             "--manifest-out" => {
                 i += 1;

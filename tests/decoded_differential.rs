@@ -2,19 +2,18 @@
 //!
 //! The predecoded micro-op interpreter (`millipede::engine::decoded`) must
 //! be observably bit-identical to the reference enum interpreter
-//! (`millipede::engine::step`): same `StepEffect` stream, same traps, same
-//! final register/local state, and the burst-retire fast path must commit
-//! exactly the instructions single-stepping would, the MIMD models'
-//! run-ahead must execute exactly the context-local run single-stepping
-//! would, and the SIMT warps' lockstep run-ahead must execute exactly what
-//! single-stepping every live lane would. This suite enforces that over
-//! the assembly fixture corpus, the
-//! compiled-in kernels and randomized programs, then drives every timing
-//! model end-to-end (the models execute exclusively through the decoded
-//! form).
+//! (`millipede::engine::step`): same access previews, same `StepEffect`
+//! stream, same traps, same final register/local state. Its one run-ahead
+//! must execute exactly what single-stepping every live lane would, for a
+//! MIMD context (the one-lane warp) and for the SIMT warps alike. This
+//! suite enforces that over the assembly fixture corpus, the compiled-in
+//! kernels and randomized programs, then drives every timing model
+//! end-to-end (the models execute exclusively through the decoded form).
 
 use millipede::engine::step::{effective_access, step};
-use millipede::engine::{DecodedProgram, LaunchParams, LocalRun, StepEffect, ThreadCtx};
+use millipede::engine::{
+    AccessClass, DecodedProgram, EffectiveAccess, LaunchParams, LocalRun, StepEffect, ThreadCtx,
+};
 use millipede::isa::reg::r;
 use millipede::isa::{assemble, AddrSpace, AluOp, CmpOp, FAluOp, Instr, Program};
 use millipede::mapreduce::ThreadGrid;
@@ -70,6 +69,19 @@ fn test_image() -> InputImage {
     InputImage::new((0..64u32).map(|i| i.wrapping_mul(0x01f3_5a7d)).collect())
 }
 
+/// The access preview [`effective_access`] gives, read from the class
+/// table and `mem_addr_at` the way the timing models read it.
+fn decoded_access(decoded: &DecodedProgram, ctx: &ThreadCtx) -> Option<EffectiveAccess> {
+    let (space, write) = match decoded.access_class(ctx.pc) {
+        AccessClass::InputLoad => (AddrSpace::Input, false),
+        AccessClass::LocalLoad => (AddrSpace::Local, false),
+        AccessClass::LocalStore => (AddrSpace::Local, true),
+        _ => return None,
+    };
+    let addr = decoded.mem_addr_at(ctx);
+    Some(EffectiveAccess { space, addr, write })
+}
+
 /// Locks a reference-interpreter context and a decoded-interpreter context
 /// together one instruction at a time, asserting identical access previews,
 /// effects/traps, and architectural state at every step. Returns the number
@@ -81,7 +93,7 @@ fn run_lockstep(program: &Program, input: &InputImage, label: &str) -> u64 {
     for n in 0..STEP_CAP {
         assert_eq!(
             effective_access(&a, program),
-            decoded.peek_access(&b),
+            decoded_access(&decoded, &b),
             "{label}: access preview diverged at step {n} (pc {})",
             a.pc
         );
@@ -106,138 +118,14 @@ fn run_lockstep(program: &Program, input: &InputImage, label: &str) -> u64 {
     STEP_CAP
 }
 
-/// Runs `program` to halt/trap/cap with the reference interpreter, then
-/// again with the decoded interpreter using burst retire for every pure-ALU
-/// run, and asserts the outcomes, instruction counts, and final state are
-/// identical.
-fn run_burst_differential(program: &Program, input: &InputImage, label: &str) {
-    let decoded = DecodedProgram::of(program);
-
-    let mut a = fresh_ctx();
-    let mut ref_trap = None;
-    let mut ref_insts: u64 = 0;
-    while !a.halted && ref_insts < STEP_CAP {
-        match step(&mut a, program, input) {
-            Ok(_) => ref_insts += 1,
-            Err(t) => {
-                ref_trap = Some(t);
-                break;
-            }
-        }
-    }
-
-    let mut b = fresh_ctx();
-    let mut burst_trap = None;
-    let mut burst_insts: u64 = 0;
-    while !b.halted && burst_insts < STEP_CAP {
-        if decoded.run_len(b.pc) > 0 {
-            let budget = (STEP_CAP - burst_insts).min(u64::from(u32::MAX)) as u32;
-            burst_insts += u64::from(decoded.burst_retire(&mut b, budget));
-            continue;
-        }
-        match decoded.commit(&mut b, input) {
-            Ok(_) => burst_insts += 1,
-            Err(t) => {
-                burst_trap = Some(t);
-                break;
-            }
-        }
-    }
-
-    assert_eq!(ref_trap, burst_trap, "{label}: trap outcome diverged");
-    assert_eq!(
-        ref_insts, burst_insts,
-        "{label}: instruction count diverged"
-    );
-    assert_eq!(a.pc, b.pc, "{label}: final pc diverged");
-    assert_eq!(a.regs, b.regs, "{label}: final registers diverged");
-    assert_eq!(a.halted, b.halted, "{label}: final halt state diverged");
-    assert_eq!(
-        a.local.words(),
-        b.local.words(),
-        "{label}: final local state diverged"
-    );
-}
-
-/// States of one single-stepped run the run-ahead is checked from.
-const RUN_AHEAD_STATES: u64 = 2_000;
 /// The run-ahead cap the differential passes.
 const RUN_AHEAD_MAX: u32 = 64;
 
-/// The reference for one run-ahead from `ctx`: single-steps the reference
-/// interpreter through context-local instructions, stopping before the
-/// first input load, barrier, halt or trapping instruction (a trap leaves
-/// the context unchanged), or after `max` instructions.
-fn reference_local_run(
-    ctx: &mut ThreadCtx,
-    program: &Program,
-    input: &InputImage,
-    max: u32,
-) -> LocalRun {
-    let mut run = LocalRun::default();
-    while run.instructions < max {
-        let outside = matches!(
-            program.instrs()[ctx.pc as usize],
-            Instr::Ld {
-                space: AddrSpace::Input,
-                ..
-            } | Instr::Bar
-                | Instr::Halt
-        );
-        if outside {
-            break;
-        }
-        match step(ctx, program, input) {
-            Err(_) => break,
-            Ok(StepEffect::Branch { .. }) => run.branches += 1,
-            Ok(StepEffect::LocalLoad { .. }) => run.local_loads += 1,
-            Ok(StepEffect::LocalStore { .. }) => run.local_stores += 1,
-            Ok(_) => {}
-        }
-        run.instructions += 1;
-    }
-    run
-}
-
-/// From every state single-stepping `start` reaches (up to
-/// [`RUN_AHEAD_STATES`]), runs a copy ahead with `run_ahead` and another
-/// with [`reference_local_run`], and asserts the same counts, pc,
-/// registers and local words.
-fn run_ahead_differential(program: &Program, start: ThreadCtx, input: &InputImage, label: &str) {
-    let decoded = DecodedProgram::of(program);
-    let mut state = start;
-    for n in 0..RUN_AHEAD_STATES {
-        if state.halted {
-            return;
-        }
-        let mut ahead = state.clone();
-        let mut reference = state.clone();
-        let run = decoded.run_ahead(&mut ahead, RUN_AHEAD_MAX);
-        let want = reference_local_run(&mut reference, program, input, RUN_AHEAD_MAX);
-        assert_eq!(run, want, "{label}: run-ahead counts diverged at state {n}");
-        assert_eq!(
-            ahead.pc, reference.pc,
-            "{label}: run-ahead stopped elsewhere at state {n}"
-        );
-        assert_eq!(
-            ahead.regs, reference.regs,
-            "{label}: run-ahead registers at state {n}"
-        );
-        assert_eq!(
-            ahead.local.words(),
-            reference.local.words(),
-            "{label}: run-ahead local state at state {n}"
-        );
-        if step(&mut state, program, input).is_err() {
-            return;
-        }
-    }
-}
-
-/// Lockstep states of one warp walk the warp run-ahead is checked from.
-const WARP_STATES: u64 = 300;
-/// The warp widths the differential runs: VWS's and the GPGPU's.
-const WARP_WIDTHS: [usize; 2] = [4, 32];
+/// The warp widths the differential runs, each with how many lockstep
+/// states of its walk the run-ahead is checked from: a MIMD context (the
+/// one-lane warp, walked longer because it is cheap), VWS's and the
+/// GPGPU's.
+const WARP_WIDTHS: [(usize, u64); 3] = [(1, 2_000), (4, 300), (32, 300)];
 
 /// A warp of `width` plain contexts whose launch registers differ by lane
 /// (`r1` = lane, `r2` = 4 × lane, `r3` = lane mod 2), so data-dependent
@@ -335,14 +223,15 @@ fn reference_warp_run(
 
 /// Walks the warp `start` through `program` in lockstep (after a split it
 /// follows the lanes that went with its first live lane) and, from every
-/// state of the walk (up to [`WARP_STATES`]), runs a copy ahead with
-/// `warp_run_ahead` and another with [`reference_warp_run`], asserting the
+/// state of the walk (up to `states`), runs a copy ahead with `run_ahead`
+/// and another with [`reference_warp_run`], asserting the
 /// same counts, accepted accesses, and every lane's pc, registers and
 /// local words. The reconvergence PC varies from state to state, so the
 /// reconvergence stop is exercised too.
-fn warp_run_ahead_differential(
+fn run_ahead_differential(
     program: &Program,
     start: Vec<ThreadCtx>,
+    states: u64,
     input: &InputImage,
     label: &str,
 ) {
@@ -350,14 +239,14 @@ fn warp_run_ahead_differential(
     let len = program.len() as u64;
     let mut state = start;
     let mut live: Vec<usize> = (0..state.len()).collect();
-    for n in 0..WARP_STATES {
+    for n in 0..states {
         let pc = state[live[0]].pc;
         let reconv = (n % 3 != 0).then(|| ((u64::from(pc) + n) % len) as u32);
         let mask = live.iter().fold(0u64, |m, &i| m | 1 << i);
         let mut ahead = state.clone();
         let mut reference = state.clone();
         let mut accepted = 0;
-        let run = decoded.warp_run_ahead(&mut ahead, mask, reconv, RUN_AHEAD_MAX, |idx, addrs| {
+        let run = decoded.run_ahead(&mut ahead, mask, reconv, RUN_AHEAD_MAX, |idx, addrs| {
             assert_eq!(idx, &live[..], "{label}: accept got other lanes");
             let ok = conflict_free(addrs);
             accepted += u32::from(ok);
@@ -389,24 +278,30 @@ fn warp_run_ahead_differential(
     }
 }
 
-#[test]
-fn run_ahead_stops_exactly_at_the_cap_on_a_local_loop() {
+/// Runs a `width`-lane warp ahead on a one-instruction local loop and
+/// asserts it stops after exactly the cap, every lane back at the loop.
+fn assert_stops_at_the_cap(width: usize) {
     let program = assemble("spin", "l: jmp l\n").unwrap();
     let decoded = DecodedProgram::of(&program);
-    let mut ctx = fresh_ctx();
-    let run = decoded.run_ahead(&mut ctx, 1_000);
-    assert_eq!(run.instructions, 1_000);
-    assert_eq!(ctx.pc, 0);
+    let mut warp = plain_warp(width);
+    let live = u64::MAX >> (64 - width);
+    let run = decoded.run_ahead(&mut warp, live, None, 1_000, |_, _| true);
+    assert_eq!(run.instructions, 1_000, "{width} lanes");
+    assert!(warp.iter().all(|c| c.pc == 0), "{width} lanes");
+}
+
+#[test]
+fn run_ahead_stops_exactly_at_the_cap_on_a_local_loop() {
+    // A MIMD context: the one-lane warp.
+    assert_stops_at_the_cap(1);
 }
 
 #[test]
 fn warp_run_ahead_stops_exactly_at_the_cap_on_a_local_loop() {
-    let program = assemble("spin", "l: jmp l\n").unwrap();
-    let decoded = DecodedProgram::of(&program);
-    let mut warp = plain_warp(4);
-    let run = decoded.warp_run_ahead(&mut warp, 0b1111, None, 1_000, |_, _| true);
-    assert_eq!(run.instructions, 1_000);
-    assert!(warp.iter().all(|c| c.pc == 0));
+    // The SIMT warps: VWS's and the GPGPU's.
+    for (width, _) in &WARP_WIDTHS[1..] {
+        assert_stops_at_the_cap(*width);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -428,10 +323,8 @@ fn fixtures_execute_identically() {
         let program = assemble(&name, &src)
             .unwrap_or_else(|e| panic!("fixture {name} failed to assemble: {e}"));
         run_lockstep(&program, &input, &name);
-        run_burst_differential(&program, &input, &name);
-        run_ahead_differential(&program, fresh_ctx(), &input, &name);
-        for width in WARP_WIDTHS {
-            warp_run_ahead_differential(&program, plain_warp(width), &input, &name);
+        for (width, states) in WARP_WIDTHS {
+            run_ahead_differential(&program, plain_warp(width), states, &input, &name);
         }
         checked += 1;
     }
@@ -455,19 +348,18 @@ fn benchmark_kernels_execute_identically() {
         // The kernels index input via launch registers the plain context
         // lacks, so traps are expected — they must still match exactly.
         run_lockstep(&w.program, &input, &name);
-        run_burst_differential(&w.program, &input, &name);
-        // The run-ahead also from a real launch over the real dataset,
-        // through the kernel's input loads and barriers.
-        run_ahead_differential(&w.program, fresh_ctx(), &input, &name);
-        let grid = ThreadGrid::slab(32, 4);
-        let launched = w.make_ctx(&grid, 1, 2);
-        run_ahead_differential(&w.program, launched, &w.dataset.image, &name);
-        // Warps: plain lanes, and real launches on the SIMT grid.
-        let grid = ThreadGrid::coalesced(32, 4);
-        for width in WARP_WIDTHS {
-            warp_run_ahead_differential(&w.program, plain_warp(width), &input, &name);
-            let warp = (0..width).map(|lane| w.make_ctx(&grid, lane, 1)).collect();
-            warp_run_ahead_differential(&w.program, warp, &w.dataset.image, &name);
+        // Every width from plain lanes, and from real launches over the
+        // real dataset, through the kernel's input loads and barriers: a
+        // MIMD context on the slab grid, warps on the SIMT grid.
+        for (width, states) in WARP_WIDTHS {
+            run_ahead_differential(&w.program, plain_warp(width), states, &input, &name);
+            let warp = if width == 1 {
+                vec![w.make_ctx(&ThreadGrid::slab(32, 4), 1, 2)]
+            } else {
+                let grid = ThreadGrid::coalesced(32, 4);
+                (0..width).map(|lane| w.make_ctx(&grid, lane, 1)).collect()
+            };
+            run_ahead_differential(&w.program, warp, states, &w.dataset.image, &name);
         }
     }
 }
@@ -549,10 +441,8 @@ fn randomized_programs_execute_identically() {
         let program = Program::new("rand", instrs).unwrap();
         let label = format!("random case {case}");
         run_lockstep(&program, &input, &label);
-        run_burst_differential(&program, &input, &label);
-        run_ahead_differential(&program, fresh_ctx(), &input, &label);
-        for width in WARP_WIDTHS {
-            warp_run_ahead_differential(&program, plain_warp(width), &input, &label);
+        for (width, states) in WARP_WIDTHS {
+            run_ahead_differential(&program, plain_warp(width), states, &input, &label);
         }
     }
 }
