@@ -90,6 +90,7 @@ fn parse_args(traced: bool) -> Args {
                 cfg.num_chunks = args
                     .get(i)
                     .and_then(|v| v.parse().ok())
+                    .filter(|&n| n > 0)
                     .unwrap_or_else(|| usage("--chunks needs a positive integer"));
             }
             "--seed" => {

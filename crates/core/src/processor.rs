@@ -339,12 +339,6 @@ mod run_impl {
         rate: &mut RateMatcher,
         stats: &mut CoreStats,
     ) -> bool {
-        // Whole-corelet early out: every context done or parked at the
-        // barrier means the scan below would be all `continue`s.
-        let done = threads.done();
-        if done.mask(c) | at_barrier.mask(c) == done.full_mask() {
-            return false;
-        }
         for x in threads.round_robin(c) {
             debug_assert!(
                 threads.credits_consistent(c, x, at_barrier.get(c, x)),
@@ -544,39 +538,6 @@ mod tests {
             "wide/narrow runtime ratio {ratio}"
         );
         assert_eq!(wide.dram.bytes_transferred, narrow.dram.bytes_transferred);
-    }
-
-    #[test]
-    fn fast_forward_is_bit_exact() {
-        for bench in [Benchmark::Count, Benchmark::NBayes] {
-            let w = small(bench);
-            for mut c in [
-                MillipedeConfig::default(),
-                MillipedeConfig::no_flow_control(),
-                MillipedeConfig::no_rate_match(),
-            ] {
-                c.fast_forward = false;
-                let slow = run(&w, &c);
-                c.fast_forward = true;
-                let fast = run(&w, &c);
-                let label = format!(
-                    "{bench:?} flow_control={} rate_match={}",
-                    c.flow_control, c.rate_match
-                );
-                assert_eq!(slow.stats.ff_skipped_cycles, 0);
-                assert_eq!(slow.profile.sleeps, 0, "{label}: walked run jumped");
-                assert!(
-                    fast.stats.ff_skipped_cycles > 0 && fast.profile.sleeps > 0,
-                    "{label}: fast-forward never engaged"
-                );
-                let mut fs = fast.stats.clone();
-                fs.ff_skipped_cycles = 0;
-                assert_eq!(fs, slow.stats, "{label}: stats diverged");
-                assert_eq!(fast.dram, slow.dram, "{label}: DRAM stats diverged");
-                assert_eq!(fast.elapsed_ps, slow.elapsed_ps, "{label}");
-                assert_eq!(fast.output, slow.output, "{label}");
-            }
-        }
     }
 
     #[test]

@@ -117,11 +117,6 @@ impl FlagGrid {
         self.bits[lane].count_ones()
     }
 
-    /// Whether every slot in a lane is set.
-    pub fn all_set(&self, lane: usize) -> bool {
-        self.bits[lane] == self.full_mask()
-    }
-
     /// Clears every flag in every lane.
     pub fn clear_all(&mut self) {
         self.bits.fill(0);
@@ -157,14 +152,14 @@ mod tests {
         f.set(0, 2, true);
         assert!(f.get(0, 2));
         assert_eq!(f.count(0), 1);
-        assert!(!f.all_set(0));
+        assert_ne!(f.mask(0), f.full_mask());
         for slot in 0..4 {
             f.set(1, slot, true);
         }
-        assert!(f.all_set(1));
+        assert_eq!(f.mask(1), f.full_mask());
         assert_eq!(f.mask(1), 0b1111);
         f.set(1, 3, false);
-        assert!(!f.all_set(1));
+        assert_eq!(f.mask(1), 0b0111);
         f.clear_all();
         assert_eq!(f.mask(0) | f.mask(1), 0);
     }

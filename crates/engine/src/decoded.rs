@@ -627,7 +627,11 @@ impl DecodedProgram {
     /// address already computed (by [`DecodedProgram::mem_addr_at`] on the
     /// *same* register state), so a timing model that needed the address
     /// for its cache/coalescing/bank decision does not recompute it to
-    /// commit.
+    /// commit. Whether the reuse pays is unresolved: committing through
+    /// [`DecodedProgram::commit`] instead measured 1.066× `wall_s` on the
+    /// benchmark's `stream` workload and 1.063× on `sweep` in one A/B
+    /// (2-vCPU VM, 6 interleaved pairs), but 1.00× and 0.96× in a second
+    /// whose build also moved `.text` by 16 bytes mod 64.
     #[inline]
     pub fn commit_mem_at(
         &self,

@@ -55,10 +55,6 @@ struct Sm {
     warps: Vec<Warp>,
     /// Outstanding memory fills per warp.
     outstanding: Vec<u32>,
-    /// Sum of `outstanding`, maintained at the three mutation sites so the
-    /// per-edge quiescence fingerprint reads one counter instead of
-    /// re-summing the per-warp vector.
-    outstanding_total: u64,
     /// Warp busy (shared-memory serialization) until this cycle.
     busy_until: Vec<u64>,
     /// Outstanding issue credits per warp: a lockstep run executes
@@ -78,13 +74,6 @@ struct Sm {
     /// The shared L1 load/store port is busy until this cycle (multi-block
     /// coalesced accesses occupy it for one cycle per transaction).
     lsu_busy_until: u64,
-    /// Row each warp is stalled on in the prefetch buffer (`u64::MAX` when
-    /// not stalled): while the row is not `Ready`, every retry recomputes
-    /// the same addresses and row only to stall again, so the scan replays
-    /// the stall (`demand_stalls += 1`) off this memo instead. The warp
-    /// cannot change while stalled (a stalling issue mutates nothing else),
-    /// so the memoized row stays exact.
-    wait_row: Vec<u64>,
     /// Block prefetcher over the whole input (non-row-oriented variants).
     pf: SequentialPrefetcher,
 }
@@ -92,13 +81,12 @@ struct Sm {
 impl Sm {
     /// Whether warp `wi` keeps the credit invariant at `cycle`: a warp
     /// holding issue credits is mid-run, so it has no outstanding fills,
-    /// no pending bank-conflict wait, no prefetch-buffer row wait, and live
-    /// lanes. `cluster_tick` debug-asserts it on every warp it reaches.
+    /// no pending bank-conflict wait, and live lanes. `cluster_tick`
+    /// debug-asserts it on every warp it reaches.
     fn credits_consistent(&self, wi: usize, cycle: u64) -> bool {
         self.burst[wi] == 0
             || (self.outstanding[wi] == 0
                 && self.busy_until[wi] <= cycle
-                && self.wait_row[wi] == u64::MAX
                 && !self.warps[wi].finished())
     }
 
@@ -151,11 +139,12 @@ impl NodeModel for Node<'_> {
             let s = p.stats();
             s.prefetches + s.flow_blocks + s.premature_evictions
         });
+        let outstanding: u64 = self.sm.outstanding.iter().map(|&n| u64::from(n)).sum();
         self.stats.prefetches
             + self.stats.demand_fetches
             + self.sm.pf.cursor()
             + self.sm.pf.limit()
-            + self.sm.outstanding_total
+            + outstanding
             + pbuf_sum
     }
 
@@ -267,14 +256,13 @@ impl NodeModel for Node<'_> {
                 sm.l1.fill(comp.addr);
                 for waiter in sm.mshr.complete(comp.addr) {
                     sm.outstanding[waiter as usize] -= 1;
-                    sm.outstanding_total -= 1;
                 }
             } else {
                 let slot = (comp.tag - TAG_PREFETCH_BASE) as usize;
                 self.pbuf
                     .as_mut()
                     // audit:allow(unwrap-in-hot-path): prefetch tags are only issued when a pbuf exists
-                    .expect("row fill without pbuf")
+                    .expect("row fill completed on an SM without a prefetch buffer")
                     .fill_complete(slot);
             }
         }
@@ -339,7 +327,6 @@ impl<'a> Node<'a> {
                 .map(|w| Warp::new(w * cfg.warp_width, cfg.warp_width))
                 .collect(),
             outstanding: vec![0; num_warps],
-            outstanding_total: 0,
             busy_until: vec![0; num_warps],
             burst: vec![0; num_warps],
             burst_lanes: vec![0; num_warps],
@@ -350,7 +337,6 @@ impl<'a> Node<'a> {
             mshr: Mshr::new(MSHRS),
             shared: SharedMemoryBanks::new(SHARED_BANKS),
             lsu_busy_until: 0,
-            wait_row: vec![u64::MAX; num_warps],
             pf: SequentialPrefetcher::new(0, L1_BLOCK, layout.total_bytes(), LOOKAHEAD),
         };
 
@@ -464,20 +450,6 @@ fn cluster_tick(
             stats.lane_idle += cfg.warp_width as u64 - sm.burst_lanes[wi];
             sm.rotate_past(cluster, slot, warps_in_cluster);
             return true;
-        }
-        if sm.wait_row[wi] != u64::MAX {
-            // Stalled on a prefetch-buffer row: the retry issues iff the
-            // row became ready (and the LSU port is free, mirroring the
-            // slow path's check order); otherwise replay the stall.
-            let ready = matches!(
-                pbuf.as_deref().map(|p| p.lookup(sm.wait_row[wi])),
-                Some(Lookup::Ready { .. })
-            );
-            if !ready || sm.lsu_busy_until > cycle {
-                stats.demand_stalls += 1;
-                continue;
-            }
-            sm.wait_row[wi] = u64::MAX;
         }
         let Some((pc, live)) = sm.warps[wi].current() else {
             continue;
@@ -617,7 +589,6 @@ fn try_issue_warp(
                         true
                     }
                     Lookup::Filling | Lookup::Future => {
-                        sm.wait_row[wi] = row;
                         stats.demand_stalls += 1;
                         false
                     }
@@ -654,7 +625,6 @@ fn try_issue_warp(
                     if sm.mshr.pending(block) {
                         sm.mshr.allocate(block, wi as u64);
                         sm.outstanding[wi] += 1;
-                        sm.outstanding_total += 1;
                     } else if !sm.mshr.is_full() && mc.free_slots() > 0 {
                         let req = Request {
                             addr: block,
@@ -664,7 +634,6 @@ fn try_issue_warp(
                         if mc.try_push(req, now).is_ok() {
                             sm.mshr.allocate(block, wi as u64);
                             sm.outstanding[wi] += 1;
-                            sm.outstanding_total += 1;
                             stats.demand_fetches += 1;
                         }
                     }
@@ -929,37 +898,6 @@ mod tests {
             "wide {wide_txns} vs narrow {narrow_txns} L1 transactions"
         );
         assert!(wide.elapsed_ps >= narrow.elapsed_ps);
-    }
-
-    #[test]
-    fn fast_forward_is_bit_exact() {
-        for (name, base) in [
-            ("gpgpu", GpgpuConfig::gpgpu()),
-            ("vws", GpgpuConfig::vws()),
-            ("vws_row", GpgpuConfig::vws_row()),
-        ] {
-            let w = small(Benchmark::Variance);
-            let slow = run(
-                &w,
-                &GpgpuConfig {
-                    fast_forward: false,
-                    ..base.clone()
-                },
-            );
-            let fast = run(&w, &base);
-            assert_eq!(slow.stats.ff_skipped_cycles, 0);
-            assert_eq!(slow.profile.sleeps, 0, "{name}: walked run jumped");
-            assert!(
-                fast.stats.ff_skipped_cycles > 0 && fast.profile.sleeps > 0,
-                "{name}: fast-forward never engaged"
-            );
-            let mut fs = fast.stats.clone();
-            fs.ff_skipped_cycles = 0;
-            assert_eq!(fs, slow.stats, "{name}: stats diverged");
-            assert_eq!(fast.dram, slow.dram, "{name}: DRAM stats diverged");
-            assert_eq!(fast.elapsed_ps, slow.elapsed_ps);
-            assert_eq!(fast.output, slow.output);
-        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::arch::Arch;
 use crate::config::SimConfig;
-use crate::report::{f2, Table};
+use crate::report::{f2, geomean, Table};
 use crate::runner::{run_many, RunResult};
 use millipede_workloads::Benchmark;
 
@@ -77,8 +77,7 @@ impl Families {
     /// Geometric-mean speedup of architecture `ai` over GPGPU across one
     /// family (rows `lo..hi` of [`BENCHES`]).
     pub fn geomean_range(&self, ai: usize, lo: usize, hi: usize) -> f64 {
-        let logs: f64 = (lo..hi).map(|bi| self.speedup(bi, ai).ln()).sum();
-        (logs / (hi - lo) as f64).exp()
+        geomean((lo..hi).map(|bi| self.speedup(bi, ai)))
     }
 
     /// Builds the speedup + energy table.

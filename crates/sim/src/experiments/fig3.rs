@@ -6,7 +6,7 @@
 
 use crate::arch::Arch;
 use crate::config::SimConfig;
-use crate::report::{f2, Table};
+use crate::report::{f2, geomean, Table};
 use crate::runner::{sweep, RunResult};
 use millipede_workloads::Benchmark;
 
@@ -33,10 +33,7 @@ impl Fig3 {
 
     /// Geometric-mean speedup of architecture `ai` over GPGPU.
     pub fn geomean(&self, ai: usize) -> f64 {
-        let logs: f64 = (0..self.runs.len())
-            .map(|bi| self.speedup(bi, ai).ln())
-            .sum();
-        (logs / self.runs.len() as f64).exp()
+        geomean((0..self.runs.len()).map(|bi| self.speedup(bi, ai)))
     }
 
     /// Builds the speedup table.

@@ -15,7 +15,7 @@
 
 use crate::arch::Arch;
 use crate::config::SimConfig;
-use crate::report::{f2, Table};
+use crate::report::{f2, geomean, Table};
 use crate::runner::run_one;
 use crate::system::{run_system, SystemResult};
 use millipede_workloads::Benchmark;
@@ -79,8 +79,7 @@ pub fn run(cfg: &SimConfig) -> Fig5 {
 impl Fig5 {
     /// Geometric mean of a row metric.
     fn geomean(&self, f: impl Fn(&Row) -> f64) -> f64 {
-        let logs: f64 = self.rows.iter().map(|r| f(r).ln()).sum();
-        (logs / self.rows.len() as f64).exp()
+        geomean(self.rows.iter().map(f))
     }
 
     /// Renders the comparison.

@@ -6,7 +6,7 @@
 
 use crate::arch::Arch;
 use crate::config::SimConfig;
-use crate::report::{f2, Table};
+use crate::report::{f2, geomean, Table};
 use crate::runner::{run_many, RunResult};
 use millipede_workloads::Benchmark;
 
@@ -50,9 +50,7 @@ impl Fig6 {
 
     /// Geometric-mean speedup for `(size, arch)`.
     pub fn geomean(&self, si: usize, ai: usize) -> f64 {
-        let n = self.runs[si].len();
-        let logs: f64 = (0..n).map(|bi| self.speedup(si, bi, ai).ln()).sum();
-        (logs / n as f64).exp()
+        geomean((0..self.runs[si].len()).map(|bi| self.speedup(si, bi, ai)))
     }
 
     /// Renders the sweep.

@@ -7,7 +7,7 @@
 
 use crate::arch::Arch;
 use crate::config::SimConfig;
-use crate::report::{f2, Table};
+use crate::report::{f2, geomean, Table};
 use crate::runner::{run_many, RunResult};
 use millipede_workloads::Benchmark;
 
@@ -47,9 +47,7 @@ impl Fig7 {
 
     /// Geometric-mean speedup of buffer-count index `ci`.
     pub fn geomean(&self, ci: usize) -> f64 {
-        let n = self.runs[ci].len();
-        let logs: f64 = (0..n).map(|bi| self.speedup(ci, bi).ln()).sum();
-        (logs / n as f64).exp()
+        geomean((0..self.runs[ci].len()).map(|bi| self.speedup(ci, bi)))
     }
 
     /// Builds the sweep table.

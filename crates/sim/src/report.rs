@@ -81,6 +81,14 @@ impl Table {
     }
 }
 
+/// Geometric mean of `xs`: the mean of their natural logs, summed in
+/// iteration order, exponentiated.
+pub fn geomean(xs: impl ExactSizeIterator<Item = f64>) -> f64 {
+    let n = xs.len();
+    let logs: f64 = xs.map(f64::ln).sum();
+    (logs / n as f64).exp()
+}
+
 /// Formats a ratio with two decimals.
 pub fn f2(x: f64) -> String {
     format!("{x:.2}")

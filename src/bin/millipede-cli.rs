@@ -85,6 +85,21 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Steps `i` to the value of `flag` and parses it. A missing or
+/// non-integer value, or one below `min`, is a usage error, not a run that
+/// panics or deadlocks: a node needs a chunk and a corelet, and the row
+/// prefetch buffer at least two entries.
+fn take(args: &[String], i: &mut usize, flag: &str, min: u64) -> u64 {
+    *i += 1;
+    args.get(*i)
+        .and_then(|v| v.parse().ok())
+        .filter(|&v| v >= min)
+        .unwrap_or_else(|| {
+            eprintln!("{flag} needs an integer of at least {min}");
+            usage();
+        })
+}
+
 /// The `report` subcommand: render run manifests or diff two of them.
 /// Returns the process exit code.
 fn report_cmd(args: &[String]) -> i32 {
@@ -145,22 +160,13 @@ fn verify_cmd(args: &[String]) -> i32 {
     let mut do_annotate = false;
     let mut i = 0;
     while i < args.len() {
-        let take = |i: &mut usize, what: &str| -> u64 {
-            *i += 1;
-            args.get(*i)
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("{what} needs a positive integer");
-                    std::process::exit(2);
-                })
-        };
         match args[i].as_str() {
             "--kernels" => kernels = true,
             "--json" => json = true,
             "--strict" => base.strict = true,
             "--annotate" => do_annotate = true,
-            "--local-bytes" => base.local_bytes = Some(take(&mut i, "--local-bytes")),
-            "--input-bytes" => base.input_bytes = Some(take(&mut i, "--input-bytes")),
+            "--local-bytes" => base.local_bytes = Some(take(args, &mut i, "--local-bytes", 0)),
+            "--input-bytes" => base.input_bytes = Some(take(args, &mut i, "--input-bytes", 0)),
             flag if flag.starts_with("--") => {
                 eprintln!("unknown flag `{flag}`");
                 usage();
@@ -343,22 +349,13 @@ fn run_cmd(args: &[String]) -> i32 {
     let mut seed: u64 = 7;
     let mut i = 0;
     while i < args.len() {
-        let take = |i: &mut usize, what: &str| -> u64 {
-            *i += 1;
-            args.get(*i)
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("{what} needs a positive integer");
-                    std::process::exit(2);
-                })
-        };
         match args[i].as_str() {
             "--kernels" => kernels = true,
-            "--input-words" => input_words = take(&mut i, "--input-words"),
-            "--local-bytes" => local_bytes = take(&mut i, "--local-bytes"),
-            "--step-limit" => step_limit = take(&mut i, "--step-limit"),
-            "--chunks" => num_chunks = take(&mut i, "--chunks") as usize,
-            "--seed" => seed = take(&mut i, "--seed"),
+            "--input-words" => input_words = take(args, &mut i, "--input-words", 0),
+            "--local-bytes" => local_bytes = take(args, &mut i, "--local-bytes", 0),
+            "--step-limit" => step_limit = take(args, &mut i, "--step-limit", 0),
+            "--chunks" => num_chunks = take(args, &mut i, "--chunks", 1) as usize,
+            "--seed" => seed = take(args, &mut i, "--seed", 0),
             flag if flag.starts_with("--") => {
                 eprintln!("unknown flag `{flag}`");
                 usage();
@@ -473,24 +470,11 @@ fn main() {
     let mut manifest_out: Option<String> = None;
     let mut i = 2;
     while i < args.len() {
-        // A value below `min` is a usage error, not a run that panics or
-        // deadlocks: a node needs a chunk and a corelet, and the row
-        // prefetch buffer at least two entries.
-        let take = |i: &mut usize, what: &str, min: u64| -> u64 {
-            *i += 1;
-            args.get(*i)
-                .and_then(|v| v.parse().ok())
-                .filter(|&v| v >= min)
-                .unwrap_or_else(|| {
-                    eprintln!("{what} needs an integer of at least {min}");
-                    usage();
-                })
-        };
         match args[i].as_str() {
-            "--chunks" => cfg.num_chunks = take(&mut i, "--chunks", 1) as usize,
-            "--seed" => cfg.seed = take(&mut i, "--seed", 0),
-            "--corelets" => cfg.corelets = take(&mut i, "--corelets", 1) as usize,
-            "--pbuf" => cfg.pbuf_entries = take(&mut i, "--pbuf", 2) as usize,
+            "--chunks" => cfg.num_chunks = take(&args, &mut i, "--chunks", 1) as usize,
+            "--seed" => cfg.seed = take(&args, &mut i, "--seed", 0),
+            "--corelets" => cfg.corelets = take(&args, &mut i, "--corelets", 1) as usize,
+            "--pbuf" => cfg.pbuf_entries = take(&args, &mut i, "--pbuf", 2) as usize,
             "--csv" => csv = true,
             "--manifest-out" => {
                 i += 1;

@@ -13,21 +13,23 @@ fn cli(args: &[&str]) -> Output {
 
 #[test]
 fn out_of_range_simulate_flags_are_usage_errors() {
-    for (flag, value) in [
-        ("--chunks", "0"),
-        ("--corelets", "0"),
-        ("--pbuf", "0"),
-        ("--pbuf", "1"),
-        ("--chunks", "-1"),
-        ("--chunks", "x"),
+    for (argv, flag) in [
+        (&["count", "millipede", "--chunks", "0"][..], "--chunks"),
+        (&["count", "millipede", "--corelets", "0"], "--corelets"),
+        (&["count", "millipede", "--pbuf", "0"], "--pbuf"),
+        (&["count", "millipede", "--pbuf", "1"], "--pbuf"),
+        (&["count", "millipede", "--chunks", "-1"], "--chunks"),
+        (&["count", "millipede", "--chunks", "x"], "--chunks"),
+        (&["run", "--kernels", "--chunks", "0"], "--chunks"),
     ] {
-        let out = cli(&["count", "millipede", flag, value]);
-        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        let out = cli(argv);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
             stderr.contains(flag) && stderr.contains("usage:"),
-            "{flag} {value}: {stderr}"
+            "{argv:?}: {stderr}"
         );
+        assert!(out.stdout.is_empty(), "{argv:?} printed results");
     }
 }
 

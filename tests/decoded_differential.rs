@@ -22,40 +22,12 @@ use millipede::mem::SharedMemoryBanks;
 use millipede::sim::{Arch, SimConfig};
 use millipede::workloads::{Benchmark, Workload};
 
-/// xorshift64* (same idiom as `tests/proptest_invariants.rs`): seeded,
-/// deterministic, good enough to explore the program space.
-struct Rng(u64);
+mod common;
+use common::Rng;
 
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi);
-        lo + self.next_u64() % (hi - lo)
-    }
-
-    fn reg(&mut self) -> millipede::isa::Reg {
-        r(self.range(0, 16) as u8)
-    }
-
-    fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
-        &xs[self.range(0, xs.len() as u64) as usize]
-    }
+/// A random register among the first 16.
+fn reg(rng: &mut Rng) -> millipede::isa::Reg {
+    r(rng.range(0, 16) as u8)
 }
 
 const LOCAL_BYTES: usize = 256;
@@ -373,38 +345,38 @@ fn arb_instr(rng: &mut Rng, len: u32) -> Instr {
     match rng.range(0, 12) {
         0 | 1 => Instr::Alu {
             op: *rng.pick(&AluOp::ALL),
-            dst: rng.reg(),
-            a: rng.reg(),
-            b: rng.reg(),
+            dst: reg(rng),
+            a: reg(rng),
+            b: reg(rng),
         },
         2 | 3 => Instr::AluI {
             op: *rng.pick(&AluOp::ALL),
-            dst: rng.reg(),
-            a: rng.reg(),
+            dst: reg(rng),
+            a: reg(rng),
             imm: rng.next_u32() as i16 as i32,
         },
         4 => Instr::FAlu {
             op: *rng.pick(&FAluOp::ALL),
-            dst: rng.reg(),
-            a: rng.reg(),
-            b: rng.reg(),
+            dst: reg(rng),
+            a: reg(rng),
+            b: reg(rng),
         },
         5 => Instr::Li {
-            dst: rng.reg(),
+            dst: reg(rng),
             // Small values keep most (not all) memory addresses in bounds.
             imm: rng.range(0, 64) as u32 * 4,
         },
         6 => Instr::I2F {
-            dst: rng.reg(),
-            a: rng.reg(),
+            dst: reg(rng),
+            a: reg(rng),
         },
         7 => Instr::F2I {
-            dst: rng.reg(),
-            a: rng.reg(),
+            dst: reg(rng),
+            a: reg(rng),
         },
         8 => Instr::Ld {
-            dst: rng.reg(),
-            addr: rng.reg(),
+            dst: reg(rng),
+            addr: reg(rng),
             offset: (rng.range(0, 64) as i32 - 16) * 4,
             space: if rng.range(0, 2) == 0 {
                 millipede::isa::AddrSpace::Input
@@ -413,14 +385,14 @@ fn arb_instr(rng: &mut Rng, len: u32) -> Instr {
             },
         },
         9 => Instr::St {
-            src: rng.reg(),
-            addr: rng.reg(),
+            src: reg(rng),
+            addr: reg(rng),
             offset: (rng.range(0, 64) as i32 - 16) * 4,
         },
         10 => Instr::Br {
             cmp: *rng.pick(&CmpOp::ALL),
-            a: rng.reg(),
-            b: rng.reg(),
+            a: reg(rng),
+            b: reg(rng),
             target: rng.range(0, u64::from(len)) as u32,
         },
         _ => Instr::Jmp {

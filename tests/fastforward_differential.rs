@@ -14,44 +14,16 @@
 //! entries), the graph and dense families, and randomized DFS periods —
 //! the jump's hardest case (rate matching reschedules the compute clock
 //! from its last edge, which after a jump is the last *skipped* edge). The
-//! generators run on the in-repo seeded xorshift PRNG (see
-//! tests/proptest_invariants.rs): every case derives deterministically from
-//! a fixed seed, so a failure's printed case number reproduces it exactly.
+//! generators run on the in-repo seeded xorshift PRNG of `tests/common`:
+//! every case derives deterministically from a fixed seed, so a failure's
+//! printed case number reproduces it exactly.
 
 use millipede::core_arch::MillipedeConfig;
 use millipede_sim::{digest_run, run_many_with, run_one, Arch, SimConfig};
 use millipede_workloads::{Benchmark, Workload};
 
-/// xorshift64* (see tests/proptest_invariants.rs).
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi);
-        lo + self.next_u64() % (hi - lo)
-    }
-
-    fn usize_in(&mut self, lo: usize, hi: usize) -> usize {
-        self.range(lo as u64, hi as u64) as usize
-    }
-
-    fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
-        &xs[self.usize_in(0, xs.len())]
-    }
-}
+mod common;
+use common::Rng;
 
 const ALL_ARCHS: [Arch; 8] = [
     Arch::Gpgpu,
@@ -88,16 +60,27 @@ fn config(fast_forward: bool) -> SimConfig {
 fn fast_forward_is_observably_invisible_on_every_arch() {
     let slow_cfg = config(false);
     let fast_cfg = config(true);
-    let mut any_skipped = false;
     for arch in ALL_ARCHS {
-        for bench in [Benchmark::Count, Benchmark::Sample] {
+        let mut jumped = false;
+        for bench in [
+            Benchmark::Count,
+            Benchmark::Sample,
+            Benchmark::Variance,
+            Benchmark::NBayes,
+        ] {
             let slow = run_one(arch, bench, &slow_cfg);
             let fast = run_one(arch, bench, &fast_cfg);
             let label = format!("{} on {}", arch.label(), bench.name());
 
             // The baseline must never fast-forward; the optimized run may.
             assert_eq!(slow.node.stats.ff_skipped_cycles, 0, "{label}");
-            any_skipped |= fast.node.stats.ff_skipped_cycles > 0;
+            assert_eq!(slow.node.profile.sleeps, 0, "{label}: walked run jumped");
+            assert_eq!(
+                fast.node.stats.ff_skipped_cycles > 0,
+                fast.node.profile.sleeps > 0,
+                "{label}: skipped cycles without a jump, or a jump that skipped none"
+            );
+            jumped |= fast.node.profile.sleeps > 0;
 
             // Full observable equality, digest first for a compact witness.
             assert_eq!(digest_run(&slow), digest_run(&fast), "{label}");
@@ -113,12 +96,17 @@ fn fast_forward_is_observably_invisible_on_every_arch() {
             assert_eq!(slow.node.dram, fast.node.dram, "{label}");
             assert_eq!(slow.node.output, fast.node.output, "{label}");
         }
+        // Every event-driven variant must jump on some input, or the
+        // differential would be vacuous there; the analytic model never
+        // does.
+        assert_eq!(
+            jumped,
+            EVENT_DRIVEN.contains(&arch),
+            "{}: fast-forward engaged on the analytic model or never on an \
+             event-driven one",
+            arch.label()
+        );
     }
-    assert!(
-        any_skipped,
-        "no variant engaged the fast-forward path — the differential \
-         would be vacuous"
-    );
 }
 
 #[test]

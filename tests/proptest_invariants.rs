@@ -2,10 +2,11 @@
 //!
 //! Originally written against the external `proptest` crate, which the
 //! offline build environment cannot fetch; rather than leave the suite
-//! permanently feature-gated off, the generators are reimplemented on a
-//! tiny in-repo seeded xorshift PRNG. Every case derives deterministically
-//! from a fixed seed, so failures reproduce exactly — re-run the test and
-//! the printed case number identifies the failing input.
+//! permanently feature-gated off, the generators are reimplemented on the
+//! tiny in-repo seeded xorshift PRNG of `tests/common`. Every case derives
+//! deterministically from a fixed seed, so failures reproduce exactly —
+//! re-run the test and the printed case number identifies the failing
+//! input.
 
 use millipede::core_arch::pbuf::{ConsumeOutcome, Lookup, RowPrefetchBuffer};
 use millipede::dram::{DramGeometry, DramTiming, MemoryController, Request};
@@ -13,45 +14,8 @@ use millipede::isa::reg::r;
 use millipede::isa::{assemble, disassemble, AluOp, CmpOp, Instr, Program};
 use millipede::mapreduce::{InterleavedLayout, ThreadGrid};
 
-/// xorshift64* — a tiny, seedable, statistically decent PRNG; good enough
-/// to explore input spaces, with none of proptest's shrinking (the spaces
-/// here are small enough that the printed case number suffices).
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        // Avoid the all-zeros fixed point and decorrelate small seeds.
-        Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Uniform in `[lo, hi)`. The modulo bias is irrelevant at these range
-    /// sizes (≪ 2⁶⁴).
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi);
-        lo + self.next_u64() % (hi - lo)
-    }
-
-    fn usize_in(&mut self, lo: usize, hi: usize) -> usize {
-        self.range(lo as u64, hi as u64) as usize
-    }
-
-    fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
-        &xs[self.usize_in(0, xs.len())]
-    }
-}
+mod common;
+use common::Rng;
 
 // ---------------------------------------------------------------------
 // Interleaved layout: the address map is a bijection.
