@@ -87,6 +87,10 @@ host = doc["host"]
 assert host["phases_ms"]["run"] > 0, "run phase wall missing"
 assert host["retired_instructions_per_sec"] > 0, "retired-instr rate missing"
 assert 0 <= host["ff"]["fill_wakes"] <= host["ff"]["jumps"], "ff jump counters"
+# The MIMD points pay most issue slots from run-ahead credits; if the
+# driver stopped jumping those edges, the sweep would still pass but walk
+# every one of them.
+assert host["ff"]["credit_jumps"] > 0, "no credit jump in the fig3 sweep"
 assert host["sweep"]["points"] == len(doc["runs"]), "sweep points != runs"
 for run in doc["runs"]:
     assert run["digest"].startswith("0x"), f"{run['label']}: missing digest"

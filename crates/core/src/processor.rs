@@ -93,6 +93,28 @@ mod run_impl {
                 + p.premature_evictions
         }
 
+        fn credit_issues(&self) -> u64 {
+            self.threads.credit_issues()
+        }
+
+        fn credit_horizon(&mut self) -> u64 {
+            let mut horizon = u64::MAX;
+            for c in 0..self.cfg.corelets {
+                horizon = horizon.min(self.threads.credit_horizon(c, self.scan_mask(c)));
+                if horizon == 0 {
+                    break;
+                }
+            }
+            horizon
+        }
+
+        fn pay_credits(&mut self, edges: u64) {
+            for c in 0..self.cfg.corelets {
+                let run = self.scan_mask(c);
+                self.threads.pay_credits(c, run, 0, edges, &mut self.stats);
+            }
+        }
+
         fn sample_epoch(&self, tel: &mut Telemetry, due: u64, at: TimePs) {
             let p = self.pbuf.stats();
             tel.counter(
@@ -212,6 +234,42 @@ mod run_impl {
         }
     }
 
+    impl Node<'_> {
+        /// Corelet `c`'s contexts a scan acts on. It passes done contexts,
+        /// those at the barrier, and stalled ones whose re-probe is a
+        /// no-op.
+        fn scan_mask(&self, c: usize) -> u64 {
+            let done = self.threads.done();
+            let live = done.full_mask() & !done.mask(c) & !self.at_barrier.mask(c);
+            let mut stalled = live & self.threads.stalled().mask(c);
+            let mut run = live;
+            while stalled != 0 {
+                let x = stalled.trailing_zeros() as usize;
+                stalled &= stalled - 1;
+                if self.stall_is_stable(c, x) {
+                    run &= !(1 << x);
+                }
+            }
+            run
+        }
+
+        /// Whether stalled context `x` of corelet `c` would change nothing
+        /// when the scan re-probes it: its row is still filling, lies ahead
+        /// of the prefetch stream under flow control, or was evicted with
+        /// the corelet's bypass fill in flight.
+        fn stall_is_stable(&self, c: usize, x: usize) -> bool {
+            let ctx = self.threads.ctx(c, x);
+            debug_assert_eq!(self.decoded.access_class(ctx.pc), AccessClass::InputLoad);
+            let row = self.decoded.mem_addr_at(ctx) / self.row_bytes;
+            match self.pbuf.lookup(row) {
+                Lookup::Filling => true,
+                Lookup::Future => self.cfg.flow_control,
+                Lookup::Evicted => self.bypass[c].get(&row) == Some(&false),
+                Lookup::Ready { .. } => false,
+            }
+        }
+    }
+
     /// Runs `workload` to completion on one Millipede processor.
     ///
     /// ```
@@ -284,7 +342,7 @@ mod run_impl {
         };
         let mut tel = Telemetry::new(&cfg.telemetry);
         let quiesce = Quiescence::new("Millipede", cfg.corelets as u64);
-        let mut driven = drive(
+        let driven = drive(
             &mut node,
             &mut clock,
             &mut mc,
@@ -292,7 +350,6 @@ mod run_impl {
             cfg.fast_forward,
             &mut tel,
         );
-        driven.profile.credit_issues = node.threads.credit_issues();
 
         let stats = &mut node.stats;
         stats.flow_blocks = node.pbuf.stats().flow_blocks;

@@ -111,12 +111,13 @@ impl DualClock {
 
     /// Fast-forwards both domains toward the first channel edge at or
     /// after `event`, skipping at most `max` compute edges, and returns
-    /// how many it skipped.
+    /// how many it skipped. With no `event` the controller has nothing
+    /// pending, and the call skips exactly `max` compute edges.
     ///
     /// The caller asserts that, until the component driving the channel
     /// domain acts at or after `event`, every intervening edge is an exact
-    /// no-op (see DESIGN.md, "One driver"). Under that
-    /// contract the skip is *exact*, not approximate:
+    /// no-op or one whose accounting it replays (see DESIGN.md, "One
+    /// driver"). Under that contract the skip is *exact*, not approximate:
     ///
     /// * channel edges strictly before the target are dropped (nothing
     ///   fires on them, and they carry no accounting);
@@ -130,24 +131,27 @@ impl DualClock {
     ///   as if the skipped edges had been popped one by one.
     ///
     /// A call that would skip more than `max` compute edges stops after
-    /// the `max`-th and leaves the channel domain alone; calling again
-    /// with the same `event` goes on from there. The call that reaches the
-    /// target leaves the channel edge at the target as the next
-    /// [`DualClock::pop`].
-    pub fn fast_forward(&mut self, event: TimePs, max: u64) -> u64 {
-        let target = self.channel_edge_for(event);
-        let due = if self.next_compute > target {
-            0
-        } else {
-            (target - self.next_compute) / self.compute_period + 1
+    /// the `max`-th and drops only the channel edges strictly before it
+    /// (a channel edge tied with it pops next, as in the walk); calling
+    /// again with the same `event` goes on from there. The call that
+    /// reaches the target leaves the channel edge at the target as the
+    /// next [`DualClock::pop`].
+    pub fn fast_forward(&mut self, event: Option<TimePs>, max: u64) -> u64 {
+        let target = event.map(|e| self.channel_edge_for(e));
+        let due = match target {
+            Some(t) if self.next_compute > t => 0,
+            Some(t) => (t - self.next_compute) / self.compute_period + 1,
+            None => u64::MAX,
         };
         let skipped = due.min(max);
-        if skipped == due {
-            self.next_channel = target;
-        }
         if skipped > 0 {
             self.last_compute = self.next_compute + (skipped - 1) * self.compute_period;
             self.next_compute = self.last_compute + self.compute_period;
+        }
+        match target {
+            Some(t) if skipped == due => self.next_channel = t,
+            _ if skipped > 0 => self.next_channel = self.channel_edge_for(self.last_compute),
+            _ => {}
         }
         skipped
     }
@@ -221,7 +225,7 @@ mod tests {
         for event in [1, 399, 400, 401, 999, 1000, 1001, 3999, 4000, 12_345] {
             let mut fast = DualClock::new(1000, 400);
             let mut slow = fast.clone();
-            let skipped = fast.fast_forward(event, u64::MAX);
+            let skipped = fast.fast_forward(Some(event), u64::MAX);
             let (slow_skipped, channel_t) = slow_forward(&mut slow, event);
             assert_eq!(skipped, slow_skipped, "event={event}");
             // The next pop on the fast clock is the channel edge slow
@@ -242,10 +246,10 @@ mod tests {
                 let mut whole = DualClock::new(1000, 400);
                 let mut pieces = whole.clone();
                 let mut slow = whole.clone();
-                let skipped = whole.fast_forward(event, u64::MAX);
+                let skipped = whole.fast_forward(Some(event), u64::MAX);
                 let mut total = 0;
                 loop {
-                    let n = pieces.fast_forward(event, max);
+                    let n = pieces.fast_forward(Some(event), max);
                     total += n;
                     // Every piece stops on a skipped compute edge.
                     assert_eq!(
@@ -273,6 +277,60 @@ mod tests {
         }
     }
 
+    /// Pops edges one at a time until `n` compute edges have popped —
+    /// the walk a capped or event-less `fast_forward` must leave the clock
+    /// in step with.
+    fn slow_skip(c: &mut DualClock, n: u64) {
+        let mut popped = 0;
+        while popped < n {
+            if let Edge::Compute(_) = c.pop() {
+                popped += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn fast_forward_without_an_event_skips_exactly_max() {
+        // Compute edges at 1000, 2000, …; channel edges at 400, 800, ….
+        // Skipping 5 lands on 5000, where a channel edge ties: the walk
+        // pops it after the compute edge, so it must come next.
+        for (compute, channel) in [(1000, 400), (400, 1000), (700, 700)] {
+            for max in [1, 2, 5, 13] {
+                let mut fast = DualClock::new(compute, channel);
+                let mut slow = fast.clone();
+                assert_eq!(fast.fast_forward(None, max), max);
+                slow_skip(&mut slow, max);
+                assert_eq!(fast.last_compute(), max * compute);
+                assert_eq!(fast.last_compute(), slow.last_compute());
+                for _ in 0..8 {
+                    assert_eq!(fast.pop(), slow.pop(), "{compute}/{channel} max={max}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_capped_piece_drops_the_channel_edges_it_passes() {
+        // The target is channel edge 12_400; a piece capped at 3 compute
+        // edges ends at 3000 and drops channel edges 400..=2800, and the
+        // one at 3200 pops before compute edge 4000.
+        let mut fast = DualClock::new(1000, 400);
+        let mut slow = fast.clone();
+        assert_eq!(fast.fast_forward(Some(12_345), 3), 3);
+        slow_skip(&mut slow, 3);
+        assert_eq!(fast.pop(), Edge::Channel(3200));
+        assert_eq!(slow.pop(), Edge::Channel(3200));
+        for _ in 0..8 {
+            assert_eq!(fast.pop(), slow.pop());
+        }
+        // A tie at the cap: compute 2000 and channel 2000 both lie before
+        // the target; the tied channel edge survives the piece.
+        let mut tied = DualClock::new(1000, 400);
+        assert_eq!(tied.fast_forward(Some(12_345), 2), 2);
+        assert_eq!(tied.pop(), Edge::Channel(2000));
+        assert_eq!(tied.pop(), Edge::Channel(2400));
+    }
+
     #[test]
     fn fast_forward_to_past_event_is_next_channel_edge() {
         let mut c = DualClock::new(1000, 400);
@@ -280,7 +338,7 @@ mod tests {
         c.pop(); // Channel(800)
                  // A completion already in the past still lands on the next channel
                  // edge (1200); the compute edge at 1000 is skipped.
-        assert_eq!(c.fast_forward(500, u64::MAX), 1);
+        assert_eq!(c.fast_forward(Some(500), u64::MAX), 1);
         assert_eq!(c.pop(), Edge::Channel(1200));
     }
 
@@ -289,7 +347,7 @@ mod tests {
         // Compute and channel tie at 2000; the tied compute edge observes
         // pre-event state, so it is skipped along with earlier ones.
         let mut c = DualClock::new(1000, 400);
-        assert_eq!(c.fast_forward(2000, u64::MAX), 2);
+        assert_eq!(c.fast_forward(Some(2000), u64::MAX), 2);
         assert_eq!(c.pop(), Edge::Channel(2000));
         assert_eq!(c.pop(), Edge::Channel(2400));
     }
@@ -297,7 +355,7 @@ mod tests {
     #[test]
     fn fast_forward_zero_skip_keeps_compute_schedule() {
         let mut c = DualClock::new(10_000, 400);
-        assert_eq!(c.fast_forward(800, u64::MAX), 0);
+        assert_eq!(c.fast_forward(Some(800), u64::MAX), 0);
         assert_eq!(c.pop(), Edge::Channel(800));
         assert_eq!(c.pop(), Edge::Channel(1200));
     }
@@ -308,7 +366,7 @@ mod tests {
         let mut slow = fast.clone();
         // Event 3650 lands on channel edge 4000; compute edges 1000..=4000
         // (the tied one included) are skipped.
-        assert_eq!(fast.fast_forward(3650, u64::MAX), 4);
+        assert_eq!(fast.fast_forward(Some(3650), u64::MAX), 4);
         assert_eq!(fast.pop(), Edge::Channel(4000));
         slow_forward(&mut slow, 3650);
         fast.set_compute_period(700);

@@ -22,9 +22,17 @@
 //! ledger, and the per-retry recounts the quiescent edge made in
 //! [`CoreStats`]. A jump stops on every telemetry epoch boundary it
 //! crosses, replays up to it and samples there, so each sample reads the
-//! state the walked edge would have left. With fast-forward off every edge
-//! is walked; the two schedules are bit-identical (DESIGN.md, "One
-//! driver").
+//! state the walked edge would have left.
+//!
+//! **The credit jump.** A compute edge whose issuing slots all paid banked
+//! run-ahead credits, and that left the fingerprint unchanged, changed
+//! nothing but those credits and the round-robin cursors. The following
+//! edges repeat it until some slot's next pick runs out of credits
+//! ([`NodeModel::credit_horizon`]) or the controller acts. The driver
+//! jumps them in the same piece loop, and the model pays them by count
+//! ([`NodeModel::pay_credits`]). With fast-forward off every edge is
+//! walked; the schedules are bit-identical (DESIGN.md, "One driver" and
+//! "Credit jump").
 
 use crate::clock::{DualClock, Edge, TimePs};
 use crate::stats::CoreStats;
@@ -70,6 +78,31 @@ pub trait NodeModel {
     fn may_jump(&self, _cycle: u64) -> bool {
         true
     }
+
+    /// Issue slots paid from run-ahead credits so far (a monotone count;
+    /// the driver reports it as [`JumpProfile::credit_issues`]). An edge
+    /// whose issues all paid credits committed nothing. The default, 0,
+    /// says that no edge does.
+    fn credit_issues(&self) -> u64 {
+        0
+    }
+
+    /// How many compute edges from now are credit-only: each repeats the
+    /// walked edge just taken, except that its issuing slots pay banked
+    /// run-ahead credits (see DESIGN.md, "Credit jump"). The driver asks
+    /// only after an edge that issued, paid a credit on every issue (so
+    /// committed nothing) and left the fingerprint unchanged. 0, the
+    /// default, means no credit jump.
+    fn credit_horizon(&mut self) -> u64 {
+        0
+    }
+
+    /// Pays `edges` credit-only edges by count, at most the last
+    /// [`NodeModel::credit_horizon`]: the credits, the round-robin
+    /// cursors, the instruction and issue counts, and the per-visit
+    /// recounts those edges would have made. The driver charges the slot
+    /// ledger from the `issues` it adds.
+    fn pay_credits(&mut self, _edges: u64) {}
 
     /// The statistics the driver's slot ledger and replay write into.
     fn stats_mut(&mut self) -> &mut CoreStats;
@@ -169,6 +202,20 @@ impl Quiescence {
         self.guard();
     }
 
+    /// Charges `skipped` credit-only edges on which `issued` slots issued
+    /// in all: the cycle count, the slot ledger and the idle streak.
+    fn paid(&mut self, cycle: &mut u64, stats: &mut CoreStats, skipped: u64, issued: u64) {
+        *cycle += skipped;
+        stats.ff_skipped_cycles += skipped;
+        self.charge(stats, skipped, issued);
+        self.idle_streak = if issued > 0 {
+            0
+        } else {
+            self.idle_streak + skipped
+        };
+        self.guard();
+    }
+
     /// Replays `skipped` proven-no-op edges, each a repeat of the
     /// quiescent edge that made `recounts`: the cycle count, the slot
     /// ledger (every slot stalls), the recounts and the idle streak.
@@ -196,9 +243,13 @@ pub struct JumpProfile {
     /// `sleeps − wakes` counts the jumps that landed on an edge with
     /// nothing for compute to see.
     pub wakes: u64,
-    /// Issue slots paid from run-ahead credits instead of a commit (set
-    /// by the model after [`drive`] returns; `issues − credit_issues`
-    /// slots went through the full per-instruction dispatch).
+    /// Credit jumps taken: jumps over credit-only edges, where the issuing
+    /// slots only paid run-ahead credits (each skipped at least one
+    /// compute edge; not counted in `sleeps`).
+    pub credit_jumps: u64,
+    /// Issue slots paid from run-ahead credits instead of a commit
+    /// ([`NodeModel::credit_issues`]; `issues − credit_issues` slots went
+    /// through the full per-instruction dispatch).
     pub credit_issues: u64,
 }
 
@@ -287,36 +338,66 @@ pub fn drive<M: NodeModel>(
                 last_time = now;
                 cycle += 1;
                 let fp_before = model.fingerprint();
+                let credits_before = model.credit_issues();
                 let before = Recounts::of(model.stats_mut());
                 let issued = model.compute_edge(now, cycle, clock, mc, tel);
                 quiesce.walked(model.stats_mut(), issued);
                 sample_if_due(model, mc, tel, cycle, now);
-                if fast_forward
-                    && issued == 0
-                    && model.may_jump(cycle)
-                    && model.fingerprint() == fp_before
+                // Only an idle edge or one that committed nothing repeats;
+                // the cheap test goes first.
+                let committed = issued > model.credit_issues() - credits_before;
+                if !fast_forward
+                    || committed
+                    || !model.may_jump(cycle)
+                    || model.fingerprint() != fp_before
                 {
-                    if let Some(event) = mc.next_event_at() {
-                        let recounts = Recounts::of(model.stats_mut()).since(before);
-                        // One jump, cut into pieces that each end on an
-                        // epoch boundary or at the target.
-                        let start = cycle;
-                        loop {
-                            let max = tel.next_boundary().map_or(u64::MAX, |b| b - cycle);
-                            let skipped = clock.fast_forward(event, max);
-                            if skipped == 0 {
-                                break;
-                            }
-                            quiesce.replay(&mut cycle, model.stats_mut(), skipped, recounts);
-                            sample_if_due(model, mc, tel, cycle, clock.last_compute());
-                            if skipped < max {
-                                break;
-                            }
-                        }
-                        if cycle > start {
-                            profile.sleeps += 1;
-                            landing = true;
-                        }
+                    continue;
+                }
+                // An idle edge repeats until the controller acts; a
+                // credit-only edge also until a slot runs out of credits.
+                let horizon = if issued == 0 {
+                    u64::MAX
+                } else {
+                    model.credit_horizon()
+                };
+                if horizon == 0 {
+                    continue;
+                }
+                let event = mc.next_event_at();
+                if horizon == u64::MAX && event.is_none() {
+                    continue;
+                }
+                let recounts = Recounts::of(model.stats_mut()).since(before);
+                // One jump, cut into pieces that each end on an epoch
+                // boundary or at the jump's end.
+                let start = cycle;
+                let mut left = horizon;
+                while left > 0 {
+                    let max = tel.next_boundary().map_or(left, |b| left.min(b - cycle));
+                    let skipped = clock.fast_forward(event, max);
+                    if skipped == 0 {
+                        break;
+                    }
+                    if issued == 0 {
+                        quiesce.replay(&mut cycle, model.stats_mut(), skipped, recounts);
+                    } else {
+                        let issues = model.stats_mut().issues;
+                        model.pay_credits(skipped);
+                        let paid = model.stats_mut().issues - issues;
+                        quiesce.paid(&mut cycle, model.stats_mut(), skipped, paid);
+                    }
+                    sample_if_due(model, mc, tel, cycle, clock.last_compute());
+                    if skipped < max {
+                        break;
+                    }
+                    left -= skipped;
+                }
+                if cycle > start {
+                    if issued == 0 {
+                        profile.sleeps += 1;
+                        landing = true;
+                    } else {
+                        profile.credit_jumps += 1;
                     }
                 }
             }
@@ -338,6 +419,7 @@ pub fn drive<M: NodeModel>(
         "the {} node's FR-FCFS memory controller",
         quiesce.label
     ));
+    profile.credit_issues = model.credit_issues();
     Driven {
         cycles: cycle,
         last_time,
@@ -354,14 +436,20 @@ mod tests {
     /// Issue slots per toy compute edge.
     const SLOTS: u64 = 3;
 
+    /// Run-ahead credits a token banks on slots 1 and 2.
+    const CREDITS: [u64; SLOTS as usize] = [0, 5, 11];
+
     /// A three-slot toy node on a real controller. Slot 0 sends the next
     /// request while fewer than two are in flight; each fill brings two
-    /// tokens, and slots 1 and 2 issue by spending one each, so an edge
-    /// can issue on some slots and stall on others. An issuing slot counts
-    /// an L1 hit; a stalled one recounts a demand stall and one L1 miss per
-    /// request in flight, so each quiescent edge's recounts depend on when
-    /// it falls. The first issue after the first fill retunes the compute
-    /// clock to 17 ps, the first after the third fill to 29 ps.
+    /// tokens, and slots 1 and 2 issue by spending one each, which banks
+    /// [`CREDITS`] run-ahead credits that they pay on later edges before
+    /// spending another token. So an edge can issue on some slots and
+    /// stall on others, and runs of credit-only edges follow each spend.
+    /// An issuing slot counts an L1 hit; a stalled one recounts a demand
+    /// stall and one L1 miss per request in flight, so each quiescent
+    /// edge's recounts depend on when it falls. The first commit (a send
+    /// or a spend) after the first fill retunes the compute clock to
+    /// 17 ps, the first after the third fill to 29 ps.
     struct Toy {
         to_send: Vec<u64>,
         sent: usize,
@@ -369,9 +457,11 @@ mod tests {
         received: Vec<ReqId>,
         tokens: u32,
         consumed: u64,
+        credits: [u64; SLOTS as usize],
         retunes: Vec<(usize, TimePs)>,
         retuned_at: Vec<(u64, TimePs)>,
-        issued_at: Vec<(u64, TimePs)>,
+        /// Edges that committed: a send or a spend.
+        committed_at: Vec<(u64, TimePs)>,
         /// Cycles of compute edges that followed a jump.
         landed_at: Vec<u64>,
         last_cycle: u64,
@@ -380,6 +470,10 @@ mod tests {
         stalled: u64,
         /// Edges that issued on some slots and stalled on others.
         mixed: u64,
+        /// The edge counts `pay_credits` was handed, in order.
+        payments: Vec<u64>,
+        /// Slots that paid a credit.
+        credit_issues: u64,
         stats: CoreStats,
     }
 
@@ -391,22 +485,42 @@ mod tests {
                 received: Vec::new(),
                 tokens: 0,
                 consumed: 0,
+                credits: [0; SLOTS as usize],
                 retunes: vec![(1, 17), (3, 29)],
                 retuned_at: Vec::new(),
-                issued_at: Vec::new(),
+                committed_at: Vec::new(),
                 landed_at: Vec::new(),
                 last_cycle: 0,
                 visited: 0,
                 stalled: 0,
                 mixed: 0,
+                payments: Vec::new(),
+                credit_issues: 0,
                 stats: CoreStats::default(),
             }
+        }
+
+        fn in_flight(&self) -> u64 {
+            (self.sent - self.received.len()) as u64
+        }
+
+        /// Whether slot 0 would try to send on the next edge.
+        fn may_send(&self) -> bool {
+            self.sent < self.to_send.len() && self.in_flight() < 2
         }
 
         fn stall(&mut self, in_flight: u64) {
             self.stalled += 1;
             self.stats.demand_stalls += 1;
             self.stats.l1_misses += in_flight;
+        }
+
+        /// Counts one edge's slots once it has `issued` of them.
+        fn close_edge(&mut self, issued: u64) {
+            self.visited += SLOTS;
+            self.stats.issues += issued;
+            self.stats.l1_hits += issued;
+            self.mixed += u64::from(0 < issued && issued < SLOTS);
         }
     }
 
@@ -426,9 +540,9 @@ mod tests {
                 self.landed_at.push(cycle);
             }
             self.last_cycle = cycle;
-            self.visited += SLOTS;
-            let in_flight = (self.sent - self.received.len()) as u64;
+            let in_flight = self.in_flight();
             let mut issued = 0;
+            let mut committed = false;
             let next = self.to_send.get(self.sent).copied();
             let sent = next.filter(|_| in_flight < 2).is_some_and(|addr| {
                 let req = Request {
@@ -441,22 +555,28 @@ mod tests {
             if sent {
                 self.sent += 1;
                 issued += 1;
+                committed = true;
             } else {
                 self.stall(in_flight);
             }
-            for _ in 1..SLOTS {
-                if self.tokens > 0 {
+            for (slot, &banked) in CREDITS.iter().enumerate().skip(1) {
+                if self.credits[slot] > 0 {
+                    self.credits[slot] -= 1;
+                    self.credit_issues += 1;
+                    issued += 1;
+                } else if self.tokens > 0 {
                     self.tokens -= 1;
                     self.consumed += 1;
+                    self.credits[slot] = banked;
                     issued += 1;
+                    committed = true;
                 } else {
                     self.stall(in_flight);
                 }
             }
-            self.stats.l1_hits += issued;
-            self.mixed += u64::from(0 < issued && issued < SLOTS);
-            if issued > 0 {
-                self.issued_at.push((cycle, now));
+            self.close_edge(issued);
+            if committed {
+                self.committed_at.push((cycle, now));
                 let fills = self.received.len();
                 if let Some(i) = self.retunes.iter().position(|r| r.0 <= fills) {
                     clock.set_compute_period(self.retunes.remove(i).1);
@@ -474,6 +594,43 @@ mod tests {
         fn fingerprint(&self) -> u64 {
             self.sent as u64 + self.consumed
         }
+        fn credit_issues(&self) -> u64 {
+            self.credit_issues
+        }
+        fn credit_horizon(&mut self) -> u64 {
+            if self.may_send() {
+                return 0;
+            }
+            let slots = self.credits[1..].iter();
+            let spend = self.tokens > 0;
+            slots.fold(u64::MAX, |h, &c| match c {
+                0 if spend => 0,
+                0 => h,
+                c => h.min(c),
+            })
+        }
+        fn pay_credits(&mut self, edges: u64) {
+            self.payments.push(edges);
+            let in_flight = self.in_flight();
+            let mut issued = 0;
+            for _ in 0..edges {
+                self.stall(in_flight); // slot 0 cannot send
+            }
+            for slot in 1..SLOTS as usize {
+                if self.credits[slot] > 0 {
+                    self.credits[slot] -= edges;
+                    self.credit_issues += edges;
+                    issued += 1;
+                } else {
+                    for _ in 0..edges {
+                        self.stall(in_flight);
+                    }
+                }
+            }
+            for _ in 0..edges {
+                self.close_edge(issued);
+            }
+        }
         fn stats_mut(&mut self) -> &mut CoreStats {
             &mut self.stats
         }
@@ -482,6 +639,8 @@ mod tests {
             tel.counter("toy::core", "misses", cycle, at, misses);
             let slots = self.stats.stall_slots as f64;
             tel.counter("toy::core", "stall_slots", cycle, at, slots);
+            let credits = self.credits.iter().sum::<u64>() as f64;
+            tel.counter("toy::core", "credits", cycle, at, credits);
         }
     }
 
@@ -516,17 +675,29 @@ mod tests {
         let mut fs = fast.stats.clone();
         fs.ff_skipped_cycles = 0;
         assert_eq!(fs, slow.stats, "ledger and replayed recounts");
-        assert_eq!(fast.issued_at, slow.issued_at);
+        assert_eq!(fast.committed_at, slow.committed_at);
         assert_eq!(fast.received, slow.received);
         assert_eq!(slow.stats.ff_skipped_cycles, 0);
-        assert_eq!(slow_run.profile, JumpProfile::default());
+        assert_eq!(
+            (slow_run.profile.sleeps, slow_run.profile.credit_jumps),
+            (0, 0)
+        );
+        assert_eq!(
+            fast_run.profile.credit_issues,
+            slow_run.profile.credit_issues
+        );
+        assert!(slow_run.profile.credit_issues > 0);
         assert!(fast.stats.ff_skipped_cycles > 0, "never jumped");
         assert!(fast_run.profile.sleeps > 0);
         assert!(fast_run.profile.wakes <= fast_run.profile.sleeps);
+        assert!(fast_run.profile.credit_jumps > 0, "no credit jump");
+        assert!(slow.payments.is_empty(), "the walk paid credits by count");
+        assert_eq!(fast.credits, slow.credits);
         let key = |s: &Sample| (s.cycle, s.time_ps, s.value.to_bits());
         for (track, name) in [
             ("toy::core", "misses"),
             ("toy::core", "stall_slots"),
+            ("toy::core", "credits"),
             ("dram::controller", "row_hits"),
             ("dram::controller", "row_misses"),
             ("dram::controller", "queue_depth"),
@@ -558,19 +729,30 @@ mod tests {
 
     #[test]
     fn telemetry_does_not_change_the_jumps() {
-        // The 7-cycle epoch is far shorter than the longest jump, so
-        // jumps stop on boundaries; they still count once each and skip
-        // the same edges as with telemetry off.
+        // The 7-cycle epoch is far shorter than the longest idle jump and
+        // than a run of credit-only edges after slot 2 banks its credits,
+        // so both kinds of jump stop on boundaries; they still count once
+        // each and skip the same edges as with telemetry off.
         let (traced, traced_run, tel, _) = run(true);
         let (plain, plain_run, _, _) = run_with(true, TelemetryConfig::default());
-        let mean_jump = traced.stats.ff_skipped_cycles / traced_run.profile.sleeps;
+        let p = traced_run.profile;
+        let mean_jump = traced.stats.ff_skipped_cycles / (p.sleeps + p.credit_jumps);
         assert!(mean_jump > 7, "no jump crosses an epoch boundary");
         assert!(tel.total_samples() > 0);
         assert_eq!(traced_run.profile, plain_run.profile);
         assert_eq!(traced_run.cycles, plain_run.cycles);
         assert_eq!(traced.stats, plain.stats);
-        assert_eq!(traced.issued_at, plain.issued_at);
+        assert_eq!(traced.committed_at, plain.committed_at);
         assert_eq!(traced.landed_at, plain.landed_at);
+        // Untraced, each credit jump is paid at once; traced, some are
+        // cut into pieces that add up to the same edges.
+        assert_eq!(plain.payments.len() as u64, p.credit_jumps);
+        assert!(
+            traced.payments.len() as u64 > p.credit_jumps,
+            "no credit jump was cut"
+        );
+        let paid = |t: &Toy| t.payments.iter().sum::<u64>();
+        assert_eq!(paid(&traced), paid(&plain));
     }
 
     #[test]
@@ -604,6 +786,21 @@ mod tests {
     }
 
     #[test]
+    fn paid_edges_charge_their_issues_and_reset_the_streak() {
+        let mut q = Quiescence::new("Test", 4);
+        let (mut cycle, mut stats) = (0, CoreStats::default());
+        q.replay(&mut cycle, &mut stats, 3, Recounts::default());
+        // Three of the four slots pay a credit on each of five edges.
+        q.paid(&mut cycle, &mut stats, 5, 15);
+        assert_eq!((cycle, stats.ff_skipped_cycles), (8, 8));
+        assert_eq!((stats.issue_slots, stats.stall_slots), (32, 12 + 5));
+        assert_eq!(q.idle_streak, 0);
+        // Edges on which no slot issued extend the streak instead.
+        q.paid(&mut cycle, &mut stats, 2, 0);
+        assert_eq!(q.idle_streak, 2);
+    }
+
+    #[test]
     #[should_panic(expected = "Test deadlock")]
     fn deadlock_guard_fires() {
         let mut q = Quiescence::new("Test", 1);
@@ -629,7 +826,7 @@ mod tests {
         );
         assert!(slow.landed_at.is_empty(), "the walk jumped");
         assert_eq!(t29 - t17, (c29 - c17) * 17, "17 ps grid up to the retune");
-        let after: Vec<_> = fast.issued_at.iter().filter(|i| i.0 > c29).collect();
+        let after: Vec<_> = fast.committed_at.iter().filter(|i| i.0 > c29).collect();
         assert!(!after.is_empty());
         for &&(cycle, at) in &after {
             assert_eq!(at - t29, (cycle - c29) * 29, "29 ps after it");

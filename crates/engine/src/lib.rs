@@ -45,5 +45,5 @@ pub use decoded::{
 };
 pub use driver::{drive, Driven, JumpProfile, NodeModel, Quiescence, MAX_IDLE_CYCLES};
 pub use func::{run_functional, FuncStats, DEFAULT_STEP_LIMIT};
-pub use mimd::Contexts;
+pub use mimd::{Contexts, CreditScan};
 pub use stats::CoreStats;

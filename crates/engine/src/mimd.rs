@@ -203,6 +203,50 @@ impl Contexts {
         effect
     }
 
+    /// How many compute edges from now `core` can issue on from credits
+    /// alone ([`CreditScan::horizon`]); `run` holds the contexts its scan
+    /// acts on.
+    pub fn credit_horizon(&self, core: usize, run: u64) -> u64 {
+        let scan = CreditScan::new(run, self.rr[core], self.t.slots());
+        scan.horizon(|slot| u64::from(*self.burst.get(core, slot)))
+    }
+
+    /// Pays `edges` edges of `core` from credits at once, as that many
+    /// one-slot scans would ([`Contexts::charge_burst`]); `edges` is at
+    /// most [`Contexts::credit_horizon`] for the same `run`. Returns how
+    /// many times the scans would have passed a context of `recount`
+    /// ([`CreditScan::pay`]), for the caller's own per-visit statistic.
+    pub fn pay_credits(
+        &mut self,
+        core: usize,
+        run: u64,
+        recount: u64,
+        edges: u64,
+        stats: &mut CoreStats,
+    ) -> u64 {
+        let scan = CreditScan::new(run, self.rr[core], self.t.slots());
+        let burst = &mut self.burst;
+        let (last, passes) = scan.pay(edges, recount, |slot, taken| {
+            let credits = burst.get_mut(core, slot);
+            debug_assert!(u64::from(*credits) >= taken, "paid past the horizon");
+            // audit:allow(cast-truncation): at most the u32 credits it is taken from
+            *credits -= taken as u32;
+        });
+        if let Some(slot) = last {
+            self.issued(core, slot);
+            self.credit_issues += edges;
+            stats.instructions += edges;
+            stats.issues += edges;
+        }
+        passes
+    }
+
+    /// One bit per context blocked on memory.
+    #[inline(always)]
+    pub fn stalled(&self) -> &FlagGrid {
+        &self.stalled
+    }
+
     /// Issue slots paid from credits so far ([`Contexts::charge_burst`]).
     pub fn credit_issues(&self) -> u64 {
         self.credit_issues
@@ -213,6 +257,123 @@ impl Contexts {
     pub fn states(&self) -> Vec<&[u32]> {
         self.t.as_slice().iter().map(|t| t.local.words()).collect()
     }
+}
+
+/// One core's round-robin scan over a run of credit-only edges: the
+/// arithmetic of a credit jump (DESIGN.md, "Credit jump"), shared by the
+/// MIMD contexts and the GPGPU's warps.
+///
+/// `run` holds, one bit per slot, the slots the scan acts on: every slot
+/// it does not pass over unchanged. Each edge picks the next of them in
+/// round-robin order from the cursor `start`, so with `m` of them the
+/// `i`-th is picked on edges `i, i + m, …`.
+#[derive(Debug, Clone, Copy)]
+pub struct CreditScan {
+    run: u64,
+    start: usize,
+    slots: usize,
+}
+
+impl CreditScan {
+    /// The scan of `run` over `slots` slots (at most 64) from `start`.
+    pub fn new(run: u64, start: usize, slots: usize) -> CreditScan {
+        debug_assert!(start < slots && slots <= 64);
+        CreditScan { run, start, slots }
+    }
+
+    /// How many edges from now every pick pays a credit. The `i`-th pick,
+    /// holding `credits(slot)`, runs out on edge `i + c_i·m`; the horizon
+    /// is the least such edge, and is unbounded when `run` is empty.
+    pub fn horizon(self, credits: impl Fn(usize) -> u64) -> u64 {
+        let m = u64::from(self.run.count_ones());
+        let mut horizon = u64::MAX;
+        for (i, (_, slot)) in (0..).zip(picks(self.run, self.start, self.slots)) {
+            if i >= horizon {
+                break;
+            }
+            horizon = horizon.min(i + credits(slot) * m);
+        }
+        horizon
+    }
+
+    /// Pays `edges` edges, at most [`CreditScan::horizon`]: calls
+    /// `take(slot, n)` for each pick taken `n ≥ 1` times, and returns the
+    /// slot of the last pick (none if nothing was picked) and how many
+    /// times the scans passed a slot of `recount` (a stall they recount on
+    /// every visit; disjoint from `run`).
+    ///
+    /// The `i`-th pick is taken `⌈(edges − i)/m⌉` times. Edge 0 passes the
+    /// recounted slots from the cursor up to the first pick, and each
+    /// later edge those between its pick and the previous one, so every
+    /// `m` edges pass each recounted slot once.
+    pub fn pay(
+        self,
+        edges: u64,
+        recount: u64,
+        mut take: impl FnMut(usize, u64),
+    ) -> (Option<usize>, u64) {
+        debug_assert_eq!(self.run & recount, 0, "a recounted slot cannot issue");
+        let m = u64::from(self.run.count_ones());
+        if edges == 0 || m == 0 {
+            return (None, edges * u64::from(recount.count_ones()));
+        }
+        // One division: `edges = rounds·m + extra`, so the `i`-th pick is
+        // taken `rounds + [i < extra]` times, and the last edge picks
+        // `(edges − 1) mod m`.
+        let (rounds, extra) = (edges / m, edges % m);
+        let last = if extra == 0 { m - 1 } else { extra - 1 };
+        let (mut first, mut end, mut last_slot) = (0, 0, None);
+        for (i, (at, slot)) in (0..).zip(picks(self.run, self.start, self.slots)) {
+            if i == 0 {
+                first = at;
+            }
+            let taken = rounds + u64::from(i < extra);
+            if taken > 0 {
+                take(slot, taken);
+            }
+            if i == last {
+                (end, last_slot) = (at, Some(slot));
+            }
+        }
+        // Edge 0's gap, whole rounds of every gap, then the gaps before
+        // picks 1..=last.
+        let every = u64::from(recount.count_ones());
+        let recount = rotate(recount, self.start, self.slots);
+        let before_first = (recount & below(first)).count_ones();
+        let to_last = (recount & below(end) & !below(first + 1)).count_ones();
+        let whole = if extra == 0 { rounds - 1 } else { rounds };
+        let passes = u64::from(before_first) + whole * every + u64::from(to_last);
+        (last_slot, passes)
+    }
+}
+
+/// The slots of `run` in round-robin order from `start`, each as its
+/// position from `start` and its slot.
+fn picks(run: u64, start: usize, slots: usize) -> impl Iterator<Item = (u32, usize)> {
+    let mut rest = rotate(run, start, slots);
+    std::iter::from_fn(move || {
+        if rest == 0 {
+            return None;
+        }
+        let at = rest.trailing_zeros();
+        rest &= rest - 1;
+        let slot = at as usize + start;
+        Some((at, if slot >= slots { slot - slots } else { slot }))
+    })
+}
+
+/// `mask` over `slots` bits, rotated so bit `by` becomes bit 0.
+fn rotate(mask: u64, by: usize, slots: usize) -> u64 {
+    if by == 0 {
+        return mask;
+    }
+    let full = u64::MAX >> (64 - slots);
+    (mask >> by | mask << (slots - by)) & full
+}
+
+/// The bits below bit `at`.
+fn below(at: u32) -> u64 {
+    1u64.checked_shl(at).map_or(u64::MAX, |bit| bit - 1)
 }
 
 #[cfg(test)]
@@ -337,6 +498,73 @@ mod tests {
         });
         let mut stats = CoreStats::default();
         while issue(&mut set, &decoded, &mut stats) {}
+    }
+
+    /// One issue slot of core 0 as the scans take it when `run` holds the
+    /// contexts they act on and `recount` those they pass and recount:
+    /// the first context of `run` in round-robin order pays a credit.
+    /// Returns the recounted contexts passed on the way.
+    fn scan(set: &mut Contexts, run: u64, recount: u64, stats: &mut CoreStats) -> u64 {
+        let mut passed = 0;
+        for x in set.round_robin(0).collect::<Vec<_>>() {
+            if run >> x & 1 == 1 {
+                assert!(set.charge_burst(0, x, stats), "ctx {x} ran out of credits");
+                return passed;
+            }
+            passed += recount >> x & 1;
+        }
+        passed
+    }
+
+    #[test]
+    fn paying_credits_equals_one_slot_scans_on_random_sets() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for slots in (1..=8).chain([64]) {
+            let full = u64::MAX >> (64 - slots);
+            for case in 0..400 {
+                let (mut set, _) = contexts("halt", 1, slots);
+                set.rr[0] = (next() % slots as u64) as usize;
+                let run = next() & full;
+                let recount = next() & full & !run;
+                for slot in 0..slots {
+                    if run >> slot & 1 == 1 {
+                        *set.burst.get_mut(0, slot) = (next() % 7) as u32;
+                    }
+                }
+                let label = format!("slots={slots} case={case} run={run:#x} recount={recount:#x}");
+                let horizon = set.credit_horizon(0, run);
+                let mut walked = set.clone();
+                let mut walked_stats = CoreStats::default();
+                let cap = horizon.min(8 * slots as u64);
+                let edges = if cap == 0 { 0 } else { next() % (cap + 1) };
+                let mut passed = 0;
+                for _ in 0..edges {
+                    passed += scan(&mut walked, run, recount, &mut walked_stats);
+                }
+                let mut stats = CoreStats::default();
+                let recounts = set.pay_credits(0, run, recount, edges, &mut stats);
+                assert_eq!(recounts, passed, "{label}: recounts");
+                assert_eq!(set.burst.as_slice(), walked.burst.as_slice(), "{label}");
+                assert_eq!(set.rr, walked.rr, "{label}: cursor");
+                assert_eq!(set.credit_issues(), walked.credit_issues(), "{label}");
+                assert_eq!(stats, walked_stats, "{label}: issues");
+                // The horizon is tight: past it, a pick is out of credits.
+                if run != 0 && horizon <= cap {
+                    for _ in edges..horizon {
+                        scan(&mut walked, run, recount, &mut walked_stats);
+                    }
+                    let pick = walked.round_robin(0).find(|&x| run >> x & 1 == 1);
+                    let pick = pick.expect("run is not empty");
+                    assert_eq!(*walked.burst.get(0, pick), 0, "{label}: loose horizon");
+                }
+            }
+        }
     }
 
     #[test]

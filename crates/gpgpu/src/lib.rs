@@ -33,8 +33,8 @@ use millipede_core::pbuf::{Lookup, RowPrefetchBuffer};
 use millipede_core::NodeResult;
 use millipede_dram::{Completion, MemoryController, Request, TimePs};
 use millipede_engine::{
-    drive, period_ps_for_mhz, AccessClass, CoreStats, DecodedProgram, DualClock, NodeModel,
-    Quiescence, StepEffect, ThreadCtx, COMPUTE_MHZ, RUN_AHEAD_CAP,
+    drive, period_ps_for_mhz, AccessClass, CoreStats, CreditScan, DecodedProgram, DualClock,
+    NodeModel, Quiescence, StepEffect, ThreadCtx, COMPUTE_MHZ, RUN_AHEAD_CAP,
 };
 use millipede_isa::ReconvergenceMap;
 use millipede_mapreduce::ThreadGrid;
@@ -146,6 +146,50 @@ impl NodeModel for Node<'_> {
             + self.sm.pf.limit()
             + outstanding
             + pbuf_sum
+    }
+
+    fn credit_issues(&self) -> u64 {
+        self.sm.credit_issues
+    }
+
+    // Per cluster, as for the MIMD contexts (see DESIGN.md, "Credit
+    // jump"); `may_jump` has already ruled out pending busy timers.
+    fn credit_horizon(&mut self) -> u64 {
+        let (clusters, warps) = (self.cfg.clusters(), self.warps_per_cluster());
+        let mut horizon = u64::MAX;
+        for cluster in 0..clusters {
+            let (run, _) = self.scan_masks(cluster);
+            let scan = CreditScan::new(run, self.sm.rr[cluster], warps);
+            let burst = &self.sm.burst;
+            horizon = horizon.min(scan.horizon(|slot| u64::from(burst[cluster + clusters * slot])));
+            if horizon == 0 {
+                break;
+            }
+        }
+        horizon
+    }
+
+    fn pay_credits(&mut self, edges: u64) {
+        let (clusters, warps) = (self.cfg.clusters(), self.warps_per_cluster());
+        let width = self.cfg.warp_width as u64;
+        for cluster in 0..clusters {
+            let (run, recount) = self.scan_masks(cluster);
+            let scan = CreditScan::new(run, self.sm.rr[cluster], warps);
+            let Node { sm, stats, .. } = self;
+            let (last, passes) = scan.pay(edges, recount, |slot, taken| {
+                let wi = cluster + clusters * slot;
+                // audit:allow(cast-truncation): at most the u32 credits it is taken from
+                sm.burst[wi] -= taken as u32;
+                stats.instructions += taken * sm.burst_lanes[wi];
+                stats.lane_idle += taken * (width - sm.burst_lanes[wi]);
+            });
+            if let Some(slot) = last {
+                sm.rotate_past(cluster, slot, warps);
+                sm.credit_issues += edges;
+                stats.issues += edges;
+            }
+            stats.demand_stalls += passes;
+        }
     }
 
     fn sample_epoch(&self, tel: &mut Telemetry, due: u64, at: TimePs) {
@@ -280,6 +324,55 @@ impl NodeModel for Node<'_> {
 }
 
 impl<'a> Node<'a> {
+    fn warps_per_cluster(&self) -> usize {
+        self.cfg.num_warps() / self.cfg.clusters()
+    }
+
+    /// `cluster`'s warp slots its scan acts on, and those it recounts. It
+    /// passes warps waiting on fills and finished warps, and recounts a
+    /// demand stall for each VWS-row warp whose input row is still filling
+    /// or ahead of the prefetch stream. Settles the stack of each warp
+    /// with no credits, as the scan's own visit would.
+    fn scan_masks(&mut self, cluster: usize) -> (u64, u64) {
+        let clusters = self.cfg.clusters();
+        let (mut run, mut recount) = (0, 0);
+        for slot in 0..self.warps_per_cluster() {
+            let wi = cluster + clusters * slot;
+            let bit = 1u64 << slot;
+            if self.sm.outstanding[wi] > 0 {
+                continue;
+            }
+            if self.sm.burst[wi] > 0 {
+                run |= bit;
+                continue;
+            }
+            let Some((pc, live)) = self.sm.warps[wi].current() else {
+                continue;
+            };
+            if self.row_stall_is_stable(wi, pc, live) {
+                recount |= bit;
+            } else {
+                run |= bit;
+            }
+        }
+        (run, recount)
+    }
+
+    /// Whether VWS-row warp `wi`, about to issue `pc` on lanes `live`, would
+    /// only recount its stall: an input load whose row is still filling or
+    /// ahead of the prefetch stream (flow control is always on).
+    fn row_stall_is_stable(&self, wi: usize, pc: u32, live: u64) -> bool {
+        let Some(pbuf) = &self.pbuf else {
+            return false;
+        };
+        if self.decoded.access_class(pc) != AccessClass::InputLoad {
+            return false;
+        }
+        let lane = self.sm.warps[wi].first_thread + live.trailing_zeros() as usize;
+        let row = self.decoded.mem_addr_at(&self.sm.threads[lane]) / self.row_bytes;
+        matches!(pbuf.lookup(row), Lookup::Filling | Lookup::Future)
+    }
+
     /// The run-loop state of `workload` on one SM configured by `cfg`,
     /// with its threads assigned records by `grid`.
     fn new(
@@ -371,7 +464,7 @@ pub fn run(workload: &Workload, cfg: &GpgpuConfig) -> NodeResult {
     let mut clock = DualClock::new(period_ps_for_mhz(COMPUTE_MHZ), cfg.timing.channel_period_ps);
     let mut tel = Telemetry::new(&cfg.telemetry);
     let quiesce = Quiescence::new("GPGPU", cfg.clusters() as u64);
-    let mut driven = drive(
+    let driven = drive(
         &mut node,
         &mut clock,
         &mut mc,
@@ -379,7 +472,6 @@ pub fn run(workload: &Workload, cfg: &GpgpuConfig) -> NodeResult {
         cfg.fast_forward,
         &mut tel,
     );
-    driven.profile.credit_issues = node.sm.credit_issues;
 
     let stats = &mut node.stats;
     stats.shared_passes = node.sm.shared.passes();

@@ -111,6 +111,7 @@ pub fn run_registry(r: &RunResult) -> Registry {
     let p = r.node.profile;
     reg.counter_add(&format!("{prefix}.ff.jumps"), p.sleeps);
     reg.counter_add(&format!("{prefix}.ff.fill_wakes"), p.wakes);
+    reg.counter_add(&format!("{prefix}.ff.credit_jumps"), p.credit_jumps);
     reg.counter_add(&format!("{prefix}.credit_issues"), p.credit_issues);
     let tel = &r.node.telemetry;
     for (name, v) in [
@@ -144,6 +145,7 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
     let mut ff_skipped: u64 = 0;
     let mut jumps: u64 = 0;
     let mut fill_wakes: u64 = 0;
+    let mut credit_jumps: u64 = 0;
     let mut credit_issues: u64 = 0;
     let mut dropped: u64 = 0;
     let mut point_ms = Histogram::default();
@@ -154,6 +156,7 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
         ff_skipped += s.ff_skipped_cycles;
         jumps += r.result.node.profile.sleeps;
         fill_wakes += r.result.node.profile.wakes;
+        credit_jumps += r.result.node.profile.credit_jumps;
         credit_issues += r.result.node.profile.credit_issues;
         dropped += r.result.node.telemetry.dropped_events();
         point_ms.observe(r.wall_ms);
@@ -199,7 +202,7 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
          \"total_ms\":{},\"sweep\":{{\"threads\":{threads},\"points\":{},\
          \"utilization\":{},\"point_ms\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
          \"mean\":{}}}}},\"retired_instructions_per_sec\":{},\"walked_edges_per_sec\":{},\
-         \"ff_skipped_ratio\":{},\"ff\":{{\"jumps\":{jumps},\"fill_wakes\":{fill_wakes}}},\"credit_issues\":{credit_issues},\
+         \"ff_skipped_ratio\":{},\"ff\":{{\"jumps\":{jumps},\"fill_wakes\":{fill_wakes},\"credit_jumps\":{credit_jumps}}},\"credit_issues\":{credit_issues},\
          \"telemetry_dropped_events\":{dropped}}},\n  \"runs\": [\n{}\n  ]\n}}\n",
         cfg.num_chunks,
         cfg.seed,
@@ -275,6 +278,15 @@ pub fn render_text(doc: &Json) -> String {
             if let Some(v) = host.get(key).and_then(Json::as_f64) {
                 out.push_str(&format!("{label}: {v:.3}\n"));
             }
+        }
+        if let Some(ff) = host.get("ff") {
+            let count = |key| ff.get(key).and_then(Json::as_f64).unwrap_or(0.0);
+            out.push_str(&format!(
+                "fast-forward: {} jump(s), {} fill wake(s), {} credit jump(s)\n",
+                count("jumps"),
+                count("fill_wakes"),
+                count("credit_jumps"),
+            ));
         }
         if let Some(sweep) = host.get("sweep") {
             out.push_str(&format!(
@@ -449,7 +461,11 @@ mod tests {
                 .expect("rate")
                 > 0.0
         );
-        assert!(!render_text(&json).is_empty());
+        let text = render_text(&json);
+        let ff = host.get("ff").expect("host.ff");
+        let credit_jumps = ff.get("credit_jumps").and_then(Json::as_f64);
+        assert!(credit_jumps.is_some(), "host.ff.credit_jumps missing");
+        assert!(text.contains("credit jump(s)"), "{text}");
     }
 
     #[test]
@@ -470,6 +486,7 @@ mod tests {
             Some(Metric::Gauge(_))
         ));
         assert!(reg.get("ssmc.ff.jumps").is_some());
+        assert!(reg.get("ssmc.ff.credit_jumps").is_some());
         assert!(reg.get("ssmc.telemetry.dropped_events").is_some());
     }
 

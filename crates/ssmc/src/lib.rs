@@ -154,6 +154,35 @@ impl NodeModel for Node<'_> {
         self.stats.prefetches + self.stats.demand_stalls + self.stats.demand_fetches + cursors
     }
 
+    fn credit_issues(&self) -> u64 {
+        self.threads.credit_issues()
+    }
+
+    // A scan passes done contexts and recounts one L1 miss for each
+    // `stall_fast` one; it acts on every other context (see DESIGN.md,
+    // "Credit jump").
+    fn credit_horizon(&mut self) -> u64 {
+        let mut horizon = u64::MAX;
+        for c in 0..self.cfg.cores {
+            let (run, _) = self.scan_masks(c);
+            horizon = horizon.min(self.threads.credit_horizon(c, run));
+            if horizon == 0 {
+                break;
+            }
+        }
+        horizon
+    }
+
+    fn pay_credits(&mut self, edges: u64) {
+        for c in 0..self.cfg.cores {
+            let (run, recount) = self.scan_masks(c);
+            let misses = self
+                .threads
+                .pay_credits(c, run, recount, edges, &mut self.stats);
+            self.stats.l1_misses += misses;
+        }
+    }
+
     fn sample_epoch(&self, tel: &mut Telemetry, due: u64, at: TimePs) {
         let hits: u64 = self.cores.iter().map(|c| c.l1.stats().hits).sum();
         tel.counter("ssmc::l1", "hits", due, at, hits as f64);
@@ -258,6 +287,16 @@ impl NodeModel for Node<'_> {
     }
 }
 
+impl Node<'_> {
+    /// Core `c`'s contexts a scan acts on, and those it recounts.
+    fn scan_masks(&self, c: usize) -> (u64, u64) {
+        let done = self.threads.done();
+        let live = done.full_mask() & !done.mask(c);
+        let recount = live & self.stall_fast.mask(c);
+        (live & !recount, recount)
+    }
+}
+
 /// Runs `workload` to completion on one SSMC processor.
 ///
 /// # Panics
@@ -331,7 +370,7 @@ pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
     let mut clock = DualClock::new(period_ps_for_mhz(COMPUTE_MHZ), cfg.timing.channel_period_ps);
     let mut tel = Telemetry::new(&cfg.telemetry);
     let quiesce = Quiescence::new("SSMC", cfg.cores as u64);
-    let mut driven = drive(
+    let driven = drive(
         &mut node,
         &mut clock,
         &mut mc,
@@ -339,7 +378,6 @@ pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
         cfg.fast_forward,
         &mut tel,
     );
-    driven.profile.credit_issues = node.threads.credit_issues();
 
     let stats = &mut node.stats;
     for core in &node.cores {

@@ -490,6 +490,15 @@ fn main() {
         }
         i += 1;
     }
+    // Each corelet owns an equal slab of every row.
+    let row_words = cfg.row_bytes / 4;
+    if row_words % cfg.corelets as u64 != 0 {
+        eprintln!(
+            "--corelets must divide the {row_words} words of a row (got {})",
+            cfg.corelets
+        );
+        usage();
+    }
 
     prof.begin("run");
     let r = run_one(arch, bench, &cfg);

@@ -16,6 +16,8 @@ fn out_of_range_simulate_flags_are_usage_errors() {
     for (argv, flag) in [
         (&["count", "millipede", "--chunks", "0"][..], "--chunks"),
         (&["count", "millipede", "--corelets", "0"], "--corelets"),
+        (&["count", "millipede", "--corelets", "3"], "--corelets"),
+        (&["count", "ssmc", "--corelets", "1024"], "--corelets"),
         (&["count", "millipede", "--pbuf", "0"], "--pbuf"),
         (&["count", "millipede", "--pbuf", "1"], "--pbuf"),
         (&["count", "millipede", "--chunks", "-1"], "--chunks"),

@@ -19,6 +19,7 @@
 //! printed case number reproduces it exactly.
 
 use millipede::core_arch::MillipedeConfig;
+use millipede_engine::JumpProfile;
 use millipede_sim::{digest_run, run_many_with, run_one, Arch, SimConfig};
 use millipede_workloads::{Benchmark, Workload};
 
@@ -72,12 +73,14 @@ fn fast_forward_is_observably_invisible_on_every_arch() {
             let fast = run_one(arch, bench, &fast_cfg);
             let label = format!("{} on {}", arch.label(), bench.name());
 
-            // The baseline must never fast-forward; the optimized run may.
+            // The baseline must never fast-forward; the optimized run may,
+            // over idle edges (sleeps) or credit-only ones (credit jumps).
+            let jumps = |p: &JumpProfile| p.sleeps + p.credit_jumps;
             assert_eq!(slow.node.stats.ff_skipped_cycles, 0, "{label}");
-            assert_eq!(slow.node.profile.sleeps, 0, "{label}: walked run jumped");
+            assert_eq!(jumps(&slow.node.profile), 0, "{label}: walked run jumped");
             assert_eq!(
                 fast.node.stats.ff_skipped_cycles > 0,
-                fast.node.profile.sleeps > 0,
+                jumps(&fast.node.profile) > 0,
                 "{label}: skipped cycles without a jump, or a jump that skipped none"
             );
             jumped |= fast.node.profile.sleeps > 0;
@@ -106,6 +109,30 @@ fn fast_forward_is_observably_invisible_on_every_arch() {
              event-driven one",
             arch.label()
         );
+    }
+}
+
+#[test]
+fn compute_bound_mimd_points_take_credit_jumps() {
+    // The benchmark's compute-bound MIMD points spend most edges paying
+    // run-ahead credits; the driver must jump those edges, and the jumps
+    // must stay invisible.
+    for (arch, bench) in [
+        (Arch::Ssmc, Benchmark::Gda),
+        (Arch::Ssmc, Benchmark::Gemm),
+        (Arch::Millipede, Benchmark::Pca),
+    ] {
+        let slow = run_one(arch, bench, &config(false));
+        let fast = run_one(arch, bench, &config(true));
+        let label = format!("{} on {}", arch.label(), bench.name());
+        assert!(
+            fast.node.profile.credit_jumps > 0,
+            "{label}: no credit jump"
+        );
+        assert_eq!(slow.node.profile.credit_jumps, 0, "{label}");
+        assert_eq!(digest_run(&slow), digest_run(&fast), "{label}");
+        assert_eq!(slow.node.stats.issues, fast.node.stats.issues, "{label}");
+        assert_eq!(slow.node.output, fast.node.output, "{label}");
     }
 }
 

@@ -101,6 +101,12 @@ fn rendered_manifest_is_schema_valid_with_populated_self_profiling() {
         .and_then(Json::as_f64)
         .expect("ff.fill_wakes");
     assert!(fill_wakes <= jumps, "every fill wake ends a jump");
+    let credit_jumps = ff
+        .get("credit_jumps")
+        .and_then(Json::as_f64)
+        .expect("ff.credit_jumps");
+    let profiled: u64 = runs.iter().map(|r| r.node.profile.credit_jumps).sum();
+    assert_eq!(credit_jumps, profiled as f64, "host.ff.credit_jumps");
     let credit_issues = host
         .get("credit_issues")
         .and_then(Json::as_f64)
@@ -136,6 +142,7 @@ fn rendered_manifest_is_schema_valid_with_populated_self_profiling() {
             "stats.instructions",
             "ff.jumps",
             "ff.fill_wakes",
+            "ff.credit_jumps",
             "credit_issues",
         ] {
             assert!(
