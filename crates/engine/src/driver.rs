@@ -310,8 +310,9 @@ fn row_conflicts(
 /// ([`NodeModel::assert_clean`]) and the controller's timing audit.
 ///
 /// `quiesce` carries the model's deadlock bound and issue slots per
-/// compute edge; `fast_forward` enables the bulk jump (off, every edge is
-/// walked — the oracle the differential suites compare against).
+/// compute edge; `fast_forward` enables the idle and credit jumps (off,
+/// every edge is walked — the oracle the differential suites compare
+/// against).
 ///
 /// # Panics
 ///
