@@ -234,7 +234,55 @@ mod run_impl {
         }
     }
 
-    impl Node<'_> {
+    impl<'a> Node<'a> {
+        /// The run-loop state of `workload` on one processor configured by
+        /// `cfg`, with its contexts assigned records by `grid`.
+        fn new(
+            workload: &'a Workload,
+            cfg: &'a MillipedeConfig,
+            grid: &ThreadGrid,
+            decoded: &'a DecodedProgram,
+        ) -> Node<'a> {
+            assert!(
+                workload.live_bytes * cfg.contexts <= LOCAL_BYTES_PER_CORELET,
+                "live state {}×{} exceeds {} B local memory",
+                workload.live_bytes,
+                cfg.contexts,
+                LOCAL_BYTES_PER_CORELET
+            );
+            let layout = workload.dataset.layout;
+            let slab_bytes = grid.slab_bytes(&layout);
+            let mut pbuf = RowPrefetchBuffer::new(
+                cfg.pbuf_entries,
+                cfg.corelets,
+                (slab_bytes / 4) as u32,
+                layout.total_rows(),
+                cfg.flow_control,
+            );
+            let nominal = period_ps_for_mhz(COMPUTE_MHZ);
+            let mut rate = RateMatcher::new(cfg.rate_match, nominal, cfg.rate_cooldown);
+            pbuf.set_invariant_checks(cfg.invariant_checks);
+            rate.set_invariant_checks(cfg.invariant_checks);
+            Node {
+                cfg,
+                decoded,
+                image: &workload.dataset.image,
+                row_bytes: layout.row_bytes,
+                slab_bytes,
+                threads: Contexts::new(cfg.corelets, cfg.contexts, |c, x| {
+                    workload.make_ctx(grid, c, x)
+                }),
+                at_barrier: FlagGrid::new(cfg.corelets, cfg.contexts),
+                bypass: vec![BTreeMap::new(); cfg.corelets],
+                pbuf,
+                rate,
+                clock_audit: InvariantChecker::new(cfg.invariant_checks),
+                stats: CoreStats::default(),
+                rate_drained: 0,
+                period: nominal,
+            }
+        }
+
         /// Corelet `c`'s contexts a scan acts on. It passes done contexts,
         /// those at the barrier, and stalled ones whose re-probe is a
         /// no-op.
@@ -288,58 +336,16 @@ mod run_impl {
     /// memory, if a kernel traps, or if the processor deadlocks (no issue
     /// for [`millipede_engine::MAX_IDLE_CYCLES`] cycles).
     pub fn run(workload: &Workload, cfg: &MillipedeConfig) -> NodeResult {
-        let layout = workload.dataset.layout;
         let grid = if cfg.wide_columns {
             ThreadGrid::block_columns(cfg.corelets, cfg.contexts)
         } else {
             ThreadGrid::slab(cfg.corelets, cfg.contexts)
         };
-        assert!(
-            workload.live_bytes * cfg.contexts <= LOCAL_BYTES_PER_CORELET,
-            "live state {}×{} exceeds {} B local memory",
-            workload.live_bytes,
-            cfg.contexts,
-            LOCAL_BYTES_PER_CORELET
-        );
-        let row_bytes = layout.row_bytes;
-        let slab_bytes = grid.slab_bytes(&layout);
-        let slab_words = (slab_bytes / 4) as u32;
-        let total_rows = layout.total_rows();
-
-        let mut pbuf = RowPrefetchBuffer::new(
-            cfg.pbuf_entries,
-            cfg.corelets,
-            slab_words,
-            total_rows,
-            cfg.flow_control,
-        );
-        let mut mc = MemoryController::new(cfg.geometry, cfg.timing);
-        let nominal = period_ps_for_mhz(COMPUTE_MHZ);
-        let mut clock = DualClock::new(nominal, cfg.timing.channel_period_ps);
-        let mut rate = RateMatcher::new(cfg.rate_match, nominal, cfg.rate_cooldown);
-        pbuf.set_invariant_checks(cfg.invariant_checks);
-        rate.set_invariant_checks(cfg.invariant_checks);
-        mc.set_invariant_checks(cfg.invariant_checks);
-
         let decoded = DecodedProgram::of(&workload.program);
-        let mut node = Node {
-            cfg,
-            decoded: &decoded,
-            image: &workload.dataset.image,
-            row_bytes,
-            slab_bytes,
-            threads: Contexts::new(cfg.corelets, cfg.contexts, |c, x| {
-                workload.make_ctx(&grid, c, x)
-            }),
-            at_barrier: FlagGrid::new(cfg.corelets, cfg.contexts),
-            bypass: vec![BTreeMap::new(); cfg.corelets],
-            pbuf,
-            rate,
-            clock_audit: InvariantChecker::new(cfg.invariant_checks),
-            stats: CoreStats::default(),
-            rate_drained: 0,
-            period: nominal,
-        };
+        let mut node = Node::new(workload, cfg, &grid, &decoded);
+        let mut mc = MemoryController::new(cfg.geometry, cfg.timing);
+        let mut clock = DualClock::new(node.period, cfg.timing.channel_period_ps);
+        mc.set_invariant_checks(cfg.invariant_checks);
         let mut tel = Telemetry::new(&cfg.telemetry);
         let quiesce = Quiescence::new("Millipede", cfg.corelets as u64);
         let driven = drive(
@@ -409,7 +415,7 @@ mod run_impl {
             }
             let ctx = threads.ctx(c, x);
             if decoded.access_class(ctx.pc) != AccessClass::InputLoad {
-                commit(c, x, threads, at_barrier, decoded, image, stats, None);
+                commit(c, x, threads, at_barrier, decoded, image, stats);
                 return true;
             }
             let addr = decoded.mem_addr_at(ctx);
@@ -417,7 +423,7 @@ mod run_impl {
             let lookup = pbuf.lookup(row);
             match lookup {
                 Lookup::Ready { slot } => {
-                    commit(c, x, threads, at_barrier, decoded, image, stats, Some(addr));
+                    commit(c, x, threads, at_barrier, decoded, image, stats);
                     stats.pbuf_hits += 1;
                     let out = pbuf.consume(slot, c);
                     if out.trigger_blocked {
@@ -444,7 +450,7 @@ mod run_impl {
                     );
                     match bypass[c].get(&row) {
                         Some(true) => {
-                            commit(c, x, threads, at_barrier, decoded, image, stats, Some(addr));
+                            commit(c, x, threads, at_barrier, decoded, image, stats);
                             return true;
                         }
                         // Fill in flight.
@@ -485,9 +491,8 @@ mod run_impl {
         decoded: &DecodedProgram,
         image: &millipede_mem::InputImage,
         stats: &mut CoreStats,
-        mem_addr: Option<u64>,
     ) {
-        match threads.commit(c, x, decoded, image, stats, mem_addr) {
+        match threads.commit(c, x, decoded, image, stats) {
             StepEffect::Barrier => at_barrier.set(c, x, true),
             StepEffect::Halt => {}
             _ => return,
@@ -497,6 +502,57 @@ mod run_impl {
         let done = threads.done();
         if (0..done.lanes()).all(|c| done.mask(c) | at_barrier.mask(c) == done.full_mask()) {
             at_barrier.clear_all();
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use millipede_workloads::Benchmark;
+
+        #[test]
+        fn a_stalled_context_whose_row_is_ready_ends_the_credit_horizon() {
+            // A commit at pc 0 runs ahead to the input load at pc 4 and
+            // banks the three instructions in between as credits.
+            let program = millipede_isa::assemble(
+                "ready",
+                "addi r2, r0, 1\n\
+                 addi r2, r2, 1\n\
+                 addi r2, r2, 1\n\
+                 addi r2, r2, 1\n\
+                 ld.in r7, (r0)\n\
+                 halt",
+            )
+            .expect("assembles");
+            let w = Workload {
+                program,
+                ..Workload::build(Benchmark::Count, 2, 2048, 7)
+            };
+            let cfg = MillipedeConfig::default();
+            let grid = ThreadGrid::slab(cfg.corelets, cfg.contexts);
+            let decoded = DecodedProgram::of(&w.program);
+            let mut node = Node::new(&w, &cfg, &grid, &decoded);
+            let mut stats = CoreStats::default();
+            let image = &w.dataset.image;
+            // Context 1 pays its credits and stalls on row 0, which then
+            // lands; contexts 0, 2 and 3 hold three credits each, and the
+            // scan starts at context 0.
+            node.threads.commit(0, 1, &decoded, image, &mut stats);
+            while node.threads.charge_burst(0, 1, &mut stats) {}
+            node.threads.stall(0, 1, &mut stats);
+            for x in [0, 2, 3] {
+                node.threads.commit(0, x, &decoded, image, &mut stats);
+            }
+            assert_eq!(node.threads.round_robin(0).next(), Some(0));
+            let (slot, row) = node.pbuf.pop_fetch().expect("row 0 is queued");
+            assert_eq!(row, 0);
+            node.pbuf.fill_complete(slot);
+            assert_eq!(node.pbuf.lookup(0), Lookup::Ready { slot });
+            // Its next visit commits the load, so the scan keeps it, and
+            // credits pay only the edge before that visit.
+            let run = node.scan_mask(0);
+            assert_eq!(run, 0b1111);
+            assert_eq!(node.threads.credit_horizon(0, run), 1);
         }
     }
 }

@@ -115,7 +115,7 @@ pub enum StepEffect {
 /// perform, computed without executing. Timing models use this to decide
 /// whether the context can proceed this cycle (prefetch-buffer hit, cache
 /// hit, …) before committing the instruction with
-/// [`DecodedProgram::commit_mem_at`].
+/// [`DecodedProgram::commit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EffectiveAccess {
     /// Which address space.
@@ -623,51 +623,6 @@ impl DecodedProgram {
         Ok(effect)
     }
 
-    /// Executes the load/store micro-op at `ctx.pc` with its effective
-    /// address already computed (by [`DecodedProgram::mem_addr_at`] on the
-    /// *same* register state), so a timing model that needed the address
-    /// for its cache/coalescing/bank decision does not recompute it to
-    /// commit. Whether the reuse pays is unresolved: committing through
-    /// [`DecodedProgram::commit`] instead measured 1.066× `wall_s` on the
-    /// benchmark's `stream` workload and 1.063× on `sweep` in one A/B
-    /// (2-vCPU VM, 6 interleaved pairs), but 1.00× and 0.96× in a second
-    /// whose build also moved `.text` by 16 bytes mod 64.
-    #[inline]
-    pub fn commit_mem_at(
-        &self,
-        ctx: &mut ThreadCtx,
-        addr: u64,
-        input: &InputImage,
-    ) -> Result<StepEffect, Trap> {
-        if ctx.halted {
-            return Err(Trap::SteppedHalted);
-        }
-        let uop = self.fetch(ctx.pc);
-        debug_assert_eq!(addr, mem_addr(ctx, uop), "stale precomputed address");
-        let effect = match uop.op {
-            OpCode::LdIn => {
-                let v = input.load(addr).ok_or(Trap::Input { addr })?;
-                ctx.write_reg(uop.dst, v);
-                StepEffect::InputLoad { addr }
-            }
-            OpCode::LdLocal => {
-                let v = ctx.local.load(addr)?;
-                ctx.write_reg(uop.dst, v);
-                StepEffect::LocalLoad { addr }
-            }
-            OpCode::St => {
-                let v = ctx.read_reg(uop.dst);
-                ctx.local.store(addr, v)?;
-                StepEffect::LocalStore { addr }
-            }
-            // Not a memory micro-op: fall back to the general path (the
-            // callers' class dispatch makes this unreachable).
-            _ => return self.commit(ctx, input),
-        };
-        ctx.pc += 1;
-        Ok(effect)
-    }
-
     /// Runs one warp ahead in lockstep: executes up to `max` instructions,
     /// each on every lane in `live` (bit *i* = `lanes[i]`, all at the same
     /// PC), and returns what ran. Every live lane ends at the same PC.
@@ -935,7 +890,7 @@ mod tests {
     }
 
     #[test]
-    fn commit_mem_at_reuses_the_computed_address() {
+    fn mem_addr_at_previews_the_address_commit_reports() {
         let p = assemble("sample", SAMPLE).unwrap();
         let d = DecodedProgram::new(&p);
         let input = InputImage::new(vec![10, 20, 30, 40]);
@@ -944,18 +899,17 @@ mod tests {
         let run = d.run_ahead(std::slice::from_mut(&mut c), 1, None, 64, |_, _| true);
         assert_eq!((run.instructions, c.pc), (6, 6));
         // ld.in r7, (r1) with r1 = 8.
-        let addr = d.mem_addr_at(&c);
-        assert_eq!(addr, 8);
+        assert_eq!(d.mem_addr_at(&c), 8);
         assert_eq!(
-            d.commit_mem_at(&mut c, addr, &input),
+            d.commit(&mut c, &input),
             Ok(StepEffect::InputLoad { addr: 8 })
         );
         assert_eq!(c.read_reg(r(7)), 30);
         // st.local r7, 4(r2) with r2 = 4.
         assert_eq!(d.access_class(c.pc), AccessClass::LocalStore);
-        let addr = d.mem_addr_at(&c);
+        assert_eq!(d.mem_addr_at(&c), 8);
         assert_eq!(
-            d.commit_mem_at(&mut c, addr, &input),
+            d.commit(&mut c, &input),
             Ok(StepEffect::LocalStore { addr: 8 })
         );
         assert_eq!(c.local.load(8), Ok(30));

@@ -202,31 +202,30 @@ impl Quiescence {
         self.guard();
     }
 
-    /// Charges `skipped` credit-only edges on which `issued` slots issued
-    /// in all: the cycle count, the slot ledger and the idle streak.
-    fn paid(&mut self, cycle: &mut u64, stats: &mut CoreStats, skipped: u64, issued: u64) {
+    /// Charges `skipped` jumped edges on which `issued` slots issued in
+    /// all, each of which re-records `recounts`: the cycle count, the slot
+    /// ledger, the recounts and the idle streak. An idle jump repeats the
+    /// quiescent edge (`issued` is 0); a credit jump's payment makes its
+    /// own recounts (`recounts` is zero).
+    fn jumped(
+        &mut self,
+        cycle: &mut u64,
+        stats: &mut CoreStats,
+        skipped: u64,
+        issued: u64,
+        recounts: Recounts,
+    ) {
         *cycle += skipped;
         stats.ff_skipped_cycles += skipped;
         self.charge(stats, skipped, issued);
+        stats.demand_stalls += recounts.demand_stalls * skipped;
+        stats.l1_hits += recounts.l1_hits * skipped;
+        stats.l1_misses += recounts.l1_misses * skipped;
         self.idle_streak = if issued > 0 {
             0
         } else {
             self.idle_streak + skipped
         };
-        self.guard();
-    }
-
-    /// Replays `skipped` proven-no-op edges, each a repeat of the
-    /// quiescent edge that made `recounts`: the cycle count, the slot
-    /// ledger (every slot stalls), the recounts and the idle streak.
-    fn replay(&mut self, cycle: &mut u64, stats: &mut CoreStats, skipped: u64, recounts: Recounts) {
-        *cycle += skipped;
-        stats.ff_skipped_cycles += skipped;
-        self.charge(stats, skipped, 0);
-        stats.demand_stalls += recounts.demand_stalls * skipped;
-        stats.l1_hits += recounts.l1_hits * skipped;
-        stats.l1_misses += recounts.l1_misses * skipped;
-        self.idle_streak += skipped;
         self.guard();
     }
 }
@@ -368,7 +367,11 @@ pub fn drive<M: NodeModel>(
                 if horizon == u64::MAX && event.is_none() {
                     continue;
                 }
-                let recounts = Recounts::of(model.stats_mut()).since(before);
+                let recounts = if issued == 0 {
+                    Recounts::of(model.stats_mut()).since(before)
+                } else {
+                    Recounts::default()
+                };
                 // One jump, cut into pieces that each end on an epoch
                 // boundary or at the jump's end.
                 let start = cycle;
@@ -379,14 +382,12 @@ pub fn drive<M: NodeModel>(
                     if skipped == 0 {
                         break;
                     }
-                    if issued == 0 {
-                        quiesce.replay(&mut cycle, model.stats_mut(), skipped, recounts);
-                    } else {
-                        let issues = model.stats_mut().issues;
+                    let issues = model.stats_mut().issues;
+                    if issued > 0 {
                         model.pay_credits(skipped);
-                        let paid = model.stats_mut().issues - issues;
-                        quiesce.paid(&mut cycle, model.stats_mut(), skipped, paid);
                     }
+                    let paid = model.stats_mut().issues - issues;
+                    quiesce.jumped(&mut cycle, model.stats_mut(), skipped, paid, recounts);
                     sample_if_due(model, mc, tel, cycle, clock.last_compute());
                     if skipped < max {
                         break;
@@ -757,19 +758,20 @@ mod tests {
     }
 
     #[test]
-    fn replay_accounts_slots_and_streak() {
+    fn jumps_account_cycles_slots_recounts_and_streak() {
         let mut q = Quiescence::new("Test", 4);
         let mut stats = CoreStats::default();
         let mut cycle = 10u64;
         q.walked(&mut stats, 1);
         assert_eq!((stats.issue_slots, stats.stall_slots), (4, 3));
         q.walked(&mut stats, 0);
+        // An idle jump replays the quiescent edge's recounts.
         let recounts = Recounts {
             demand_stalls: 2,
             l1_hits: 1,
             l1_misses: 3,
         };
-        q.replay(&mut cycle, &mut stats, 5, recounts);
+        q.jumped(&mut cycle, &mut stats, 5, 0, recounts);
         assert_eq!(cycle, 15);
         assert_eq!(stats.ff_skipped_cycles, 5);
         assert_eq!(stats.issue_slots, 28);
@@ -781,23 +783,22 @@ mod tests {
         assert_eq!(q.idle_streak, 6);
         q.walked(&mut stats, 2); // an issue resets the streak
         assert_eq!(q.idle_streak, 0);
-        q.replay(&mut cycle, &mut stats, 3, Recounts::default());
-        assert_eq!(stats.ff_skipped_cycles, 8);
+        q.jumped(&mut cycle, &mut stats, 3, 0, Recounts::default());
+        assert_eq!((cycle, stats.ff_skipped_cycles), (18, 8));
         assert_eq!(q.idle_streak, 3);
-    }
-
-    #[test]
-    fn paid_edges_charge_their_issues_and_reset_the_streak() {
-        let mut q = Quiescence::new("Test", 4);
-        let (mut cycle, mut stats) = (0, CoreStats::default());
-        q.replay(&mut cycle, &mut stats, 3, Recounts::default());
-        // Three of the four slots pay a credit on each of five edges.
-        q.paid(&mut cycle, &mut stats, 5, 15);
-        assert_eq!((cycle, stats.ff_skipped_cycles), (8, 8));
-        assert_eq!((stats.issue_slots, stats.stall_slots), (32, 12 + 5));
+        // A credit jump: three of the four slots pay a credit on each of
+        // five edges.
+        let (slots, stalls) = (stats.issue_slots, stats.stall_slots);
+        q.jumped(&mut cycle, &mut stats, 5, 15, Recounts::default());
+        assert_eq!((cycle, stats.ff_skipped_cycles), (23, 13));
+        assert_eq!(
+            (stats.issue_slots, stats.stall_slots),
+            (slots + 20, stalls + 5)
+        );
+        assert_eq!(stats.demand_stalls, 10);
         assert_eq!(q.idle_streak, 0);
-        // Edges on which no slot issued extend the streak instead.
-        q.paid(&mut cycle, &mut stats, 2, 0);
+        // Credit-jumped edges on which no slot issued extend the streak.
+        q.jumped(&mut cycle, &mut stats, 2, 0, Recounts::default());
         assert_eq!(q.idle_streak, 2);
     }
 
@@ -806,7 +807,13 @@ mod tests {
     fn deadlock_guard_fires() {
         let mut q = Quiescence::new("Test", 1);
         let (mut cycle, mut stats) = (0, CoreStats::default());
-        q.replay(&mut cycle, &mut stats, MAX_IDLE_CYCLES, Recounts::default());
+        q.jumped(
+            &mut cycle,
+            &mut stats,
+            MAX_IDLE_CYCLES,
+            0,
+            Recounts::default(),
+        );
         q.walked(&mut stats, 0);
     }
 

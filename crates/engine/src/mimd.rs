@@ -150,8 +150,7 @@ impl Contexts {
 
     /// Issues the context's next instruction: executes it functionally,
     /// counts it, and returns its effect for the caller's own rules
-    /// (Millipede's barrier). `mem_addr` carries the effective address the
-    /// issue scan already computed for a load, so it is not recomputed.
+    /// (Millipede's barrier).
     ///
     /// Unless the instruction was a barrier or a halt, the context then
     /// runs ahead through its local run (see the module docs): the run is
@@ -169,18 +168,14 @@ impl Contexts {
         decoded: &DecodedProgram,
         image: &InputImage,
         stats: &mut CoreStats,
-        mem_addr: Option<u64>,
     ) -> StepEffect {
         self.stalled.set(core, slot, false);
         self.issued(core, slot);
         stats.instructions += 1;
         stats.issues += 1;
         let ctx = self.t.get_mut(core, slot);
-        let committed = match mem_addr {
-            Some(addr) => decoded.commit_mem_at(ctx, addr, image),
-            None => decoded.commit(ctx, image),
-        };
-        let effect = committed
+        let effect = decoded
+            .commit(ctx, image)
             .unwrap_or_else(|trap| panic!("kernel trap on core {core} ctx {slot}: {trap}"));
         match effect {
             StepEffect::Branch { .. } => stats.branches += 1,
@@ -399,9 +394,9 @@ mod tests {
         let image = InputImage::new(vec![]);
         let mut stats = CoreStats::default();
         assert_eq!(set.round_robin(0).collect::<Vec<_>>(), [0, 1, 2]);
-        set.commit(0, 1, &decoded, &image, &mut stats, None);
+        set.commit(0, 1, &decoded, &image, &mut stats);
         assert_eq!(set.round_robin(0).collect::<Vec<_>>(), [2, 0, 1]);
-        set.commit(0, 2, &decoded, &image, &mut stats, None);
+        set.commit(0, 2, &decoded, &image, &mut stats);
         assert_eq!(set.round_robin(0).next(), Some(0), "the cursor wraps");
     }
 
@@ -411,7 +406,7 @@ mod tests {
         let image = InputImage::new(vec![]);
         let mut stats = CoreStats::default();
         assert_eq!(
-            set.commit(0, 0, &decoded, &image, &mut stats, None),
+            set.commit(0, 0, &decoded, &image, &mut stats),
             StepEffect::Alu
         );
         assert_eq!(set.ctx(0, 0).pc, 3, "the whole run retired");
@@ -421,7 +416,7 @@ mod tests {
         assert_eq!((stats.instructions, stats.issues), (3, 3));
         assert_eq!(set.credit_issues(), 2);
         assert_eq!(
-            set.commit(0, 0, &decoded, &image, &mut stats, None),
+            set.commit(0, 0, &decoded, &image, &mut stats),
             StepEffect::Halt
         );
         assert!(set.done().get(0, 0) && set.all_halted());
@@ -437,7 +432,7 @@ mod tests {
                 continue;
             }
             if !set.charge_burst(0, x, stats) {
-                set.commit(0, x, decoded, &image, stats, None);
+                set.commit(0, x, decoded, &image, stats);
             }
             return true;
         }
@@ -459,7 +454,7 @@ mod tests {
         );
         let mut stats = CoreStats::default();
         assert_eq!(
-            set.commit(0, 0, &decoded, &InputImage::new(vec![7]), &mut stats, None),
+            set.commit(0, 0, &decoded, &InputImage::new(vec![7]), &mut stats),
             StepEffect::Alu
         );
         assert_eq!(set.ctx(0, 0).pc, 5, "stopped before the input load");
@@ -574,7 +569,7 @@ mod tests {
         assert!(set.stall(0, 1, &mut stats));
         assert!(!set.stall(0, 1, &mut stats));
         assert_eq!(stats.demand_stalls, 1);
-        set.commit(0, 1, &decoded, &InputImage::new(vec![]), &mut stats, None);
+        set.commit(0, 1, &decoded, &InputImage::new(vec![]), &mut stats);
         assert!(set.stall(0, 1, &mut stats), "a commit clears the stall");
         assert_eq!(stats.demand_stalls, 2);
     }

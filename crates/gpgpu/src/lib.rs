@@ -658,8 +658,6 @@ fn try_issue_warp(
                 stats.demand_stalls += 1;
                 return false;
             }
-            // Compute each lane's address once; the commit below reuses it
-            // instead of re-resolving the access.
             let mut lanes_buf = [0usize; MAX_LANES];
             let lanes = live_threads(first, live, &mut lanes_buf);
             let mut addrs_buf = [0u64; MAX_LANES];
@@ -677,7 +675,7 @@ fn try_issue_warp(
                             pbuf.consume(slot, wi);
                         }
                         stats.pbuf_hits += lanes.len() as u64;
-                        exec_lanes(wi, lanes, Some(addrs), sm, decoded, image, stats, cfg);
+                        exec_lanes(wi, lanes, sm, decoded, image, stats, cfg);
                         true
                     }
                     Lookup::Filling | Lookup::Future => {
@@ -710,7 +708,7 @@ fn try_issue_warp(
                     if blocks.len() > 1 {
                         sm.lsu_busy_until = cycle + blocks.len() as u64 - 1;
                     }
-                    exec_lanes(wi, lanes, Some(addrs), sm, decoded, image, stats, cfg);
+                    exec_lanes(wi, lanes, sm, decoded, image, stats, cfg);
                     return true;
                 }
                 for &block in &missing_buf[..missing_count] {
@@ -737,23 +735,19 @@ fn try_issue_warp(
         AccessClass::LocalLoad | AccessClass::LocalStore => {
             // A local access the run-ahead refused: it serializes into
             // several Shared Memory passes (the warp waits them out), or a
-            // lane traps on it. Each lane's address is computed once and
-            // reused by the commit.
+            // lane traps on it.
             let mut lanes_buf = [0usize; MAX_LANES];
             let lanes = live_threads(first, live, &mut lanes_buf);
-            let mut addrs_buf = [0u64; MAX_LANES];
             let mut bank_buf = [0u64; MAX_LANES];
-            for (j, &t) in lanes.iter().enumerate() {
-                addrs_buf[j] = decoded.mem_addr_at(&sm.threads[t]);
-                bank_buf[j] = striped_addr(t, addrs_buf[j]);
+            for (b, &t) in bank_buf.iter_mut().zip(lanes) {
+                *b = striped_addr(t, decoded.mem_addr_at(&sm.threads[t]));
             }
-            let addrs = &addrs_buf[..lane_count];
             let passes = sm.shared.passes_of(&bank_buf[..lane_count]);
             sm.shared.record(passes);
             if passes > 1 {
                 sm.busy_until[wi] = cycle + u64::from(passes) - 1;
             }
-            exec_lanes(wi, lanes, Some(addrs), sm, decoded, image, stats, cfg);
+            exec_lanes(wi, lanes, sm, decoded, image, stats, cfg);
             true
         }
         AccessClass::Branch => {
@@ -810,7 +804,7 @@ fn try_issue_warp(
             );
             let mut lanes_buf = [0usize; MAX_LANES];
             let lanes = live_threads(first, live, &mut lanes_buf);
-            exec_lanes(wi, lanes, None, sm, decoded, image, stats, cfg);
+            exec_lanes(wi, lanes, sm, decoded, image, stats, cfg);
             true
         }
     }
@@ -831,13 +825,11 @@ fn live_threads(first: usize, live: u64, buf: &mut [usize; MAX_LANES]) -> &[usiz
 }
 
 /// Commits one (non-branch) instruction on every selected lane and advances
-/// the warp. `addrs`, when given, carries each lane's already-computed
-/// memory address so the commit does not re-resolve it.
+/// the warp.
 #[allow(clippy::too_many_arguments)]
 fn exec_lanes(
     wi: usize,
     lanes: &[usize],
-    addrs: Option<&[u64]>,
     sm: &mut Sm,
     decoded: &DecodedProgram,
     image: &millipede_mem::InputImage,
@@ -847,12 +839,10 @@ fn exec_lanes(
     let first = sm.warps[wi].first_thread;
     let mut next_pc = None;
     let mut any_live = false;
-    for (j, &t) in lanes.iter().enumerate() {
-        let committed = match addrs {
-            Some(a) => decoded.commit_mem_at(&mut sm.threads[t], a[j], image),
-            None => decoded.commit(&mut sm.threads[t], image),
-        };
-        let effect = committed.unwrap_or_else(|trap| panic!("kernel trap thread {t}: {trap}"));
+    for &t in lanes {
+        let effect = decoded
+            .commit(&mut sm.threads[t], image)
+            .unwrap_or_else(|trap| panic!("kernel trap thread {t}: {trap}"));
         stats.instructions += 1;
         match effect {
             StepEffect::InputLoad { .. } => stats.input_loads += 1,

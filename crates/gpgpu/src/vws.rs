@@ -96,21 +96,6 @@ pub fn choose_width(workload: &Workload, base: &GpgpuConfig, energy: &EnergyPara
     }
 }
 
-/// Full dynamic VWS: probe, choose, then run the whole workload at the
-/// chosen width.
-pub fn run_dynamic(
-    workload: &Workload,
-    base: &GpgpuConfig,
-    energy: &EnergyParams,
-) -> (VwsChoice, NodeResult) {
-    let choice = choose_width(workload, base, energy);
-    let cfg = GpgpuConfig {
-        warp_width: choice.width,
-        ..base.clone()
-    };
-    (choice, run(workload, &cfg))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,16 +160,5 @@ mod tests {
             "narrow {} vs wide {}",
             c.narrow_edp, c.wide_edp
         );
-    }
-
-    #[test]
-    fn dynamic_run_matches_static_converged_config() {
-        let energy = EnergyParams::default();
-        let w = Workload::build(Benchmark::Count, 4, 2048, 7);
-        let (choice, dynamic) = run_dynamic(&w, &GpgpuConfig::gpgpu(), &energy);
-        assert_eq!(choice.width, NARROW);
-        let static_run = run(&w, &GpgpuConfig::vws());
-        assert_eq!(dynamic.elapsed_ps, static_run.elapsed_ps);
-        assert_eq!(dynamic.output, static_run.output);
     }
 }

@@ -133,109 +133,102 @@ impl Cfg {
     /// paths only rejoin at thread termination) or the block is unreachable
     /// backwards from any exit.
     pub fn immediate_post_dominators(&self) -> Vec<Option<usize>> {
-        // Work on the reverse CFG with a virtual exit node appended; then
-        // post-dominance over the CFG is dominance over the reverse CFG.
+        // Post-dominance over the CFG is dominance over the reverse CFG,
+        // rooted at a virtual exit node that every `Halt` block joins.
         let n = self.blocks.len();
-        let exit = n; // virtual node index
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n + 1]; // reverse-CFG predecessors = CFG successors... see below
-
-        // reverse-CFG edge v -> u exists for each CFG edge u -> v.
-        // For the dominance algorithm on the reverse CFG rooted at `exit` we
-        // need, for each node, its reverse-CFG predecessors, which are its
-        // CFG successors.
+        let exit = n;
+        // Reverse-CFG predecessors are CFG successors, and vice versa.
+        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
+        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
         for (b, block) in self.blocks.iter().enumerate() {
             for &s in &block.succs {
-                // CFG edge b -> s; reverse edge s -> b; so b's reverse-preds
-                // include s.
                 preds[b].push(s);
+                succs[s].push(b);
             }
             if block.succs.is_empty() {
-                // Halt block: CFG edge b -> exit.
                 preds[b].push(exit);
+                succs[exit].push(b);
             }
         }
-
-        // Reverse post-order of the reverse CFG from exit. Reverse-CFG
-        // successors of node v are its CFG predecessors.
-        let mut cfg_preds: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
-        for (b, block) in self.blocks.iter().enumerate() {
-            for &s in &block.succs {
-                cfg_preds[s].push(b);
-            }
-            if block.succs.is_empty() {
-                cfg_preds[exit].push(b);
-            }
-        }
-        let mut order = Vec::with_capacity(n + 1); // postorder
-        let mut seen = vec![false; n + 1];
-        // Iterative DFS from exit over reverse-CFG edges (= cfg_preds).
-        let mut stack: Vec<(usize, usize)> = vec![(exit, 0)];
-        seen[exit] = true;
-        while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-            if *i < cfg_preds[v].len() {
-                let w = cfg_preds[v][*i];
-                *i += 1;
-                if !seen[w] {
-                    seen[w] = true;
-                    stack.push((w, 0));
-                }
-            } else {
-                order.push(v);
-                stack.pop();
-            }
-        }
-        // rpo_index: position in reverse post-order (exit first).
-        let mut rpo_index = vec![usize::MAX; n + 1];
-        for (i, &v) in order.iter().rev().enumerate() {
-            rpo_index[v] = i;
-        }
-
-        // Cooper–Harvey–Kennedy.
-        let mut idom: Vec<Option<usize>> = vec![None; n + 1];
-        idom[exit] = Some(exit);
-        let intersect =
-            |idom: &[Option<usize>], rpo_index: &[usize], mut a: usize, mut b: usize| {
-                while a != b {
-                    while rpo_index[a] > rpo_index[b] {
-                        a = idom[a].unwrap();
-                    }
-                    while rpo_index[b] > rpo_index[a] {
-                        b = idom[b].unwrap();
-                    }
-                }
-                a
-            };
-        let mut changed = true;
-        while changed {
-            changed = false;
-            // Process in reverse post-order, skipping exit.
-            for &v in order.iter().rev() {
-                if v == exit {
-                    continue;
-                }
-                let mut new_idom: Option<usize> = None;
-                for &p in &preds[v] {
-                    if idom[p].is_some() {
-                        new_idom = Some(match new_idom {
-                            None => p,
-                            Some(cur) => intersect(&idom, &rpo_index, cur, p),
-                        });
-                    }
-                }
-                if new_idom.is_some() && idom[v] != new_idom {
-                    idom[v] = new_idom;
-                    changed = true;
-                }
-            }
-        }
-
-        (0..n)
-            .map(|b| match idom[b] {
-                Some(d) if d != exit => Some(d),
-                _ => None,
-            })
-            .collect()
+        let rpo = reverse_post_order(&succs, exit);
+        let idom = immediate_dominators(&preds, &rpo);
+        (0..n).map(|b| idom[b].filter(|&d| d != exit)).collect()
     }
+}
+
+/// Reverse post-order of the nodes reachable from `root` over the edges
+/// `succs[v]` (root first), from an iterative depth-first search that
+/// visits each node's successors in order.
+pub fn reverse_post_order(succs: &[Vec<usize>], root: usize) -> Vec<usize> {
+    let mut order = Vec::with_capacity(succs.len());
+    let mut seen = vec![false; succs.len()];
+    let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
+    seen[root] = true;
+    while let Some(&mut (v, ref mut i)) = stack.last_mut() {
+        if *i < succs[v].len() {
+            let w = succs[v][*i];
+            *i += 1;
+            if !seen[w] {
+                seen[w] = true;
+                stack.push((w, 0));
+            }
+        } else {
+            order.push(v);
+            stack.pop();
+        }
+    }
+    order.reverse();
+    order
+}
+
+/// Cooper–Harvey–Kennedy immediate dominators: `idom[v]` for each node,
+/// given each node's predecessors and `rpo`, the reverse post-order that
+/// [`reverse_post_order`] returns (root first). The root and every node
+/// not in `rpo` get `None`.
+pub fn immediate_dominators(preds: &[Vec<usize>], rpo: &[usize]) -> Vec<Option<usize>> {
+    let mut idom: Vec<Option<usize>> = vec![None; preds.len()];
+    let Some(&root) = rpo.first() else {
+        return idom;
+    };
+    let mut rpo_index = vec![usize::MAX; preds.len()];
+    for (i, &v) in rpo.iter().enumerate() {
+        rpo_index[v] = i;
+    }
+    idom[root] = Some(root);
+    // Every node the walks below reach is in `rpo` with its idom set.
+    let intersect = |idom: &[Option<usize>], mut a: usize, mut b: usize| {
+        while a != b {
+            while rpo_index[a] > rpo_index[b] {
+                a = idom[a].unwrap();
+            }
+            while rpo_index[b] > rpo_index[a] {
+                b = idom[b].unwrap();
+            }
+        }
+        a
+    };
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &v in &rpo[1..] {
+            let mut new_idom: Option<usize> = None;
+            for &p in &preds[v] {
+                if idom[p].is_some() {
+                    new_idom = Some(match new_idom {
+                        None => p,
+                        Some(cur) => intersect(&idom, cur, p),
+                    });
+                }
+            }
+            if new_idom.is_some() && idom[v] != new_idom {
+                idom[v] = new_idom;
+                changed = true;
+            }
+        }
+    }
+    // The root's self-idom is an artifact of the algorithm, not a fact.
+    idom[root] = None;
+    idom
 }
 
 /// Reconvergence PCs for every conditional branch in a program.

@@ -40,7 +40,7 @@ pub mod reg;
 
 pub use asm::{assemble, assemble_with_map, disassemble, AsmError, SourceMap};
 pub use builder::{Label, ProgramBuilder};
-pub use cfg::{Cfg, ReconvergenceMap};
+pub use cfg::{immediate_dominators, reverse_post_order, Cfg, ReconvergenceMap};
 pub use instr::{AddrSpace, AluOp, CmpOp, FAluOp, Instr};
 pub use program::{Program, ProgramError};
 pub use reg::Reg;

@@ -435,7 +435,7 @@ fn core_tick(
         }
         let ctx = threads.ctx(c, x);
         if decoded.access_class(ctx.pc) != AccessClass::InputLoad {
-            threads.commit(c, x, decoded, image, stats, None);
+            threads.commit(c, x, decoded, image, stats);
             return true;
         }
         let addr = decoded.mem_addr_at(ctx);
@@ -445,7 +445,7 @@ fn core_tick(
         core.pf
             .raise_limit(row_base + lookahead + c as u64 * slab_bytes);
         if core.l1.access(addr) {
-            threads.commit(c, x, decoded, image, stats, Some(addr));
+            threads.commit(c, x, decoded, image, stats);
             return true;
         }
         demand_miss(

@@ -10,7 +10,9 @@
 //! fixpoint a few machine words per block and — deliberately — involves no
 //! hash containers anywhere in the pass.
 
-use millipede_isa::{Cfg, Instr, Program, ReconvergenceMap, Reg};
+use millipede_isa::{
+    immediate_dominators, reverse_post_order, Cfg, Instr, Program, ReconvergenceMap, Reg,
+};
 use std::collections::BTreeMap;
 
 /// A register set as a bitmask: bit `i` set means `r<i>` is a member.
@@ -175,13 +177,10 @@ impl Analysis {
 
         // Reverse post-order over reachable blocks (dataflow iteration
         // order and the index ordering the dominator intersection needs).
-        let rpo = reverse_post_order(&cfg, &reachable);
-        let mut rpo_index = vec![usize::MAX; n];
-        for (i, &b) in rpo.iter().enumerate() {
-            rpo_index[b] = i;
-        }
+        let succs: Vec<Vec<usize>> = cfg.blocks().iter().map(|b| b.succs.clone()).collect();
+        let rpo = reverse_post_order(&succs, 0);
 
-        let idom = immediate_dominators(&preds, &rpo, &rpo_index);
+        let idom = immediate_dominators(&preds, &rpo);
         let ipdom = cfg.immediate_post_dominators();
         let loops = natural_loops(&cfg, &preds, &reachable, &idom);
 
@@ -371,81 +370,6 @@ impl Analysis {
             }
         }
     }
-}
-
-/// Reverse post-order of the reachable blocks from the entry.
-fn reverse_post_order(cfg: &Cfg, reachable: &[bool]) -> Vec<usize> {
-    let n = cfg.blocks().len();
-    let mut order = Vec::with_capacity(n);
-    let mut seen = vec![false; n];
-    let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
-    seen[0] = true;
-    while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-        if *i < cfg.blocks()[v].succs.len() {
-            let w = cfg.blocks()[v].succs[*i];
-            *i += 1;
-            if !seen[w] && reachable[w] {
-                seen[w] = true;
-                stack.push((w, 0));
-            }
-        } else {
-            order.push(v);
-            stack.pop();
-        }
-    }
-    order.reverse();
-    order
-}
-
-/// Cooper–Harvey–Kennedy immediate dominators over the forward CFG.
-///
-/// `rpo` must list the reachable blocks in reverse post-order (entry
-/// first); unreachable blocks get `None`.
-fn immediate_dominators(
-    preds: &[Vec<usize>],
-    rpo: &[usize],
-    rpo_index: &[usize],
-) -> Vec<Option<usize>> {
-    let n = preds.len();
-    let mut idom: Vec<Option<usize>> = vec![None; n];
-    if rpo.is_empty() {
-        return idom;
-    }
-    let entry = rpo[0];
-    idom[entry] = Some(entry);
-    let intersect = |idom: &[Option<usize>], mut a: usize, mut b: usize| {
-        while a != b {
-            while rpo_index[a] > rpo_index[b] {
-                a = idom[a].unwrap();
-            }
-            while rpo_index[b] > rpo_index[a] {
-                b = idom[b].unwrap();
-            }
-        }
-        a
-    };
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &v in &rpo[1..] {
-            let mut new_idom: Option<usize> = None;
-            for &p in &preds[v] {
-                if rpo_index[p] != usize::MAX && idom[p].is_some() {
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, cur, p),
-                    });
-                }
-            }
-            if new_idom.is_some() && idom[v] != new_idom {
-                idom[v] = new_idom;
-                changed = true;
-            }
-        }
-    }
-    // The entry's self-idom is an algorithmic artifact, not a fact.
-    idom[entry] = None;
-    idom
 }
 
 /// Whether `a` dominates `b` given the immediate-dominator array (entry has

@@ -6,14 +6,27 @@
 # Exports each revision with `git archive` into a temporary directory and
 # builds its `millipede-benchmark` there in a target directory of its own,
 # so the two builds share nothing and the repo's .git is left untouched.
-# Prints where each binary's `.text` starts (code placement alone moves
-# this benchmark by ~5%, so a phase change mod 64 is worth knowing). Then
-# runs every workload in BENCHMARK.json for `pairs` pairs (default 10) of
-# `seconds` each (default 4), alternating which side runs first. For each
-# workload and end-to-end metric it prints both medians, the b/a ratio,
-# how many pairs b won (ties count for neither side) and the interquartile
-# range of a's runs. Exits 1 if any run reports `correct: false` or a
-# failed point, 2 on a usage or build error.
+# Both builds get the caller's RUSTFLAGS. The script prints them, and
+# where each binary's `.text` starts and its section alignment (code
+# placement alone moves this benchmark by ~5%, so a phase change mod 64
+# is worth knowing). Then runs every workload in BENCHMARK.json for
+# `pairs` pairs (default 10) of `seconds` each (default 4), alternating
+# which side runs first. For each workload and end-to-end metric it
+# prints both medians, the b/a ratio, how many pairs b won (ties count for
+# neither side) and the interquartile range of a's runs. Exits 1 if any
+# run reports `correct: false` or a failed point, 2 on a usage or build
+# error.
+#
+# Placement-controlled A/B: build both sides with every function aligned
+# to 64 bytes,
+#
+#   RUSTFLAGS="-C llvm-args=-align-all-functions=6" scripts/ab.sh <a> <b>
+#
+# so no function's phase mod 64 depends on the code laid out before it,
+# and `.text` reads phase 0 on both sides. The aligned build is a layout
+# of its own (a few percent off the default layout's `wall_s`, either
+# way), so compare it only with another aligned build, and keep the flag
+# out of the shipped build.
 #
 # Put the scratch space elsewhere with TMPDIR.
 set -euo pipefail
@@ -33,6 +46,7 @@ if [ "$pairs" -lt 1 ] || [ "$seconds" -lt 1 ]; then
     exit 2
 fi
 
+echo "RUSTFLAGS=${RUSTFLAGS-} (both sides)"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 declare -A bin
@@ -48,9 +62,10 @@ for side in a b; do
             cargo build --release --offline --quiet --bin millipede-benchmark) ||
         { echo "error: build of $rev failed" >&2; exit 2; }
     bin[$side]="$work/$side/target/release/millipede-benchmark"
-    text="$(readelf -SW "${bin[$side]}" |
-        sed -n 's/.*\] \.text  *PROGBITS  *\([0-9a-f]*\) .*/\1/p')"
-    echo "$side: $rev .text at 0x$text (phase $((16#$text % 64)) mod 64)"
+    # Address and alignment (the last, `Al`, column) of `.text`.
+    read -r text align < <(readelf -SW "${bin[$side]}" |
+        sed 's/^ *\[ *[0-9]*\] *//' | awk '$1 == ".text" { print $3, $NF }')
+    echo "$side: $rev .text at 0x$text (phase $((16#$text % 64)) mod 64, aligned to $align)"
 done
 
 workloads="$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
