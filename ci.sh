@@ -117,6 +117,27 @@ for p, t in zip(plain["runs"], traced["runs"]):
 print(f"traced manifest OK: ff {traced['host']['ff']}, credit issues {traced['host']['credit_issues']}, {len(traced['runs'])} digests match")
 EOF
 fi
+# all_experiments runs each section in a host phase of its own and writes
+# one manifest at the end: stdout must not change, and the manifest must
+# carry every section's wall, with the Fig. 3 sweep as the `run` phase.
+./target/release/all_experiments --chunks 2 --quiet > "$manifest_dir/all-plain.out"
+./target/release/all_experiments --chunks 2 --quiet \
+    --manifest-out "$manifest_dir/all.json" > "$manifest_dir/all.out"
+cmp "$manifest_dir/all-plain.out" "$manifest_dir/all.out"
+if command -v python3 > /dev/null; then
+    python3 - "$manifest_dir/all.json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+phases = doc["host"]["phases_ms"]
+sections = ["table2", "table3", "table4", "run", "fig4", "fig5", "fig6",
+            "fig7", "families", "convergence", "ablations"]
+missing = [s for s in sections if s not in phases]
+assert not missing, f"sections missing from host.phases_ms: {missing}"
+assert phases["run"] > 0, "the Fig. 3 sweep's wall is missing"
+assert doc["runs"], "all_experiments recorded no runs"
+print(f"all_experiments manifest OK: {len(phases)} phases, {len(doc['runs'])} runs")
+EOF
+fi
 ./target/release/millipede-cli report "$manifest_dir/a.json" > /dev/null
 ./target/release/millipede-cli report --diff \
     "$manifest_dir/a.json" "$manifest_dir/b.json" > /dev/null

@@ -1,91 +1,57 @@
 //! Regenerates the full evaluation: every table and figure in sequence.
 //!
-//! `--profile` prints per-section wall times (and per-point sweep profiles
-//! for the sections that retain their runs) to stderr; stdout is
-//! byte-identical with or without it.
+//! Each section runs in a host phase of its own, so `--manifest-out`
+//! records every section's wall in `host.phases_ms`. The Fig. 3 sweep is
+//! the `run` phase: it is the one section that keeps its runs, so the
+//! manifest's runs, per-second rates, `--trace-out` and telemetry warnings
+//! all cover it. Stdout is byte-identical with or without those flags.
 
-use std::time::Instant;
-
-/// Runs one section, returning its result and printing the section wall
-/// time to stderr when profiling.
-fn section<T>(profile: bool, name: &str, f: impl FnOnce() -> T) -> T {
-    let start = Instant::now();
-    let out = f();
-    if profile {
-        eprintln!("{name} wall: {:.1} ms", start.elapsed().as_secs_f64() * 1e3);
-    }
-    out
-}
+use millipede_sim::experiments::{
+    ablations, convergence, families, fig3, fig4, fig5, fig6, fig7, table2, table3, table4,
+};
 
 fn main() {
     let args = millipede_bench::parse();
     let cfg = &args.cfg;
-    let profile = args.profile && !args.quiet;
-    let total = Instant::now();
+    let phase = |name| args.selfprof.borrow_mut().begin(name);
     println!(
         "Millipede reproduction — full evaluation ({} chunks, seed {})\n",
         cfg.num_chunks, cfg.seed
     );
+    phase("table2");
     println!("Table II — Summary of application behavior\n");
-    println!("{}", millipede_sim::experiments::table2::render());
+    println!("{}", table2::render());
+    phase("table3");
     println!("Table III — Hardware parameters\n");
-    println!("{}", millipede_sim::experiments::table3::render(cfg));
+    println!("{}", table3::render(cfg));
+    phase("table4");
     println!("Table IV — Benchmark parameters and characteristics\n");
-    let t4 = section(profile, "table4", || {
-        millipede_sim::experiments::table4::run(cfg)
-    });
-    println!("{}", t4.render());
+    println!("{}", table4::run(cfg).render());
+    phase("run");
     println!("Fig. 3 — Performance (speedup over GPGPU)\n");
-    let f3 = section(profile, "fig3", || {
-        millipede_sim::experiments::fig3::run(cfg)
-    });
+    let f3 = fig3::run(cfg);
     println!("{}", f3.render());
-    {
-        // Per-point profile, telemetry summary, and `--trace-out` cover the
-        // Fig. 3 sweep — the one section that retains its runs.
-        let runs: Vec<_> = f3.runs.iter().flatten().collect();
-        millipede_bench::report(&args, &runs);
-    }
+    phase("fig4");
     println!("Fig. 4 — Energy (relative to GPGPU)\n");
-    let f4 = section(profile, "fig4", || {
-        millipede_sim::experiments::fig4::run(cfg)
-    });
-    println!("{}", f4.render());
+    println!("{}", fig4::run(cfg).render());
+    phase("fig5");
     println!("Fig. 5 — Millipede vs conventional multicore\n");
-    let f5 = section(profile, "fig5", || {
-        millipede_sim::experiments::fig5::run(cfg)
-    });
-    println!("{}", f5.render());
+    println!("{}", fig5::run(cfg).render());
+    phase("fig6");
     println!("Fig. 6 — Speedup vs system size\n");
-    let f6 = section(profile, "fig6", || {
-        millipede_sim::experiments::fig6::run(cfg)
-    });
-    println!("{}", f6.render());
+    println!("{}", fig6::run(cfg).render());
+    phase("fig7");
     println!("Fig. 7 — Speedup vs prefetch-buffer count\n");
-    let f7 = section(profile, "fig7", || {
-        millipede_sim::experiments::fig7::run(cfg)
-    });
-    println!("{}", f7.render());
+    println!("{}", fig7::run(cfg).render());
+    phase("families");
     println!("Workload families — graph + dense (beyond the paper's set)\n");
-    let fam = section(profile, "families", || {
-        millipede_sim::experiments::families::run(cfg)
-    });
-    println!("{}", fam.render());
+    println!("{}", families::run(cfg).render());
+    phase("convergence");
     println!("Rate-matching convergence (§IV-F)\n");
-    let conv = section(profile, "convergence", || {
-        millipede_sim::experiments::convergence::run(cfg)
-    });
-    println!("{}", conv.render());
+    println!("{}", convergence::run(cfg).render());
+    phase("ablations");
     println!("Ablations (beyond the paper's figures)\n");
-    let abl = section(profile, "ablations", || {
-        millipede_sim::experiments::ablations::render_all(cfg)
-    });
-    println!("{abl}");
-    if profile {
-        eprintln!(
-            "total wall: {:.1} ms ({} sweep workers)",
-            total.elapsed().as_secs_f64() * 1e3,
-            millipede_sim::sweep_threads()
-        );
-    }
+    println!("{}", ablations::render_all(cfg));
+    let runs: Vec<_> = f3.runs.iter().flatten().collect();
+    millipede_bench::report(&args, &runs);
 }

@@ -3,18 +3,18 @@
 //! Every binary accepts the same optional arguments:
 //!
 //! ```text
-//! <bin> [--chunks N] [--seed S] [--csv] [--profile] [--quiet]
+//! <bin> [--chunks N] [--seed S] [--csv] [--quiet]
 //!       [--trace-out PATH] [--telemetry-epoch CYCLES] [--manifest-out PATH]
 //! ```
 //!
-//! and prints the regenerated table to stdout. `--profile` prints a host
-//! wall-time / fast-forward profile of the underlying sweep to **stderr**
-//! (stdout stays byte-identical with or without it). `--trace-out` enables
+//! and prints the regenerated table to stdout. `--trace-out` enables
 //! cycle-domain telemetry and writes a combined Chrome-trace/Perfetto JSON
 //! for the sweep; `--telemetry-epoch` sets the sampling epoch in compute
 //! cycles (and also enables telemetry). `--manifest-out` writes a
 //! `millipede-manifest/2` JSON (config fingerprint, per-run digests and
-//! metrics, host self-profiling) after the sweep. Binaries that keep no
+//! metrics, host self-profiling) after the sweep; `millipede-cli report`
+//! renders it, with each point's host wall and skipped-cycle share. Stdout
+//! stays byte-identical with any of these. Binaries that keep no
 //! sweep of runs (`table2`, `table3`, `convergence`, `fig5`, `ablations`)
 //! parse with [`parse_untraced`], which rejects those three flags with
 //! exit 2 instead of accepting and ignoring them. `--quiet` suppresses all
@@ -37,9 +37,6 @@ pub struct Args {
     pub cfg: SimConfig,
     /// Emit CSV instead of an aligned table (`--csv`).
     pub csv: bool,
-    /// Print a host wall-time / fast-forward profile to stderr
-    /// (`--profile`).
-    pub profile: bool,
     /// Suppress all stderr reporting (`--quiet`).
     pub quiet: bool,
     /// Write a Chrome-trace/Perfetto JSON of the sweep's telemetry here
@@ -55,9 +52,8 @@ pub struct Args {
     pub selfprof: RefCell<SelfProfile>,
 }
 
-/// Parses all shared arguments: `--chunks`, `--seed`, `--csv`,
-/// `--profile`, `--quiet`, `--trace-out`, `--telemetry-epoch`,
-/// `--manifest-out`.
+/// Parses all shared arguments: `--chunks`, `--seed`, `--csv`, `--quiet`,
+/// `--trace-out`, `--telemetry-epoch`, `--manifest-out`.
 pub fn parse() -> Args {
     parse_args(true)
 }
@@ -74,7 +70,6 @@ fn parse_args(traced: bool) -> Args {
     selfprof.begin("decode");
     let mut cfg = SimConfig::default();
     let mut csv = false;
-    let mut profile = false;
     let mut quiet = false;
     let mut trace_out: Option<PathBuf> = None;
     let mut manifest_out: Option<PathBuf> = None;
@@ -101,7 +96,6 @@ fn parse_args(traced: bool) -> Args {
                     .unwrap_or_else(|| usage("--seed needs an integer"));
             }
             "--csv" => csv = true,
-            "--profile" => profile = true,
             "--quiet" => quiet = true,
             "--trace-out" => {
                 i += 1;
@@ -138,7 +132,6 @@ fn parse_args(traced: bool) -> Args {
     Args {
         cfg,
         csv,
-        profile,
         quiet,
         trace_out,
         manifest_out,
@@ -146,15 +139,12 @@ fn parse_args(traced: bool) -> Args {
     }
 }
 
-/// Shared post-sweep reporting: the `--profile` table and any telemetry
-/// overflow warning go to stderr (suppressed by `--quiet`; stdout is never
-/// touched), the combined Chrome trace is written to `--trace-out` when
-/// requested, and the run manifest is written to `--manifest-out`.
+/// Shared post-sweep reporting: any telemetry overflow warning goes to
+/// stderr (suppressed by `--quiet`; stdout is never touched), the combined
+/// Chrome trace is written to `--trace-out` when requested, and the run
+/// manifest is written to `--manifest-out`.
 pub fn report(args: &Args, runs: &[&RunResult]) {
     args.selfprof.borrow_mut().begin("report");
-    if args.profile && !args.quiet {
-        eprint!("{}", millipede_sim::report::profile(runs));
-    }
     if !args.quiet {
         eprint!("{}", millipede_sim::report::telemetry_warnings(runs));
     }
@@ -197,7 +187,7 @@ pub fn report(args: &Args, runs: &[&RunResult]) {
 
 fn usage(msg: &str) -> ! {
     eprintln!(
-        "error: {msg}\nusage: <bin> [--chunks N] [--seed S] [--csv] [--profile] [--quiet] \
+        "error: {msg}\nusage: <bin> [--chunks N] [--seed S] [--csv] [--quiet] \
          [--trace-out PATH] [--telemetry-epoch CYCLES] [--manifest-out PATH]"
     );
     std::process::exit(2);

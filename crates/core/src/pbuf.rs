@@ -383,24 +383,11 @@ impl RowPrefetchBuffer {
 
     /// Hands out the next pending row fetch as a `(slot, row)` pair, if
     /// any. The slot must be completed via [`Self::fill_complete`] (or
-    /// returned with `untake_fetch`). Equivalent to `take_fetches(1)`
-    /// without the `Vec` — [`Self::pump`] polls this every compute edge.
+    /// returned with `untake_fetch`). [`Self::pump`] polls this every
+    /// compute edge.
     pub fn pop_fetch(&mut self) -> Option<(usize, u64)> {
         let slot = self.fetch_queue.pop_front()?;
         Some((slot, self.entries[slot].row))
-    }
-
-    /// Hands out up to `max` pending row fetches as `(slot, row)` pairs.
-    /// Slots handed out must be completed via [`Self::fill_complete`].
-    pub fn take_fetches(&mut self, max: usize) -> Vec<(usize, u64)> {
-        let mut out = Vec::with_capacity(max.min(self.fetch_queue.len()));
-        while out.len() < max {
-            let Some(slot) = self.fetch_queue.pop_front() else {
-                break;
-            };
-            out.push((slot, self.entries[slot].row));
-        }
-        out
     }
 
     /// Returns an undelivered fetch (DRAM queue was full); it stays next in
@@ -461,8 +448,13 @@ mod tests {
         last
     }
 
+    /// Pops every pending fetch, in order.
+    fn drain(buf: &mut RowPrefetchBuffer) -> Vec<(usize, u64)> {
+        std::iter::from_fn(|| buf.pop_fetch()).collect()
+    }
+
     fn fill_all_pending(buf: &mut RowPrefetchBuffer) {
-        for (slot, _row) in buf.take_fetches(usize::MAX) {
+        for (slot, _row) in drain(buf) {
             buf.fill_complete(slot);
         }
     }
@@ -470,7 +462,7 @@ mod tests {
     #[test]
     fn initial_fill_allocates_capacity_rows() {
         let mut buf = RowPrefetchBuffer::new(4, 2, 4, 100, true);
-        let fetches = buf.take_fetches(usize::MAX);
+        let fetches = drain(&mut buf);
         assert_eq!(
             fetches,
             vec![(0, 0), (1, 1), (2, 2), (3, 3)],
@@ -508,7 +500,7 @@ mod tests {
             "saturation re-armed the blocked trigger"
         );
         // Row 4 allocated into slot 0.
-        assert_eq!(buf.take_fetches(usize::MAX), vec![(0, 4)]);
+        assert_eq!(drain(&mut buf), vec![(0, 4)]);
         assert_eq!(buf.lookup(0), Lookup::Evicted); // row 0 retired after full consumption
     }
 
@@ -550,7 +542,7 @@ mod tests {
         let out = consume_all(&mut buf, 0, 1);
         assert!(out.saturated);
         assert!(out.triggered >= 1);
-        assert_eq!(buf.take_fetches(usize::MAX), vec![(0, 2)]);
+        assert_eq!(drain(&mut buf), vec![(0, 2)]);
     }
 
     #[test]
@@ -568,7 +560,7 @@ mod tests {
         assert_eq!(buf.lookup(0), Lookup::Evicted);
         // Lagging group 1's access to row 0 now reports Evicted → the
         // processor must bypass to DRAM. Row 2 took the freed slot.
-        assert_eq!(buf.take_fetches(usize::MAX), vec![(0, 2)]);
+        assert_eq!(drain(&mut buf), vec![(0, 2)]);
     }
 
     #[test]
@@ -588,7 +580,7 @@ mod tests {
         assert!(!out.trigger_blocked);
         let out = buf.consume(0, 0);
         assert_eq!(out.triggered, 0);
-        assert!(buf.take_fetches(usize::MAX).is_empty());
+        assert!(drain(&mut buf).is_empty());
     }
 
     #[test]
@@ -630,23 +622,20 @@ mod tests {
         consume_all(&mut buf, 0, 0);
         let out = consume_all(&mut buf, 1, 0);
         assert!(out.trigger_blocked);
-        assert!(
-            buf.take_fetches(usize::MAX).is_empty(),
-            "nothing re-armed yet"
-        );
+        assert!(drain(&mut buf).is_empty(), "nothing re-armed yet");
         // Group 1 finishes the head: its saturation re-fires a deferred
         // trigger, allocating row 2 into the freed slot.
         let out = consume_all(&mut buf, 0, 1);
         assert!(out.saturated);
         assert!(out.triggered >= 1, "head saturation re-armed a trigger");
-        assert_eq!(buf.take_fetches(usize::MAX), vec![(0, 2)]);
+        assert_eq!(drain(&mut buf), vec![(0, 2)]);
         // Group 1's *final* consume of the old tail (row 1, while row 2's
         // trigger sits blocked behind it) saturates the new head and must
         // re-arm again — this is the very last access that can do so.
         let out = consume_all(&mut buf, 1, 1);
         assert!(out.saturated);
         assert!(out.triggered >= 1, "tail saturation re-armed a trigger");
-        assert_eq!(buf.take_fetches(usize::MAX), vec![(1, 3)]);
+        assert_eq!(drain(&mut buf), vec![(1, 3)]);
         // The sanitizer watched the whole trace and found it legal.
         buf.audit().assert_clean("liveness regression trace");
         assert_eq!(buf.stats().premature_evictions, 0);
@@ -655,14 +644,11 @@ mod tests {
     #[test]
     fn untake_fetch_preserves_order() {
         let mut buf = RowPrefetchBuffer::new(4, 1, 4, 100, true);
-        let fetches = buf.take_fetches(2);
+        let fetches: Vec<_> = std::iter::from_fn(|| buf.pop_fetch()).take(2).collect();
         assert_eq!(fetches, vec![(0, 0), (1, 1)]);
         buf.untake_fetch(1);
         buf.untake_fetch(0);
-        assert_eq!(
-            buf.take_fetches(usize::MAX),
-            vec![(0, 0), (1, 1), (2, 2), (3, 3)]
-        );
+        assert_eq!(drain(&mut buf), vec![(0, 0), (1, 1), (2, 2), (3, 3)]);
     }
 
     #[test]
@@ -678,7 +664,7 @@ mod tests {
         let before = buf.stats().clone();
         assert_eq!(buf.pump(&mut mc, 0, 2048, 1 << 32), 0);
         assert_eq!(buf.stats(), &before);
-        assert_eq!(buf.take_fetches(usize::MAX), vec![(2, 2), (3, 3)]);
+        assert_eq!(drain(&mut buf), vec![(2, 2), (3, 3)]);
     }
 
     #[test]

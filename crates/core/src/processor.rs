@@ -126,32 +126,11 @@ mod run_impl {
             );
             tel.counter("core::pbuf", "flow_blocks", due, at, p.flow_blocks as f64);
             tel.counter(
-                "core::pbuf",
-                "demand_stalls",
-                due,
-                at,
-                self.stats.demand_stalls as f64,
-            );
-            tel.counter(
                 "core::rate",
                 "frequency_mhz",
                 due,
                 at,
                 mhz_for_period_ps(self.period),
-            );
-            tel.counter(
-                "core::processor",
-                "issue_slots",
-                due,
-                at,
-                self.stats.issue_slots as f64,
-            );
-            tel.counter(
-                "core::processor",
-                "stall_slots",
-                due,
-                at,
-                self.stats.stall_slots as f64,
             );
         }
 

@@ -10,8 +10,9 @@
 //! driver keeps its issue-slot ledger. Everything else is the driver's
 //! too: the cycle count and last-edge time, the quiescence fingerprint
 //! taken around each compute edge, the deadlock guard, the bulk jump over
-//! proven-no-op edges, telemetry epoch sampling (the model's samples, then
-//! the controller's), and the end-of-run invariant checks.
+//! proven-no-op edges, telemetry epoch sampling (the slot ledger and the
+//! replayed stalls on the `node` track, then the model's samples, then the
+//! controller's), and the end-of-run invariant checks.
 //!
 //! **The jump.** A compute edge that issues nothing and leaves the model's
 //! fingerprint unchanged changed nothing at all, so every later compute
@@ -109,7 +110,9 @@ pub trait NodeModel {
 
     /// Records the telemetry epoch sample of compute cycle `cycle`, whose
     /// edge fell at `at`. The driver calls it with the state that edge
-    /// left, walked or jumped.
+    /// left, walked or jumped, after it has sampled the `issue_slots`,
+    /// `stall_slots` and `demand_stalls` it accounts on the `node` track;
+    /// the model records only the series the driver cannot see.
     fn sample_epoch(&self, tel: &mut Telemetry, cycle: u64, at: TimePs);
 
     /// End-of-run invariant hooks (buffer audits, clock monotonicity);
@@ -174,7 +177,7 @@ impl Quiescence {
     fn guard(&self) {
         assert!(
             self.idle_streak <= MAX_IDLE_CYCLES,
-            "{} deadlock: no issue for {} cycles",
+            "{} deadlock: no issue slot has issued for {} consecutive compute cycles (MAX_IDLE_CYCLES)",
             self.label,
             self.idle_streak
         );
@@ -263,12 +266,12 @@ pub struct Driven {
     pub profile: JumpProfile,
 }
 
-/// Samples `model`, then the controller, if `cycle` is the next telemetry
-/// epoch boundary. The driver never passes a boundary unsampled, so at
-/// most one is due. Inlined: the check runs on every compute edge.
+/// Samples the epoch if `cycle` is the next telemetry epoch boundary. The
+/// driver never passes a boundary unsampled, so at most one is due.
+/// Inlined: the check runs on every compute edge.
 #[inline(always)]
 fn sample_if_due<M: NodeModel>(
-    model: &M,
+    model: &mut M,
     mc: &MemoryController,
     tel: &mut Telemetry,
     cycle: u64,
@@ -276,13 +279,36 @@ fn sample_if_due<M: NodeModel>(
 ) {
     if let Some(due) = tel.next_due(cycle) {
         debug_assert_eq!(due, cycle, "a telemetry epoch boundary was skipped");
-        model.sample_epoch(tel, cycle, at);
-        let d = mc.stats();
-        let track = "dram::controller";
-        tel.counter(track, "row_hits", cycle, at, d.row_hits as f64);
-        tel.counter(track, "row_misses", cycle, at, d.row_misses as f64);
-        tel.counter(track, "queue_depth", cycle, at, mc.queue_len() as f64);
+        record_epoch(model, mc, tel, cycle, at);
     }
+}
+
+/// Records the epoch sample of compute cycle `cycle`: the slots the
+/// driver charges and the stalls it replays on the `node` track, then
+/// `model`'s own series, then the controller's. Cold: at most once per
+/// epoch, and never with telemetry off.
+#[cold]
+fn record_epoch<M: NodeModel>(
+    model: &mut M,
+    mc: &MemoryController,
+    tel: &mut Telemetry,
+    cycle: u64,
+    at: TimePs,
+) {
+    let s = model.stats_mut();
+    for (name, v) in [
+        ("issue_slots", s.issue_slots),
+        ("stall_slots", s.stall_slots),
+        ("demand_stalls", s.demand_stalls),
+    ] {
+        tel.counter("node", name, cycle, at, v as f64);
+    }
+    model.sample_epoch(tel, cycle, at);
+    let d = mc.stats();
+    let track = "dram::controller";
+    tel.counter(track, "row_hits", cycle, at, d.row_hits as f64);
+    tel.counter(track, "row_misses", cycle, at, d.row_misses as f64);
+    tel.counter(track, "queue_depth", cycle, at, mc.queue_len() as f64);
 }
 
 /// Records one `row_conflict` event for each fill that had to open its
@@ -639,8 +665,6 @@ mod tests {
         fn sample_epoch(&self, tel: &mut Telemetry, cycle: u64, at: TimePs) {
             let misses = self.stats.l1_misses as f64;
             tel.counter("toy::core", "misses", cycle, at, misses);
-            let slots = self.stats.stall_slots as f64;
-            tel.counter("toy::core", "stall_slots", cycle, at, slots);
             let credits = self.credits.iter().sum::<u64>() as f64;
             tel.counter("toy::core", "credits", cycle, at, credits);
         }
@@ -698,8 +722,10 @@ mod tests {
         let key = |s: &Sample| (s.cycle, s.time_ps, s.value.to_bits());
         for (track, name) in [
             ("toy::core", "misses"),
-            ("toy::core", "stall_slots"),
             ("toy::core", "credits"),
+            ("node", "issue_slots"),
+            ("node", "stall_slots"),
+            ("node", "demand_stalls"),
             ("dram::controller", "row_hits"),
             ("dram::controller", "row_misses"),
             ("dram::controller", "queue_depth"),

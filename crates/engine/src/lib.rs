@@ -31,7 +31,6 @@ pub mod context;
 pub mod decoded;
 pub mod driver;
 pub mod func;
-pub mod instrument;
 pub mod mimd;
 pub mod stats;
 pub mod step;

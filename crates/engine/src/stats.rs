@@ -69,6 +69,61 @@ pub struct CoreStats {
 }
 
 impl CoreStats {
+    /// The simulated counters by name, in declaration order: every field
+    /// except the host-side `ff_skipped_cycles` and the rate-match results.
+    /// This is the one list the determinism digest and the run manifest
+    /// read. The pattern names every field, so a new one does not compile
+    /// until it is listed here or bound to `_`.
+    pub fn counters(&self) -> [(&'static str, u64); 20] {
+        let CoreStats {
+            instructions,
+            issues,
+            branches,
+            divergent_branches,
+            input_loads,
+            local_loads,
+            local_stores,
+            shared_passes,
+            l1_hits,
+            l1_misses,
+            pbuf_hits,
+            demand_stalls,
+            prefetches,
+            demand_fetches,
+            compute_cycles,
+            issue_slots,
+            stall_slots,
+            lane_idle,
+            flow_blocks,
+            premature_evictions,
+            ff_skipped_cycles: _,
+            rate_match_final_mhz: _,
+            rate_trace: _,
+        } = *self;
+        [
+            ("instructions", instructions),
+            ("issues", issues),
+            ("branches", branches),
+            ("divergent_branches", divergent_branches),
+            ("input_loads", input_loads),
+            ("local_loads", local_loads),
+            ("local_stores", local_stores),
+            ("shared_passes", shared_passes),
+            ("l1_hits", l1_hits),
+            ("l1_misses", l1_misses),
+            ("pbuf_hits", pbuf_hits),
+            ("demand_stalls", demand_stalls),
+            ("prefetches", prefetches),
+            ("demand_fetches", demand_fetches),
+            ("compute_cycles", compute_cycles),
+            ("issue_slots", issue_slots),
+            ("stall_slots", stall_slots),
+            ("lane_idle", lane_idle),
+            ("flow_blocks", flow_blocks),
+            ("premature_evictions", premature_evictions),
+        ]
+    }
+
     /// Fraction of issue opportunities spent stalled.
     pub fn stall_fraction(&self) -> f64 {
         if self.issue_slots == 0 {

@@ -201,27 +201,6 @@ impl NodeModel for Node<'_> {
             at,
             self.stats.l1_misses as f64,
         );
-        tel.counter(
-            "gpgpu::sm",
-            "demand_stalls",
-            due,
-            at,
-            self.stats.demand_stalls as f64,
-        );
-        tel.counter(
-            "gpgpu::sm",
-            "issue_slots",
-            due,
-            at,
-            self.stats.issue_slots as f64,
-        );
-        tel.counter(
-            "gpgpu::sm",
-            "stall_slots",
-            due,
-            at,
-            self.stats.stall_slots as f64,
-        );
         if let Some(pbuf) = &self.pbuf {
             tel.counter("gpgpu::pbuf", "occupancy", due, at, pbuf.occupancy() as f64);
         }

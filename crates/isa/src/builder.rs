@@ -144,11 +144,6 @@ impl ProgramBuilder {
         self.push(Instr::Li { dst, imm })
     }
 
-    /// Emits `dst = imm` for a signed integer immediate.
-    pub fn li_i32(&mut self, dst: Reg, imm: i32) -> &mut Self {
-        self.li(dst, imm as u32)
-    }
-
     /// Emits `dst = imm` for a float immediate (stores the bit pattern).
     pub fn li_f32(&mut self, dst: Reg, imm: f32) -> &mut Self {
         self.li(dst, imm.to_bits())
@@ -172,16 +167,6 @@ impl ProgramBuilder {
             offset,
             space,
         })
-    }
-
-    /// Emits a load from the input dataset.
-    pub fn ld_in(&mut self, dst: Reg, addr: Reg, offset: i32) -> &mut Self {
-        self.ld(dst, addr, offset, AddrSpace::Input)
-    }
-
-    /// Emits a load from local live state.
-    pub fn ld_local(&mut self, dst: Reg, addr: Reg, offset: i32) -> &mut Self {
-        self.ld(dst, addr, offset, AddrSpace::Local)
     }
 
     /// Emits a store to local live state.

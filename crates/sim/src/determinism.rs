@@ -111,28 +111,7 @@ pub fn digest_run(r: &RunResult) -> u64 {
     h.write(r.bench.name().as_bytes());
 
     let s = &r.node.stats;
-    for v in [
-        s.instructions,
-        s.issues,
-        s.branches,
-        s.divergent_branches,
-        s.input_loads,
-        s.local_loads,
-        s.local_stores,
-        s.shared_passes,
-        s.l1_hits,
-        s.l1_misses,
-        s.pbuf_hits,
-        s.demand_stalls,
-        s.prefetches,
-        s.demand_fetches,
-        s.compute_cycles,
-        s.issue_slots,
-        s.stall_slots,
-        s.lane_idle,
-        s.flow_blocks,
-        s.premature_evictions,
-    ] {
+    for (_, v) in s.counters() {
         h.write_u64(v);
     }
     h.write_f64(s.rate_match_final_mhz);

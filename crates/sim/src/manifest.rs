@@ -3,8 +3,8 @@
 //! A manifest is the machine-readable record of what one driver invocation
 //! simulated and what it cost the *host*: the configuration (plus a
 //! fingerprint), every run's determinism digest and full metrics registry
-//! (populated through the shared `register_core_stats` in
-//! `millipede_engine::instrument`), and host self-profiling — wall-clock
+//! (its `stats.*` counters read from `CoreStats::counters`, the list the
+//! digest hashes), and host self-profiling — wall-clock
 //! per phase, retired-instructions/sec, walked-edges/sec, fast-forward
 //! jumps and skipped-cycle ratio, sweep-pool utilization, per-point
 //! latency, and telemetry ring drop counts.
@@ -20,7 +20,6 @@
 use crate::config::SimConfig;
 use crate::determinism::{digest_run, Fnv1a};
 use crate::runner::RunResult;
-use millipede_engine::instrument;
 use millipede_metrics::json::{escape, fmt_f64, Json};
 use millipede_metrics::{Histogram, Registry, SelfProfile};
 
@@ -82,14 +81,26 @@ fn metric_prefix(r: &RunResult) -> String {
     r.arch.label().to_ascii_lowercase()
 }
 
-/// Builds one run's full metrics registry: the shared core-stats
-/// registration plus DRAM counters, energy gauges, fast-forward
-/// jump counts, and telemetry sink totals, all under the run's arch
-/// prefix.
+/// Builds one run's full metrics registry: every
+/// [`CoreStats::counters`](millipede_engine::CoreStats::counters)
+/// entry, the skipped cycles and rate-match results, plus DRAM counters,
+/// energy gauges, fast-forward jump counts, and telemetry sink totals, all
+/// under the run's arch prefix.
 pub fn run_registry(r: &RunResult) -> Registry {
     let mut reg = Registry::new();
     let prefix = metric_prefix(r);
-    instrument::register_core_stats(&mut reg, &prefix, &r.node.stats);
+    let s = &r.node.stats;
+    let extra = [
+        ("ff_skipped_cycles", s.ff_skipped_cycles),
+        ("rate_steps", s.rate_trace.len() as u64),
+    ];
+    for (name, v) in s.counters().into_iter().chain(extra) {
+        reg.counter_add(&format!("{prefix}.stats.{name}"), v);
+    }
+    reg.gauge_set(
+        &format!("{prefix}.stats.rate_match_final_mhz"),
+        s.rate_match_final_mhz,
+    );
     let d = &r.node.dram;
     for (name, v) in [
         ("row_hits", d.row_hits),
@@ -302,14 +313,24 @@ pub fn render_text(doc: &Json) -> String {
     }
     if let Some(runs) = doc.get("runs").and_then(Json::as_array) {
         for run in runs {
+            let metrics = run.get("metrics").and_then(Json::as_object);
+            // The run's one `<prefix>.stats.<name>` counter.
+            let stat = |name: &str| {
+                let suffix = format!(".stats.{name}");
+                metrics
+                    .and_then(|m| m.iter().find(|(n, _)| n.ends_with(&suffix)))
+                    .and_then(|(_, v)| v.as_f64())
+                    .unwrap_or(0.0)
+            };
+            let skipped = 100.0 * stat("ff_skipped_cycles") / stat("compute_cycles").max(1.0);
             out.push_str(&format!(
-                "  {:<40} {:>12.1} us simulated, {:>9.1} ms host, {} metric(s)\n",
+                "  {:<40} {:>12.1} us simulated, {:>9.1} ms host, {:>5.1}% cycles skipped, \
+                 {} metric(s)\n",
                 run.get("label").and_then(Json::as_str).unwrap_or("?"),
                 run.get("elapsed_ps").and_then(Json::as_f64).unwrap_or(0.0) / 1e6,
                 run.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0),
-                run.get("metrics")
-                    .and_then(Json::as_object)
-                    .map_or(0, <[_]>::len),
+                skipped,
+                metrics.map_or(0, <[_]>::len),
             ));
         }
     }
@@ -473,10 +494,13 @@ mod tests {
         let cfg = tiny();
         let r = run_one(Arch::Ssmc, Benchmark::Count, &cfg);
         let reg = run_registry(&r);
-        assert!(matches!(
-            reg.get("ssmc.stats.instructions"),
-            Some(Metric::Counter(n)) if *n == r.node.stats.instructions
-        ));
+        for (name, v) in r.node.stats.counters() {
+            assert!(
+                matches!(reg.get(&format!("ssmc.stats.{name}")), Some(Metric::Counter(n)) if *n == v),
+                "ssmc.stats.{name}"
+            );
+        }
+        assert!(reg.get("ssmc.stats.ff_skipped_cycles").is_some());
         assert!(matches!(
             reg.get("ssmc.dram.requests"),
             Some(Metric::Counter(n)) if *n == r.node.dram.requests

@@ -104,39 +104,6 @@ pub fn f0(x: f64) -> String {
     format!("{x:.0}")
 }
 
-/// Renders a per-point harness profile: host wall time and fast-forward
-/// skipped-cycle counters for every run in a sweep.
-///
-/// Profiling output only — the numbers here depend on the host and are
-/// deliberately kept out of every results table, CSV, and determinism
-/// digest. The experiment binaries print it to stderr behind `--profile`.
-pub fn profile(results: &[&RunResult]) -> String {
-    let mut t = Table::new(vec![
-        "arch",
-        "bench",
-        "wall_ms",
-        "compute_cycles",
-        "ff_skipped",
-        "skipped_%",
-    ]);
-    let mut wall_total = 0.0;
-    for r in results {
-        let cycles = r.node.stats.compute_cycles;
-        let skipped = r.node.stats.ff_skipped_cycles;
-        let wall_ms = r.wall.as_secs_f64() * 1e3;
-        wall_total += wall_ms;
-        t.row(vec![
-            r.arch.label().to_string(),
-            r.bench.name().to_string(),
-            format!("{wall_ms:.1}"),
-            cycles.to_string(),
-            skipped.to_string(),
-            format!("{:.1}", 100.0 * skipped as f64 / cycles.max(1) as f64),
-        ]);
-    }
-    format!("{}total wall: {:.1} ms\n", t.render(), wall_total)
-}
-
 /// The `arch/bench` label identifying one run in telemetry output.
 fn run_label(r: &RunResult) -> String {
     format!("{}/{}", r.arch.label(), r.bench.name())

@@ -188,27 +188,6 @@ impl NodeModel for Node<'_> {
         tel.counter("ssmc::l1", "hits", due, at, hits as f64);
         let misses = self.stats.l1_misses as f64;
         tel.counter("ssmc::l1", "misses", due, at, misses);
-        tel.counter(
-            "ssmc::core",
-            "issue_slots",
-            due,
-            at,
-            self.stats.issue_slots as f64,
-        );
-        tel.counter(
-            "ssmc::core",
-            "stall_slots",
-            due,
-            at,
-            self.stats.stall_slots as f64,
-        );
-        tel.counter(
-            "ssmc::core",
-            "demand_stalls",
-            due,
-            at,
-            self.stats.demand_stalls as f64,
-        );
     }
 
     fn done(&self) -> bool {

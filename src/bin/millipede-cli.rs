@@ -100,6 +100,35 @@ fn take(args: &[String], i: &mut usize, flag: &str, min: u64) -> u64 {
         })
 }
 
+/// `verify`, `disasm` and `run` take exactly one of `--kernels` and file
+/// arguments.
+fn kernels_or_files(kernels: bool, files: &[String]) {
+    if kernels != files.is_empty() {
+        usage();
+    }
+}
+
+/// Reads the `.asm` file at `path` and names the program after its stem.
+/// An unreadable file exits 2.
+fn load_source(path: &str) -> (String, String) {
+    let source = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("{path}: {e}");
+        std::process::exit(2);
+    });
+    let name = std::path::Path::new(path)
+        .file_stem()
+        .map_or_else(|| path.to_string(), |s| s.to_string_lossy().into_owned());
+    (name, source)
+}
+
+/// Unwraps the assembly of the file at `path`; a failure exits 2.
+fn assembled<T>(path: &str, result: Result<T, impl std::fmt::Display>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{path}: assembly failed: {e}");
+        std::process::exit(2);
+    })
+}
+
 /// The `report` subcommand: render run manifests or diff two of them.
 /// Returns the process exit code.
 fn report_cmd(args: &[String]) -> i32 {
@@ -175,10 +204,7 @@ fn verify_cmd(args: &[String]) -> i32 {
         }
         i += 1;
     }
-    if kernels != files.is_empty() {
-        // Exactly one of --kernels / file arguments must be given.
-        usage();
-    }
+    kernels_or_files(kernels, &files);
 
     let mut reports: Vec<VerifyReport> = Vec::new();
     if kernels {
@@ -195,31 +221,15 @@ fn verify_cmd(args: &[String]) -> i32 {
         }
     } else {
         for path in &files {
-            let source = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    return 2;
-                }
-            };
-            let name = std::path::Path::new(path)
-                .file_stem()
-                .map_or_else(|| path.clone(), |s| s.to_string_lossy().into_owned());
-            match verify_source(&name, &source, &base) {
-                Ok((_, report)) => {
-                    if do_annotate {
-                        match annotate_source(&name, &source, &base) {
-                            Ok(listing) => println!("{listing}"),
-                            Err(e) => eprintln!("{path}: {e}"),
-                        }
-                    }
-                    reports.push(report);
-                }
-                Err(e) => {
-                    eprintln!("{path}: assembly failed: {e}");
-                    return 2;
+            let (name, source) = load_source(path);
+            let (_, report) = assembled(path, verify_source(&name, &source, &base));
+            if do_annotate {
+                match annotate_source(&name, &source, &base) {
+                    Ok(listing) => println!("{listing}"),
+                    Err(e) => eprintln!("{path}: {e}"),
                 }
             }
+            reports.push(report);
         }
     }
 
@@ -248,10 +258,7 @@ fn disasm_cmd(args: &[String]) -> i32 {
             file => files.push(file.to_string()),
         }
     }
-    if kernels != files.is_empty() {
-        // Exactly one of --kernels / file arguments must be given.
-        usage();
-    }
+    kernels_or_files(kernels, &files);
     if kernels {
         for bench in kernel_benchmarks() {
             let w = kernel_workload(bench);
@@ -261,23 +268,11 @@ fn disasm_cmd(args: &[String]) -> i32 {
         return 0;
     }
     for path in &files {
-        let source = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                return 2;
-            }
-        };
-        let name = std::path::Path::new(path)
-            .file_stem()
-            .map_or_else(|| path.clone(), |s| s.to_string_lossy().into_owned());
-        match assemble(&name, &source) {
-            Ok(program) => println!("{}", disassemble(&program)),
-            Err(e) => {
-                eprintln!("{path}: assembly failed: {e}");
-                return 2;
-            }
-        }
+        let (name, source) = load_source(path);
+        println!(
+            "{}",
+            disassemble(&assembled(path, assemble(&name, &source)))
+        );
     }
     0
 }
@@ -364,10 +359,7 @@ fn run_cmd(args: &[String]) -> i32 {
         }
         i += 1;
     }
-    if kernels != files.is_empty() {
-        // Exactly one of --kernels / file arguments must be given.
-        usage();
-    }
+    kernels_or_files(kernels, &files);
     if kernels {
         return run_kernels(num_chunks, seed);
     }
@@ -375,23 +367,8 @@ fn run_cmd(args: &[String]) -> i32 {
     let input = InputImage::new(vec![0u32; input_words as usize]);
     let mut trapped = false;
     for path in &files {
-        let source = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                return 2;
-            }
-        };
-        let name = std::path::Path::new(path)
-            .file_stem()
-            .map_or_else(|| path.clone(), |s| s.to_string_lossy().into_owned());
-        let program = match assemble(&name, &source) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("{path}: assembly failed: {e}");
-                return 2;
-            }
-        };
+        let (name, source) = load_source(path);
+        let program = assembled(path, assemble(&name, &source));
         let mut ctx = ThreadCtx::new(local_bytes as usize, &LaunchParams::new());
         match run_functional(&mut ctx, &program, &input, step_limit) {
             Ok(stats) => {

@@ -1,8 +1,8 @@
 //! Manifest-layer acceptance tests.
 //!
 //! The metrics registry and run manifests (DESIGN.md, "Observability")
-//! claim to be purely observational: building the full manifest — registry
-//! registration (`register_core_stats`), config fingerprint, host
+//! claim to be purely observational: building the full manifest — the
+//! registry (`CoreStats::counters` and the rest), config fingerprint, host
 //! self-profiling — must not change any determinism digest on any
 //! architecture. This suite pins that claim on all 8 variants, validates the
 //! emitted document against the strict in-repo JSON parser, and drives
@@ -175,6 +175,13 @@ fn report_renders_and_diffs_real_manifests() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         stdout.contains("millipede-manifest/2") && stdout.contains("Millipede/count"),
+        "render output:\n{stdout}"
+    );
+    // The per-run line carries the skipped-cycle share.
+    let s = &r.node.stats;
+    let share = 100.0 * s.ff_skipped_cycles as f64 / s.compute_cycles as f64;
+    assert!(
+        stdout.contains(&format!("{share:>5.1}% cycles skipped")),
         "render output:\n{stdout}"
     );
 

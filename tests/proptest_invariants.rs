@@ -128,7 +128,7 @@ fn flow_control_liveness_and_safety() {
             steps += 1;
             assert!(steps < budget, "case {case}: livelock, cursors {cursor:?}");
             // Fill pending fetches promptly (memory is instant here).
-            for (slot, _row) in buf.take_fetches(usize::MAX) {
+            while let Some((slot, _row)) = buf.pop_fetch() {
                 buf.fill_complete(slot);
             }
             // Schedule-biased pick, but — like the processor's per-cycle
@@ -162,7 +162,7 @@ fn flow_control_liveness_and_safety() {
             if !progressed {
                 // No group could consume: fills must be in flight, or the
                 // buffer has deadlocked.
-                let pending = buf.take_fetches(usize::MAX);
+                let pending: Vec<_> = std::iter::from_fn(|| buf.pop_fetch()).collect();
                 assert!(
                     !pending.is_empty(),
                     "case {case}: deadlock, nothing consumable and nothing \

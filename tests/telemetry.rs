@@ -67,8 +67,12 @@ fn recorded_telemetry_is_bit_identical_under_fast_forward() {
     // The stronger claim: not only do digests hold, the telemetry *itself*
     // must be bit-identical whether idle cycles were stepped or skipped —
     // jumps stop on every epoch boundary, so each sample reads real state.
+    // That covers the slot ledger and replayed stalls the driver samples
+    // on the `node` track of every event-driven model (and no model
+    // repeats them on a track of its own).
     let tel = TelemetryConfig::enabled_with_epoch(64);
-    for arch in [Arch::Millipede, Arch::Ssmc, Arch::Gpgpu, Arch::VwsRow] {
+    let ledger = ["issue_slots", "stall_slots", "demand_stalls"];
+    for arch in ALL_ARCHS.into_iter().filter(|&a| a != Arch::Multicore) {
         let slow = run_one(arch, Benchmark::Count, &config(false, tel.clone()));
         let fast = run_one(arch, Benchmark::Count, &config(true, tel.clone()));
         let label = arch.label();
@@ -77,6 +81,15 @@ fn recorded_telemetry_is_bit_identical_under_fast_forward() {
             "{label}: fast-forward never engaged — the differential is vacuous"
         );
         let (st, ft) = (&slow.node.telemetry, &fast.node.telemetry);
+        for name in ledger {
+            assert!(!ft.samples("node", name).is_empty(), "{label}: node/{name}");
+        }
+        for (track, name, _) in ft.series_iter() {
+            assert!(
+                track == "node" || !ledger.contains(&name),
+                "{label}: {track}/{name}"
+            );
+        }
         assert_eq!(st.series_len(), ft.series_len(), "{label}");
         for ((s_track, s_name, s_samples), (f_track, f_name, f_samples)) in
             st.series_iter().zip(ft.series_iter())
