@@ -22,30 +22,30 @@ echo "==> cargo doc (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 echo "==> cargo build --release"
-# --workspace so the bench binaries the telemetry leg drives are built too
-# (the root manifest is both workspace and facade package, and a bare
-# `cargo build` would only build the facade).
+# --workspace so every crate's binary is built too (the root manifest is
+# both workspace and facade package, and a bare `cargo build` would only
+# build the facade).
 cargo build --offline --release --workspace
 
 echo "==> cargo test"
 cargo test --offline --workspace -q
 
-echo "==> published output (all_experiments vs experiments_output.txt)"
+echo "==> published output (millipede-cli all vs experiments_output.txt)"
 # experiments_output.txt is the published full evaluation (EXPERIMENTS.md
 # quotes it). A change to any figure or table must be deliberate, so the
 # run's stdout must match the file byte for byte; regenerate the file with
-# `./target/release/all_experiments > experiments_output.txt`.
-./target/release/all_experiments | cmp - experiments_output.txt
+# `./target/release/millipede-cli all > experiments_output.txt`.
+./target/release/millipede-cli all | cmp - experiments_output.txt
 
 echo "==> telemetry (trace export end to end)"
 # Fast-forward off/on and telemetry on are covered in-process by
 # tests/golden_digests.rs and tests/telemetry.rs (run by cargo test above).
-# End-to-end: one bench with --trace-out must leave stdout byte-identical
+# End-to-end: one section with --trace-out must leave stdout byte-identical
 # to a plain run and emit JSON that a strict parser accepts.
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
-./target/release/fig3 --chunks 2 --quiet > "$trace_dir/plain.out"
-./target/release/fig3 --chunks 2 --quiet \
+./target/release/millipede-cli fig3 --chunks 2 --quiet > "$trace_dir/plain.out"
+./target/release/millipede-cli fig3 --chunks 2 --quiet \
     --trace-out "$trace_dir/trace.json" > "$trace_dir/traced.out"
 cmp "$trace_dir/plain.out" "$trace_dir/traced.out"
 if command -v python3 > /dev/null; then
@@ -68,12 +68,12 @@ echo "==> observability (manifests + millipede-cli report)"
 # tests/manifest.rs).
 manifest_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir" "$manifest_dir"' EXIT
-./target/release/fig3 --chunks 2 --quiet > "$manifest_dir/plain.out"
-./target/release/fig3 --chunks 2 --quiet \
+./target/release/millipede-cli fig3 --chunks 2 --quiet > "$manifest_dir/plain.out"
+./target/release/millipede-cli fig3 --chunks 2 --quiet \
     --manifest-out "$manifest_dir/a.json" > "$manifest_dir/a.out"
-./target/release/fig3 --chunks 2 --quiet \
+./target/release/millipede-cli fig3 --chunks 2 --quiet \
     --manifest-out "$manifest_dir/b.json" > "$manifest_dir/b.out"
-./target/release/fig3 --chunks 2 --quiet --telemetry-epoch 64 \
+./target/release/millipede-cli fig3 --chunks 2 --quiet --telemetry-epoch 64 \
     --manifest-out "$manifest_dir/traced.json" > "$manifest_dir/traced.out"
 cmp "$manifest_dir/plain.out" "$manifest_dir/a.out"
 cmp "$manifest_dir/plain.out" "$manifest_dir/b.out"
@@ -117,11 +117,11 @@ for p, t in zip(plain["runs"], traced["runs"]):
 print(f"traced manifest OK: ff {traced['host']['ff']}, credit issues {traced['host']['credit_issues']}, {len(traced['runs'])} digests match")
 EOF
 fi
-# all_experiments runs each section in a host phase of its own and writes
+# `millipede-cli all` runs each section in a host phase of its own and writes
 # one manifest at the end: stdout must not change, and the manifest must
 # carry every section's wall, with the Fig. 3 sweep as the `run` phase.
-./target/release/all_experiments --chunks 2 --quiet > "$manifest_dir/all-plain.out"
-./target/release/all_experiments --chunks 2 --quiet \
+./target/release/millipede-cli all --chunks 2 --quiet > "$manifest_dir/all-plain.out"
+./target/release/millipede-cli all --chunks 2 --quiet \
     --manifest-out "$manifest_dir/all.json" > "$manifest_dir/all.out"
 cmp "$manifest_dir/all-plain.out" "$manifest_dir/all.out"
 if command -v python3 > /dev/null; then
@@ -134,8 +134,8 @@ sections = ["table2", "table3", "table4", "run", "fig4", "fig5", "fig6",
 missing = [s for s in sections if s not in phases]
 assert not missing, f"sections missing from host.phases_ms: {missing}"
 assert phases["run"] > 0, "the Fig. 3 sweep's wall is missing"
-assert doc["runs"], "all_experiments recorded no runs"
-print(f"all_experiments manifest OK: {len(phases)} phases, {len(doc['runs'])} runs")
+assert doc["runs"], "millipede-cli all recorded no runs"
+print(f"millipede-cli all manifest OK: {len(phases)} phases, {len(doc['runs'])} runs")
 EOF
 fi
 ./target/release/millipede-cli report "$manifest_dir/a.json" > /dev/null
@@ -144,12 +144,6 @@ fi
 ./target/release/millipede-cli count millipede --chunks 128 \
     --manifest-out "$manifest_dir/cli.json" > /dev/null 2> /dev/null
 ./target/release/millipede-cli report "$manifest_dir/cli.json" > /dev/null
-
-echo "==> kernel verifier sweep (millipede-audit --kernels)"
-# The audit binary's kernel-only mode: every compiled-in kernel (the eight
-# BMLAs plus the graph and dense families, from Benchmark::ALL) must verify
-# clean with zero suppressions.
-cargo run --offline -q -p millipede-audit -- --kernels
 
 echo "==> kernel verifier (millipede-cli verify)"
 # The static verifier must hold its acceptance bar: all fourteen

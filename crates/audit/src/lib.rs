@@ -6,8 +6,7 @@
 //! plausible-but-wrong speedup numbers. This library is a self-contained,
 //! line-based lint pass over every `crates/*/src/**/*.rs` and `src/**/*.rs`
 //! file enforcing the hygiene rules that keep the simulator deterministic
-//! and auditable (the `millipede-audit` binary additionally sweeps the
-//! compiled-in kernel programs through `millipede-verify`):
+//! and auditable:
 //!
 //! | Lint | Rule |
 //! |------|------|
@@ -114,7 +113,7 @@ impl fmt::Display for Diagnostic {
 }
 
 /// Crates whose non-test code is considered a simulator hot path for the
-/// `unwrap-in-hot-path` lint. Driver/CLI/bench crates may unwrap on user
+/// `unwrap-in-hot-path` lint. Driver and CLI code may unwrap on user
 /// input; the cycle-level models may not.
 const HOT_PATH_CRATES: [&str; 8] = [
     "crates/core",

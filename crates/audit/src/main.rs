@@ -1,48 +1,20 @@
 //! `millipede-audit` — the repo-specific lint pass.
 //!
-//! Usage: `cargo run -p millipede-audit [-- --root <workspace-root>]
-//! [--source-only | --kernels]`
+//! Usage: `cargo run -p millipede-audit [-- --root <workspace-root>]`
 //!
-//! Walks every `crates/*/src/**/*.rs` and `src/**/*.rs` file, prints
-//! `file:line: lint: message` diagnostics, then sweeps every compiled-in
-//! kernel program — the eight BMLAs plus the graph and dense workload
-//! families, enumerated from `Benchmark::ALL` — through the
-//! `millipede-verify` static analyzer (skipped with `--source-only`;
-//! `--kernels` runs *only* that sweep). Exits non-zero when any violation
-//! or kernel diagnostic is found. See the crate docs for the lint catalogue
-//! and the `// audit:allow(<lint>): <reason>` escape hatch.
+//! Walks every `crates/*/src/**/*.rs` and `src/**/*.rs` file and prints
+//! `file:line: lint: message` diagnostics. Exits 1 when any violation is
+//! found and 2 on a bad root. See the crate docs for the lint catalogue
+//! and the `// audit:allow(<lint>): <reason>` escape hatch. The
+//! compiled-in kernels are verified by `millipede-cli verify --kernels`
+//! and `tests/kernel_programs.rs`, not here.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// Verifies every compiled-in kernel (enumerated through the shared
-/// `kernel_benchmarks` helper, pinned to `Benchmark::ALL`, so new
-/// benchmarks join the sweep automatically); returns the diagnostic count.
-fn sweep_kernels() -> usize {
-    use millipede_verify::{verify_program, VerifyConfig};
-    use millipede_workloads::{kernel_benchmarks, kernel_workload};
-
-    let mut total = 0;
-    for bench in kernel_benchmarks() {
-        let w = kernel_workload(bench);
-        let config = VerifyConfig {
-            local_bytes: Some(w.live_bytes as u64),
-            ..VerifyConfig::default()
-        };
-        let report = verify_program(&w.program, &config);
-        if !report.is_clean() {
-            println!("{report}");
-        }
-        total += report.diagnostics.len();
-    }
-    total
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let mut root: Option<PathBuf> = None;
-    let mut source_only = false;
-    let mut kernels_only = false;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
@@ -54,13 +26,8 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             }
-            "--source-only" => source_only = true,
-            "--kernels" => kernels_only = true,
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: millipede-audit [--root <workspace-root>] \
-                     [--source-only | --kernels]"
-                );
+                eprintln!("usage: millipede-audit [--root <workspace-root>]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -70,11 +37,6 @@ fn main() -> ExitCode {
         }
         i += 1;
     }
-    if source_only && kernels_only {
-        eprintln!("error: --source-only and --kernels are mutually exclusive");
-        return ExitCode::from(2);
-    }
-
     let root = match root {
         Some(r) => r,
         None => {
@@ -92,33 +54,21 @@ fn main() -> ExitCode {
         }
     };
 
-    let source_violations = if kernels_only {
-        0
-    } else {
-        match millipede_audit::audit_tree(&root) {
-            Ok(diags) => {
-                for d in &diags {
-                    println!("{d}");
-                }
-                diags.len()
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
+    let diags = match millipede_audit::audit_tree(&root) {
+        Ok(diags) => diags,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
         }
     };
-
-    let kernel_diags = if source_only { 0 } else { sweep_kernels() };
-
-    if source_violations == 0 && kernel_diags == 0 {
+    for d in &diags {
+        println!("{d}");
+    }
+    if diags.is_empty() {
         println!("millipede-audit: clean");
         ExitCode::SUCCESS
     } else {
-        eprintln!(
-            "millipede-audit: {source_violations} source violation(s), \
-             {kernel_diags} kernel diagnostic(s)"
-        );
+        eprintln!("millipede-audit: {} source violation(s)", diags.len());
         ExitCode::FAILURE
     }
 }

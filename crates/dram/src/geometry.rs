@@ -39,22 +39,10 @@ impl DramGeometry {
         (self.row_of(addr) % self.banks as u64) as usize
     }
 
-    /// Byte offset of `addr` within its row.
-    #[inline]
-    pub fn col_of(&self, addr: u64) -> u64 {
-        addr % self.row_bytes
-    }
-
     /// First byte address of global row `row`.
     #[inline]
     pub fn row_base(&self, row: u64) -> u64 {
         row * self.row_bytes
-    }
-
-    /// Number of rows in the channel.
-    #[inline]
-    pub fn num_rows(&self) -> u64 {
-        self.capacity_bytes / self.row_bytes
     }
 
     /// Whether the byte range `[addr, addr + bytes)` stays within one row.
@@ -75,7 +63,6 @@ mod tests {
         let g = DramGeometry::default();
         assert_eq!(g.row_bytes, 2048);
         assert_eq!(g.banks, 4);
-        assert_eq!(g.num_rows(), (128 << 20) / 2048);
     }
 
     #[test]
@@ -96,7 +83,6 @@ mod tests {
         let g = DramGeometry::default();
         let addr = 5 * 2048 + 123;
         assert_eq!(g.row_of(addr), 5);
-        assert_eq!(g.col_of(addr), 123);
         assert_eq!(g.row_base(5), 5 * 2048);
     }
 

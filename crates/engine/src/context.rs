@@ -29,16 +29,6 @@ impl LaunchParams {
         self
     }
 
-    /// Adds a signed-integer register initialization.
-    pub fn set_i32(self, reg: Reg, value: i32) -> LaunchParams {
-        self.set(reg, value as u32)
-    }
-
-    /// Adds a float register initialization (bit pattern).
-    pub fn set_f32(self, reg: Reg, value: f32) -> LaunchParams {
-        self.set(reg, value.to_bits())
-    }
-
     /// The register/value pairs.
     pub fn values(&self) -> &[(Reg, u32)] {
         &self.values
@@ -101,14 +91,9 @@ mod tests {
 
     #[test]
     fn launch_params_apply() {
-        let params = LaunchParams::new()
-            .set(r(1), 7)
-            .set_i32(r(2), -1)
-            .set_f32(r(3), 1.5);
+        let params = LaunchParams::new().set(r(1), 7);
         let ctx = ThreadCtx::new(64, &params);
         assert_eq!(ctx.read_reg(r(1)), 7);
-        assert_eq!(ctx.read_reg(r(2)) as i32, -1);
-        assert_eq!(f32::from_bits(ctx.read_reg(r(3))), 1.5);
         assert_eq!(ctx.pc, 0);
         assert!(!ctx.halted);
     }

@@ -144,11 +144,6 @@ impl ProgramBuilder {
         self.push(Instr::Li { dst, imm })
     }
 
-    /// Emits `dst = imm` for a float immediate (stores the bit pattern).
-    pub fn li_f32(&mut self, dst: Reg, imm: f32) -> &mut Self {
-        self.li(dst, imm.to_bits())
-    }
-
     /// Emits an int→float conversion.
     pub fn i2f(&mut self, dst: Reg, a: Reg) -> &mut Self {
         self.push(Instr::I2F { dst, a })
@@ -274,18 +269,6 @@ mod tests {
             b.build(),
             Err(BuildError::Program(ProgramError::FallsOffEnd))
         ));
-    }
-
-    #[test]
-    fn float_immediates_round_trip() {
-        let mut b = ProgramBuilder::new("f");
-        b.li_f32(r(1), 3.25);
-        b.halt();
-        let p = b.build().unwrap();
-        match *p.fetch(0) {
-            Instr::Li { imm, .. } => assert_eq!(f32::from_bits(imm), 3.25),
-            ref other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

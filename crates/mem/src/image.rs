@@ -27,11 +27,6 @@ impl InputImage {
         self.words.len() as u64 * 4
     }
 
-    /// Dataset size in 4-byte words.
-    pub fn len_words(&self) -> usize {
-        self.words.len()
-    }
-
     /// Whether the image holds no data.
     pub fn is_empty(&self) -> bool {
         self.words.is_empty()
@@ -78,7 +73,6 @@ mod tests {
     #[test]
     fn size_accessors() {
         let img = InputImage::new(vec![0; 7]);
-        assert_eq!(img.len_words(), 7);
         assert_eq!(img.len_bytes(), 28);
         assert!(!img.is_empty());
         assert!(InputImage::new(vec![]).is_empty());

@@ -29,7 +29,6 @@ pub mod selfprof;
 pub use selfprof::SelfProfile;
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// A histogram summary: count, sum, and range of observed values.
 ///
@@ -180,18 +179,6 @@ impl Registry {
         }
         out.push('}');
         out
-    }
-}
-
-impl fmt::Display for Registry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (name, metric) in self.iter() {
-            match metric {
-                Metric::Counter(v) => writeln!(f, "{name} = {v}")?,
-                Metric::Gauge(v) => writeln!(f, "{name} = {v}")?,
-            }
-        }
-        Ok(())
     }
 }
 

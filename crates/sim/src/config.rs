@@ -39,8 +39,8 @@ pub struct SimConfig {
     /// (bit-exact; see DESIGN.md). On by default; off walks every compute
     /// edge, the schedule the differential tests compare against.
     pub fast_forward: bool,
-    /// Cycle-domain telemetry for every model (off by default; the bench
-    /// binaries' `--trace-out` and `--telemetry-epoch` turn it on).
+    /// Cycle-domain telemetry for every model (off by default;
+    /// `millipede-cli`'s `--trace-out` and `--telemetry-epoch` turn it on).
     /// Observational only: determinism digests are bit-identical on or
     /// off.
     pub telemetry: TelemetryConfig,

@@ -10,8 +10,9 @@
 //! Per benchmark it reports runtime speedup and energy vs GPGPU across
 //! all eight architecture variants ([`ARCHES`]: the Fig. 3 bar order plus
 //! the full Millipede design and the conventional-multicore baseline);
-//! `EXPERIMENTS.md` records the findings and `millipede-bench` pins
-//! representative points.
+//! `EXPERIMENTS.md` records the findings, `millipede-cli families`
+//! regenerates them, and `tests/golden_digests.rs` pins representative
+//! points.
 
 use crate::arch::Arch;
 use crate::config::SimConfig;
@@ -103,16 +104,6 @@ impl Families {
         }
         t
     }
-
-    /// Renders the comparison as a table.
-    pub fn render(&self) -> String {
-        self.table().render()
-    }
-
-    /// Renders the comparison as CSV.
-    pub fn to_csv(&self) -> String {
-        self.table().to_csv()
-    }
 }
 
 #[cfg(test)]
@@ -137,7 +128,7 @@ mod tests {
             }
         }
         // The render mentions every benchmark.
-        let text = f.render();
+        let text = f.table().render();
         for bench in BENCHES {
             assert!(text.contains(bench.name()), "{} missing", bench.name());
         }

@@ -54,16 +54,6 @@ impl Fig3 {
         t.row(row);
         t
     }
-
-    /// Renders the figure as a table of speedups.
-    pub fn render(&self) -> String {
-        self.table().render()
-    }
-
-    /// Renders the figure as CSV.
-    pub fn to_csv(&self) -> String {
-        self.table().to_csv()
-    }
 }
 
 #[cfg(test)]

@@ -65,16 +65,6 @@ impl Fig7 {
         t.row(row);
         t
     }
-
-    /// Renders the sweep.
-    pub fn render(&self) -> String {
-        self.table().render()
-    }
-
-    /// Renders as CSV.
-    pub fn to_csv(&self) -> String {
-        self.table().to_csv()
-    }
 }
 
 #[cfg(test)]

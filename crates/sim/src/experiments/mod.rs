@@ -1,9 +1,10 @@
 //! The paper's evaluation (§VI), one module per table/figure.
 //!
 //! Each module exposes a `run(&SimConfig) -> …Result` that executes the
-//! needed simulations and a `render()` producing the table the paper
-//! prints. The bench harness (`millipede-bench`) and `EXPERIMENTS.md` are
-//! generated from these.
+//! needed simulations, and a `table()` (with a CSV form) or `render()`
+//! producing the table the paper prints. `millipede-cli <section>` prints
+//! one of them, `millipede-cli all` prints every one, and `EXPERIMENTS.md`
+//! quotes that output.
 
 pub mod ablations;
 pub mod convergence;

@@ -101,16 +101,6 @@ impl Table4 {
         }
         t
     }
-
-    /// Renders in the paper's column layout.
-    pub fn render(&self) -> String {
-        self.table().render()
-    }
-
-    /// Renders as CSV.
-    pub fn to_csv(&self) -> String {
-        self.table().to_csv()
-    }
 }
 
 #[cfg(test)]

@@ -338,8 +338,7 @@ pub fn render_text(doc: &Json) -> String {
 }
 
 /// Flattens one manifest run's numeric observables (wall, simulated time,
-/// and every registry metric; histograms contribute their summary fields)
-/// for diffing.
+/// and every registry metric) for diffing.
 fn numeric_metrics(run: &Json) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     for key in ["wall_ms", "elapsed_ps"] {
@@ -349,16 +348,8 @@ fn numeric_metrics(run: &Json) -> Vec<(String, f64)> {
     }
     if let Some(metrics) = run.get("metrics").and_then(Json::as_object) {
         for (name, value) in metrics {
-            match value {
-                Json::Num(v) => out.push((name.clone(), *v)),
-                Json::Obj(members) => {
-                    for (sub, v) in members {
-                        if let Some(v) = v.as_f64() {
-                            out.push((format!("{name}.{sub}"), v));
-                        }
-                    }
-                }
-                _ => {}
+            if let Some(v) = value.as_f64() {
+                out.push((name.clone(), v));
             }
         }
     }

@@ -1,4 +1,5 @@
-//! Plain-text table rendering for the experiment binaries.
+//! Plain-text table rendering for the evaluation's sections, and the
+//! telemetry exports of their runs.
 
 use crate::runner::RunResult;
 

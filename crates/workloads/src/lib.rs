@@ -207,8 +207,8 @@ impl Benchmark {
 }
 
 /// Every compiled-in kernel in sweep order — the one shared enumeration
-/// behind every `--kernels` flag (`millipede-audit --kernels`,
-/// `millipede-cli verify/disasm/run --kernels`). Pinned equal to
+/// behind every `--kernels` flag (`millipede-cli verify/disasm/run
+/// --kernels`). Pinned equal to
 /// [`Benchmark::ALL`] by test, so a new benchmark flows into every sweep
 /// automatically and no caller keeps its own list.
 pub fn kernel_benchmarks() -> impl Iterator<Item = Benchmark> {

@@ -1,9 +1,13 @@
-//! Command-line front end: simulate any benchmark on any architecture, or
-//! statically verify kernel programs before they reach a simulator.
+//! Command-line front end: simulate any benchmark on any architecture,
+//! regenerate any table or figure of the paper's evaluation, or statically
+//! verify kernel programs before they reach a simulator.
 //!
 //! ```text
 //! millipede-cli <benchmark> <architecture> [--chunks N] [--seed S]
-//!               [--corelets N] [--pbuf N] [--csv]
+//!               [--corelets N] [--pbuf N] [--csv] [--quiet]
+//!               [--trace-out PATH] [--telemetry-epoch CYCLES] [--manifest-out PATH]
+//! millipede-cli <section> [--chunks N] [--seed S] [--csv] [--quiet]
+//!               [--trace-out PATH] [--telemetry-epoch CYCLES] [--manifest-out PATH]
 //! millipede-cli verify <kernel.asm>... [--json] [--strict] [--annotate]
 //!               [--local-bytes N] [--input-bytes N]
 //! millipede-cli verify --kernels [--json] [--strict] [--annotate]
@@ -11,6 +15,8 @@
 //! millipede-cli run <kernel.asm>... [--input-words N] [--local-bytes N]
 //!               [--step-limit N]
 //! millipede-cli run --kernels [--chunks N] [--seed S]
+//! millipede-cli report <manifest.json>...
+//! millipede-cli report --diff <a.json> <b.json>
 //! millipede-cli list
 //! ```
 //!
@@ -19,12 +25,36 @@
 //! ```text
 //! millipede-cli nbayes millipede --chunks 64
 //! millipede-cli kmeans ssmc --csv
+//! millipede-cli fig3 --chunks 24 --manifest-out fig3.json
+//! millipede-cli all > experiments_output.txt
 //! millipede-cli verify my_kernel.asm --json
 //! millipede-cli verify --kernels --annotate
 //! millipede-cli disasm my_kernel.asm
 //! millipede-cli disasm --kernels
 //! millipede-cli run my_kernel.asm --input-words 128
 //! ```
+//!
+//! A `<section>` is one table or figure of the evaluation ([`SECTIONS`]:
+//! `table2`, `table3`, `table4`, `fig3` … `fig7`, `families`,
+//! `convergence`, `ablations`); `all` prints every section in that order
+//! under one heading, which is `experiments_output.txt`. The defaults
+//! match `SimConfig::default()` (48 chunks ≈ 1.5–6 MB of input depending
+//! on the benchmark's record arity, well past the steady state the paper
+//! argues for, §V).
+//!
+//! The simulate form, the sections and `all` share one flag parser
+//! ([`parse_opts`]) and one post-run reporter ([`report`]). `--trace-out`
+//! enables cycle-domain telemetry and writes a combined
+//! Chrome-trace/Perfetto JSON of the kept runs; `--telemetry-epoch` sets
+//! the sampling epoch in compute cycles (and also enables telemetry);
+//! `--manifest-out` writes a `millipede-manifest/2` JSON (config
+//! fingerprint, per-run digests and metrics, host self-profiling) that
+//! `report` renders. Stdout stays byte-identical with any of these. A
+//! section that keeps no runs (`table2`, `table3`, `fig5`, `convergence`,
+//! `ablations`) rejects those three flags, and `--csv` is accepted only
+//! where a CSV form exists (the simulate form, `table4`, `fig3`, `fig7`,
+//! `families`). `--quiet` suppresses all stderr reporting. Every usage
+//! error, and a trace or manifest that cannot be written, exits 2.
 //!
 //! `verify` exits 0 when every program is clean, 1 when any diagnostic
 //! survives, and 2 on usage or I/O errors. `.asm` sources may carry
@@ -45,17 +75,23 @@
 
 use millipede::engine::{run_functional, LaunchParams, ThreadCtx};
 use millipede::isa::{assemble, disassemble};
-use millipede::mapreduce::ThreadGrid;
+use millipede::mapreduce::{InterleavedLayout, ThreadGrid};
 use millipede::mem::InputImage;
 use millipede::metrics::json::Json;
 use millipede::metrics::SelfProfile;
+use millipede::sim::experiments::{
+    ablations, convergence, families, fig3, fig4, fig5, fig6, fig7, table2, table3, table4,
+};
 use millipede::sim::manifest::{self, ManifestRun};
-use millipede::sim::{run_one, Arch, SimConfig};
+use millipede::sim::report::{chrome_trace, telemetry_warnings, Table};
+use millipede::sim::{run_one, sweep_threads, Arch, RunResult, SimConfig, TelemetryConfig};
 use millipede::verify::{
     annotate, annotate_source, reports_to_json, verify_program, verify_source, VerifyConfig,
     VerifyReport,
 };
+use millipede::workloads::skeleton::MAX_RPTC;
 use millipede::workloads::{kernel_benchmarks, kernel_workload, Benchmark, Workload};
+use std::path::PathBuf;
 
 const ARCHS: [(&str, Arch); 8] = [
     ("gpgpu", Arch::Gpgpu),
@@ -68,10 +104,185 @@ const ARCHS: [(&str, Arch); 8] = [
     ("multicore", Arch::Multicore),
 ];
 
+/// The flags a form accepts besides `--chunks`, `--seed` and `--quiet`.
+#[derive(Debug, Clone, Copy)]
+struct Accepts {
+    /// `--trace-out`, `--telemetry-epoch` and `--manifest-out`: the form
+    /// keeps runs to trace and record.
+    observe: bool,
+    /// `--csv`: the form has a CSV form.
+    csv: bool,
+    /// `--corelets` and `--pbuf`: the simulate form's machine knobs.
+    machine: bool,
+}
+
+/// A section that keeps no runs.
+const NO_RUNS: Accepts = Accepts {
+    observe: false,
+    csv: false,
+    machine: false,
+};
+/// A section that keeps runs but prints no CSV, and `all`.
+const RUNS: Accepts = Accepts {
+    observe: true,
+    ..NO_RUNS
+};
+/// A section that keeps runs and has a CSV form.
+const RUNS_CSV: Accepts = Accepts { csv: true, ..RUNS };
+/// The simulate form: one run, a CSV form, and the machine knobs.
+const SIMULATE: Accepts = Accepts {
+    machine: true,
+    ..RUNS_CSV
+};
+
+/// What a section prints.
+#[derive(Debug)]
+enum Body {
+    /// A table with a CSV form.
+    Table(Table),
+    /// Text alone.
+    Text(String),
+}
+
+/// A section's output and the runs it keeps for [`report`].
+#[derive(Debug)]
+struct Output {
+    body: Body,
+    runs: Vec<RunResult>,
+}
+
+impl Output {
+    fn new(body: Body, runs: impl IntoIterator<Item = RunResult>) -> Output {
+        Output {
+            body,
+            runs: runs.into_iter().collect(),
+        }
+    }
+
+    /// Prints the body: its CSV form under `csv`, else the aligned table.
+    fn print(&self, csv: bool) {
+        match &self.body {
+            Body::Table(t) if csv => print!("{}", t.to_csv()),
+            Body::Table(t) => println!("{}", t.render()),
+            Body::Text(text) => println!("{text}"),
+        }
+    }
+}
+
+/// One table or figure of the evaluation, run as `millipede-cli <name>`.
+#[derive(Debug)]
+struct Section {
+    name: &'static str,
+    /// The heading printed above the section, alone or in `all`.
+    title: &'static str,
+    /// Whether the section keeps runs and has a CSV form.
+    accepts: Accepts,
+    run: fn(&SimConfig) -> Output,
+}
+
+/// Every section, in the order `all` prints them.
+const SECTIONS: [Section; 11] = [
+    Section {
+        name: "table2",
+        title: "Table II — Summary of application behavior",
+        accepts: NO_RUNS,
+        run: |_| Output::new(Body::Text(table2::render()), Vec::new()),
+    },
+    Section {
+        name: "table3",
+        title: "Table III — Hardware parameters",
+        accepts: NO_RUNS,
+        run: |cfg| Output::new(Body::Text(table3::render(cfg)), Vec::new()),
+    },
+    Section {
+        name: "table4",
+        title: "Table IV — Benchmark parameters and characteristics",
+        accepts: RUNS_CSV,
+        run: |cfg| {
+            let t = table4::run(cfg);
+            Output::new(Body::Table(t.table()), t.runs)
+        },
+    },
+    Section {
+        name: "fig3",
+        title: "Fig. 3 — Performance (speedup over GPGPU)",
+        accepts: RUNS_CSV,
+        run: |cfg| {
+            let f = fig3::run(cfg);
+            Output::new(Body::Table(f.table()), f.runs.into_iter().flatten())
+        },
+    },
+    Section {
+        name: "fig4",
+        title: "Fig. 4 — Energy (relative to GPGPU)",
+        accepts: RUNS,
+        run: |cfg| {
+            let f = fig4::run(cfg);
+            Output::new(Body::Text(f.render()), f.runs.into_iter().flatten())
+        },
+    },
+    Section {
+        name: "fig5",
+        title: "Fig. 5 — Millipede vs conventional multicore",
+        accepts: NO_RUNS,
+        run: |cfg| Output::new(Body::Text(fig5::run(cfg).render()), Vec::new()),
+    },
+    Section {
+        name: "fig6",
+        title: "Fig. 6 — Speedup vs system size",
+        accepts: RUNS,
+        run: |cfg| {
+            let f = fig6::run(cfg);
+            Output::new(
+                Body::Text(f.render()),
+                f.runs.into_iter().flatten().flatten(),
+            )
+        },
+    },
+    Section {
+        name: "fig7",
+        title: "Fig. 7 — Speedup vs prefetch-buffer count",
+        accepts: RUNS_CSV,
+        run: |cfg| {
+            let f = fig7::run(cfg);
+            Output::new(Body::Table(f.table()), f.runs.into_iter().flatten())
+        },
+    },
+    Section {
+        name: "families",
+        title: "Workload families — graph + dense (beyond the paper's set)",
+        accepts: RUNS_CSV,
+        run: |cfg| {
+            let f = families::run(cfg);
+            Output::new(Body::Table(f.table()), f.runs.into_iter().flatten())
+        },
+    },
+    Section {
+        name: "convergence",
+        title: "Rate-matching convergence (§IV-F)",
+        accepts: NO_RUNS,
+        run: |cfg| Output::new(Body::Text(convergence::run(cfg).render()), Vec::new()),
+    },
+    Section {
+        name: "ablations",
+        title: "Ablations (beyond the paper's figures)",
+        accepts: NO_RUNS,
+        run: |cfg| Output::new(Body::Text(ablations::render_all(cfg)), Vec::new()),
+    },
+];
+
+/// The section whose runs `all` keeps, timed as its `run` phase so the
+/// manifest's per-second rates are anchored on the same sweep as its runs.
+const ALL_KEEPS: &str = "fig3";
+
 fn usage() -> ! {
+    let sections: Vec<&str> = SECTIONS.iter().map(|s| s.name).collect();
     eprintln!(
         "usage: millipede-cli <benchmark> <architecture> [--chunks N] [--seed S] \
-         [--corelets N] [--pbuf N] [--csv] [--manifest-out PATH]\n       \
+         [--corelets N] [--pbuf N] [--csv] [--quiet] [--trace-out PATH] \
+         [--telemetry-epoch CYCLES] [--manifest-out PATH]\n       \
+         millipede-cli <section> [--chunks N] [--seed S] [--csv] [--quiet] \
+         [--trace-out PATH] [--telemetry-epoch CYCLES] [--manifest-out PATH]\n       \
          millipede-cli verify (<kernel.asm>... | --kernels) [--json] [--strict] \
          [--annotate] [--local-bytes N] [--input-bytes N]\n       \
          millipede-cli disasm (<kernel.asm>... | --kernels)\n       \
@@ -80,9 +291,17 @@ fn usage() -> ! {
          millipede-cli run --kernels [--chunks N] [--seed S]\n       \
          millipede-cli report <manifest.json>...\n       \
          millipede-cli report --diff <a.json> <b.json>\n       \
-         millipede-cli list"
+         millipede-cli list\n\
+         sections: {}, all",
+        sections.join(", ")
     );
     std::process::exit(2);
+}
+
+/// Prints `msg` and the usage, and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    usage();
 }
 
 /// Steps `i` to the value of `flag` and parses it. A missing or
@@ -94,10 +313,174 @@ fn take(args: &[String], i: &mut usize, flag: &str, min: u64) -> u64 {
     args.get(*i)
         .and_then(|v| v.parse().ok())
         .filter(|&v| v >= min)
-        .unwrap_or_else(|| {
-            eprintln!("{flag} needs an integer of at least {min}");
-            usage();
-        })
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs an integer of at least {min}")))
+}
+
+/// Steps `i` to the file path `flag` needs; a missing or empty one is a
+/// usage error.
+fn take_path(args: &[String], i: &mut usize, flag: &str) -> PathBuf {
+    *i += 1;
+    args.get(*i).filter(|p| !p.is_empty()).map_or_else(
+        || usage_error(&format!("{flag} needs a file path")),
+        PathBuf::from,
+    )
+}
+
+/// Options of the simulate form, the sections and `all`.
+#[derive(Debug)]
+struct Opts {
+    /// `--chunks`, `--seed`, `--corelets`, `--pbuf` and the telemetry
+    /// switches.
+    cfg: SimConfig,
+    csv: bool,
+    quiet: bool,
+    trace_out: Option<PathBuf>,
+    manifest_out: Option<PathBuf>,
+}
+
+/// The one flag parser of the simulate form, the sections and `all`. A flag
+/// the form does not accept is a usage error, never accepted and ignored.
+fn parse_opts(args: &[String], accepts: Accepts) -> Opts {
+    let mut o = Opts {
+        cfg: SimConfig::default(),
+        csv: false,
+        quiet: false,
+        trace_out: None,
+        manifest_out: None,
+    };
+    let mut i = 0;
+    while i < args.len() {
+        match args[i].as_str() {
+            flag @ ("--trace-out" | "--telemetry-epoch" | "--manifest-out") if !accepts.observe => {
+                usage_error(&format!(
+                    "{flag} is not supported: this section keeps no runs to record"
+                ))
+            }
+            "--csv" if !accepts.csv => {
+                usage_error("--csv is not supported: this section has no CSV form")
+            }
+            "--chunks" => o.cfg.num_chunks = take(args, &mut i, "--chunks", 1) as usize,
+            "--seed" => o.cfg.seed = take(args, &mut i, "--seed", 0),
+            "--corelets" if accepts.machine => {
+                o.cfg.corelets = take(args, &mut i, "--corelets", 1) as usize;
+            }
+            "--pbuf" if accepts.machine => {
+                o.cfg.pbuf_entries = take(args, &mut i, "--pbuf", 2) as usize;
+            }
+            "--csv" => o.csv = true,
+            "--quiet" => o.quiet = true,
+            "--trace-out" => {
+                o.trace_out = Some(take_path(args, &mut i, "--trace-out"));
+                o.cfg.telemetry.enabled = true;
+            }
+            "--telemetry-epoch" => {
+                let epoch = take(args, &mut i, "--telemetry-epoch", 1);
+                o.cfg.telemetry = TelemetryConfig::enabled_with_epoch(epoch);
+            }
+            "--manifest-out" => o.manifest_out = Some(take_path(args, &mut i, "--manifest-out")),
+            other => usage_error(&format!("unknown argument `{other}`")),
+        }
+        i += 1;
+    }
+    o
+}
+
+/// Rejects a `--corelets` the kernels cannot run. The run's grid splits a
+/// row's words evenly over its threads, and the kernels' slot-indexed
+/// scratch holds at most [`MAX_RPTC`] records per thread per chunk.
+fn check_grid(cfg: &SimConfig) {
+    let layout = InterleavedLayout::new(1, cfg.row_bytes, cfg.num_chunks);
+    let grid = ThreadGrid::slab(cfg.corelets, cfg.contexts);
+    let (row_words, threads) = (layout.row_words(), grid.num_threads());
+    if row_words % threads != 0 {
+        usage_error(&format!(
+            "--corelets {} must split the {row_words} words of a row evenly over its {threads} threads",
+            cfg.corelets
+        ));
+    }
+    let rptc = grid.records_per_thread_per_chunk(&layout);
+    if rptc > MAX_RPTC {
+        usage_error(&format!(
+            "--corelets {} gives each thread {rptc} records per chunk; the kernels hold at most {MAX_RPTC}",
+            cfg.corelets
+        ));
+    }
+}
+
+/// The one post-run reporter: telemetry overflow warnings go to stderr
+/// (suppressed by `--quiet`; stdout is never touched), then the Chrome
+/// trace of `runs` to `--trace-out` and the run manifest to
+/// `--manifest-out`. `threads` is the sweep pool size the runs were fanned
+/// over. A failed write exits 2.
+fn report(opts: &Opts, prof: &mut SelfProfile, runs: &[&RunResult], threads: usize) {
+    prof.begin("report");
+    if !opts.quiet {
+        eprint!("{}", telemetry_warnings(runs));
+    }
+    let write = |path: &PathBuf, what: &str, doc: &str| {
+        if let Err(e) = std::fs::write(path, doc) {
+            eprintln!("error: could not write {what} to {}: {e}", path.display());
+            std::process::exit(2);
+        }
+        if !opts.quiet {
+            eprintln!("wrote {what} to {}", path.display());
+        }
+    };
+    if let Some(path) = &opts.trace_out {
+        write(path, "Chrome trace", &chrome_trace(runs));
+    }
+    if let Some(path) = &opts.manifest_out {
+        // Close `report` so its wall is in the manifest.
+        prof.end();
+        let entries: Vec<ManifestRun> = runs
+            .iter()
+            .map(|r| ManifestRun::new(r, &opts.cfg))
+            .collect();
+        write(
+            path,
+            "run manifest",
+            &manifest::render(&opts.cfg, prof, threads, &entries),
+        );
+    }
+}
+
+/// `millipede-cli <section>`: the section's title and table (or its CSV
+/// alone under `--csv`), then the reporter over its runs.
+fn section_cmd(s: &Section, args: &[String], mut prof: SelfProfile) {
+    let opts = parse_opts(args, s.accepts);
+    prof.begin("run");
+    let out = (s.run)(&opts.cfg);
+    if !opts.csv {
+        println!("{}\n", s.title);
+    }
+    out.print(opts.csv);
+    let runs: Vec<&RunResult> = out.runs.iter().collect();
+    report(&opts, &mut prof, &runs, sweep_threads());
+}
+
+/// `millipede-cli all`: every section in [`SECTIONS`] order under one
+/// heading. Each section runs in a host phase of its own, so a manifest
+/// records every section's wall in `host.phases_ms`; [`ALL_KEEPS`] is the
+/// `run` phase and the one section whose runs the reporter sees.
+fn all_cmd(args: &[String], mut prof: SelfProfile) {
+    let opts = parse_opts(args, RUNS);
+    println!(
+        "Millipede reproduction — full evaluation ({} chunks, seed {})\n",
+        opts.cfg.num_chunks, opts.cfg.seed
+    );
+    let mut kept = Vec::new();
+    for s in &SECTIONS {
+        let keep = s.name == ALL_KEEPS;
+        prof.begin(if keep { "run" } else { s.name });
+        println!("{}\n", s.title);
+        let out = (s.run)(&opts.cfg);
+        out.print(false);
+        if keep {
+            kept = out.runs;
+        }
+    }
+    let runs: Vec<&RunResult> = kept.iter().collect();
+    report(&opts, &mut prof, &runs, sweep_threads());
 }
 
 /// `verify`, `disasm` and `run` take exactly one of `--kernels` and file
@@ -138,10 +521,7 @@ fn report_cmd(args: &[String]) -> i32 {
     while i < args.len() {
         match args[i].as_str() {
             "--diff" => do_diff = true,
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag `{flag}`");
-                usage();
-            }
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag `{flag}`")),
             file => files.push(file.to_string()),
         }
         i += 1;
@@ -196,10 +576,7 @@ fn verify_cmd(args: &[String]) -> i32 {
             "--annotate" => do_annotate = true,
             "--local-bytes" => base.local_bytes = Some(take(args, &mut i, "--local-bytes", 0)),
             "--input-bytes" => base.input_bytes = Some(take(args, &mut i, "--input-bytes", 0)),
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag `{flag}`");
-                usage();
-            }
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag `{flag}`")),
             file => files.push(file.to_string()),
         }
         i += 1;
@@ -251,10 +628,7 @@ fn disasm_cmd(args: &[String]) -> i32 {
     for arg in args {
         match arg.as_str() {
             "--kernels" => kernels = true,
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag `{flag}`");
-                usage();
-            }
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag `{flag}`")),
             file => files.push(file.to_string()),
         }
     }
@@ -351,10 +725,7 @@ fn run_cmd(args: &[String]) -> i32 {
             "--step-limit" => step_limit = take(args, &mut i, "--step-limit", 0),
             "--chunks" => num_chunks = take(args, &mut i, "--chunks", 1) as usize,
             "--seed" => seed = take(args, &mut i, "--seed", 0),
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag `{flag}`");
-                usage();
-            }
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag `{flag}`")),
             file => files.push(file.to_string()),
         }
         i += 1;
@@ -402,31 +773,19 @@ fn list() {
     for (name, _) in ARCHS {
         println!("  {name}");
     }
+    println!("sections:");
+    for s in &SECTIONS {
+        println!("  {}", s.name);
+    }
+    println!("  all");
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("list") {
-        list();
-        return;
-    }
-    if args.first().map(String::as_str) == Some("verify") {
-        std::process::exit(verify_cmd(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("disasm") {
-        std::process::exit(disasm_cmd(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("run") {
-        std::process::exit(run_cmd(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("report") {
-        std::process::exit(report_cmd(&args[1..]));
-    }
+/// `millipede-cli <benchmark> <architecture>`: one run, printed as a
+/// summary or one CSV row, then the reporter over it.
+fn simulate_cmd(args: &[String], mut prof: SelfProfile) {
     if args.len() < 2 {
         usage();
     }
-    let mut prof = SelfProfile::start();
-    prof.begin("decode");
     let bench = Benchmark::from_name(&args[0]).unwrap_or_else(|| {
         eprintln!("unknown benchmark `{}` (try `millipede-cli list`)", args[0]);
         std::process::exit(2);
@@ -441,57 +800,13 @@ fn main() {
         },
         |&(_, a)| a,
     );
-
-    let mut cfg = SimConfig::default();
-    let mut csv = false;
-    let mut manifest_out: Option<String> = None;
-    let mut i = 2;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--chunks" => cfg.num_chunks = take(&args, &mut i, "--chunks", 1) as usize,
-            "--seed" => cfg.seed = take(&args, &mut i, "--seed", 0),
-            "--corelets" => cfg.corelets = take(&args, &mut i, "--corelets", 1) as usize,
-            "--pbuf" => cfg.pbuf_entries = take(&args, &mut i, "--pbuf", 2) as usize,
-            "--csv" => csv = true,
-            "--manifest-out" => {
-                i += 1;
-                manifest_out = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--manifest-out needs a file path");
-                    std::process::exit(2);
-                }));
-            }
-            other => {
-                eprintln!("unknown flag `{other}`");
-                usage();
-            }
-        }
-        i += 1;
-    }
-    // Each corelet owns an equal slab of every row.
-    let row_words = cfg.row_bytes / 4;
-    if row_words % cfg.corelets as u64 != 0 {
-        eprintln!(
-            "--corelets must divide the {row_words} words of a row (got {})",
-            cfg.corelets
-        );
-        usage();
-    }
+    let opts = parse_opts(&args[2..], SIMULATE);
+    let cfg = &opts.cfg;
+    check_grid(cfg);
 
     prof.begin("run");
-    let r = run_one(arch, bench, &cfg);
-    prof.begin("report");
-    if let Some(path) = &manifest_out {
-        let doc = {
-            prof.end();
-            manifest::render(&cfg, &prof, 1, &[ManifestRun::new(&r, &cfg)])
-        };
-        if let Err(e) = std::fs::write(path, &doc) {
-            eprintln!("{path}: {e}");
-            std::process::exit(2);
-        }
-        eprintln!("wrote run manifest to {path}");
-    }
-    if csv {
+    let r = run_one(arch, bench, cfg);
+    if opts.csv {
         println!(
             "bench,arch,chunks,seed,elapsed_us,instructions,ipc,dram_gbps,row_miss_rate,\
              activations,energy_uj,core_uj,dram_uj,static_uj,rate_clock_mhz,output_ok"
@@ -515,36 +830,74 @@ fn main() {
             r.node.stats.rate_match_final_mhz,
             r.node.output_ok,
         );
-        return;
-    }
-    println!(
-        "{} on {} ({} chunks, seed {})",
-        bench.name(),
-        r.arch.label(),
-        cfg.num_chunks,
-        cfg.seed
-    );
-    println!("  simulated time   : {:>10.1} µs", r.node.runtime_us());
-    println!("  instructions     : {:>10}", r.node.stats.instructions);
-    println!("  issue utilization: {:>10.2}", r.node.stats.utilization());
-    println!(
-        "  DRAM bandwidth   : {:>10.2} GB/s",
-        r.node.dram_bandwidth_gbps()
-    );
-    println!("  row miss rate    : {:>10.3}", r.node.dram.row_miss_rate());
-    println!("  activations      : {:>10}", r.node.dram.activations);
-    println!(
-        "  energy           : {:>10.2} µJ  (core {:.2} + dram {:.2} + static {:.2})",
-        r.energy.total_uj(),
-        r.energy.core_pj / 1e6,
-        r.energy.dram_pj / 1e6,
-        r.energy.static_pj / 1e6,
-    );
-    if r.node.stats.rate_match_final_mhz > 0.0 {
+    } else {
         println!(
-            "  rate-match clock : {:>10.0} MHz",
-            r.node.stats.rate_match_final_mhz
+            "{} on {} ({} chunks, seed {})",
+            bench.name(),
+            r.arch.label(),
+            cfg.num_chunks,
+            cfg.seed
         );
+        println!("  simulated time   : {:>10.1} µs", r.node.runtime_us());
+        println!("  instructions     : {:>10}", r.node.stats.instructions);
+        println!("  issue utilization: {:>10.2}", r.node.stats.utilization());
+        println!(
+            "  DRAM bandwidth   : {:>10.2} GB/s",
+            r.node.dram_bandwidth_gbps()
+        );
+        println!("  row miss rate    : {:>10.3}", r.node.dram.row_miss_rate());
+        println!("  activations      : {:>10}", r.node.dram.activations);
+        println!(
+            "  energy           : {:>10.2} µJ  (core {:.2} + dram {:.2} + static {:.2})",
+            r.energy.total_uj(),
+            r.energy.core_pj / 1e6,
+            r.energy.dram_pj / 1e6,
+            r.energy.static_pj / 1e6,
+        );
+        if r.node.stats.rate_match_final_mhz > 0.0 {
+            println!(
+                "  rate-match clock : {:>10.0} MHz",
+                r.node.stats.rate_match_final_mhz
+            );
+        }
+        println!("  output validated : {:>10}", r.node.output_ok);
     }
-    println!("  output validated : {:>10}", r.node.output_ok);
+    report(&opts, &mut prof, &[&r], 1);
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    // `decode` covers argument parsing and ends where the run begins.
+    let mut prof = SelfProfile::start();
+    prof.begin("decode");
+    let rest = args.get(1..).unwrap_or_default();
+    match args.first().map(String::as_str) {
+        Some("list") => list(),
+        Some("verify") => std::process::exit(verify_cmd(rest)),
+        Some("disasm") => std::process::exit(disasm_cmd(rest)),
+        Some("run") => std::process::exit(run_cmd(rest)),
+        Some("report") => std::process::exit(report_cmd(rest)),
+        Some("all") => all_cmd(rest, prof),
+        Some(name) => match SECTIONS.iter().find(|s| s.name == name) {
+            Some(s) => section_cmd(s, rest, prof),
+            None => simulate_cmd(&args, prof),
+        },
+        None => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn section_names_are_distinct_from_benchmarks_and_subcommands() {
+        let mut names: Vec<&str> = SECTIONS.iter().map(|s| s.name).collect();
+        names.extend(["all", "list", "verify", "disasm", "run", "report"]);
+        names.extend(Benchmark::ALL.iter().map(|b| b.name()));
+        let n = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), n, "a section name shadows another command");
+    }
 }

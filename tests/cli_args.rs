@@ -1,7 +1,11 @@
 //! `millipede-cli` argument validation, driven through the real binary: a
 //! numeric flag outside its range is a usage error (exit 2) at parse time,
-//! never a run that panics or deadlocks.
+//! never a run that panics or deadlocks; and a flag a form cannot honour
+//! (an observation flag on a section that keeps no runs, `--csv` without
+//! a CSV form, the retired `--profile`) is refused, not accepted and
+//! ignored.
 
+use std::path::PathBuf;
 use std::process::{Command, Output};
 
 fn cli(args: &[&str]) -> Output {
@@ -17,6 +21,8 @@ fn out_of_range_simulate_flags_are_usage_errors() {
         (&["count", "millipede", "--chunks", "0"][..], "--chunks"),
         (&["count", "millipede", "--corelets", "0"], "--corelets"),
         (&["count", "millipede", "--corelets", "3"], "--corelets"),
+        (&["count", "millipede", "--corelets", "16"], "--corelets"),
+        (&["count", "millipede", "--corelets", "8"], "--corelets"),
         (&["count", "ssmc", "--corelets", "1024"], "--corelets"),
         (&["count", "millipede", "--pbuf", "0"], "--pbuf"),
         (&["count", "millipede", "--pbuf", "1"], "--pbuf"),
@@ -24,14 +30,7 @@ fn out_of_range_simulate_flags_are_usage_errors() {
         (&["count", "millipede", "--chunks", "x"], "--chunks"),
         (&["run", "--kernels", "--chunks", "0"], "--chunks"),
     ] {
-        let out = cli(argv);
-        assert_eq!(out.status.code(), Some(2), "{argv:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains(flag) && stderr.contains("usage:"),
-            "{argv:?}: {stderr}"
-        );
-        assert!(out.stdout.is_empty(), "{argv:?} printed results");
+        assert_usage_error(argv, flag);
     }
 }
 
@@ -44,4 +43,50 @@ fn seed_zero_is_a_valid_seed() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("output validated :       true"));
+}
+
+/// Asserts `argv` exits 2 with `needle` and the usage on stderr and prints
+/// nothing to stdout.
+fn assert_usage_error(argv: &[&str], needle: &str) {
+    let out = cli(argv);
+    assert_eq!(out.status.code(), Some(2), "{argv:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(needle) && stderr.contains("usage:"),
+        "{argv:?}: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "{argv:?} printed results");
+}
+
+#[test]
+fn section_usage_errors() {
+    for (argv, needle) in [
+        (&["fig3", "--chunks", "0"][..], "--chunks"),
+        (&["table2", "--chunks", "0"], "--chunks"),
+        (&["all", "--chunks", "0"], "--chunks"),
+        (&["fig3", "--profile"], "unknown argument `--profile`"),
+        // Only table4, fig3, fig7 and families have a CSV form.
+        (&["table2", "--csv"], "--csv"),
+        (&["fig6", "--csv"], "--csv"),
+        (&["all", "--csv"], "--csv"),
+    ] {
+        assert_usage_error(argv, needle);
+    }
+    let stderr = String::from_utf8_lossy(&cli(&["fig3", "--profile"]).stderr).into_owned();
+    assert!(
+        !stderr.contains("[--profile]"),
+        "usage still offers it: {stderr}"
+    );
+}
+
+#[test]
+fn untraced_sections_reject_trace_and_manifest_flags() {
+    let out: PathBuf = std::env::temp_dir().join(format!("untraced-{}.json", std::process::id()));
+    let path = out.to_str().expect("utf-8 temp path");
+    for section in ["table2", "table3", "convergence", "fig5", "ablations"] {
+        for flag in ["--trace-out", "--manifest-out"] {
+            assert_usage_error(&[section, flag, path], flag);
+            assert!(!out.exists(), "{section} {flag} wrote a file");
+        }
+    }
 }

@@ -77,8 +77,8 @@ fn boolean_knob_matrix() {
 
 #[test]
 fn retired_knobs_leave_every_default_unchanged() {
-    // Fast-forward and telemetry are set by code (`SimConfig` fields, the
-    // bench binaries' `--trace-out`), never by the environment: with the
+    // Fast-forward and telemetry are set by code (`SimConfig` fields,
+    // `millipede-cli`'s `--trace-out`), never by the environment: with the
     // retired knobs set the other way, every default is what it is unset.
     let defaults = || {
         let sim = SimConfig::default();
