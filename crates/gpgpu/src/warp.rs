@@ -12,6 +12,9 @@
 //! their branches split ~70/30, leaving under a 25% chance that even 4
 //! threads agree).
 
+/// The widest warp: a warp's thread masks are 64-bit words.
+pub const MAX_WARP_WIDTH: usize = 64;
+
 /// One stack frame: a path being executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Frame {
@@ -40,8 +43,8 @@ impl Warp {
     /// Creates a warp of `width` threads starting at `first_thread`, all at
     /// PC 0.
     pub fn new(first_thread: usize, width: usize) -> Warp {
-        assert!((1..=64).contains(&width));
-        let full = if width == 64 {
+        assert!((1..=MAX_WARP_WIDTH).contains(&width));
+        let full = if width == MAX_WARP_WIDTH {
             u64::MAX
         } else {
             (1u64 << width) - 1

@@ -21,9 +21,7 @@
 
 use millipede_core::NodeResult;
 use millipede_dram::DramStats;
-use millipede_engine::{
-    run_functional, CoreStats, Driven, FuncStats, JumpProfile, DEFAULT_STEP_LIMIT,
-};
+use millipede_engine::{CoreStats, Driven, JumpProfile, DEFAULT_STEP_LIMIT};
 use millipede_mapreduce::ThreadGrid;
 use millipede_telemetry::{Telemetry, TelemetryConfig};
 use millipede_workloads::Workload;
@@ -65,22 +63,11 @@ pub fn run(workload: &Workload, cfg: &MulticoreConfig) -> NodeResult {
     // Execute functionally on the standard grid (the dynamic instruction
     // profile is assignment-independent: same records, same work).
     let grid = ThreadGrid::paper_default();
-    let mut totals = FuncStats::default();
-    let mut ctxs = Vec::with_capacity(grid.num_threads());
-    for corelet in 0..grid.corelets {
-        for context in 0..grid.contexts {
-            let mut ctx = workload.make_ctx(&grid, corelet, context);
-            let s = run_functional(
-                &mut ctx,
-                &workload.program,
-                &workload.dataset.image,
-                DEFAULT_STEP_LIMIT,
-            )
-            .expect("kernel must not trap"); // audit:allow(unwrap-in-hot-path): a trapping kernel is a workload bug; fail loudly
-            totals.merge(&s);
-            ctxs.push(ctx);
-        }
-    }
+    // A trapping kernel is a workload bug: fail loudly, naming the thread.
+    let run = workload
+        .run_functional(&grid, DEFAULT_STEP_LIMIT)
+        .unwrap_or_else(|t| panic!("{}: {t}", workload.bench.name()));
+    let totals = &run.stats;
 
     // Runtime: the slower of compute throughput and off-chip bandwidth.
     let compute_ns = totals.instructions as f64 / THROUGHPUT_PER_NS;
@@ -130,8 +117,7 @@ pub fn run(workload: &Workload, cfg: &MulticoreConfig) -> NodeResult {
         last_time: elapsed_ps,
         profile: JumpProfile::default(),
     };
-    let states: Vec<&[u32]> = ctxs.iter().map(|c| c.local.words()).collect();
-    NodeResult::finish(workload, &grid, &states, stats, dram, driven, tel)
+    NodeResult::finish(workload, &grid, &run.states(), stats, dram, driven, tel)
 }
 
 #[cfg(test)]

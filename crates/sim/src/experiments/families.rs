@@ -17,7 +17,7 @@
 use crate::arch::Arch;
 use crate::config::SimConfig;
 use crate::report::{f2, geomean, Table};
-use crate::runner::{run_many, RunResult};
+use crate::runner::{sweep, RunResult};
 use millipede_workloads::Benchmark;
 
 /// The benchmarks this experiment sweeps: both non-BMLA families, in
@@ -54,13 +54,8 @@ pub struct Families {
 
 /// Runs the families sweep.
 pub fn run(cfg: &SimConfig) -> Families {
-    let pairs: Vec<(Arch, Benchmark)> = BENCHES
-        .iter()
-        .flat_map(|&b| ARCHES.iter().map(move |&a| (a, b)))
-        .collect();
-    let flat = run_many(&pairs, cfg);
     Families {
-        runs: flat.chunks(ARCHES.len()).map(<[_]>::to_vec).collect(),
+        runs: sweep(&BENCHES, &ARCHES, cfg),
     }
 }
 

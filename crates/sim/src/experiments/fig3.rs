@@ -21,7 +21,7 @@ pub struct Fig3 {
 /// Runs the Fig. 3 sweep.
 pub fn run(cfg: &SimConfig) -> Fig3 {
     Fig3 {
-        runs: sweep(&Arch::FIG3, cfg),
+        runs: sweep(&Benchmark::BMLA, &Arch::FIG3, cfg),
     }
 }
 

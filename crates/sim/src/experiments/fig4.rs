@@ -17,7 +17,7 @@ pub struct Fig4 {
 /// Runs the Fig. 4 sweep.
 pub fn run(cfg: &SimConfig) -> Fig4 {
     Fig4 {
-        runs: sweep(&Arch::FIG4, cfg),
+        runs: sweep(&Benchmark::BMLA, &Arch::FIG4, cfg),
     }
 }
 

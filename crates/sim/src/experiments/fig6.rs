@@ -7,7 +7,7 @@
 use crate::arch::Arch;
 use crate::config::SimConfig;
 use crate::report::{f2, geomean, Table};
-use crate::runner::{run_many, RunResult};
+use crate::runner::{sweep, RunResult};
 use millipede_workloads::Benchmark;
 
 /// The architectures Fig. 6 scales.
@@ -31,12 +31,7 @@ pub fn run(cfg: &SimConfig) -> Fig6 {
             bandwidth_factor: cfg.bandwidth_factor * (si as u32 + 1),
             ..cfg.clone()
         };
-        let pairs: Vec<(Arch, Benchmark)> = Benchmark::BMLA
-            .iter()
-            .flat_map(|&b| ARCHS.iter().map(move |&a| (a, b)))
-            .collect();
-        let flat = run_many(&pairs, &scaled);
-        runs.push(flat.chunks(ARCHS.len()).map(<[_]>::to_vec).collect());
+        runs.push(sweep(&Benchmark::BMLA, &ARCHS, &scaled));
     }
     Fig6 { runs }
 }

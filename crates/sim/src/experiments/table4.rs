@@ -8,8 +8,8 @@
 use crate::arch::Arch;
 use crate::config::SimConfig;
 use crate::report::{f0, f3, Table};
-use crate::runner::{run_many, RunResult};
-use millipede_engine::{run_functional, FuncStats, DEFAULT_STEP_LIMIT};
+use crate::runner::{sweep, RunResult};
+use millipede_engine::DEFAULT_STEP_LIMIT;
 use millipede_mapreduce::ThreadGrid;
 use millipede_workloads::{Benchmark, Workload};
 
@@ -38,36 +38,20 @@ pub struct Table4 {
     pub runs: Vec<RunResult>,
 }
 
-/// Measures the functional characteristics of `bench`.
-pub fn functional_characteristics(bench: Benchmark, cfg: &SimConfig) -> FuncStats {
-    let w = Workload::build(bench, cfg.num_chunks, cfg.row_bytes, cfg.seed);
-    let grid = ThreadGrid::slab(cfg.corelets, cfg.contexts);
-    let mut totals = FuncStats::default();
-    for c in 0..grid.corelets {
-        for x in 0..grid.contexts {
-            let mut ctx = w.make_ctx(&grid, c, x);
-            let s = run_functional(&mut ctx, &w.program, &w.dataset.image, DEFAULT_STEP_LIMIT)
-                .expect("kernel must not trap");
-            totals.merge(&s);
-        }
-    }
-    totals
-}
-
 /// Runs the Table IV measurements.
 pub fn run(cfg: &SimConfig) -> Table4 {
-    let pairs: Vec<(Arch, Benchmark)> = Benchmark::BMLA
-        .iter()
-        .flat_map(|&b| [(Arch::Ssmc, b), (Arch::Millipede, b)])
-        .collect();
-    let timing = run_many(&pairs, cfg);
+    let timing = sweep(&Benchmark::BMLA, &[Arch::Ssmc, Arch::Millipede], cfg);
+    let grid = ThreadGrid::slab(cfg.corelets, cfg.contexts);
     let rows = Benchmark::BMLA
         .iter()
-        .enumerate()
-        .map(|(i, &bench)| {
-            let func = functional_characteristics(bench, cfg);
-            let ssmc = &timing[2 * i];
-            let milli = &timing[2 * i + 1];
+        .zip(&timing)
+        .map(|(&bench, runs)| {
+            let w = Workload::build(bench, cfg.num_chunks, cfg.row_bytes, cfg.seed);
+            let func = w
+                .run_functional(&grid, DEFAULT_STEP_LIMIT)
+                .unwrap_or_else(|t| panic!("{}: {t}", bench.name()))
+                .stats;
+            let (ssmc, milli) = (&runs[0], &runs[1]);
             Row {
                 bench,
                 insts_per_word: func.insts_per_input_word(),
@@ -77,7 +61,10 @@ pub fn run(cfg: &SimConfig) -> Table4 {
             }
         })
         .collect();
-    Table4 { rows, runs: timing }
+    Table4 {
+        rows,
+        runs: timing.into_iter().flatten().collect(),
+    }
 }
 
 impl Table4 {
@@ -113,9 +100,14 @@ mod tests {
             num_chunks: 2,
             ..Default::default()
         };
+        let grid = ThreadGrid::slab(cfg.corelets, cfg.contexts);
         let ipw: Vec<f64> = Benchmark::BMLA
             .iter()
-            .map(|&b| functional_characteristics(b, &cfg).insts_per_input_word())
+            .map(|&b| {
+                let w = Workload::build(b, cfg.num_chunks, cfg.row_bytes, cfg.seed);
+                let run = w.run_functional(&grid, DEFAULT_STEP_LIMIT).unwrap();
+                run.stats.insts_per_input_word()
+            })
             .collect();
         // Table IV lists the benchmarks in increasing insts-per-word order.
         for w in ipw.windows(2) {

@@ -198,16 +198,19 @@ pub(crate) fn pool_map<T: Sync, R: Send>(
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Runs every Fig. 3 architecture on every benchmark (the workhorse sweep
-/// shared by Figs. 3 and 4), returned as `[bench][arch]` following
-/// `Benchmark::BMLA` × the given arch list order.
-pub fn sweep(archs: &[Arch], cfg: &SimConfig) -> Vec<Vec<RunResult>> {
-    let pairs: Vec<(Arch, Benchmark)> = Benchmark::BMLA
+/// Runs every architecture of `archs` on every benchmark of `benches` as
+/// one [`run_many`] sweep, returned as `runs[bench][arch]` in the order of
+/// the two lists.
+pub fn sweep(benches: &[Benchmark], archs: &[Arch], cfg: &SimConfig) -> Vec<Vec<RunResult>> {
+    let pairs: Vec<(Arch, Benchmark)> = benches
         .iter()
         .flat_map(|&b| archs.iter().map(move |&a| (a, b)))
         .collect();
-    let flat = run_many(&pairs, cfg);
-    flat.chunks(archs.len()).map(<[_]>::to_vec).collect()
+    let mut flat = run_many(&pairs, cfg).into_iter();
+    benches
+        .iter()
+        .map(|_| flat.by_ref().take(archs.len()).collect())
+        .collect()
 }
 
 #[cfg(test)]

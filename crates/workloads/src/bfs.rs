@@ -196,7 +196,7 @@ mod tests {
     fn functional_matches_reference() {
         let w = Workload::build(Benchmark::Bfs, 3, 256, 19);
         let grid = ThreadGrid::slab(8, 4);
-        assert_eq!(w.run_functional(&grid), w.reference(&grid));
+        assert_eq!(w.functional_output(&grid), w.reference(&grid));
     }
 
     #[test]
@@ -206,7 +206,7 @@ mod tests {
             ThreadGrid::coalesced(16, 4),
             ThreadGrid::block_columns(16, 4),
         ] {
-            assert_eq!(w.run_functional(&grid), w.reference(&grid));
+            assert_eq!(w.functional_output(&grid), w.reference(&grid));
         }
     }
 
@@ -217,7 +217,7 @@ mod tests {
         let dist = g.bfs_levels(0, FRONTIER_LEVEL);
         let full = g.bfs_levels(0, FRONTIER_LEVEL + 1);
         let grid = ThreadGrid::slab(32, 4);
-        match w.run_functional(&grid) {
+        match w.functional_output(&grid) {
             Reduced::Ints(out) => {
                 assert_eq!(out[0] + out[1], w.dataset.num_records() as i64);
                 // Both branch sides actually run.
@@ -259,7 +259,11 @@ mod tests {
     fn sharded_outputs_combine_to_the_full_reference() {
         let grid = ThreadGrid::slab(8, 4);
         let w = Workload::build(Benchmark::Bfs, 4, 256, 9);
-        let outs: Vec<Reduced> = w.shard(2).iter().map(|s| s.run_functional(&grid)).collect();
+        let outs: Vec<Reduced> = w
+            .shard(2)
+            .iter()
+            .map(|s| s.functional_output(&grid))
+            .collect();
         assert_eq!(
             crate::combine_outputs(Benchmark::Bfs, &outs),
             w.reference(&grid)

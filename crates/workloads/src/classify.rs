@@ -184,14 +184,14 @@ mod tests {
     fn functional_matches_reference() {
         let w = Workload::build(Benchmark::Classify, 2, 256, 41);
         let grid = ThreadGrid::slab(8, 4);
-        assert_eq!(w.run_functional(&grid), w.reference(&grid));
+        assert_eq!(w.functional_output(&grid), w.reference(&grid));
     }
 
     #[test]
     fn counts_cover_all_records() {
         let w = Workload::build(Benchmark::Classify, 2, 2048, 3);
         let grid = ThreadGrid::slab(32, 4);
-        match w.run_functional(&grid) {
+        match w.functional_output(&grid) {
             Reduced::Ints(v) => {
                 assert_eq!(v.iter().sum::<i64>(), w.dataset.num_records() as i64);
                 // Uniform data over [0,100) vs spread centroids: every

@@ -120,14 +120,14 @@ mod tests {
     fn functional_matches_reference() {
         let w = Workload::build(Benchmark::Count, 2, 256, 1);
         let grid = ThreadGrid::slab(8, 4);
-        assert_eq!(w.run_functional(&grid), w.reference(&grid));
+        assert_eq!(w.functional_output(&grid), w.reference(&grid));
     }
 
     #[test]
     fn bins_sum_to_record_count_and_are_balanced() {
         let w = Workload::build(Benchmark::Count, 3, 2048, 7);
         let grid = ThreadGrid::slab(16, 4);
-        match w.run_functional(&grid) {
+        match w.functional_output(&grid) {
             Reduced::Ints(v) => {
                 let total: i64 = v.iter().sum();
                 assert_eq!(total, w.dataset.num_records() as i64);
@@ -152,7 +152,7 @@ mod tests {
             let base = Workload::build(Benchmark::Count, 1, 64, 0);
             let w = Workload { dataset, ..base };
             let grid = ThreadGrid::slab(4, 4);
-            match w.run_functional(&grid) {
+            match w.functional_output(&grid) {
                 Reduced::Ints(v) => {
                     let bin = rating as usize / width;
                     assert_eq!(v[bin], 16, "rating {rating} → bin {bin}: {v:?}");

@@ -200,14 +200,14 @@ mod tests {
     fn functional_matches_reference() {
         let w = Workload::build(Benchmark::Gda, 2, 256, 71);
         let grid = ThreadGrid::slab(8, 4);
-        assert_eq!(w.run_functional(&grid), w.reference(&grid));
+        assert_eq!(w.functional_output(&grid), w.reference(&grid));
     }
 
     #[test]
     fn class_priors_are_70_30() {
         let w = Workload::build(Benchmark::Gda, 2, 2048, 29);
         let grid = ThreadGrid::slab(32, 4);
-        match w.run_functional(&grid) {
+        match w.functional_output(&grid) {
             Reduced::Mixed { ints, .. } => {
                 let total = ints[0] + ints[1];
                 assert_eq!(total, w.dataset.num_records() as i64);
@@ -222,7 +222,7 @@ mod tests {
     fn per_class_means_are_near_center() {
         let w = Workload::build(Benchmark::Gda, 4, 2048, 37);
         let grid = ThreadGrid::slab(32, 4);
-        match w.run_functional(&grid) {
+        match w.functional_output(&grid) {
             Reduced::Mixed { ints, floats } => {
                 for class in 0..2 {
                     let n = ints[class] as f32;

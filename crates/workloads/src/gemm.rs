@@ -150,7 +150,7 @@ mod tests {
     fn functional_matches_reference() {
         let w = Workload::build(Benchmark::Gemm, 3, 256, 17);
         let grid = ThreadGrid::slab(8, 4);
-        assert_eq!(w.run_functional(&grid), w.reference(&grid));
+        assert_eq!(w.functional_output(&grid), w.reference(&grid));
     }
 
     #[test]
@@ -160,7 +160,7 @@ mod tests {
             ThreadGrid::coalesced(16, 4),
             ThreadGrid::block_columns(16, 4),
         ] {
-            assert_eq!(w.run_functional(&grid), w.reference(&grid));
+            assert_eq!(w.functional_output(&grid), w.reference(&grid));
         }
     }
 
@@ -178,7 +178,7 @@ mod tests {
                 }
             }
         }
-        match w.run_functional(&grid) {
+        match w.functional_output(&grid) {
             Reduced::Floats(c) => {
                 for (i, (&got, &exp)) in c.iter().zip(&want).enumerate() {
                     assert!(

@@ -167,14 +167,14 @@ mod tests {
     fn functional_matches_reference() {
         let w = Workload::build(Benchmark::Kmeans, 2, 256, 51);
         let grid = ThreadGrid::slab(8, 4);
-        assert_eq!(w.run_functional(&grid), w.reference(&grid));
+        assert_eq!(w.functional_output(&grid), w.reference(&grid));
     }
 
     #[test]
     fn counts_cover_all_records_and_sums_are_positive() {
         let w = Workload::build(Benchmark::Kmeans, 2, 2048, 7);
         let grid = ThreadGrid::slab(32, 4);
-        match w.run_functional(&grid) {
+        match w.functional_output(&grid) {
             Reduced::Mixed { ints, floats } => {
                 assert_eq!(ints.iter().sum::<i64>(), w.dataset.num_records() as i64);
                 assert!(floats.iter().all(|&f| f >= 0.0));
@@ -187,7 +187,7 @@ mod tests {
     fn new_centroids_move_toward_their_clusters() {
         let w = Workload::build(Benchmark::Kmeans, 4, 2048, 19);
         let grid = ThreadGrid::slab(32, 4);
-        let out = w.run_functional(&grid);
+        let out = w.functional_output(&grid);
         let cents = new_centroids(&out);
         // The new centroids stay within the data range, and the extreme
         // clusters keep their ordering along dimension 0 (clusters overlap

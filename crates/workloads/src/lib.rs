@@ -56,9 +56,10 @@ pub mod sample;
 pub mod skeleton;
 pub mod variance;
 
-use millipede_engine::{LaunchParams, ThreadCtx};
+use millipede_engine::{FuncStats, LaunchParams, ThreadCtx, Trap};
 use millipede_isa::Program;
 use millipede_mapreduce::{Dataset, ThreadGrid};
+use std::fmt;
 
 /// Workload family a benchmark belongs to (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -206,15 +207,6 @@ impl Benchmark {
     }
 }
 
-/// Every compiled-in kernel in sweep order — the one shared enumeration
-/// behind every `--kernels` flag (`millipede-cli verify/disasm/run
-/// --kernels`). Pinned equal to
-/// [`Benchmark::ALL`] by test, so a new benchmark flows into every sweep
-/// automatically and no caller keeps its own list.
-pub fn kernel_benchmarks() -> impl Iterator<Item = Benchmark> {
-    Benchmark::ALL.into_iter()
-}
-
 /// The standard static-inspection [`Workload`] for one kernel: a single
 /// chunk on the default 2 KB row with a fixed seed — just enough to
 /// materialize the program and its live local footprint for the static
@@ -287,7 +279,8 @@ impl Workload {
     /// assert_eq!(w.dataset.num_records(), 2 * 512);
     /// // Functional execution reproduces the golden reference.
     /// let grid = ThreadGrid::paper_default();
-    /// assert_eq!(w.run_functional(&grid), w.reference(&grid));
+    /// let run = w.run_functional(&grid, 10_000_000).unwrap();
+    /// assert_eq!(w.reduce(&run.states()), w.reference(&grid));
     /// ```
     pub fn build(bench: Benchmark, num_chunks: usize, row_bytes: u64, seed: u64) -> Workload {
         match bench {
@@ -346,26 +339,41 @@ impl Workload {
         }
     }
 
-    /// Runs every thread of `grid` functionally (no timing) and reduces —
-    /// the cheapest end-to-end execution of the workload, used by golden
-    /// tests and by architecture models' validation paths.
-    pub fn run_functional(&self, grid: &ThreadGrid) -> Reduced {
-        let mut ctxs: Vec<ThreadCtx> = Vec::with_capacity(grid.num_threads());
+    /// Runs every thread of `grid` on the functional engine (no timing
+    /// model), corelet-major, each under `step_limit` instructions. This is
+    /// the one functional run of a whole workload: Table IV's dynamic
+    /// columns, the analytic multicore, `millipede-cli run --kernels` and
+    /// the golden tests all take it. The first thread to trap ends the run
+    /// and names itself in the error.
+    pub fn run_functional(
+        &self,
+        grid: &ThreadGrid,
+        step_limit: u64,
+    ) -> Result<FunctionalRun, ThreadTrap> {
+        let mut run = FunctionalRun {
+            stats: FuncStats::default(),
+            threads: Vec::with_capacity(grid.num_threads()),
+        };
         for corelet in 0..grid.corelets {
             for context in 0..grid.contexts {
                 let mut ctx = self.make_ctx(grid, corelet, context);
-                millipede_engine::run_functional(
+                let stats = millipede_engine::run_functional(
                     &mut ctx,
                     &self.program,
                     &self.dataset.image,
-                    millipede_engine::DEFAULT_STEP_LIMIT,
+                    step_limit,
                 )
-                .expect("workload kernel must not trap");
-                ctxs.push(ctx);
+                .map_err(|trap| ThreadTrap {
+                    corelet,
+                    context,
+                    pc: ctx.pc,
+                    trap,
+                })?;
+                run.stats.merge(&stats);
+                run.threads.push(ctx);
             }
         }
-        let states: Vec<&[u32]> = ctxs.iter().map(|c| c.local.words()).collect();
-        self.reduce(&states)
+        Ok(run)
     }
 
     /// Splits the dataset chunk-wise into `n` shards, one per PNM
@@ -426,6 +434,50 @@ impl Workload {
     }
 }
 
+/// A whole grid's functional run ([`Workload::run_functional`]).
+#[derive(Debug, Clone)]
+pub struct FunctionalRun {
+    /// Every thread's dynamic statistics, merged.
+    pub stats: FuncStats,
+    /// The threads' final contexts in grid order (corelet-major, then
+    /// context).
+    pub threads: Vec<ThreadCtx>,
+}
+
+impl FunctionalRun {
+    /// The threads' final live states in grid order, as
+    /// [`Workload::reduce`] takes them.
+    pub fn states(&self) -> Vec<&[u32]> {
+        self.threads.iter().map(|c| c.local.words()).collect()
+    }
+}
+
+/// The thread that trapped in a functional grid run, and the engine's
+/// reason.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ThreadTrap {
+    /// The thread's corelet.
+    pub corelet: usize,
+    /// The thread's context on that corelet.
+    pub context: usize,
+    /// The thread's program counter when it stopped.
+    pub pc: u32,
+    /// What the engine reported.
+    pub trap: Trap,
+}
+
+impl fmt::Display for ThreadTrap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "trap at pc {} on thread ({}, {}): {}",
+            self.pc, self.corelet, self.context, self.trap
+        )
+    }
+}
+
+impl std::error::Error for ThreadTrap {}
+
 /// Combines per-shard reduced outputs into the cluster-level final Reduce
 /// (§III-A's "global final Reduce"). Every benchmark's outputs combine by
 /// elementwise addition, except `sample`'s kept-representative section
@@ -480,6 +532,18 @@ pub fn combine_outputs(bench: Benchmark, outputs: &[Reduced]) -> Reduced {
 }
 
 #[cfg(test)]
+impl Workload {
+    /// The golden tests' form of [`Workload::run_functional`]: the reduced
+    /// output of a run that must not trap.
+    fn functional_output(&self, grid: &ThreadGrid) -> Reduced {
+        let run = self
+            .run_functional(grid, millipede_engine::DEFAULT_STEP_LIMIT)
+            .unwrap_or_else(|t| panic!("{}: {t}", self.bench.name()));
+        self.reduce(&run.states())
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -499,20 +563,6 @@ mod tests {
         assert_eq!(&Benchmark::ALL[..8], &Benchmark::BMLA);
         assert_eq!(&Benchmark::ALL[8..10], &Benchmark::GRAPH);
         assert_eq!(&Benchmark::ALL[10..], &Benchmark::DENSE);
-    }
-
-    #[test]
-    fn kernel_sweep_is_pinned_to_all() {
-        // Every `--kernels` consumer enumerates through this helper; pin it
-        // to `Benchmark::ALL` so the sweeps can never drift apart.
-        let swept: Vec<Benchmark> = kernel_benchmarks().collect();
-        assert_eq!(swept, Benchmark::ALL.to_vec());
-        for b in kernel_benchmarks() {
-            let w = kernel_workload(b);
-            assert_eq!(w.bench, b);
-            assert!(!w.program.is_empty());
-            assert!(w.live_bytes > 0);
-        }
     }
 
     #[test]
@@ -573,12 +623,48 @@ mod tests {
     fn sharded_functional_runs_combine_to_the_full_reference() {
         let grid = ThreadGrid::slab(8, 4);
         let w = Workload::build(Benchmark::Kmeans, 4, 256, 11);
-        let outs: Vec<Reduced> = w.shard(4).iter().map(|s| s.run_functional(&grid)).collect();
+        let outs: Vec<Reduced> = w
+            .shard(4)
+            .iter()
+            .map(|s| s.functional_output(&grid))
+            .collect();
         let refs: Vec<Reduced> = w.shard(4).iter().map(|s| s.reference(&grid)).collect();
         assert_eq!(
             combine_outputs(Benchmark::Kmeans, &outs),
             combine_outputs(Benchmark::Kmeans, &refs)
         );
+    }
+
+    #[test]
+    fn a_trapped_thread_is_named_in_the_error() {
+        // Two single-context corelets; the second one's lane offset (half a
+        // 256-byte row) puts its load past the end of the input.
+        let program = millipede_isa::assemble("oob", "li r10, 0\nld.in r11, 252(r1)\nhalt")
+            .expect("assembles");
+        let layout = millipede_mapreduce::InterleavedLayout::new(1, 256, 1);
+        let w = Workload {
+            bench: Benchmark::Count,
+            program,
+            dataset: Dataset::generate(layout, |i| vec![i as u32]),
+            live_bytes: 64,
+            live_init: Vec::new(),
+        };
+        let grid = ThreadGrid::slab(2, 1);
+        let err = w.run_functional(&grid, 100).unwrap_err();
+        let want = ThreadTrap {
+            corelet: 1,
+            context: 0,
+            pc: 1,
+            trap: Trap::Input { addr: 380 },
+        };
+        assert_eq!(err, want);
+        assert_eq!(
+            err.to_string(),
+            "trap at pc 1 on thread (1, 0): bad input load at byte address 0x17c"
+        );
+        // The first thread alone halts cleanly.
+        let run = w.run_functional(&ThreadGrid::slab(1, 1), 100).unwrap();
+        assert_eq!((run.threads.len(), run.stats.instructions), (1, 3));
     }
 
     #[test]

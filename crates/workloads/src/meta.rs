@@ -1,7 +1,5 @@
 //! Benchmark metadata: the paper's Table II application-behaviour summary
-//! ([`TABLE_II`]) extended with equivalent rows for the graph-analytics
-//! and dense-kernel families ([`EXTENDED`]); [`meta`] covers every
-//! compiled-in benchmark.
+//! ([`TABLE_II`]).
 
 use crate::Benchmark;
 
@@ -90,82 +88,13 @@ pub const TABLE_II: [BenchMeta; 8] = [
     },
 ];
 
-/// Metadata rows for the non-paper families, in `Benchmark::ALL` order.
-pub const EXTENDED: [BenchMeta; 6] = [
-    BenchMeta {
-        bench: Benchmark::Pagerank,
-        input_record: "Edge (src, dst)",
-        live_state: "Contribution table, rank accumulator",
-        ops_per_byte: "O(1) - indexed push",
-        num_fields: crate::pagerank::NUM_FIELDS,
-        float: true,
-    },
-    BenchMeta {
-        bench: Benchmark::Bfs,
-        input_record: "Edge (src, dst)",
-        live_state: "Distance table, frontier targets",
-        ops_per_byte: "O(1) - relaxation",
-        num_fields: crate::bfs::NUM_FIELDS,
-        float: false,
-    },
-    BenchMeta {
-        bench: Benchmark::Gemm,
-        input_record: "A column + B row (k-slice)",
-        live_state: "M x N output tile",
-        ops_per_byte: "O(M*N) - rank-1 update",
-        num_fields: crate::gemm::NUM_FIELDS,
-        float: true,
-    },
-    BenchMeta {
-        bench: Benchmark::StreamAdd,
-        input_record: "Operand pair (a, b)",
-        live_state: "Running sum, XOR checksum",
-        ops_per_byte: "O(1) - add",
-        num_fields: 2,
-        float: false,
-    },
-    BenchMeta {
-        bench: Benchmark::Reduction,
-        input_record: "Scalar",
-        live_state: "Sum, min, max",
-        ops_per_byte: "O(1) - fold",
-        num_fields: 1,
-        float: false,
-    },
-    BenchMeta {
-        bench: Benchmark::Scan,
-        input_record: "Scalar",
-        live_state: "Prefix value, prefix checksum",
-        ops_per_byte: "O(1) - prefix",
-        num_fields: 1,
-        float: false,
-    },
-];
-
-/// Looks up a benchmark's metadata row (Table II for the BMLAs,
-/// [`EXTENDED`] for the other families).
-pub fn meta(bench: Benchmark) -> &'static BenchMeta {
-    TABLE_II
-        .iter()
-        .chain(EXTENDED.iter())
-        .find(|m| m.bench == bench)
-        .expect("every benchmark has a metadata row")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn every_benchmark_has_metadata() {
-        for b in Benchmark::ALL {
-            assert_eq!(meta(b).bench, b);
-        }
-    }
-
-    #[test]
     fn arities_match_built_workloads() {
-        for m in TABLE_II.iter().chain(EXTENDED.iter()) {
+        for m in TABLE_II {
             let w = crate::Workload::build(m.bench, 1, 256, 1);
             assert_eq!(
                 w.dataset.layout.num_fields,
@@ -182,14 +111,6 @@ mod tests {
             TABLE_II.map(|m| m.bench),
             Benchmark::BMLA,
             "Table II rows must stay the paper's eight, in order"
-        );
-        assert_eq!(
-            EXTENDED.map(|m| m.bench).to_vec(),
-            Benchmark::GRAPH
-                .iter()
-                .chain(Benchmark::DENSE.iter())
-                .copied()
-                .collect::<Vec<_>>()
         );
     }
 }

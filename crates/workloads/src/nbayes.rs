@@ -156,14 +156,14 @@ mod tests {
     fn functional_matches_reference() {
         let w = Workload::build(Benchmark::NBayes, 2, 256, 31);
         let grid = ThreadGrid::slab(8, 4);
-        assert_eq!(w.run_functional(&grid), w.reference(&grid));
+        assert_eq!(w.functional_output(&grid), w.reference(&grid));
     }
 
     #[test]
     fn class_split_is_roughly_70_30() {
         let w = Workload::build(Benchmark::NBayes, 4, 2048, 17);
         let grid = ThreadGrid::slab(32, 4);
-        match w.run_functional(&grid) {
+        match w.functional_output(&grid) {
             Reduced::Ints(v) => {
                 let total = v[0] + v[1];
                 assert_eq!(total, w.dataset.num_records() as i64);
@@ -178,7 +178,7 @@ mod tests {
     fn cprob_totals_match_class_counts() {
         let w = Workload::build(Benchmark::NBayes, 2, 512, 5);
         let grid = ThreadGrid::slab(16, 4);
-        match w.run_functional(&grid) {
+        match w.functional_output(&grid) {
             Reduced::Ints(v) => {
                 // For each dim, sum over values of Cprob[d][*][c] equals
                 // classCount[c].

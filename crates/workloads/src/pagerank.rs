@@ -191,7 +191,7 @@ mod tests {
     fn functional_matches_reference() {
         let w = Workload::build(Benchmark::Pagerank, 3, 256, 13);
         let grid = ThreadGrid::slab(8, 4);
-        assert_eq!(w.run_functional(&grid), w.reference(&grid));
+        assert_eq!(w.functional_output(&grid), w.reference(&grid));
     }
 
     #[test]
@@ -201,7 +201,7 @@ mod tests {
             ThreadGrid::coalesced(16, 4),
             ThreadGrid::block_columns(16, 4),
         ] {
-            assert_eq!(w.run_functional(&grid), w.reference(&grid));
+            assert_eq!(w.functional_output(&grid), w.reference(&grid));
         }
     }
 
@@ -213,7 +213,7 @@ mod tests {
         let w = Workload::build(Benchmark::Pagerank, 4, 2048, 23);
         let g = graph_for(w.dataset.num_records(), 23);
         let grid = ThreadGrid::slab(32, 4);
-        match w.run_functional(&grid) {
+        match w.functional_output(&grid) {
             Reduced::Mixed { ints, floats } => {
                 assert_eq!(
                     ints[0] + ints[1],
@@ -240,7 +240,7 @@ mod tests {
         // edges — the classification split is 1:3, not the sources' skew.
         let w = Workload::build(Benchmark::Pagerank, 4, 2048, 5);
         let grid = ThreadGrid::slab(32, 4);
-        match w.run_functional(&grid) {
+        match w.functional_output(&grid) {
             Reduced::Mixed { ints, .. } => {
                 let frac = ints[0] as f64 / (ints[0] + ints[1]) as f64;
                 assert!((0.15..0.35).contains(&frac), "hub fraction {frac}");

@@ -157,14 +157,14 @@ mod tests {
     fn functional_matches_reference() {
         let w = Workload::build(Benchmark::Pca, 2, 256, 61);
         let grid = ThreadGrid::slab(8, 4);
-        assert_eq!(w.run_functional(&grid), w.reference(&grid));
+        assert_eq!(w.functional_output(&grid), w.reference(&grid));
     }
 
     #[test]
     fn mean_of_uniform_data_is_near_center() {
         let w = Workload::build(Benchmark::Pca, 4, 2048, 23);
         let grid = ThreadGrid::slab(32, 4);
-        match w.run_functional(&grid) {
+        match w.functional_output(&grid) {
             Reduced::Floats(v) => {
                 let n = w.dataset.num_records() as f32;
                 for d in 0..DIMS {

@@ -271,7 +271,7 @@ mod tests {
                 ThreadGrid::block_columns(16, 4),
             ] {
                 assert_eq!(
-                    w.run_functional(&grid),
+                    w.functional_output(&grid),
                     w.reference(&grid),
                     "{}",
                     bench.name()
@@ -289,7 +289,7 @@ mod tests {
             .iter()
             .map(|rec| i64::from(rec[0]) + i64::from(rec[1]))
             .sum();
-        match w.run_functional(&ThreadGrid::slab(8, 4)) {
+        match w.functional_output(&ThreadGrid::slab(8, 4)) {
             Reduced::Ints(out) => assert_eq!(out[0], want),
             other => panic!("unexpected {other:?}"),
         }
@@ -299,7 +299,7 @@ mod tests {
     fn reduction_matches_host_min_max_sum() {
         let w = Workload::build(Benchmark::Reduction, 4, 512, 21);
         let xs: Vec<u32> = w.dataset.records.iter().map(|rec| rec[0]).collect();
-        match w.run_functional(&ThreadGrid::slab(8, 4)) {
+        match w.functional_output(&ThreadGrid::slab(8, 4)) {
             Reduced::Ints(out) => {
                 assert_eq!(out[0], xs.iter().map(|&x| i64::from(x)).sum::<i64>());
                 assert_eq!(out[1], i64::from(*xs.iter().min().unwrap()));
@@ -315,8 +315,8 @@ mod tests {
         // per-thread record partition changes — exactly why `scan` pins
         // the visit order. (The plain sum must not change.)
         let w = Workload::build(Benchmark::Scan, 4, 1024, 13);
-        let a = w.run_functional(&ThreadGrid::slab(8, 4));
-        let b = w.run_functional(&ThreadGrid::slab(32, 4));
+        let a = w.functional_output(&ThreadGrid::slab(8, 4));
+        let b = w.functional_output(&ThreadGrid::slab(32, 4));
         match (&a, &b) {
             (Reduced::Ints(a), Reduced::Ints(b)) => {
                 assert_eq!(a[0], b[0], "total sum is partition-invariant");

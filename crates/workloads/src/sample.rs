@@ -148,14 +148,14 @@ mod tests {
     fn functional_matches_reference() {
         let w = Workload::build(Benchmark::Sample, 3, 256, 11);
         let grid = ThreadGrid::slab(8, 4);
-        assert_eq!(w.run_functional(&grid), w.reference(&grid));
+        assert_eq!(w.functional_output(&grid), w.reference(&grid));
     }
 
     #[test]
     fn kept_is_about_one_eighth_of_count() {
         let w = Workload::build(Benchmark::Sample, 32, 2048, 3);
         let grid = ThreadGrid::slab(32, 4);
-        match w.run_functional(&grid) {
+        match w.functional_output(&grid) {
             Reduced::Ints(v) => {
                 let counts: i64 = v[..NUM_BINS].iter().sum();
                 let kept: i64 = v[NUM_BINS..2 * NUM_BINS].iter().sum();
@@ -173,7 +173,7 @@ mod tests {
     fn kept_elements_fall_in_their_bin() {
         let w = Workload::build(Benchmark::Sample, 4, 512, 9);
         let grid = ThreadGrid::slab(16, 4);
-        match w.run_functional(&grid) {
+        match w.functional_output(&grid) {
             Reduced::Ints(v) => {
                 for bin in 0..NUM_BINS {
                     let e = v[2 * NUM_BINS + bin];

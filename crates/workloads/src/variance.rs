@@ -137,14 +137,14 @@ mod tests {
     fn functional_matches_reference() {
         let w = Workload::build(Benchmark::Variance, 3, 256, 21);
         let grid = ThreadGrid::slab(8, 4);
-        assert_eq!(w.run_functional(&grid), w.reference(&grid));
+        assert_eq!(w.functional_output(&grid), w.reference(&grid));
     }
 
     #[test]
     fn invalid_records_are_skipped() {
         let w = Workload::build(Benchmark::Variance, 8, 2048, 2);
         let grid = ThreadGrid::slab(32, 4);
-        match w.run_functional(&grid) {
+        match w.functional_output(&grid) {
             Reduced::Ints(v) => {
                 let counted: i64 = v[..NUM_BINS].iter().sum();
                 let total = w.dataset.num_records() as i64;
@@ -159,7 +159,7 @@ mod tests {
     fn variance_of_uniform_ratings_is_plausible() {
         let w = Workload::build(Benchmark::Variance, 8, 2048, 13);
         let grid = ThreadGrid::slab(32, 4);
-        let out = w.run_functional(&grid);
+        let out = w.functional_output(&grid);
         for var in variances(&out) {
             // Bin members are 128m + 16·bin + k (m ∈ {0,1}, k ∈ 0..16):
             // variance ≈ 128²/4 + (16²−1)/12 ≈ 4117.

@@ -4,18 +4,17 @@
 //! also has a plain-text assembler — this example writes a small
 //! "histogram of record deltas" Map kernel by hand, statically verifies it
 //! (the check-before-simulate workflow), runs it through the SIMT
-//! reconvergence analysis, executes it functionally, and then times it on a
-//! Millipede processor via a thin custom `Workload`.
+//! reconvergence analysis, and executes it functionally on every thread of
+//! the paper's launch grid via a thin custom `Workload`.
 //!
 //! ```text
 //! cargo run --release --example custom_kernel
 //! ```
 
-use millipede::engine::run_functional;
 use millipede::isa::{disassemble, ReconvergenceMap};
-use millipede::mapreduce::{Dataset, InterleavedLayout, ThreadGrid};
+use millipede::mapreduce::ThreadGrid;
 use millipede::verify::{verify_source, VerifyConfig};
-use millipede::workloads::{Benchmark, Reduced, Workload};
+use millipede::workloads::{Benchmark, Workload};
 
 /// The kernel, in assembler syntax. ABI registers (set at launch):
 /// r1 = lane byte offset, r2 = chunks, r3 = records/thread/chunk,
@@ -76,58 +75,39 @@ fn main() {
     );
     print!("{}", disassemble(&program));
 
-    // 2. Build a dataset (single-field records) and run one thread
-    //    functionally.
-    let layout = InterleavedLayout::new(1, 2048, 8);
-    let dataset = Dataset::generate(layout, |i| vec![(i as u32 * 2_654_435_761) >> 16]);
-    let grid = ThreadGrid::paper_default();
-    let mut ctx = grid.launch_params(&layout, 0, 0).values().iter().fold(
-        millipede::engine::ThreadCtx::new(64, &Default::default()),
-        |mut c, &(reg, val)| {
-            c.write_reg(reg, val);
-            c
-        },
-    );
-    let stats = run_functional(&mut ctx, &program, &dataset.image, 1_000_000).unwrap();
-    println!(
-        "\nthread (0,0): {} instructions, {} input words, {:.0}% branches taken",
-        stats.instructions,
-        stats.input_words,
-        100.0 * stats.taken_rate()
-    );
-    println!(
-        "thread (0,0) counters: rising={} falling-or-flat={}",
-        ctx.local.words()[0],
-        ctx.local.words()[1]
-    );
-
-    // 3. Time it on a full Millipede processor by grafting the kernel onto
-    //    a Workload (reusing count's record shape; reduce/reference still
-    //    belong to count, so we read the raw states instead).
+    // 2. Graft the kernel onto a thin custom Workload (count's record
+    //    shape, 64 bytes of live state) and run every thread of the paper's
+    //    grid functionally. Reduce and reference still belong to count, so
+    //    read the raw states instead.
     let base = Workload::build(Benchmark::Count, 8, 2048, 5);
     let custom = Workload {
-        program: program.clone(),
-        dataset: base.dataset.clone(),
+        program,
         live_bytes: 64,
         live_init: Vec::new(),
         ..base
     };
-    let cfg = millipede::core_arch::MillipedeConfig::default();
-    // The Workload reduce belongs to count, so bypass the validated runner
-    // and count by hand from a functional sweep.
-    let mut rising = 0u64;
-    let mut rest = 0u64;
-    for c in 0..grid.corelets {
-        for x in 0..grid.contexts {
-            let mut t = custom.make_ctx(&grid, c, x);
-            run_functional(&mut t, &custom.program, &custom.dataset.image, 10_000_000).unwrap();
-            rising += t.local.words()[0] as u64;
-            rest += t.local.words()[1] as u64;
-        }
-    }
-    let _ = cfg;
+    let grid = ThreadGrid::paper_default();
+    let run = custom
+        .run_functional(&grid, 10_000_000)
+        .unwrap_or_else(|t| panic!("kernel trapped: {t}"));
+    let first = run.threads[0].local.words();
     println!(
-        "\nall 128 threads: rising={rising} falling-or-flat={rest} (total {})",
+        "\nthread (0,0) counters: rising={} falling-or-flat={}",
+        first[0], first[1]
+    );
+    let (rising, rest) = run.states().iter().fold((0u64, 0u64), |(r, f), s| {
+        (r + u64::from(s[0]), f + u64::from(s[1]))
+    });
+    println!(
+        "all {} threads: {} instructions, {} input words, {:.0}% branches taken",
+        run.threads.len(),
+        run.stats.instructions,
+        run.stats.input_words,
+        100.0 * run.stats.taken_rate()
+    );
+    println!(
+        "all {} threads: rising={rising} falling-or-flat={rest} (total {})",
+        run.threads.len(),
         rising + rest
     );
     assert_eq!(
@@ -135,5 +115,4 @@ fn main() {
         custom.dataset.num_records(),
         "every record classified exactly once"
     );
-    let _ = Reduced::Ints(vec![rising as i64, rest as i64]);
 }

@@ -13,9 +13,12 @@
 # `pairs` pairs (default 10) of `seconds` each (default 4), alternating
 # which side runs first. For each workload and end-to-end metric it
 # prints both medians, the b/a ratio, how many pairs b won (ties count for
-# neither side) and the interquartile range of a's runs. Exits 1 if any
-# run reports `correct: false` or a failed point, 2 on a usage or build
-# error.
+# neither side), the interquartile range of a's runs, and a bootstrap 95%
+# interval of the median b/a ratio: 2000 resamples of the pairs, with a
+# fixed seed, so the same runs always print the same interval. A row whose
+# interval contains 1.0 is marked `unresolved`: its runs cannot tell b
+# from a. Exits 1 if any run reports `correct: false` or a failed point,
+# 2 on a usage or build error.
 #
 # Placement-controlled A/B: build both sides with every function aligned
 # to 64 bytes,
@@ -82,11 +85,29 @@ for w in $workloads; do
 done
 
 python3 - "$work" "$pairs" "$seconds" $workloads <<'EOF'
-import json, statistics, sys
+import json, random, statistics, sys
 
 work, pairs, seconds, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4:]
 metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
 bad = 0
+
+
+def median_ratio(va, vb):
+    ma = statistics.median(va)
+    return statistics.median(vb) / ma if ma else float("nan")
+
+
+def interval(va, vb, resamples=2000):
+    """Bootstrap 95% interval of the median b/a ratio, resampling pairs."""
+    rng, n = random.Random(20180521), len(va)
+    ratios = []
+    for _ in range(resamples):
+        idx = [rng.randrange(n) for _ in range(n)]
+        ratios.append(median_ratio([va[i] for i in idx], [vb[i] for i in idx]))
+    ratios.sort()
+    return ratios[int(0.025 * resamples)], ratios[int(0.975 * resamples) - 1]
+
+
 for w in workloads:
     runs = {}
     for side in "ab":
@@ -101,7 +122,8 @@ for w in workloads:
                 print(f"FAILED RUN {w} {side}: correct={s.get('correct')} failed={s.get('failed')}")
             runs[side].append(s)
     print(f"== {w} ({pairs} pairs x {seconds} s, alternating first side)")
-    print(f"  {'metric':12s} {'unit':9s} {'median a':>11s} {'median b':>11s} {'b/a':>7s} {'b wins':>7s} {'IQR a':>10s}")
+    print(f"  {'metric':12s} {'unit':9s} {'median a':>11s} {'median b':>11s} {'b/a':>7s} "
+          f"{'b wins':>7s} {'IQR a':>10s} {'95% interval of b/a':>19s}")
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         va = [r["metrics"][name]["value"] for r in runs["a"] if name in r["metrics"]]
@@ -112,8 +134,9 @@ for w in workloads:
         wins = sum((b < a) if lower else (b > a) for a, b in zip(va, vb))
         ma, mb = statistics.median(va), statistics.median(vb)
         q = statistics.quantiles(va, n=4, method="inclusive") if pairs > 1 else [va[0]] * 3
-        ratio = mb / ma if ma else float("nan")
-        print(f"  {name:12s} {m['unit']:9s} {ma:11.5g} {mb:11.5g} {ratio:7.3f} "
-              f"{wins:3d}/{pairs:<3d} {q[2] - q[0]:10.3g}")
+        lo, hi = interval(va, vb)
+        verdict = "unresolved" if lo <= 1.0 <= hi else ""
+        print(f"  {name:12s} {m['unit']:9s} {ma:11.5g} {mb:11.5g} {median_ratio(va, vb):7.3f} "
+              f"{wins:3d}/{pairs:<3d} {q[2] - q[0]:10.3g} {lo:9.3f} - {hi:<7.3f} {verdict}".rstrip())
 sys.exit(1 if bad else 0)
 EOF

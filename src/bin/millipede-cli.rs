@@ -14,7 +14,7 @@
 //! millipede-cli disasm (<kernel.asm>... | --kernels)
 //! millipede-cli run <kernel.asm>... [--input-words N] [--local-bytes N]
 //!               [--step-limit N]
-//! millipede-cli run --kernels [--chunks N] [--seed S]
+//! millipede-cli run --kernels [--chunks N] [--seed S] [--step-limit N]
 //! millipede-cli report <manifest.json>...
 //! millipede-cli report --diff <a.json> <b.json>
 //! millipede-cli list
@@ -70,10 +70,12 @@
 //! compiled-in benchmark from `Benchmark::ALL` — there is no hand-kept
 //! kernel list anywhere in the pipeline, so new benchmarks flow through
 //! automatically. `run --kernels` executes each kernel functionally over
-//! its real dataset and launch grid and validates the reduced output
-//! against the benchmark's golden reference.
+//! its real dataset and launch grid (`Workload::run_functional`, each
+//! thread under `--step-limit`) and validates the reduced output against
+//! the benchmark's golden reference.
 
 use millipede::engine::{run_functional, LaunchParams, ThreadCtx};
+use millipede::gpgpu::warp::MAX_WARP_WIDTH;
 use millipede::isa::{assemble, disassemble};
 use millipede::mapreduce::{InterleavedLayout, ThreadGrid};
 use millipede::mem::InputImage;
@@ -90,7 +92,7 @@ use millipede::verify::{
     VerifyReport,
 };
 use millipede::workloads::skeleton::MAX_RPTC;
-use millipede::workloads::{kernel_benchmarks, kernel_workload, Benchmark, Workload};
+use millipede::workloads::{kernel_workload, Benchmark, Workload};
 use std::path::PathBuf;
 
 const ARCHS: [(&str, Arch); 8] = [
@@ -288,7 +290,7 @@ fn usage() -> ! {
          millipede-cli disasm (<kernel.asm>... | --kernels)\n       \
          millipede-cli run <kernel.asm>... [--input-words N] [--local-bytes N] \
          [--step-limit N]\n       \
-         millipede-cli run --kernels [--chunks N] [--seed S]\n       \
+         millipede-cli run --kernels [--chunks N] [--seed S] [--step-limit N]\n       \
          millipede-cli report <manifest.json>...\n       \
          millipede-cli report --diff <a.json> <b.json>\n       \
          millipede-cli list\n\
@@ -385,10 +387,11 @@ fn parse_opts(args: &[String], accepts: Accepts) -> Opts {
     o
 }
 
-/// Rejects a `--corelets` the kernels cannot run. The run's grid splits a
-/// row's words evenly over its threads, and the kernels' slot-indexed
-/// scratch holds at most [`MAX_RPTC`] records per thread per chunk.
-fn check_grid(cfg: &SimConfig) {
+/// Rejects a `--corelets` the kernels or `arch` cannot run. The run's grid
+/// splits a row's words evenly over its threads, the kernels' slot-indexed
+/// scratch holds at most [`MAX_RPTC`] records per thread per chunk, and
+/// the GPGPU's SM-wide warps keep their lanes in a 64-bit mask.
+fn check_grid(arch: Arch, cfg: &SimConfig) {
     let layout = InterleavedLayout::new(1, cfg.row_bytes, cfg.num_chunks);
     let grid = ThreadGrid::slab(cfg.corelets, cfg.contexts);
     let (row_words, threads) = (layout.row_words(), grid.num_threads());
@@ -402,6 +405,12 @@ fn check_grid(cfg: &SimConfig) {
     if rptc > MAX_RPTC {
         usage_error(&format!(
             "--corelets {} gives each thread {rptc} records per chunk; the kernels hold at most {MAX_RPTC}",
+            cfg.corelets
+        ));
+    }
+    if arch == Arch::Gpgpu && cfg.corelets > MAX_WARP_WIDTH {
+        usage_error(&format!(
+            "--corelets {} is wider than the {MAX_WARP_WIDTH} lanes a gpgpu warp can hold",
             cfg.corelets
         ));
     }
@@ -585,7 +594,7 @@ fn verify_cmd(args: &[String]) -> i32 {
 
     let mut reports: Vec<VerifyReport> = Vec::new();
     if kernels {
-        for bench in kernel_benchmarks() {
+        for bench in Benchmark::ALL {
             let w = kernel_workload(bench);
             let config = VerifyConfig {
                 local_bytes: Some(w.live_bytes as u64),
@@ -634,7 +643,7 @@ fn disasm_cmd(args: &[String]) -> i32 {
     }
     kernels_or_files(kernels, &files);
     if kernels {
-        for bench in kernel_benchmarks() {
+        for bench in Benchmark::ALL {
             let w = kernel_workload(bench);
             println!("# {} ({} instructions)", bench.name(), w.program.len());
             println!("{}", disassemble(&w.program));
@@ -652,49 +661,31 @@ fn disasm_cmd(args: &[String]) -> i32 {
 }
 
 /// The `run --kernels` mode: execute every compiled-in benchmark kernel
-/// functionally over its real dataset and launch grid (enumerated through
-/// the shared `kernel_benchmarks` helper, never a hand-kept list) and
-/// validate the reduced output against the golden reference. Returns the
+/// functionally over its real dataset and launch grid, each thread under
+/// `step_limit` instructions, and validate the reduced output against the
+/// golden reference. A trapped thread is named on stderr. Returns the
 /// process exit code.
-fn run_kernels(num_chunks: usize, seed: u64) -> i32 {
+fn run_kernels(num_chunks: usize, seed: u64, step_limit: u64) -> i32 {
     let grid = ThreadGrid::paper_default();
     let mut bad = false;
-    for bench in kernel_benchmarks() {
+    for bench in Benchmark::ALL {
         let w = Workload::build(bench, num_chunks, 2048, seed);
-        let mut stats = millipede::engine::FuncStats::default();
-        let mut states: Vec<Vec<u32>> = Vec::with_capacity(grid.num_threads());
-        let mut trapped = false;
-        'threads: for corelet in 0..grid.corelets {
-            for context in 0..grid.contexts {
-                let mut ctx = w.make_ctx(&grid, corelet, context);
-                match run_functional(&mut ctx, &w.program, &w.dataset.image, 10_000_000) {
-                    Ok(s) => stats.merge(&s),
-                    Err(trap) => {
-                        eprintln!(
-                            "{}: trap at pc {} on thread ({corelet}, {context}): {trap}",
-                            bench.name(),
-                            ctx.pc
-                        );
-                        trapped = true;
-                        break 'threads;
-                    }
-                }
-                states.push(ctx.local.words().to_vec());
+        let run = match w.run_functional(&grid, step_limit) {
+            Ok(run) => run,
+            Err(trap) => {
+                eprintln!("{}: {trap}", bench.name());
+                bad = true;
+                continue;
             }
-        }
-        if trapped {
-            bad = true;
-            continue;
-        }
-        let views: Vec<&[u32]> = states.iter().map(Vec::as_slice).collect();
-        let ok = w.reduce(&views) == w.reference(&grid);
+        };
+        let ok = w.reduce(&run.states()) == w.reference(&grid);
         println!(
             "{:<10} [{}] {} instructions, {} branches, {} input words: {}",
             bench.name(),
             bench.family().name(),
-            stats.instructions,
-            stats.branches,
-            stats.input_words,
+            run.stats.instructions,
+            run.stats.branches,
+            run.stats.input_words,
             if ok { "output ok" } else { "OUTPUT MISMATCH" },
         );
         bad |= !ok;
@@ -732,7 +723,7 @@ fn run_cmd(args: &[String]) -> i32 {
     }
     kernels_or_files(kernels, &files);
     if kernels {
-        return run_kernels(num_chunks, seed);
+        return run_kernels(num_chunks, seed, step_limit);
     }
 
     let input = InputImage::new(vec![0u32; input_words as usize]);
@@ -802,7 +793,7 @@ fn simulate_cmd(args: &[String], mut prof: SelfProfile) {
     );
     let opts = parse_opts(&args[2..], SIMULATE);
     let cfg = &opts.cfg;
-    check_grid(cfg);
+    check_grid(arch, cfg);
 
     prof.begin("run");
     let r = run_one(arch, bench, cfg);

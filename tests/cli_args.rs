@@ -24,6 +24,8 @@ fn out_of_range_simulate_flags_are_usage_errors() {
         (&["count", "millipede", "--corelets", "16"], "--corelets"),
         (&["count", "millipede", "--corelets", "8"], "--corelets"),
         (&["count", "ssmc", "--corelets", "1024"], "--corelets"),
+        // GPGPU warps span the SM, and a warp's lane mask is 64 bits.
+        (&["count", "gpgpu", "--corelets", "128"], "--corelets"),
         (&["count", "millipede", "--pbuf", "0"], "--pbuf"),
         (&["count", "millipede", "--pbuf", "1"], "--pbuf"),
         (&["count", "millipede", "--chunks", "-1"], "--chunks"),
@@ -32,6 +34,21 @@ fn out_of_range_simulate_flags_are_usage_errors() {
     ] {
         assert_usage_error(argv, flag);
     }
+}
+
+#[test]
+fn run_kernels_names_a_trapped_thread() {
+    // One instruction per thread: every kernel's first thread hits the
+    // step limit, and `run --kernels` names it instead of validating.
+    let out = cli(&["run", "--kernels", "--step-limit", "1"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("count: trap at pc 1 on thread (0, 0): step limit exceeded"),
+        "{stderr}"
+    );
+    assert_eq!(stderr.lines().count(), 14, "{stderr}");
+    assert!(out.stdout.is_empty(), "a trapped kernel was validated");
 }
 
 #[test]

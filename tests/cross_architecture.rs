@@ -3,7 +3,7 @@
 //! obeying the memory-conservation invariants the paper's comparison
 //! methodology depends on.
 
-use millipede::engine::{run_functional, FuncStats, DEFAULT_STEP_LIMIT};
+use millipede::engine::DEFAULT_STEP_LIMIT;
 use millipede::mapreduce::ThreadGrid;
 use millipede::sim::{Arch, SimConfig};
 use millipede::workloads::{Benchmark, Workload};
@@ -115,16 +115,10 @@ fn assert_thread_level_totals(arches: &[Arch], grid: ThreadGrid) {
     let cfg = cfg();
     for bench in Benchmark::BMLA {
         let w = workload(bench);
-        let mut want = FuncStats::default();
-        for c in 0..grid.corelets {
-            for x in 0..grid.contexts {
-                let mut ctx = w.make_ctx(&grid, c, x);
-                let stats =
-                    run_functional(&mut ctx, &w.program, &w.dataset.image, DEFAULT_STEP_LIMIT)
-                        .expect("kernel must not trap");
-                want.merge(&stats);
-            }
-        }
+        let want = w
+            .run_functional(&grid, DEFAULT_STEP_LIMIT)
+            .expect("kernel must not trap")
+            .stats;
         for &arch in arches {
             let s = arch.run(&w, &cfg).stats;
             let label = format!("{} / {}", arch.label(), bench.name());

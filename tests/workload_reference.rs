@@ -115,28 +115,11 @@ fn functional_execution_reproduces_the_host_reference() {
     let grid = ThreadGrid::paper_default();
     for bench in new_benches() {
         let w = Workload::build(bench, 2, 2048, 7);
-        let mut states: Vec<Vec<u32>> = Vec::with_capacity(grid.num_threads());
-        for corelet in 0..grid.corelets {
-            for context in 0..grid.contexts {
-                let mut ctx = w.make_ctx(&grid, corelet, context);
-                let res = millipede::engine::run_functional(
-                    &mut ctx,
-                    &w.program,
-                    &w.dataset.image,
-                    10_000_000,
-                );
-                assert!(
-                    res.is_ok(),
-                    "{}: corelet {corelet} ctx {context} trapped: {:?}",
-                    bench.name(),
-                    res.err()
-                );
-                states.push(ctx.local.words().to_vec());
-            }
-        }
-        let views: Vec<&[u32]> = states.iter().map(Vec::as_slice).collect();
+        let run = w
+            .run_functional(&grid, 10_000_000)
+            .unwrap_or_else(|t| panic!("{}: {t}", bench.name()));
         assert_eq!(
-            w.reduce(&views),
+            w.reduce(&run.states()),
             w.reference(&grid),
             "{}: reduced functional output diverged from the host reference",
             bench.name()
