@@ -91,6 +91,9 @@ assert 0 <= host["ff"]["fill_wakes"] <= host["ff"]["jumps"], "ff jump counters"
 # driver stopped jumping those edges, the sweep would still pass but walk
 # every one of them.
 assert host["ff"]["credit_jumps"] > 0, "no credit jump in the fig3 sweep"
+# SSMC's cores sleep through their own credit runs instead of scanning
+# them; if none slept, every core would scan every walked edge again.
+assert host["ff"]["slept"] > 0, "no core slept in the fig3 sweep"
 assert host["sweep"]["points"] == len(doc["runs"]), "sweep points != runs"
 for run in doc["runs"]:
     assert run["digest"].startswith("0x"), f"{run['label']}: missing digest"

@@ -105,6 +105,14 @@ pub trait NodeModel {
     /// ledger from the `issues` it adds.
     fn pay_credits(&mut self, _edges: u64) {}
 
+    /// Walked compute edges on which a core skipped its issue scan because
+    /// it was asleep through a run of its own credit-only edges (a
+    /// monotone count; the driver reports it as [`JumpProfile::slept`]).
+    /// The default, 0, says that no core sleeps.
+    fn slept_core_edges(&self) -> u64 {
+        0
+    }
+
     /// The statistics the driver's slot ledger and replay write into.
     fn stats_mut(&mut self) -> &mut CoreStats;
 
@@ -253,6 +261,12 @@ pub struct JumpProfile {
     /// ([`NodeModel::credit_issues`]; `issues − credit_issues` slots went
     /// through the full per-instruction dispatch).
     pub credit_issues: u64,
+    /// Issue scans run: one per issue slot of each walked compute edge,
+    /// less the core-edges slept.
+    pub scans: u64,
+    /// Core-edges slept: walked compute edges on which a core skipped its
+    /// issue scan ([`NodeModel::slept_core_edges`]).
+    pub slept: u64,
 }
 
 /// What a driven run reports back to its model's `run`.
@@ -356,6 +370,7 @@ pub fn drive<M: NodeModel>(
     let mut cycle = 0u64;
     let mut last_time: TimePs = 0;
     let mut profile = JumpProfile::default();
+    let mut walked = 0u64;
     // Whether the next edge is a jump's landing channel edge.
     let mut landing = false;
     while !model.done() {
@@ -363,6 +378,7 @@ pub fn drive<M: NodeModel>(
             Edge::Compute(now) => {
                 last_time = now;
                 cycle += 1;
+                walked += 1;
                 let fp_before = model.fingerprint();
                 let credits_before = model.credit_issues();
                 let before = Recounts::of(model.stats_mut());
@@ -448,6 +464,8 @@ pub fn drive<M: NodeModel>(
         quiesce.label
     ));
     profile.credit_issues = model.credit_issues();
+    profile.slept = model.slept_core_edges();
+    profile.scans = walked * quiesce.slots_per_cycle - profile.slept;
     Driven {
         cycles: cycle,
         last_time,

@@ -208,9 +208,10 @@ impl Contexts {
 
     /// Pays `edges` edges of `core` from credits at once, as that many
     /// one-slot scans would ([`Contexts::charge_burst`]); `edges` is at
-    /// most [`Contexts::credit_horizon`] for the same `run`. Returns how
-    /// many times the scans would have passed a context of `recount`
-    /// ([`CreditScan::pay`]), for the caller's own per-visit statistic.
+    /// most [`Contexts::credit_horizon`] for the same `run`. The
+    /// [`Contexts::settle_credits`] part and the
+    /// [`Contexts::count_credit_issues`] part in one call. Returns how
+    /// many times the scans would have passed a context of `recount`.
     pub fn pay_credits(
         &mut self,
         core: usize,
@@ -219,6 +220,21 @@ impl Contexts {
         edges: u64,
         stats: &mut CoreStats,
     ) -> u64 {
+        let passes = self.settle_credits(core, run, recount, edges);
+        if run != 0 {
+            self.count_credit_issues(edges, stats);
+        }
+        passes
+    }
+
+    /// The state part of paying `edges` credit-only edges of `core`: the
+    /// credits each pick loses and the cursor past the last pick, but not
+    /// the issue counts, which a caller that counts them edge by edge
+    /// keeps eager ([`Contexts::count_credit_issues`]). `edges` is at most
+    /// [`Contexts::credit_horizon`] for the same `run`. Returns how many
+    /// times the scans would have passed a context of `recount`
+    /// ([`CreditScan::pay`]), for the caller's own per-visit statistic.
+    pub fn settle_credits(&mut self, core: usize, run: u64, recount: u64, edges: u64) -> u64 {
         let scan = CreditScan::new(run, self.rr[core], self.t.slots());
         let burst = &mut self.burst;
         let (last, passes) = scan.pay(edges, recount, |slot, taken| {
@@ -229,11 +245,24 @@ impl Contexts {
         });
         if let Some(slot) = last {
             self.issued(core, slot);
-            self.credit_issues += edges;
-            stats.instructions += edges;
-            stats.issues += edges;
         }
         passes
+    }
+
+    /// The recounts [`Contexts::settle_credits`] would return for the same
+    /// arguments, without settling anything.
+    pub fn owed_recounts(&self, core: usize, run: u64, recount: u64, edges: u64) -> u64 {
+        let scan = CreditScan::new(run, self.rr[core], self.t.slots());
+        scan.pay(edges, recount, |_, _| {}).1
+    }
+
+    /// The count part of `slots` issue slots paid from credits:
+    /// `instructions`, `issues` and the credit count grow by `slots`.
+    #[inline(always)]
+    pub fn count_credit_issues(&mut self, slots: u64, stats: &mut CoreStats) {
+        self.credit_issues += slots;
+        stats.instructions += slots;
+        stats.issues += slots;
     }
 
     /// One bit per context blocked on memory.
@@ -543,8 +572,10 @@ mod tests {
                     passed += scan(&mut walked, run, recount, &mut walked_stats);
                 }
                 let mut stats = CoreStats::default();
+                let owed = set.owed_recounts(0, run, recount, edges);
                 let recounts = set.pay_credits(0, run, recount, edges, &mut stats);
                 assert_eq!(recounts, passed, "{label}: recounts");
+                assert_eq!(owed, passed, "{label}: owed recounts");
                 assert_eq!(set.burst.as_slice(), walked.burst.as_slice(), "{label}");
                 assert_eq!(set.rr, walked.rr, "{label}: cursor");
                 assert_eq!(set.credit_issues(), walked.credit_issues(), "{label}");

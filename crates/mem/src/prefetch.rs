@@ -66,10 +66,12 @@ impl SequentialPrefetcher {
     }
 
     /// Raises the lookahead limit to `limit` (a lower value is ignored:
-    /// the demand stream only moves forward).
+    /// the demand stream only moves forward). Returns whether it rose.
     #[inline]
-    pub fn raise_limit(&mut self, limit: u64) {
+    pub fn raise_limit(&mut self, limit: u64) -> bool {
+        let rose = limit > self.limit;
         self.limit = self.limit.max(limit);
+        rose
     }
 
     /// Walks the stream up to the limit. A block already in `l1` or in
@@ -130,8 +132,8 @@ mod tests {
         assert_eq!(stop, PrefetchStop::Window);
         assert!(mshr.pending(128));
         assert_eq!(pump_all(&mut pf, &l1(), &mut mshr).0, Vec::<u64>::new());
-        pf.raise_limit(192);
-        pf.raise_limit(0);
+        assert!(pf.raise_limit(192));
+        assert!(!pf.raise_limit(0));
         assert_eq!(pf.limit(), 192, "the limit never falls");
         assert_eq!(pump_all(&mut pf, &l1(), &mut mshr).0, vec![192]);
     }

@@ -123,6 +123,8 @@ pub fn run_registry(r: &RunResult) -> Registry {
     reg.counter_add(&format!("{prefix}.ff.jumps"), p.sleeps);
     reg.counter_add(&format!("{prefix}.ff.fill_wakes"), p.wakes);
     reg.counter_add(&format!("{prefix}.ff.credit_jumps"), p.credit_jumps);
+    reg.counter_add(&format!("{prefix}.ff.scans"), p.scans);
+    reg.counter_add(&format!("{prefix}.ff.slept"), p.slept);
     reg.counter_add(&format!("{prefix}.credit_issues"), p.credit_issues);
     let tel = &r.node.telemetry;
     for (name, v) in [
@@ -158,6 +160,8 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
     let mut fill_wakes: u64 = 0;
     let mut credit_jumps: u64 = 0;
     let mut credit_issues: u64 = 0;
+    let mut scans: u64 = 0;
+    let mut slept: u64 = 0;
     let mut dropped: u64 = 0;
     let mut point_ms = Histogram::default();
     for r in runs {
@@ -169,6 +173,8 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
         fill_wakes += r.result.node.profile.wakes;
         credit_jumps += r.result.node.profile.credit_jumps;
         credit_issues += r.result.node.profile.credit_issues;
+        scans += r.result.node.profile.scans;
+        slept += r.result.node.profile.slept;
         dropped += r.result.node.telemetry.dropped_events();
         point_ms.observe(r.wall_ms);
     }
@@ -213,7 +219,7 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
          \"total_ms\":{},\"sweep\":{{\"threads\":{threads},\"points\":{},\
          \"utilization\":{},\"point_ms\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
          \"mean\":{}}}}},\"retired_instructions_per_sec\":{},\"walked_edges_per_sec\":{},\
-         \"ff_skipped_ratio\":{},\"ff\":{{\"jumps\":{jumps},\"fill_wakes\":{fill_wakes},\"credit_jumps\":{credit_jumps}}},\"credit_issues\":{credit_issues},\
+         \"ff_skipped_ratio\":{},\"ff\":{{\"jumps\":{jumps},\"fill_wakes\":{fill_wakes},\"credit_jumps\":{credit_jumps},\"scans\":{scans},\"slept\":{slept}}},\"credit_issues\":{credit_issues},\
          \"telemetry_dropped_events\":{dropped}}},\n  \"runs\": [\n{}\n  ]\n}}\n",
         cfg.num_chunks,
         cfg.seed,
@@ -293,10 +299,13 @@ pub fn render_text(doc: &Json) -> String {
         if let Some(ff) = host.get("ff") {
             let count = |key| ff.get(key).and_then(Json::as_f64).unwrap_or(0.0);
             out.push_str(&format!(
-                "fast-forward: {} jump(s), {} fill wake(s), {} credit jump(s)\n",
+                "fast-forward: {} jump(s), {} fill wake(s), {} credit jump(s), \
+                 {} issue scan(s), {} core-edge(s) slept\n",
                 count("jumps"),
                 count("fill_wakes"),
                 count("credit_jumps"),
+                count("scans"),
+                count("slept"),
             ));
         }
         if let Some(sweep) = host.get("sweep") {
@@ -478,6 +487,12 @@ mod tests {
         let credit_jumps = ff.get("credit_jumps").and_then(Json::as_f64);
         assert!(credit_jumps.is_some(), "host.ff.credit_jumps missing");
         assert!(text.contains("credit jump(s)"), "{text}");
+        for key in ["scans", "slept"] {
+            let n = ff.get(key).and_then(Json::as_f64);
+            assert!(n.is_some(), "host.ff.{key} missing");
+        }
+        assert!(text.contains("issue scan(s)"), "{text}");
+        assert!(text.contains("core-edge(s) slept"), "{text}");
     }
 
     #[test]
@@ -502,6 +517,14 @@ mod tests {
         ));
         assert!(reg.get("ssmc.ff.jumps").is_some());
         assert!(reg.get("ssmc.ff.credit_jumps").is_some());
+        assert!(matches!(
+            reg.get("ssmc.ff.scans"),
+            Some(Metric::Counter(n)) if *n == r.node.profile.scans
+        ));
+        assert!(matches!(
+            reg.get("ssmc.ff.slept"),
+            Some(Metric::Counter(n)) if *n == r.node.profile.slept && *n > 0
+        ));
         assert!(reg.get("ssmc.telemetry.dropped_events").is_some());
     }
 

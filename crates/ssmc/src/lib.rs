@@ -30,7 +30,7 @@ use millipede_engine::{
     FlagGrid, NodeModel, Quiescence, COMPUTE_MHZ,
 };
 use millipede_mapreduce::ThreadGrid;
-use millipede_mem::{Cache, Mshr, PrefetchStop, SequentialPrefetcher};
+use millipede_mem::{Cache, Mshr, SequentialPrefetcher};
 use millipede_telemetry::{Telemetry, TelemetryConfig};
 use millipede_workloads::Workload;
 
@@ -97,15 +97,34 @@ struct Core {
     /// The core's input stream: its slab of every row, so the stride is
     /// one row.
     pf: SequentialPrefetcher,
-    /// The prefetcher last stopped on MSHR or DRAM-queue space. Both only
-    /// free on a channel edge (a fill completes, or the controller issues
-    /// a CAS and pops the request from its queue), which clears this for
-    /// every core. Until then a pump provably issues nothing, so it is not
-    /// run: pure memoization, bit-exact by construction. Without it the
-    /// benchmark's `stream` workload measured 1.05–1.08× `wall_s`, `sweep`
-    /// 1.01–1.07× and `compute` 1.07× (2-vCPU VM, two A/Bs of 6
-    /// interleaved pairs).
+    /// The prefetcher stopped and nothing has happened since that could
+    /// let it fetch more, so a pump provably issues nothing and is not
+    /// run: pure memoization, bit-exact by construction. It parks on every
+    /// stop. A resource stop ends when MSHR or DRAM-queue space frees,
+    /// which only happens on a channel edge (a fill completes, or the
+    /// controller issues a CAS and pops the request from its queue); that
+    /// edge unparks every core. A window stop ends when the core's own
+    /// input load raises the lookahead limit, which unparks that core.
+    /// Without the resource park the benchmark's `stream` workload measured
+    /// 1.05–1.08× `wall_s`, `sweep` 1.01–1.07× and `compute` 1.07× (2-vCPU
+    /// VM, two A/Bs of 6 interleaved pairs).
     pf_parked: bool,
+    /// The last edge of the core's current sleep; 0 before its first,
+    /// since edges count from 1. The core is asleep on every edge up to
+    /// and including it.
+    ///
+    /// With fast-forward on, cores sleep through their own credit runs
+    /// (see DESIGN.md, "Credit jump"). After a walked scan, a core whose
+    /// next edges are credit-only ([`Contexts::credit_horizon`]) sleeps
+    /// through them: its scan is skipped and each edge counts one credit
+    /// issue. The credits, the cursor and the skipped visits' L1-miss
+    /// recounts are settled by count at the sleep's last edge, or earlier
+    /// when a fill clears one of the core's `stall_fast` bits; a telemetry
+    /// sample adds the recounts still owed. Off, every scan is walked.
+    asleep_through: u64,
+    /// The walked edge the current sleep follows: the sleep's edges since
+    /// it are counted but not yet settled.
+    slept_at: u64,
 }
 
 /// One SSMC processor's run-loop state, driven by [`millipede_engine::drive`].
@@ -134,6 +153,22 @@ struct Node<'a> {
     /// Counted live by the scan, L1 misses included (`stats.l1_misses`),
     /// so the driver can replay them over a jump.
     stats: CoreStats,
+    /// The last compute edge, walked or paid by a credit jump.
+    cycle: u64,
+    /// Cores asleep past `cycle`.
+    sleepers: u64,
+    /// The first edge after `cycle` on which some core's scan may act:
+    /// the earliest end of a sleep, or `cycle` itself while an awake core
+    /// would act on its next edge. `u64::MAX` if none ever will.
+    horizon_end: u64,
+    /// L1-miss recounts per edge of the awake cores, every one of which
+    /// then scans only stalled contexts (read only when `horizon_end` is
+    /// past `cycle`).
+    awake_recounts: u64,
+    /// Walked edges on which a core slept (host observability).
+    slept: u64,
+    /// Sleeps a fill cut short by clearing a `stall_fast` bit.
+    stall_wakes: u64,
 }
 
 impl NodeModel for Node<'_> {
@@ -158,35 +193,52 @@ impl NodeModel for Node<'_> {
         self.threads.credit_issues()
     }
 
-    // A scan passes done contexts and recounts one L1 miss for each
-    // `stall_fast` one; it acts on every other context (see DESIGN.md,
-    // "Credit jump").
+    // Each core stored its own horizon as an absolute edge when it last
+    // scanned (see `Core::asleep_through`), so the node's is the earliest
+    // of them, kept by the compute edge: no core is visited here.
     fn credit_horizon(&mut self) -> u64 {
-        let mut horizon = u64::MAX;
-        for c in 0..self.cfg.cores {
-            let (run, _) = self.scan_masks(c);
-            horizon = horizon.min(self.threads.credit_horizon(c, run));
-            if horizon == 0 {
-                break;
+        if self.horizon_end == u64::MAX {
+            return u64::MAX;
+        }
+        self.horizon_end - self.cycle
+    }
+
+    // Counts the sleepers' credit issues and the awake cores' recounts,
+    // and settles the sleeps that end here. The jump ends at the earliest
+    // sleep's end, so every sleeper counts every edge.
+    fn pay_credits(&mut self, edges: u64) {
+        self.cycle += edges;
+        let (cycle, stats) = (self.cycle, &mut self.stats);
+        self.threads
+            .count_credit_issues(self.sleepers * edges, stats);
+        stats.l1_misses += self.awake_recounts * edges;
+        if cycle < self.horizon_end {
+            return;
+        }
+        for (c, core) in self.cores.iter().enumerate() {
+            if core.asleep_through == cycle {
+                settle(c, cycle, &mut self.threads, &self.stall_fast, core, stats);
             }
         }
-        horizon
     }
 
-    fn pay_credits(&mut self, edges: u64) {
-        for c in 0..self.cfg.cores {
-            let (run, recount) = self.scan_masks(c);
-            let misses = self
-                .threads
-                .pay_credits(c, run, recount, edges, &mut self.stats);
-            self.stats.l1_misses += misses;
-        }
+    fn slept_core_edges(&self) -> u64 {
+        self.slept
     }
 
+    // A sample mid-sleep reads the L1-miss recounts the sleepers still owe.
     fn sample_epoch(&self, tel: &mut Telemetry, due: u64, at: TimePs) {
         let hits: u64 = self.cores.iter().map(|c| c.l1.stats().hits).sum();
         tel.counter("ssmc::l1", "hits", due, at, hits as f64);
-        let misses = self.stats.l1_misses as f64;
+        let owed: u64 = (self.cores.iter().enumerate())
+            .filter(|(_, core)| core.asleep_through > self.cycle)
+            .map(|(c, core)| {
+                let (run, recount) = scan_masks(&self.threads, &self.stall_fast, c);
+                let edges = self.cycle - core.slept_at;
+                self.threads.owed_recounts(c, run, recount, edges)
+            })
+            .sum();
+        let misses = (self.stats.l1_misses + owed) as f64;
         tel.counter("ssmc::l1", "misses", due, at, misses);
     }
 
@@ -197,16 +249,16 @@ impl NodeModel for Node<'_> {
     fn compute_edge(
         &mut self,
         now: TimePs,
-        _cycle: u64,
+        cycle: u64,
         _clock: &mut DualClock,
         mc: &mut MemoryController,
         _tel: &mut Telemetry,
     ) -> u64 {
         // The scan takes each piece of state as its own argument, so the
         // optimizer may keep it in registers across the scan.
-        let (cfg, decoded, image) = (self.cfg, self.decoded, self.image);
+        let (decoded, image) = (self.decoded, self.image);
         let (row_bytes, slab_bytes) = (self.row_bytes, self.slab_bytes);
-        let lookahead = self.lookahead;
+        let (lookahead, sleep) = (self.lookahead, self.cfg.fast_forward);
         let Node {
             threads,
             stall_fast,
@@ -215,8 +267,20 @@ impl NodeModel for Node<'_> {
             stats,
             ..
         } = self;
-        let mut issued = 0;
-        for c in 0..cfg.cores {
+        let (mut issued, mut asleep, mut sleepers) = (0, 0, 0);
+        let (mut horizon_end, mut awake_recounts) = (u64::MAX, 0);
+        for (c, core) in cores.iter_mut().enumerate() {
+            pump_prefetch(c, now, slab_bytes, core, mc, stats);
+            if cycle <= core.asleep_through {
+                asleep += 1;
+                if cycle < core.asleep_through {
+                    sleepers += 1;
+                } else {
+                    settle(c, cycle, threads, stall_fast, core, stats);
+                }
+                horizon_end = horizon_end.min(core.asleep_through);
+                continue;
+            }
             issued += u64::from(core_tick(
                 c,
                 now,
@@ -228,12 +292,24 @@ impl NodeModel for Node<'_> {
                 threads,
                 stall_fast,
                 stall_block,
-                &mut cores[c],
+                core,
                 mc,
                 stats,
             ));
+            if sleep {
+                let (end, recounts) = fall_asleep(c, cycle, threads, stall_fast, core);
+                sleepers += u64::from(cycle < core.asleep_through);
+                horizon_end = horizon_end.min(end);
+                awake_recounts += recounts;
+            }
         }
-        issued
+        threads.count_credit_issues(asleep, stats);
+        self.cycle = cycle;
+        self.sleepers = sleepers;
+        self.horizon_end = horizon_end;
+        self.awake_recounts = awake_recounts;
+        self.slept += asleep;
+        issued + asleep
     }
 
     // Completion tags: core index (slab fills are per-core).
@@ -245,15 +321,30 @@ impl NodeModel for Node<'_> {
             core.l1.fill(block);
             core.mshr.complete(block);
             // The fill ends the guaranteed-re-miss regime for any context
-            // stalled on this block (see `Node::stall_fast`).
+            // stalled on this block (see `Node::stall_fast`). The context
+            // rejoins the scan with no credits, so a sleep of its core
+            // ends here: it is settled with the bit still set.
             for x in 0..self.cfg.contexts {
                 if self.stall_fast.get(ci, x) && *self.stall_block.get(ci, x) == block {
+                    if self.cycle < core.asleep_through {
+                        let stats = &mut self.stats;
+                        settle(
+                            ci,
+                            self.cycle,
+                            &mut self.threads,
+                            &self.stall_fast,
+                            core,
+                            stats,
+                        );
+                        core.asleep_through = self.cycle;
+                        self.stall_wakes += 1;
+                    }
                     self.stall_fast.set(ci, x, false);
                 }
             }
         }
         // A fill frees an MSHR and a CAS issue frees a queue slot; either
-        // can unblock a resource-parked prefetch pump.
+        // can unblock a parked prefetch pump.
         if !fills.is_empty() || queue_freed {
             for core in &mut self.cores {
                 core.pf_parked = false;
@@ -266,14 +357,57 @@ impl NodeModel for Node<'_> {
     }
 }
 
-impl Node<'_> {
-    /// Core `c`'s contexts a scan acts on, and those it recounts.
-    fn scan_masks(&self, c: usize) -> (u64, u64) {
-        let done = self.threads.done();
-        let live = done.full_mask() & !done.mask(c);
-        let recount = live & self.stall_fast.mask(c);
-        (live & !recount, recount)
+/// Core `c`'s contexts a scan acts on, and those it recounts: it passes
+/// done contexts and recounts one L1 miss for each `stall_fast` one.
+fn scan_masks(threads: &Contexts, stall_fast: &FlagGrid, c: usize) -> (u64, u64) {
+    let done = threads.done();
+    let live = done.full_mask() & !done.mask(c);
+    let recount = live & stall_fast.mask(c);
+    (live & !recount, recount)
+}
+
+/// After core `c`'s walked scan on edge `cycle`: puts the core to sleep
+/// through its next credit-only edges, if it has any (see
+/// [`Core::asleep_through`]).
+/// Returns the last edge before its scan may act again (`u64::MAX` if it
+/// acts on no context) and its L1-miss recounts per edge while awake.
+///
+/// Kept out of line, like [`demand_miss`], so the scan's prologue stays
+/// as it was.
+#[inline(never)]
+fn fall_asleep(
+    c: usize,
+    cycle: u64,
+    threads: &Contexts,
+    stall_fast: &FlagGrid,
+    core: &mut Core,
+) -> (u64, u64) {
+    let (run, recount) = scan_masks(threads, stall_fast, c);
+    let horizon = threads.credit_horizon(c, run);
+    if horizon == u64::MAX {
+        return (u64::MAX, u64::from(recount.count_ones()));
     }
+    if horizon > 0 {
+        core.asleep_through = cycle + horizon;
+        core.slept_at = cycle;
+    }
+    (cycle + horizon, 0)
+}
+
+/// Settles core `c`'s sleep up to edge `cycle`: the credits and cursor of
+/// the edges slept since it fell asleep, and the L1 misses their scans
+/// would have recounted. Their issues were counted edge by edge.
+#[inline(never)]
+fn settle(
+    c: usize,
+    cycle: u64,
+    threads: &mut Contexts,
+    stall_fast: &FlagGrid,
+    core: &Core,
+    stats: &mut CoreStats,
+) {
+    let (run, recount) = scan_masks(threads, stall_fast, c);
+    stats.l1_misses += threads.settle_credits(c, run, recount, cycle - core.slept_at);
 }
 
 /// Runs `workload` to completion on one SSMC processor.
@@ -283,6 +417,12 @@ impl Node<'_> {
 /// Panics if the live state cannot be L1-resident, a kernel traps, or the
 /// simulation deadlocks.
 pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
+    simulate(workload, cfg).0
+}
+
+/// [`run`], also returning how many sleeps a fill cut short
+/// ([`Node::stall_wakes`]).
+fn simulate(workload: &Workload, cfg: &SsmcConfig) -> (NodeResult, u64) {
     let layout = workload.dataset.layout;
     let grid = ThreadGrid::slab(cfg.cores, cfg.contexts);
     let live_total = workload.live_bytes * cfg.contexts;
@@ -340,10 +480,18 @@ pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
                         lookahead + slab,
                     ),
                     pf_parked: false,
+                    asleep_through: 0,
+                    slept_at: 0,
                 }
             })
             .collect(),
         stats: CoreStats::default(),
+        cycle: 0,
+        sleepers: 0,
+        horizon_end: u64::MAX,
+        awake_recounts: 0,
+        slept: 0,
+        stall_wakes: 0,
     };
     let mut mc = MemoryController::with_capacity(cfg.geometry, cfg.timing, cfg.dram_queue);
     let mut clock = DualClock::new(period_ps_for_mhz(COMPUTE_MHZ), cfg.timing.channel_period_ps);
@@ -362,7 +510,11 @@ pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
     for core in &node.cores {
         stats.l1_hits += core.l1.stats().hits;
     }
-    NodeResult::finish(
+    debug_assert!(
+        node.cores.iter().all(|c| c.asleep_through <= node.cycle),
+        "a core slept past the end of the run"
+    );
+    let result = NodeResult::finish(
         workload,
         &grid,
         &node.threads.states(),
@@ -370,7 +522,8 @@ pub fn run(workload: &Workload, cfg: &SsmcConfig) -> NodeResult {
         mc.stats().clone(),
         driven,
         tel,
-    )
+    );
+    (result, node.stall_wakes)
 }
 
 /// One issue attempt for core `c`; returns whether an instruction issued.
@@ -394,7 +547,6 @@ fn core_tick(
     mc: &mut MemoryController,
     stats: &mut CoreStats,
 ) -> bool {
-    pump_prefetch(c, now, slab_bytes, core, mc, stats);
     for x in threads.round_robin(c) {
         debug_assert!(
             threads.credits_consistent(c, x, false),
@@ -421,8 +573,12 @@ fn core_tick(
         // The prefetch window runs `lookahead` past this core's slab of
         // the demanded row.
         let row_base = addr / row_bytes * row_bytes;
-        core.pf
-            .raise_limit(row_base + lookahead + c as u64 * slab_bytes);
+        if core
+            .pf
+            .raise_limit(row_base + lookahead + c as u64 * slab_bytes)
+        {
+            core.pf_parked = false;
+        }
         if core.l1.access(addr) {
             threads.commit(c, x, decoded, image, stats);
             return true;
@@ -491,7 +647,7 @@ fn demand_miss(
 }
 
 /// Runs core `c`'s slab prefetcher ahead of its leading context, unless
-/// it is parked on resources (see [`Core::pf_parked`]).
+/// it is parked (see [`Core::pf_parked`]).
 fn pump_prefetch(
     c: usize,
     now: TimePs,
@@ -504,7 +660,7 @@ fn pump_prefetch(
         return;
     }
     let Core { l1, mshr, pf, .. } = core;
-    let stop = pf.pump(l1, mshr, |block| {
+    pf.pump(l1, mshr, |block| {
         let req = Request {
             addr: block,
             bytes: slab_bytes,
@@ -514,7 +670,7 @@ fn pump_prefetch(
         stats.prefetches += u64::from(pushed);
         pushed
     });
-    core.pf_parked = stop == PrefetchStop::Resource;
+    core.pf_parked = true;
 }
 
 #[cfg(test)]
@@ -581,6 +737,45 @@ mod tests {
         assert_eq!(
             (r.stats.prefetches + r.stats.demand_fetches) * 64,
             w.dataset.total_bytes()
+        );
+    }
+
+    /// A fill that clears a `stall_fast` bit on a sleeping core cuts its
+    /// sleep short. With the channel 16× slower than Table III's, gda's
+    /// cores fall behind their prefetches and a few sleeps are woken so;
+    /// at the benchmark's sizes none is. The walk and the sleeps must agree
+    /// on every count, and so must their epoch samples. A sample on every
+    /// edge also lands inside those sleeps, where `ssmc::l1/misses` must
+    /// add the recounts the sleeper still owes.
+    #[test]
+    fn a_fill_that_ends_a_stall_wakes_a_sleeping_core() {
+        let w = small(Benchmark::Gda);
+        let cfg = |fast_forward| {
+            let mut cfg = SsmcConfig {
+                fast_forward,
+                telemetry: TelemetryConfig::enabled_with_epoch(1),
+                ..SsmcConfig::default()
+            };
+            cfg.timing.channel_period_ps *= 16;
+            cfg
+        };
+        let (walked, walked_wakes) = simulate(&w, &cfg(false));
+        let (slept, wakes) = simulate(&w, &cfg(true));
+        assert!(wakes > 0, "no fill woke a sleeping core");
+        assert_eq!(walked_wakes, 0);
+        assert_eq!((walked.profile.slept, walked.profile.credit_jumps), (0, 0));
+        assert!(slept.output_ok);
+        let mut stats = slept.stats.clone();
+        stats.ff_skipped_cycles = 0;
+        assert_eq!(stats, walked.stats);
+        assert_eq!(slept.dram, walked.dram);
+        assert_eq!(slept.elapsed_ps, walked.elapsed_ps);
+        assert_eq!(slept.output, walked.output);
+        let (wt, st) = (&walked.telemetry, &slept.telemetry);
+        assert!(!st.samples("ssmc::l1", "misses").is_empty());
+        assert!(
+            wt.series_iter().eq(st.series_iter()),
+            "epoch samples differ"
         );
     }
 

@@ -31,7 +31,9 @@
 # way), so compare it only with another aligned build, and keep the flag
 # out of the shipped build.
 #
-# Put the scratch space elsewhere with TMPDIR.
+# Put the scratch space elsewhere with TMPDIR. AB_BENCH_ARGS adds
+# arguments to every benchmark run on both sides, e.g.
+# AB_BENCH_ARGS="--seed 7" for a workload seed other than the default.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,6 +52,7 @@ if [ "$pairs" -lt 1 ] || [ "$seconds" -lt 1 ]; then
 fi
 
 echo "RUSTFLAGS=${RUSTFLAGS-} (both sides)"
+echo "AB_BENCH_ARGS=${AB_BENCH_ARGS-} (every run)"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 declare -A bin
@@ -78,7 +81,8 @@ for w in $workloads; do
         for side in $order; do
             # The benchmark exits 1 when a point fails; the summary line
             # says so and the report below counts it.
-            "${bin[$side]}" --workload "$w" --seconds "$seconds" |
+            # shellcheck disable=SC2086 # AB_BENCH_ARGS splits into words
+            "${bin[$side]}" --workload "$w" --seconds "$seconds" ${AB_BENCH_ARGS-} |
                 tail -n 1 >> "$work/$w.$side" || true
         done
     done

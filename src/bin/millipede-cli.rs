@@ -702,36 +702,48 @@ fn run_kernels(num_chunks: usize, seed: u64, step_limit: u64) -> i32 {
 fn run_cmd(args: &[String]) -> i32 {
     let mut files: Vec<String> = Vec::new();
     let mut kernels = false;
-    let mut input_words: u64 = 512;
-    let mut local_bytes: u64 = 1024;
+    // Each form's own flags; one the other form sets is refused below.
+    let (mut input_words, mut local_bytes) = (None, None);
+    let (mut num_chunks, mut seed) = (None, None);
     let mut step_limit: u64 = 10_000_000;
-    let mut num_chunks: usize = 2;
-    let mut seed: u64 = 7;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--kernels" => kernels = true,
-            "--input-words" => input_words = take(args, &mut i, "--input-words", 0),
-            "--local-bytes" => local_bytes = take(args, &mut i, "--local-bytes", 0),
+            "--input-words" => input_words = Some(take(args, &mut i, "--input-words", 0)),
+            "--local-bytes" => local_bytes = Some(take(args, &mut i, "--local-bytes", 0)),
             "--step-limit" => step_limit = take(args, &mut i, "--step-limit", 0),
-            "--chunks" => num_chunks = take(args, &mut i, "--chunks", 1) as usize,
-            "--seed" => seed = take(args, &mut i, "--seed", 0),
+            "--chunks" => num_chunks = Some(take(args, &mut i, "--chunks", 1) as usize),
+            "--seed" => seed = Some(take(args, &mut i, "--seed", 0)),
             flag if flag.starts_with("--") => usage_error(&format!("unknown flag `{flag}`")),
             file => files.push(file.to_string()),
         }
         i += 1;
     }
     kernels_or_files(kernels, &files);
+    let (form, foreign) = if kernels {
+        let file_flags = [
+            ("--input-words", input_words),
+            ("--local-bytes", local_bytes),
+        ];
+        ("run --kernels", file_flags)
+    } else {
+        let kernel_flags = [("--chunks", num_chunks.map(|n| n as u64)), ("--seed", seed)];
+        ("run <kernel.asm>", kernel_flags)
+    };
+    if let Some((flag, _)) = foreign.iter().find(|(_, v)| v.is_some()) {
+        usage_error(&format!("`{form}` does not take {flag}"));
+    }
     if kernels {
-        return run_kernels(num_chunks, seed, step_limit);
+        return run_kernels(num_chunks.unwrap_or(2), seed.unwrap_or(7), step_limit);
     }
 
-    let input = InputImage::new(vec![0u32; input_words as usize]);
+    let input = InputImage::new(vec![0u32; input_words.unwrap_or(512) as usize]);
     let mut trapped = false;
     for path in &files {
         let (name, source) = load_source(path);
         let program = assembled(path, assemble(&name, &source));
-        let mut ctx = ThreadCtx::new(local_bytes as usize, &LaunchParams::new());
+        let mut ctx = ThreadCtx::new(local_bytes.unwrap_or(1024) as usize, &LaunchParams::new());
         match run_functional(&mut ctx, &program, &input, step_limit) {
             Ok(stats) => {
                 println!(

@@ -76,6 +76,25 @@ fn assert_usage_error(argv: &[&str], needle: &str) {
 }
 
 #[test]
+fn run_flags_of_the_other_form_are_usage_errors() {
+    let kernel = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/clean_histogram.asm"
+    );
+    for (argv, flag) in [
+        (
+            &["run", "--kernels", "--input-words", "5"][..],
+            "--input-words",
+        ),
+        (&["run", "--kernels", "--local-bytes", "3"], "--local-bytes"),
+        (&["run", kernel, "--chunks", "4"], "--chunks"),
+        (&["run", kernel, "--seed", "3"], "--seed"),
+    ] {
+        assert_usage_error(argv, flag);
+    }
+}
+
+#[test]
 fn section_usage_errors() {
     for (argv, needle) in [
         (&["fig3", "--chunks", "0"][..], "--chunks"),

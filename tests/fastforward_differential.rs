@@ -137,6 +137,31 @@ fn compute_bound_mimd_points_take_credit_jumps() {
 }
 
 #[test]
+fn ssmc_sleeps_match_the_walk_above_64_cores() {
+    // Each SSMC core sleeps through its own credit runs; with more cores
+    // than a 64-bit mask has bits, no bit set may stand in for the
+    // sleepers.
+    for bench in [Benchmark::Count, Benchmark::Gda, Benchmark::Gemm] {
+        let cfg = |fast_forward| SimConfig {
+            num_chunks: 2,
+            corelets: 128,
+            fast_forward,
+            ..SimConfig::default()
+        };
+        let slow = run_one(Arch::Ssmc, bench, &cfg(false));
+        let fast = run_one(Arch::Ssmc, bench, &cfg(true));
+        let label = format!("SSMC x128 on {}", bench.name());
+        assert!(fast.node.output_ok, "{label}");
+        assert!(fast.node.profile.slept > 0, "{label}: no core slept");
+        assert_eq!(slow.node.profile.slept, 0, "{label}: a walked core slept");
+        assert_eq!(digest_run(&slow), digest_run(&fast), "{label}");
+        let mut stats = fast.node.stats.clone();
+        stats.ff_skipped_cycles = 0;
+        assert_eq!(stats, slow.node.stats, "{label}");
+    }
+}
+
+#[test]
 fn fast_forward_digests_agree_on_random_points() {
     let mut rng = Rng::new(0x5eed);
     for case in 0..10 {

@@ -105,6 +105,35 @@ fn fig4_shapes() {
     let ssmc_run = &f.runs[gda][ssmc];
     let gpgpu_run = &f.runs[gda][0];
     assert!(ssmc_run.energy.dram_pj > 1.5 * gpgpu_run.energy.dram_pj);
+    // SSMC's energy penalty grows with its row misses: every benchmark
+    // whose SSMC row-miss rate is at least 0.5 has a larger SSMC DRAM bar
+    // (its DRAM energy over the GPGPU's total, as Fig. 4 stacks it) and a
+    // larger SSMC energy relative to the GPGPU than every benchmark at 0.1
+    // or less. Classify's rate sits between the two at this size (0.27;
+    // 0.52 at 48 chunks).
+    let miss_rate = |bi: usize| f.runs[bi][ssmc].node.dram.row_miss_rate();
+    let dram_share = |bi: usize| f.runs[bi][ssmc].energy.dram_pj / f.runs[bi][0].energy.total_pj();
+    let benches = 0..f.runs.len();
+    let high: Vec<usize> = benches.clone().filter(|&bi| miss_rate(bi) >= 0.5).collect();
+    let low: Vec<usize> = benches.filter(|&bi| miss_rate(bi) <= 0.1).collect();
+    let names = |set: &[usize]| -> Vec<&str> {
+        set.iter()
+            .map(|&bi| f.runs[bi][ssmc].bench.name())
+            .collect()
+    };
+    assert_eq!(names(&high), ["kmeans", "pca", "gda"]);
+    assert_eq!(names(&low), ["count", "sample", "variance", "nbayes"]);
+    for &hi in &high {
+        for &lo in &low {
+            let pair = format!("{} vs {}", names(&[hi])[0], names(&[lo])[0]);
+            assert!(dram_share(hi) > dram_share(lo), "DRAM share, {pair}");
+            let (e_hi, e_lo) = (f.rel_energy(hi, ssmc), f.rel_energy(lo, ssmc));
+            assert!(
+                e_hi > e_lo,
+                "energy vs GPGPU, {pair}: {e_hi:.3} vs {e_lo:.3}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -70,12 +70,24 @@ fn recorded_telemetry_is_bit_identical_under_fast_forward() {
     // That covers the slot ledger and replayed stalls the driver samples
     // on the `node` track of every event-driven model (and no model
     // repeats them on a track of its own).
+    //
+    // SSMC gemm adds epoch samples taken while cores sleep through their
+    // credit runs: `ssmc::l1/misses` must include the L1-miss recounts the
+    // sleepers still owe.
     let tel = TelemetryConfig::enabled_with_epoch(64);
     let ledger = ["issue_slots", "stall_slots", "demand_stalls"];
-    for arch in ALL_ARCHS.into_iter().filter(|&a| a != Arch::Multicore) {
-        let slow = run_one(arch, Benchmark::Count, &config(false, tel.clone()));
-        let fast = run_one(arch, Benchmark::Count, &config(true, tel.clone()));
-        let label = arch.label();
+    let points = ALL_ARCHS
+        .into_iter()
+        .filter(|&a| a != Arch::Multicore)
+        .map(|a| (a, Benchmark::Count))
+        .chain([(Arch::Ssmc, Benchmark::Gemm)]);
+    for (arch, bench) in points {
+        let slow = run_one(arch, bench, &config(false, tel.clone()));
+        let fast = run_one(arch, bench, &config(true, tel.clone()));
+        let label = format!("{} on {}", arch.label(), bench.name());
+        if bench == Benchmark::Gemm {
+            assert!(fast.node.profile.slept > 0, "{label}: no core slept");
+        }
         assert!(
             fast.node.stats.ff_skipped_cycles > 0,
             "{label}: fast-forward never engaged — the differential is vacuous"
