@@ -62,7 +62,7 @@ fi
 echo "==> observability (manifests + millipede-cli report)"
 # Run manifests are observational: two short sweeps with --manifest-out
 # (and a third with telemetry on) must leave stdout byte-identical to a
-# plain run, emit millipede-manifest/2 JSON that an independent parser
+# plain run, emit millipede-manifest/3 JSON that an independent parser
 # accepts with the host self-profiling populated, and render and diff
 # through `millipede-cli report` (the digest-invisibility bar lives in
 # tests/manifest.rs).
@@ -81,8 +81,13 @@ cmp "$manifest_dir/plain.out" "$manifest_dir/traced.out"
 if command -v python3 > /dev/null; then
     python3 - "$manifest_dir/a.json" <<'EOF'
 import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "millipede-manifest/2", f"bad schema {doc.get('schema')}"
+def unique_keys(pairs):
+    keys = [k for k, _ in pairs]
+    dups = sorted({k for k in keys if keys.count(k) > 1})
+    assert not dups, f"repeated keys {dups}"
+    return dict(pairs)
+doc = json.load(open(sys.argv[1]), object_pairs_hook=unique_keys)
+assert doc["schema"] == "millipede-manifest/3", f"bad schema {doc.get('schema')}"
 host = doc["host"]
 assert host["phases_ms"]["run"] > 0, "run phase wall missing"
 assert host["retired_instructions_per_sec"] > 0, "retired-instr rate missing"
@@ -97,27 +102,34 @@ assert host["ff"]["slept"] > 0, "no core slept in the fig3 sweep"
 assert host["sweep"]["points"] == len(doc["runs"]), "sweep points != runs"
 for run in doc["runs"]:
     assert run["digest"].startswith("0x"), f"{run['label']}: missing digest"
-    assert run["metrics"], f"{run['label']}: empty metrics registry"
+    assert run["metrics"], f"{run['label']}: no metrics"
+# host.ff sums each run's `<arch>.ff.<name>` counters, and holds no other.
+ff_sums = {}
+for run in doc["runs"]:
+    for key, v in run["metrics"].items():
+        _, group, name = key.split(".", 2)
+        if group == "ff":
+            ff_sums[name] = ff_sums.get(name, 0) + v
+assert host["ff"] == ff_sums, f"host.ff {host['ff']} != per-run sums {ff_sums}"
 print(f"manifest OK: {len(doc['runs'])} runs, {sum(len(r['metrics']) for r in doc['runs'])} metrics")
 EOF
 fi
 if command -v python3 > /dev/null; then
     # Telemetry jumps stop on every epoch boundary, yet a traced run must
     # take the same fast-forward jumps, pay the same issue slots from
-    # run-ahead credits, and reach the same digests.
+    # run-ahead credits (`host.ff.credit_issues`), and reach the same
+    # digests.
     python3 - "$manifest_dir/a.json" "$manifest_dir/traced.json" <<'EOF'
 import json, sys
 plain, traced = (json.load(open(p)) for p in sys.argv[1:3])
 assert traced["config"]["telemetry"], "traced manifest ran without telemetry"
 assert traced["host"]["ff"] == plain["host"]["ff"], \
-    f"ff jumps differ: {traced['host']['ff']} vs {plain['host']['ff']}"
-assert traced["host"]["credit_issues"] == plain["host"]["credit_issues"], \
-    f"credit issues differ: {traced['host']['credit_issues']} vs {plain['host']['credit_issues']}"
+    f"ff counters differ: {traced['host']['ff']} vs {plain['host']['ff']}"
 assert len(traced["runs"]) == len(plain["runs"]), "run counts differ"
 for p, t in zip(plain["runs"], traced["runs"]):
     assert (p["label"], p["digest"]) == (t["label"], t["digest"]), \
         f"{t['label']}: digest {t['digest']} != untraced {p['digest']}"
-print(f"traced manifest OK: ff {traced['host']['ff']}, credit issues {traced['host']['credit_issues']}, {len(traced['runs'])} digests match")
+print(f"traced manifest OK: ff {traced['host']['ff']}, {len(traced['runs'])} digests match")
 EOF
 fi
 # `millipede-cli all` runs each section in a host phase of its own and writes

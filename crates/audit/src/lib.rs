@@ -129,7 +129,7 @@ const HOT_PATH_CRATES: [&str; 8] = [
 /// Crates whose code must never read the host clock for the `wall-clock`
 /// lint. Telemetry output feeds determinism-sensitive artifacts (traces,
 /// CSVs, digest differentials), so every timestamp it records must come
-/// from the simulated clock; the metrics registry feeds run manifests,
+/// from the simulated clock; the metrics crate feeds run manifests,
 /// where the only sanctioned host-time consumer is the dedicated
 /// self-profiling module in [`WALL_CLOCK_EXEMPT_FILES`].
 const NO_WALL_CLOCK_CRATES: [&str; 2] = ["crates/telemetry", "crates/metrics"];

@@ -111,7 +111,10 @@ mod run_impl {
         fn pay_credits(&mut self, edges: u64) {
             for c in 0..self.cfg.corelets {
                 let run = self.scan_mask(c);
-                self.threads.pay_credits(c, run, 0, edges, &mut self.stats);
+                self.threads.settle_credits(c, run, 0, edges);
+                if run != 0 {
+                    self.threads.count_credit_issues(edges, &mut self.stats);
+                }
             }
         }
 

@@ -59,6 +59,28 @@ pub struct DramStats {
 }
 
 impl DramStats {
+    /// The counters by name, in declaration order: the one list the
+    /// determinism digest and the run manifest read. The pattern names
+    /// every field, so a new one does not compile until it is listed here.
+    pub fn counters(&self) -> [(&'static str, u64); 6] {
+        let DramStats {
+            row_hits,
+            row_misses,
+            activations,
+            bytes_transferred,
+            bus_busy_ps,
+            requests,
+        } = *self;
+        [
+            ("row_hits", row_hits),
+            ("row_misses", row_misses),
+            ("activations", activations),
+            ("bytes_transferred", bytes_transferred),
+            ("bus_busy_ps", bus_busy_ps),
+            ("requests", requests),
+        ]
+    }
+
     /// Row miss rate = row misses / row accesses, as reported in Table IV.
     pub fn row_miss_rate(&self) -> f64 {
         let total = self.row_hits + self.row_misses;

@@ -4,7 +4,7 @@
 //! The reference interpreter ([`crate::step`]) pattern-matches the full
 //! [`Instr`] enum twice per committed instruction: once in
 //! `effective_access` (the timing models' load/store preview) and once in
-//! `step` itself. A [`DecodedProgram`] is built **once per program** and
+//! `step` itself. A [`DecodedProgram`] is built **once per run** and
 //! flattens each instruction into a packed [`MicroOp`] — fused opcode byte,
 //! pre-resolved register identifiers, and a raw 32-bit immediate/offset/
 //! target payload — plus an **access-class table** ([`AccessClass`], one
@@ -40,7 +40,6 @@ use crate::context::ThreadCtx;
 use millipede_isa::{AddrSpace, AluOp, CmpOp, FAluOp, Instr, Program, Reg};
 use millipede_mem::{InputImage, MemFault, MAX_LANES};
 use std::fmt;
-use std::sync::Arc;
 
 /// A fatal kernel error (memory fault or runaway execution).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -501,8 +500,8 @@ pub struct LocalRun {
 }
 
 /// A program predecoded into flat micro-op and access-class tables. Built
-/// once per [`Program`] (see [`DecodedProgram::of`]) and shared by every
-/// thread context executing it.
+/// once per run (see [`DecodedProgram::of`]) and shared by every thread
+/// context executing it.
 #[derive(Debug)]
 pub struct DecodedProgram {
     ops: Box<[MicroOp]>,
@@ -511,17 +510,10 @@ pub struct DecodedProgram {
 
 impl DecodedProgram {
     /// Decodes `program` into its flat micro-op form.
-    pub fn new(program: &Program) -> DecodedProgram {
+    pub fn of(program: &Program) -> DecodedProgram {
         let ops: Box<[MicroOp]> = program.instrs().iter().map(decode).collect();
         let class: Box<[AccessClass]> = ops.iter().map(|u| u.op.class()).collect();
         DecodedProgram { ops, class }
-    }
-
-    /// The cached decoded form of `program`, built on first use and shared
-    /// by every clone of the program (the decode cache lives behind the
-    /// program's `Arc`).
-    pub fn of(program: &Program) -> Arc<DecodedProgram> {
-        program.decode_cache_or_init(DecodedProgram::new)
     }
 
     /// Number of micro-ops (= static instructions).
@@ -790,7 +782,7 @@ mod tests {
     #[test]
     fn lockstep_matches_reference_interpreter() {
         let p = assemble("sample", SAMPLE).unwrap();
-        let d = DecodedProgram::new(&p);
+        let d = DecodedProgram::of(&p);
         let input = InputImage::new(vec![10, 20, 30, 40]);
         let mut a = ctx();
         let mut b = ctx();
@@ -812,7 +804,7 @@ mod tests {
     #[test]
     fn class_table() {
         let p = assemble("sample", SAMPLE).unwrap();
-        let d = DecodedProgram::new(&p);
+        let d = DecodedProgram::of(&p);
         assert_eq!(d.len(), p.len());
         assert!(!d.is_empty());
         assert_eq!(d.access_class(0), AccessClass::Alu);
@@ -870,7 +862,7 @@ mod tests {
             ),
         ];
         for (src, reconv, accept, stop, instructions) in cases {
-            let d = DecodedProgram::new(&assemble("t", src).unwrap());
+            let d = DecodedProgram::of(&assemble("t", src).unwrap());
             let mut warp = lanes();
             let run = d.run_ahead(&mut warp, 0b11, reconv, 64, |idx, addrs| {
                 assert_eq!((idx, addrs.len()), (&[0, 1][..], 2));
@@ -883,7 +875,7 @@ mod tests {
             );
         }
         // A lane outside the live mask is left alone.
-        let d = DecodedProgram::new(&assemble("t", "addi r2, r0, 1\nhalt").unwrap());
+        let d = DecodedProgram::of(&assemble("t", "addi r2, r0, 1\nhalt").unwrap());
         let mut warp = lanes();
         d.run_ahead(&mut warp, 0b10, None, 64, |_, _| true);
         assert_eq!((warp[0].pc, warp[1].pc), (0, 1));
@@ -892,7 +884,7 @@ mod tests {
     #[test]
     fn mem_addr_at_previews_the_address_commit_reports() {
         let p = assemble("sample", SAMPLE).unwrap();
-        let d = DecodedProgram::new(&p);
+        let d = DecodedProgram::of(&p);
         let input = InputImage::new(vec![10, 20, 30, 40]);
         let mut c = ctx();
         // A one-lane run-ahead stops before the input load at pc 6.
@@ -919,7 +911,7 @@ mod tests {
     fn traps_match_reference() {
         // Out-of-bounds input load.
         let p = assemble("t", "li r1, 400\nld.in r2, (r1)\nhalt\n").unwrap();
-        let d = DecodedProgram::new(&p);
+        let d = DecodedProgram::of(&p);
         let input = InputImage::new(vec![1, 2]);
         let mut a = ctx();
         let mut b = ctx();
@@ -929,17 +921,9 @@ mod tests {
         assert_eq!(a.pc, b.pc, "trap must not advance pc");
         // Stepping a halted context.
         let p = assemble("t", "halt\n").unwrap();
-        let d = DecodedProgram::new(&p);
+        let d = DecodedProgram::of(&p);
         let mut c = ctx();
         d.commit(&mut c, &input).unwrap();
         assert_eq!(d.commit(&mut c, &input), Err(Trap::SteppedHalted));
-    }
-
-    #[test]
-    fn of_caches_per_program() {
-        let p = assemble("t", "li r1, 1\nhalt\n").unwrap();
-        let d1 = DecodedProgram::of(&p);
-        let d2 = DecodedProgram::of(&p.clone());
-        assert!(Arc::ptr_eq(&d1, &d2));
     }
 }

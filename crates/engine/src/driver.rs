@@ -269,6 +269,31 @@ pub struct JumpProfile {
     pub slept: u64,
 }
 
+impl JumpProfile {
+    /// The counters by their manifest names, in declaration order: the
+    /// one place `sleeps` and `wakes` are named `jumps` and `fill_wakes`.
+    /// The pattern names every field, so a new one does not compile until
+    /// it is listed here.
+    pub fn counters(&self) -> [(&'static str, u64); 6] {
+        let JumpProfile {
+            sleeps,
+            wakes,
+            credit_jumps,
+            credit_issues,
+            scans,
+            slept,
+        } = *self;
+        [
+            ("jumps", sleeps),
+            ("fill_wakes", wakes),
+            ("credit_jumps", credit_jumps),
+            ("credit_issues", credit_issues),
+            ("scans", scans),
+            ("slept", slept),
+        ]
+    }
+}
+
 /// What a driven run reports back to its model's `run`.
 #[derive(Debug, Clone, Copy)]
 pub struct Driven {

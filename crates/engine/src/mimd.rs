@@ -206,31 +206,11 @@ impl Contexts {
         scan.horizon(|slot| u64::from(*self.burst.get(core, slot)))
     }
 
-    /// Pays `edges` edges of `core` from credits at once, as that many
-    /// one-slot scans would ([`Contexts::charge_burst`]); `edges` is at
-    /// most [`Contexts::credit_horizon`] for the same `run`. The
-    /// [`Contexts::settle_credits`] part and the
-    /// [`Contexts::count_credit_issues`] part in one call. Returns how
-    /// many times the scans would have passed a context of `recount`.
-    pub fn pay_credits(
-        &mut self,
-        core: usize,
-        run: u64,
-        recount: u64,
-        edges: u64,
-        stats: &mut CoreStats,
-    ) -> u64 {
-        let passes = self.settle_credits(core, run, recount, edges);
-        if run != 0 {
-            self.count_credit_issues(edges, stats);
-        }
-        passes
-    }
-
-    /// The state part of paying `edges` credit-only edges of `core`: the
-    /// credits each pick loses and the cursor past the last pick, but not
-    /// the issue counts, which a caller that counts them edge by edge
-    /// keeps eager ([`Contexts::count_credit_issues`]). `edges` is at most
+    /// Pays `edges` credit-only edges of `core` at once, as that many
+    /// one-slot scans would ([`Contexts::charge_burst`]): the credits each
+    /// pick loses and the cursor past the last pick, but not the issue
+    /// counts, which the caller adds with [`Contexts::count_credit_issues`]
+    /// (SSMC edge by edge, Millipede once per jump). `edges` is at most
     /// [`Contexts::credit_horizon`] for the same `run`. Returns how many
     /// times the scans would have passed a context of `recount`
     /// ([`CreditScan::pay`]), for the caller's own per-visit statistic.
@@ -406,9 +386,8 @@ mod tests {
     use crate::context::LaunchParams;
     use millipede_isa::assemble;
     use millipede_isa::reg::r;
-    use std::sync::Arc;
 
-    fn contexts(src: &str, cores: usize, slots: usize) -> (Contexts, Arc<DecodedProgram>) {
+    fn contexts(src: &str, cores: usize, slots: usize) -> (Contexts, DecodedProgram) {
         let program = assemble("t", src).expect("assembles");
         let decoded = DecodedProgram::of(&program);
         let set = Contexts::new(cores, slots, |_, _| {
@@ -573,7 +552,10 @@ mod tests {
                 }
                 let mut stats = CoreStats::default();
                 let owed = set.owed_recounts(0, run, recount, edges);
-                let recounts = set.pay_credits(0, run, recount, edges, &mut stats);
+                let recounts = set.settle_credits(0, run, recount, edges);
+                if run != 0 {
+                    set.count_credit_issues(edges, &mut stats);
+                }
                 assert_eq!(recounts, passed, "{label}: recounts");
                 assert_eq!(owed, passed, "{label}: owed recounts");
                 assert_eq!(set.burst.as_slice(), walked.burst.as_slice(), "{label}");

@@ -12,9 +12,8 @@
 //!   explicitly overridden.
 
 use crate::instr::Instr;
-use std::any::Any;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Size of one encoded instruction in bytes, used to compute the code
 /// footprint against the I-cache budget. The mini-ISA models a fixed 8-byte
@@ -75,16 +74,11 @@ impl std::error::Error for ProgramError {}
 pub struct Program {
     instrs: Arc<[Instr]>,
     name: Arc<str>,
-    /// Lazily-built predecoded form (type-erased so this crate stays
-    /// independent of the execution engine). Shared by every clone, like
-    /// the instructions themselves.
-    decode_cache: Arc<OnceLock<Arc<dyn Any + Send + Sync>>>,
 }
 
 impl fmt::Debug for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Manual impl: the type-erased decode cache has no useful Debug
-        // form, and dumping every instruction would drown sweep logs.
+        // Manual impl: dumping every instruction would drown sweep logs.
         f.debug_struct("Program")
             .field("name", &self.name)
             .field("len", &self.instrs.len())
@@ -130,7 +124,6 @@ impl Program {
         Ok(Program {
             instrs: instrs.into(),
             name: name.into(),
-            decode_cache: Arc::new(OnceLock::new()),
         })
     }
 
@@ -173,35 +166,6 @@ impl Program {
     /// Number of static conditional branches.
     pub fn static_branches(&self) -> usize {
         self.instrs.iter().filter(|i| i.is_branch()).count()
-    }
-
-    /// Returns the program's cached predecoded form, building it with
-    /// `build` on first use. The cache is shared by every clone of the
-    /// program, so an execution engine decodes each program exactly once
-    /// no matter how many thread contexts run it.
-    ///
-    /// The cache is type-erased (this crate defines programs, not
-    /// execution engines); every caller in one process must use the same
-    /// `T`, which in practice is the engine crate's `DecodedProgram`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache was previously initialized with a different
-    /// concrete type.
-    pub fn decode_cache_or_init<T, F>(&self, build: F) -> Arc<T>
-    where
-        T: Send + Sync + 'static,
-        F: FnOnce(&Program) -> T,
-    {
-        let entry = self
-            .decode_cache
-            .get_or_init(|| Arc::new(build(self)) as Arc<dyn Any + Send + Sync>);
-        Arc::clone(entry).downcast::<T>().unwrap_or_else(|_| {
-            panic!(
-                "program {:?} decode cache already holds a different decoded type",
-                self.name
-            )
-        })
     }
 }
 
@@ -305,24 +269,6 @@ mod tests {
         ];
         let p = Program::new("t", p).unwrap();
         assert_eq!(p.static_branches(), 1);
-    }
-
-    #[test]
-    fn decode_cache_is_shared_across_clones_and_built_once() {
-        let p = Program::new("t", halt_only()).unwrap();
-        let a = p.decode_cache_or_init(super::Program::len);
-        let q = p.clone();
-        let b = q.decode_cache_or_init(|_| unreachable!("must reuse the cached entry"));
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(*a, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "different decoded type")]
-    fn decode_cache_rejects_mismatched_types() {
-        let p = Program::new("t", halt_only()).unwrap();
-        let _ = p.decode_cache_or_init(super::Program::len);
-        let _ = p.decode_cache_or_init(|_| String::from("not the same type"));
     }
 
     #[test]

@@ -40,8 +40,6 @@ impl std::error::Error for MemFault {}
 #[derive(Debug, Clone)]
 pub struct LocalMem {
     words: Vec<u32>,
-    loads: u64,
-    stores: u64,
 }
 
 impl LocalMem {
@@ -49,8 +47,6 @@ impl LocalMem {
     pub fn new(bytes: usize) -> LocalMem {
         LocalMem {
             words: vec![0; bytes / 4],
-            loads: 0,
-            stores: 0,
         }
     }
 
@@ -79,9 +75,8 @@ impl LocalMem {
 
     /// Loads the word at byte address `addr`.
     #[inline]
-    pub fn load(&mut self, addr: u64) -> Result<u32, MemFault> {
+    pub fn load(&self, addr: u64) -> Result<u32, MemFault> {
         let i = self.index(addr, false)?;
-        self.loads += 1;
         Ok(self.words[i])
     }
 
@@ -89,19 +84,8 @@ impl LocalMem {
     #[inline]
     pub fn store(&mut self, addr: u64, value: u32) -> Result<(), MemFault> {
         let i = self.index(addr, true)?;
-        self.stores += 1;
         self.words[i] = value;
         Ok(())
-    }
-
-    /// Number of loads performed (for energy accounting).
-    pub fn loads(&self) -> u64 {
-        self.loads
-    }
-
-    /// Number of stores performed (for energy accounting).
-    pub fn stores(&self) -> u64 {
-        self.stores
     }
 
     /// A read-only view of the contents (host-side Reduce reads this).
@@ -123,16 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn counts_accesses() {
-        let mut m = LocalMem::new(64);
-        m.store(0, 1).unwrap();
-        m.store(4, 2).unwrap();
-        let _ = m.load(0).unwrap();
-        assert_eq!(m.stores(), 2);
-        assert_eq!(m.loads(), 1);
-    }
-
-    #[test]
     fn faults_on_oob_and_misaligned() {
         let mut m = LocalMem::new(16);
         assert!(m.load(16).is_err());
@@ -147,7 +121,7 @@ mod tests {
 
     #[test]
     fn in_bounds_is_exactly_the_fault_check() {
-        let mut m = LocalMem::new(16);
+        let m = LocalMem::new(16);
         for addr in 0..24 {
             assert_eq!(m.in_bounds(addr), m.load(addr).is_ok(), "addr {addr}");
         }

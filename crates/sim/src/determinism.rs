@@ -121,15 +121,7 @@ pub fn digest_run(r: &RunResult) -> u64 {
         h.write_f64(mhz);
     }
 
-    let d = &r.node.dram;
-    for v in [
-        d.row_hits,
-        d.row_misses,
-        d.activations,
-        d.bytes_transferred,
-        d.bus_busy_ps,
-        d.requests,
-    ] {
+    for (_, v) in r.node.dram.counters() {
         h.write_u64(v);
     }
 

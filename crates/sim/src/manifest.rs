@@ -1,12 +1,13 @@
-//! Per-run JSON manifests (schema `millipede-manifest/2`).
+//! Per-run JSON manifests (schema `millipede-manifest/3`).
 //!
 //! A manifest is the machine-readable record of what one driver invocation
 //! simulated and what it cost the *host*: the configuration (plus a
-//! fingerprint), every run's determinism digest and full metrics registry
-//! (its `stats.*` counters read from `CoreStats::counters`, the list the
-//! digest hashes), and host self-profiling — wall-clock
-//! per phase, retired-instructions/sec, walked-edges/sec, fast-forward
-//! jumps and skipped-cycle ratio, sweep-pool utilization, per-point
+//! fingerprint), every run's determinism digest and metrics (read from
+//! the lists the digest hashes, `CoreStats::counters` and
+//! `DramStats::counters`, and from `JumpProfile::counters`), and host
+//! self-profiling — wall-clock per phase, retired-instructions/sec,
+//! walked-edges/sec, the `JumpProfile` counters summed over the runs
+//! (`host.ff`), skipped-cycle ratio, sweep-pool utilization, per-point
 //! latency, and telemetry ring drop counts.
 //!
 //! Everything here is observational: manifests are built *from* finished
@@ -20,11 +21,12 @@
 use crate::config::SimConfig;
 use crate::determinism::{digest_run, Fnv1a};
 use crate::runner::RunResult;
+use millipede_engine::JumpProfile;
 use millipede_metrics::json::{escape, fmt_f64, Json};
-use millipede_metrics::{Histogram, Registry, SelfProfile};
+use millipede_metrics::SelfProfile;
 
 /// The manifest schema identifier this module writes and checks.
-pub const SCHEMA: &str = "millipede-manifest/2";
+pub const SCHEMA: &str = "millipede-manifest/3";
 
 /// One run as it appears in a manifest: the result plus the sweep-point
 /// context (`chunks`) and the wall time to record — callers
@@ -74,71 +76,49 @@ pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
     h.finish()
 }
 
-/// The dotted metric prefix for one run: the architecture's display label
-/// lowercased (`Millipede` → `millipede`, `VWS-row` → `vws-row`), which is
-/// always a valid registry name segment.
-fn metric_prefix(r: &RunResult) -> String {
-    r.arch.label().to_ascii_lowercase()
-}
-
-/// Builds one run's full metrics registry: every
-/// [`CoreStats::counters`](millipede_engine::CoreStats::counters)
-/// entry, the skipped cycles and rate-match results, plus DRAM counters,
-/// energy gauges, fast-forward jump counts, and telemetry sink totals, all
-/// under the run's arch prefix.
-pub fn run_registry(r: &RunResult) -> Registry {
-    let mut reg = Registry::new();
-    let prefix = metric_prefix(r);
+/// One run's metrics as `(dotted name, JSON number)` pairs in name order,
+/// all under the run's arch prefix (its display label lowercased:
+/// `Millipede` → `millipede`, `VWS-row` → `vws-row`). The counters come
+/// from the lists the digest reads —
+/// [`CoreStats::counters`](millipede_engine::CoreStats::counters) (plus
+/// the skipped cycles and rate-match steps),
+/// [`DramStats::counters`](millipede_dram::DramStats::counters) and
+/// [`JumpProfile::counters`] — and the telemetry sink totals; the gauges
+/// are the rate-match clock and the energy split.
+pub fn run_metrics(r: &RunResult) -> Vec<(String, String)> {
+    let prefix = r.arch.label().to_ascii_lowercase();
     let s = &r.node.stats;
-    let extra = [
+    let tel = &r.node.telemetry;
+    let stats = s.counters().into_iter().chain([
         ("ff_skipped_cycles", s.ff_skipped_cycles),
         ("rate_steps", s.rate_trace.len() as u64),
-    ];
-    for (name, v) in s.counters().into_iter().chain(extra) {
-        reg.counter_add(&format!("{prefix}.stats.{name}"), v);
-    }
-    reg.gauge_set(
-        &format!("{prefix}.stats.rate_match_final_mhz"),
-        s.rate_match_final_mhz,
-    );
-    let d = &r.node.dram;
-    for (name, v) in [
-        ("row_hits", d.row_hits),
-        ("row_misses", d.row_misses),
-        ("activations", d.activations),
-        ("bytes_transferred", d.bytes_transferred),
-        ("bus_busy_ps", d.bus_busy_ps),
-        ("requests", d.requests),
-    ] {
-        reg.counter_add(&format!("{prefix}.dram.{name}"), v);
-    }
-    for (name, v) in [
-        ("core_pj", r.energy.core_pj),
-        ("dram_pj", r.energy.dram_pj),
-        ("static_pj", r.energy.static_pj),
-    ] {
-        reg.gauge_set(&format!("{prefix}.energy.{name}"), v);
-    }
-    let p = r.node.profile;
-    reg.counter_add(&format!("{prefix}.ff.jumps"), p.sleeps);
-    reg.counter_add(&format!("{prefix}.ff.fill_wakes"), p.wakes);
-    reg.counter_add(&format!("{prefix}.ff.credit_jumps"), p.credit_jumps);
-    reg.counter_add(&format!("{prefix}.ff.scans"), p.scans);
-    reg.counter_add(&format!("{prefix}.ff.slept"), p.slept);
-    reg.counter_add(&format!("{prefix}.credit_issues"), p.credit_issues);
-    let tel = &r.node.telemetry;
-    for (name, v) in [
+    ]);
+    let telemetry = [
         ("series", tel.series_len() as u64),
         ("samples", tel.total_samples()),
         ("events", tel.events().len() as u64),
         ("dropped_events", tel.dropped_events()),
-    ] {
-        reg.counter_add(&format!("{prefix}.telemetry.{name}"), v);
-    }
-    reg
+    ];
+    let counters = stats
+        .map(|c| ("stats", c))
+        .chain(r.node.dram.counters().map(|c| ("dram", c)))
+        .chain(r.node.profile.counters().map(|c| ("ff", c)))
+        .chain(telemetry.map(|c| ("telemetry", c)));
+    let gauges = [
+        ("stats", ("rate_match_final_mhz", s.rate_match_final_mhz)),
+        ("energy", ("core_pj", r.energy.core_pj)),
+        ("energy", ("dram_pj", r.energy.dram_pj)),
+        ("energy", ("static_pj", r.energy.static_pj)),
+    ];
+    let mut out: Vec<(String, String)> = counters
+        .map(|(group, (name, v))| (format!("{prefix}.{group}.{name}"), v.to_string()))
+        .chain(gauges.map(|(group, (name, v))| (format!("{prefix}.{group}.{name}"), fmt_f64(v))))
+        .collect();
+    out.sort();
+    out
 }
 
-/// Renders a complete `millipede-manifest/2` document for one driver
+/// Renders a complete `millipede-manifest/3` document for one driver
 /// invocation. `threads` is the sweep pool size the runs were fanned over
 /// (1 for serial drivers); `prof` supplies the host phase walls.
 pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[ManifestRun]) -> String {
@@ -156,33 +136,32 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
     let mut instructions: u64 = 0;
     let mut compute_cycles: u64 = 0;
     let mut ff_skipped: u64 = 0;
-    let mut jumps: u64 = 0;
-    let mut fill_wakes: u64 = 0;
-    let mut credit_jumps: u64 = 0;
-    let mut credit_issues: u64 = 0;
-    let mut scans: u64 = 0;
-    let mut slept: u64 = 0;
+    let mut ff = JumpProfile::default().counters();
     let mut dropped: u64 = 0;
-    let mut point_ms = Histogram::default();
     for r in runs {
         let s = &r.result.node.stats;
         instructions += s.instructions;
         compute_cycles += s.compute_cycles;
         ff_skipped += s.ff_skipped_cycles;
-        jumps += r.result.node.profile.sleeps;
-        fill_wakes += r.result.node.profile.wakes;
-        credit_jumps += r.result.node.profile.credit_jumps;
-        credit_issues += r.result.node.profile.credit_issues;
-        scans += r.result.node.profile.scans;
-        slept += r.result.node.profile.slept;
+        for (total, (_, v)) in ff.iter_mut().zip(r.result.node.profile.counters()) {
+            total.1 += v;
+        }
         dropped += r.result.node.telemetry.dropped_events();
-        point_ms.observe(r.wall_ms);
     }
+    let walls = || runs.iter().map(|r| r.wall_ms);
+    let point_sum: f64 = walls().sum();
+    let point_min = walls().reduce(f64::min).unwrap_or(0.0);
+    let point_max = walls().reduce(f64::max).unwrap_or(0.0);
+    let point_mean = if runs.is_empty() {
+        0.0
+    } else {
+        point_sum / runs.len() as f64
+    };
     // Edges the main loops actually walked (skipped edges are replayed by
     // count, not executed).
     let walked_edges = compute_cycles.saturating_sub(ff_skipped);
     let threads = threads.max(1);
-    let utilization = (point_ms.sum / (threads as f64 * run_phase_ms.max(1e-9))).min(1.0);
+    let utilization = (point_sum / (threads as f64 * run_phase_ms.max(1e-9))).min(1.0);
 
     let phases: String = prof
         .phases()
@@ -190,14 +169,23 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
         .map(|(name, ms)| format!("\"{}\":{}", escape(name), fmt_f64(*ms)))
         .collect::<Vec<_>>()
         .join(",");
+    let ff: String = ff
+        .iter()
+        .map(|(name, v)| format!("\"{name}\":{v}"))
+        .collect::<Vec<_>>()
+        .join(",");
 
     let mut run_entries: Vec<String> = Vec::with_capacity(runs.len());
     for r in runs {
-        let reg = run_registry(r.result);
+        let metrics: String = run_metrics(r.result)
+            .iter()
+            .map(|(name, v)| format!("\"{}\":{v}", escape(name)))
+            .collect::<Vec<_>>()
+            .join(",");
         run_entries.push(format!(
             "    {{\"label\":\"{}/{}\",\"arch\":\"{}\",\"bench\":\"{}\",\"chunks\":{},\
              \"digest\":\"{:#018x}\",\"elapsed_ps\":{},\
-             \"wall_ms\":{},\"output_ok\":{},\"metrics\":{}}}",
+             \"wall_ms\":{},\"output_ok\":{},\"metrics\":{{{metrics}}}}}",
             escape(r.result.arch.label()),
             escape(r.result.bench.name()),
             escape(r.result.arch.label()),
@@ -207,7 +195,6 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
             r.result.node.elapsed_ps,
             fmt_f64(r.wall_ms),
             r.result.node.output_ok,
-            reg.to_json(),
         ));
     }
 
@@ -219,7 +206,7 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
          \"total_ms\":{},\"sweep\":{{\"threads\":{threads},\"points\":{},\
          \"utilization\":{},\"point_ms\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
          \"mean\":{}}}}},\"retired_instructions_per_sec\":{},\"walked_edges_per_sec\":{},\
-         \"ff_skipped_ratio\":{},\"ff\":{{\"jumps\":{jumps},\"fill_wakes\":{fill_wakes},\"credit_jumps\":{credit_jumps},\"scans\":{scans},\"slept\":{slept}}},\"credit_issues\":{credit_issues},\
+         \"ff_skipped_ratio\":{},\"ff\":{{{ff}}},\
          \"telemetry_dropped_events\":{dropped}}},\n  \"runs\": [\n{}\n  ]\n}}\n",
         cfg.num_chunks,
         cfg.seed,
@@ -234,11 +221,11 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
         fmt_f64(prof.total_ms()),
         runs.len(),
         fmt_f64(utilization),
-        point_ms.count,
-        fmt_f64(point_ms.sum),
-        fmt_f64(point_ms.min),
-        fmt_f64(point_ms.max),
-        fmt_f64(point_ms.mean()),
+        runs.len(),
+        fmt_f64(point_sum),
+        fmt_f64(point_min),
+        fmt_f64(point_max),
+        fmt_f64(point_mean),
         fmt_f64(instructions as f64 / run_secs),
         fmt_f64(walked_edges as f64 / run_secs),
         fmt_f64(ff_skipped as f64 / compute_cycles.max(1) as f64),
@@ -247,7 +234,7 @@ pub fn render(cfg: &SimConfig, prof: &SelfProfile, threads: usize, runs: &[Manif
 }
 
 /// Parses and validates a manifest document: strict JSON, the
-/// `millipede-manifest/2` schema tag, and the `host` + `runs` sections
+/// `millipede-manifest/3` schema tag, and the `host` + `runs` sections
 /// present.
 pub fn parse(doc: &str) -> Result<Json, String> {
     let json = Json::parse(doc)?;
@@ -296,17 +283,12 @@ pub fn render_text(doc: &Json) -> String {
                 out.push_str(&format!("{label}: {v:.3}\n"));
             }
         }
-        if let Some(ff) = host.get("ff") {
-            let count = |key| ff.get(key).and_then(Json::as_f64).unwrap_or(0.0);
-            out.push_str(&format!(
-                "fast-forward: {} jump(s), {} fill wake(s), {} credit jump(s), \
-                 {} issue scan(s), {} core-edge(s) slept\n",
-                count("jumps"),
-                count("fill_wakes"),
-                count("credit_jumps"),
-                count("scans"),
-                count("slept"),
-            ));
+        if let Some(ff) = host.get("ff").and_then(Json::as_object) {
+            let cells: Vec<String> = ff
+                .iter()
+                .map(|(n, v)| format!("{n} {}", v.as_f64().unwrap_or(0.0)))
+                .collect();
+            out.push_str(&format!("fast-forward: {}\n", cells.join(", ")));
         }
         if let Some(sweep) = host.get("sweep") {
             out.push_str(&format!(
@@ -347,7 +329,7 @@ pub fn render_text(doc: &Json) -> String {
 }
 
 /// Flattens one manifest run's numeric observables (wall, simulated time,
-/// and every registry metric) for diffing.
+/// and every run metric) for diffing.
 fn numeric_metrics(run: &Json) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     for key in ["wall_ms", "elapsed_ps"] {
@@ -436,7 +418,6 @@ mod tests {
     use super::*;
     use crate::arch::Arch;
     use crate::runner::run_one;
-    use millipede_metrics::Metric;
     use millipede_workloads::Benchmark;
 
     fn tiny() -> SimConfig {
@@ -484,48 +465,43 @@ mod tests {
         );
         let text = render_text(&json);
         let ff = host.get("ff").expect("host.ff");
-        let credit_jumps = ff.get("credit_jumps").and_then(Json::as_f64);
-        assert!(credit_jumps.is_some(), "host.ff.credit_jumps missing");
-        assert!(text.contains("credit jump(s)"), "{text}");
-        for key in ["scans", "slept"] {
+        for (key, _) in JumpProfile::default().counters() {
             let n = ff.get(key).and_then(Json::as_f64);
             assert!(n.is_some(), "host.ff.{key} missing");
+            assert!(text.contains(&format!("{key} ")), "{key}: {text}");
         }
-        assert!(text.contains("issue scan(s)"), "{text}");
-        assert!(text.contains("core-edge(s) slept"), "{text}");
     }
 
     #[test]
-    fn registry_covers_stats_dram_energy_and_ff() {
+    fn run_metrics_cover_stats_dram_energy_and_ff_in_name_order() {
         let cfg = tiny();
         let r = run_one(Arch::Ssmc, Benchmark::Count, &cfg);
-        let reg = run_registry(&r);
-        for (name, v) in r.node.stats.counters() {
-            assert!(
-                matches!(reg.get(&format!("ssmc.stats.{name}")), Some(Metric::Counter(n)) if *n == v),
-                "ssmc.stats.{name}"
-            );
+        let metrics = run_metrics(&r);
+        let get = |name: &str| {
+            metrics
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| v.as_str())
+        };
+        let lists = [
+            ("stats", r.node.stats.counters().to_vec()),
+            ("dram", r.node.dram.counters().to_vec()),
+            ("ff", r.node.profile.counters().to_vec()),
+        ];
+        for (group, list) in lists {
+            for (name, v) in list {
+                let key = format!("ssmc.{group}.{name}");
+                assert_eq!(get(&key), Some(v.to_string().as_str()), "{key}");
+            }
         }
-        assert!(reg.get("ssmc.stats.ff_skipped_cycles").is_some());
-        assert!(matches!(
-            reg.get("ssmc.dram.requests"),
-            Some(Metric::Counter(n)) if *n == r.node.dram.requests
-        ));
-        assert!(matches!(
-            reg.get("ssmc.energy.core_pj"),
-            Some(Metric::Gauge(_))
-        ));
-        assert!(reg.get("ssmc.ff.jumps").is_some());
-        assert!(reg.get("ssmc.ff.credit_jumps").is_some());
-        assert!(matches!(
-            reg.get("ssmc.ff.scans"),
-            Some(Metric::Counter(n)) if *n == r.node.profile.scans
-        ));
-        assert!(matches!(
-            reg.get("ssmc.ff.slept"),
-            Some(Metric::Counter(n)) if *n == r.node.profile.slept && *n > 0
-        ));
-        assert!(reg.get("ssmc.telemetry.dropped_events").is_some());
+        assert!(get("ssmc.stats.ff_skipped_cycles").is_some());
+        assert!(get("ssmc.energy.core_pj").is_some());
+        assert!(get("ssmc.telemetry.dropped_events").is_some());
+        assert_ne!(get("ssmc.ff.slept"), Some("0"), "no SSMC core slept");
+        assert!(
+            metrics.windows(2).all(|w| w[0].0 < w[1].0),
+            "metric names must be unique and in name order"
+        );
     }
 
     #[test]

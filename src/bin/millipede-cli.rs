@@ -47,7 +47,7 @@
 //! enables cycle-domain telemetry and writes a combined
 //! Chrome-trace/Perfetto JSON of the kept runs; `--telemetry-epoch` sets
 //! the sampling epoch in compute cycles (and also enables telemetry);
-//! `--manifest-out` writes a `millipede-manifest/2` JSON (config
+//! `--manifest-out` writes a `millipede-manifest/3` JSON (config
 //! fingerprint, per-run digests and metrics, host self-profiling) that
 //! `report` renders. Stdout stays byte-identical with any of these. A
 //! section that keeps no runs (`table2`, `table3`, `fig5`, `convergence`,

@@ -2,7 +2,8 @@
 //!
 //! Pins the FNV-1a digest of the complete observable result
 //! ([`millipede_sim::digest_run`]) for all eight architecture variants on a
-//! small reference configuration. The digests capture every core counter,
+//! small reference configuration, plus one compute-bound SSMC point of the
+//! repo benchmark. The digests capture every core counter,
 //! every DRAM counter, the picosecond runtime, the energy split, and the
 //! reduced output — so *any* behavioural change to *any* simulator layer
 //! shows up here as a digest mismatch.
@@ -103,6 +104,14 @@ const GOLDEN: &[(Arch, Benchmark, u64)] = &[
     (Arch::Multicore, Benchmark::StreamAdd, 0x4d2f03b6f8f9a7fd),
 ];
 
+/// `(bench, pinned digest)` for SSMC at 16 chunks: the benchmark's
+/// `ssmc-gemm` point (`src/bin/millipede-benchmark/digests.rs`). Its long
+/// ALU runs let a core's prefetch pump park on its window and later raise
+/// its lookahead limit, which the 4-chunk points above never do; a pump
+/// left parked past that raise changes this digest (and the benchmark's
+/// `ssmc-gda`) and no other pinned here.
+const SSMC_COMPUTE: &[(Benchmark, u64)] = &[(Benchmark::Gemm, 0x465fbc7cebc0a85c)];
+
 #[test]
 fn golden_digests_hold_for_every_arch() {
     let walked = SimConfig {
@@ -123,11 +132,21 @@ fn golden_digests_hold_for_every_arch() {
     ];
     let mut failures = Vec::new();
     for (mode, cfg) in &modes {
-        for &(arch, bench, expected) in GOLDEN {
+        let compute = SimConfig {
+            num_chunks: 16,
+            ..cfg.clone()
+        };
+        let ssmc = SSMC_COMPUTE
+            .iter()
+            .map(|&(bench, digest)| (Arch::Ssmc, bench, digest, &compute));
+        let points = GOLDEN.iter().map(|&(a, b, d)| (a, b, d, cfg)).chain(ssmc);
+        for (arch, bench, expected, cfg) in points {
             let digest = digest_run(&run_one(arch, bench, cfg));
             if digest != expected {
                 failures.push(format!(
-                    "{mode}: ({arch:?}, {bench:?}): pinned {expected:#018x}, got {digest:#018x}"
+                    "{mode}: ({arch:?}, {bench:?}, {} chunks): pinned {expected:#018x}, \
+                     got {digest:#018x}",
+                    cfg.num_chunks
                 ));
             }
         }

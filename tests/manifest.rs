@@ -1,9 +1,10 @@
 //! Manifest-layer acceptance tests.
 //!
-//! The metrics registry and run manifests (DESIGN.md, "Observability")
-//! claim to be purely observational: building the full manifest — the
-//! registry (`CoreStats::counters` and the rest), config fingerprint, host
-//! self-profiling — must not change any determinism digest on any
+//! Run manifests (DESIGN.md, "Observability") claim to be purely
+//! observational: building the full manifest — each run's metrics
+//! (`CoreStats::counters`, `DramStats::counters`, `JumpProfile::counters`
+//! and the rest), config fingerprint, host self-profiling — must not
+//! change any determinism digest on any
 //! architecture. This suite pins that claim on all 8 variants, validates the
 //! emitted document against the strict in-repo JSON parser, and drives
 //! `millipede-cli report` (render and `--diff`) end-to-end.
@@ -38,17 +39,17 @@ fn manifests_are_digest_invisible_on_every_arch() {
     let cfg = config();
     for arch in ALL_ARCHS {
         let label = arch.label();
-        // Plain run: no registry, no manifest.
+        // Plain run: no metrics, no manifest.
         let plain = run_one(arch, Benchmark::Count, &cfg);
         let plain_digest = digest_run(&plain);
 
-        // Metrics-on run: build the full registry and render the complete
+        // Metrics-on run: build the run's metrics and render the complete
         // manifest document, then digest. Metrics are derived from the
         // finished result, so the digest must be bit-identical.
         let prof = SelfProfile::start();
         let with_metrics = run_one(arch, Benchmark::Count, &cfg);
-        let registry = manifest::run_registry(&with_metrics);
-        assert!(!registry.is_empty(), "{label}: empty registry");
+        let metrics = manifest::run_metrics(&with_metrics);
+        assert!(!metrics.is_empty(), "{label}: no metrics");
         let doc = manifest::render(&cfg, &prof, 1, &[ManifestRun::new(&with_metrics, &cfg)]);
         assert!(!doc.is_empty());
         assert_eq!(
@@ -107,10 +108,10 @@ fn rendered_manifest_is_schema_valid_with_populated_self_profiling() {
         .expect("ff.credit_jumps");
     let profiled: u64 = runs.iter().map(|r| r.node.profile.credit_jumps).sum();
     assert_eq!(credit_jumps, profiled as f64, "host.ff.credit_jumps");
-    let credit_issues = host
+    let credit_issues = ff
         .get("credit_issues")
         .and_then(Json::as_f64)
-        .expect("host.credit_issues");
+        .expect("host.ff.credit_issues");
     let issues: u64 = runs.iter().map(|r| r.node.stats.issues).sum();
     assert!(
         credit_issues > 0.0 && credit_issues < issues as f64,
@@ -136,14 +137,14 @@ fn rendered_manifest_is_schema_valid_with_populated_self_profiling() {
         let metrics = run
             .get("metrics")
             .and_then(Json::as_object)
-            .expect("metrics registry");
+            .expect("run metrics");
         let prefix = r.arch.label().to_ascii_lowercase();
         for name in [
             "stats.instructions",
             "ff.jumps",
             "ff.fill_wakes",
             "ff.credit_jumps",
-            "credit_issues",
+            "ff.credit_issues",
         ] {
             assert!(
                 metrics
@@ -174,7 +175,7 @@ fn report_renders_and_diffs_real_manifests() {
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("millipede-manifest/2") && stdout.contains("Millipede/count"),
+        stdout.contains(manifest::SCHEMA) && stdout.contains("Millipede/count"),
         "render output:\n{stdout}"
     );
     // The per-run line carries the skipped-cycle share.
